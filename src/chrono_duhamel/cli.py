@@ -232,9 +232,17 @@ def cmd_evolve(cfg: RunConfig, out: str) -> list[dynamics.EvolutionState]:
     return traj
 
 
+def _chart(cfg: RunConfig) -> chrono.ChartMap:
+    if not cfg.disp.second_order:
+        raise ConfigError(f"functional transport needs [dispersion] kind = {propagator.KLEIN_GORDON}")
+    return chrono.ChartMap(cfg.grid, cfg.disp, cfg.tol("s"), cfg.tol("m_ref"))
+
+
 def cmd_invariance(cfg: RunConfig, out: str) -> float:
     t1, t2, steps = cfg.times
-    chart = chrono.ChartMap(cfg.grid, cfg.disp, cfg.tol("s"), cfg.tol("m_ref"))
+    if steps < 1:
+        raise ConfigError("invariance needs [times] steps >= 1")
+    chart = _chart(cfg)
     traj = dynamics.evolve(
         cfg.initial_data(), t1, t2, abs(t2 - t1) / steps, cfg.disp, cfg.nonlin
     )
@@ -265,7 +273,7 @@ def cmd_invariance(cfg: RunConfig, out: str) -> float:
 
 def cmd_certify(cfg: RunConfig, out: str) -> chrono.CertificationRecord:
     t1, t2, steps = cfg.times
-    chart = chrono.ChartMap(cfg.grid, cfg.disp, cfg.tol("s"), cfg.tol("m_ref"))
+    chart = _chart(cfg)
     f = cfg.functional(chart)
     preset = cfg.raw["tolerances"]["x_coeffs"]
     if preset:
@@ -283,7 +291,7 @@ def cmd_certify(cfg: RunConfig, out: str) -> chrono.CertificationRecord:
     rec = chrono.certify_window(symfun.majorant_of(f, chart.norm_spec), X, R, span)
     lines = [
         f"{R!r},{span!r},{rec.certified_radius!r},{int(rec.window_ok)},"
-        f"{rec.f_majorant_at_R!r},{t_bar!r}"
+        f"{float(rec.f_majorant_at_R)!r},{t_bar!r}"
     ]
     _write_csv(
         os.path.join(out, "certify.csv"),
@@ -296,15 +304,20 @@ def cmd_certify(cfg: RunConfig, out: str) -> chrono.CertificationRecord:
 
 def cmd_trees(cfg: RunConfig, out: str) -> float:
     t1, t2, _ = cfg.times
-    chart = chrono.ChartMap(cfg.grid, cfg.disp, cfg.tol("s"), cfg.tol("m_ref"))
+    nonlin = cfg.nonlin
+    if len(nonlin.coeffs) != 1 or min(nonlin.coeffs) < 1:
+        raise ConfigError("trees needs a single-monomial [nonlinearity] of degree >= 1")
+    chart = _chart(cfg)
     f = cfg.functional(chart)
+    if f.degrees != (1,):
+        raise ConfigError("trees needs a linear functional")
     K = cfg._get("caps", "tree_order", int)
     u = propagator.make_free_solution(cfg.disp, cfg.initial_data())
-    trees, _ = chrono.tree_expand(f, t1, t2, K, cfg.disp, cfg.nonlin, chart)
+    trees, _ = chrono.tree_expand(f, t1, t2, K, cfg.disp, nonlin, chart)
     lines = []
     total = 0.0
     for tree in trees:
-        contrib = chrono.evaluate_trees([tree], f, u, t1, t2, cfg.disp, cfg.nonlin, chart)
+        contrib = float(chrono.evaluate_trees([tree], f, u, t1, t2, cfg.disp, nonlin, chart))
         total += contrib
         lines.append(f"{tree.order},{'-'.join(map(str, tree.parents))},{tree.multiplicity},{contrib!r}")
     lines.append(f"total,,,{total!r}")

@@ -15,7 +15,10 @@ cross-check oracle.  Duhamel's identity
     c(t2) - c(t1) + integral_{t1}^{t2} Vbar_t(c(t)) dt = 0
 
 is used as a residual diagnostic: for an exact solution it vanishes, and
-for the RK4 trajectory it decreases at the integrator's order.
+for the RK4 trajectory it decreases at the integrator's order.  The
+running residual of a trajectory dump samples the vector field once per
+node and sums every prefix from those samples, so it costs one
+vector-field evaluation per node.
 """
 
 from __future__ import annotations
@@ -138,20 +141,6 @@ def lagrange_duhamel_V(
     return green_apply(disp, grid, t, g)
 
 
-def _chart_rhs(t, psi, chi, grid, disp, nonlin):
-    """Right-hand side of dc/dt = -Vbar_t(c) on chart arrays."""
-    trace = propagate(disp, CauchyData(grid, psi, chi, 0.0), t)
-    g = _source_factor(disp) * nonlin.apply(trace.psi)
-    if disp.second_order:
-        src = CauchyData(grid, np.zeros_like(g), g, t)
-    else:
-        src = CauchyData(grid, g, None, t)
-    v = propagate(disp, src, 0.0)
-    if disp.second_order:
-        return -v.psi, -v.chi
-    return -v.psi, None
-
-
 def evolve(
     initial: CauchyData,
     t1: float,
@@ -174,13 +163,19 @@ def evolve(
     psi, chi = chart.psi, chart.chi
     h = span / n if n else 0.0
     out = [EvolutionState(FreeSolution(CauchyData(grid, psi, chi, 0.0)), t1, disp, nonlin)]
+
+    def rhs(t, psi, chi):
+        # dc/dt = -Vbar_t(c) on chart arrays
+        v = lagrange_duhamel_V(t, FreeSolution(CauchyData(grid, psi, chi, 0.0)), disp, nonlin).chart_data
+        return -v.psi, None if v.chi is None else -v.chi
+
     t = t1
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(n):
-            k1 = _chart_rhs(t, psi, chi, grid, disp, nonlin)
-            k2 = _chart_rhs(t + h / 2, psi + h / 2 * k1[0], _axpy(chi, h / 2, k1[1]), grid, disp, nonlin)
-            k3 = _chart_rhs(t + h / 2, psi + h / 2 * k2[0], _axpy(chi, h / 2, k2[1]), grid, disp, nonlin)
-            k4 = _chart_rhs(t + h, psi + h * k3[0], _axpy(chi, h, k3[1]), grid, disp, nonlin)
+            k1 = rhs(t, psi, chi)
+            k2 = rhs(t + h / 2, psi + h / 2 * k1[0], _axpy(chi, h / 2, k1[1]))
+            k3 = rhs(t + h / 2, psi + h / 2 * k2[0], _axpy(chi, h / 2, k2[1]))
+            k4 = rhs(t + h, psi + h * k3[0], _axpy(chi, h, k3[1]))
             psi = psi + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
             if chi is not None:
                 chi = chi + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
@@ -259,19 +254,32 @@ def duhamel_residual(
     nodes = [st for st in traj if min(t1, t2) - 1e-12 <= st.time <= max(t1, t2) + 1e-12]
     if len(nodes) < 3:
         raise ValueError("trajectory must cover [t1, t2] with at least 3 nodes")
+    return _prefix_residual(nodes, *_field_samples(nodes), len(nodes), s, m_ref)
+
+
+def _field_samples(nodes: list[EvolutionState]):
+    """Node times and ``lagrange_duhamel_V`` at every node, one evaluation each.
+
+    Returns ``(times, v_psi, v_chi)`` with ``(n, M)`` arrays of the chart
+    parts; ``v_chi`` is None for first-order kinds.
+    """
     disp, nonlin = nodes[0].disp, nodes[0].nonlin
-    grid = nodes[0].current.chart_data.grid
     times = np.array([st.time for st in nodes])
-    v_psi, v_chi = [], []
-    for st in nodes:
-        v = lagrange_duhamel_V(st.time, st.current, disp, nonlin).chart_data
-        v_psi.append(v.psi)
-        v_chi.append(v.chi)
-    quad_psi, err_psi = _quad_with_error(np.array(v_psi), times)
-    first, last = nodes[0].current.chart_data, nodes[-1].current.chart_data
+    vs = [lagrange_duhamel_V(st.time, st.current, disp, nonlin).chart_data for st in nodes]
+    v_psi = np.array([v.psi for v in vs])
+    v_chi = np.array([v.chi for v in vs]) if disp.second_order else None
+    return times, v_psi, v_chi
+
+
+def _prefix_residual(nodes, times, v_psi, v_chi, n, s, m_ref) -> tuple[float, float]:
+    """``duhamel_residual`` over the first ``n`` nodes, from their field samples."""
+    disp = nodes[0].disp
+    grid = nodes[0].current.chart_data.grid
+    quad_psi, err_psi = _quad_with_error(v_psi[:n], times[:n])
+    first, last = nodes[0].current.chart_data, nodes[n - 1].current.chart_data
     res_psi = last.psi - first.psi + quad_psi
-    if disp.second_order:
-        quad_chi, err_chi = _quad_with_error(np.array(v_chi), times)
+    if v_chi is not None:
+        quad_chi, err_chi = _quad_with_error(v_chi[:n], times[:n])
         res_chi = last.chi - first.chi + quad_chi
         err_data = CauchyData(grid, err_psi, err_chi, 0.0)
         res_data = CauchyData(grid, res_psi, res_chi, 0.0)
@@ -379,17 +387,21 @@ def trajectory_csv(
     m_ref: float = 1.0,
     header_comment: str = "",
 ) -> None:
-    """One row per node: (t, cau_norm, energy, duhamel_residual_running)."""
+    """One row per node: (t, cau_norm, energy, duhamel_residual_running).
+
+    The running residual of row i is ``duhamel_residual(traj[:i+1], t_0, t_i)``.
+    The vector field is evaluated once per node and every row's composite
+    Simpson sum is taken over a prefix of those samples, so the whole column
+    costs one ``lagrange_duhamel_V`` evaluation per node.
+    """
     disp = traj[0].disp
+    samples = _field_samples(traj)
     lines = []
     for i, st in enumerate(traj):
         data = st.current.chart_data
         nrm = cau_norm(disp, data, s, m_ref)
         en = energy(disp, data) if disp.second_order else float("nan")
-        if i >= 2:
-            res, _ = duhamel_residual(traj[: i + 1], traj[0].time, st.time, s, m_ref)
-        else:
-            res = 0.0
+        res = _prefix_residual(traj, *samples, i + 1, s, m_ref)[0] if i >= 2 else 0.0
         lines.append(f"{st.time!r},{nrm!r},{en!r},{res!r}")
     with open(path, "w") as fh:
         if header_comment:

@@ -285,7 +285,7 @@ def save_snapshot(disp: DispersionRelation, data: CauchyData, path: str) -> None
             psi = data.psi[j]
             psi_txt = repr(complex(psi)) if np.iscomplexobj(data.psi) else repr(float(psi))
             chi_txt = "" if data.chi is None else repr(float(data.chi[j].real))
-            fh.write(f"{grid.x[j]!r},{psi_txt},{chi_txt}\n")
+            fh.write(f"{float(grid.x[j])!r},{psi_txt},{chi_txt}\n")
 
 
 def load_snapshot(path: str) -> tuple[DispersionRelation, CauchyData]:

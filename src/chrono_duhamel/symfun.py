@@ -20,6 +20,7 @@ the exact norm is not attempted.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -53,18 +54,22 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def _binomial_table(n_max: int) -> np.ndarray:
-    C = np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
+def _binomial_table(n_max: int, k_max: int) -> np.ndarray:
+    """``C[n, k] = binom(n, k)`` for n <= n_max and k <= k_max.
+
+    Bounding the columns keeps the int64 entries exact: the central
+    binomials of large n would wrap.
+    """
+    C = np.zeros((n_max + 1, k_max + 1), dtype=np.int64)
     C[:, 0] = 1
     for n in range(1, n_max + 1):
-        for k in range(1, n + 1):
-            C[n, k] = C[n - 1, k - 1] + C[n - 1, k]
+        C[n, 1:] = C[n - 1, :-1] + C[n - 1, 1:]
     return C
 
 
 def num_canonical(d: int, p: int) -> int:
     """Number of nondecreasing multi-indices: C(d+p-1, p)."""
-    return int(_binomial_table(d + p)[d + p - 1, p])
+    return math.comb(d + p - 1, p)
 
 
 @lru_cache(maxsize=None)
@@ -113,7 +118,7 @@ def rank_rows(d: int, p: int, rows: np.ndarray) -> np.ndarray:
     if p == 0:
         return np.zeros(rows.shape[0], dtype=np.int64)
     D = d + p - 1
-    C = _binomial_table(D + 1)
+    C = _binomial_table(D + 1, p)
     c = rows + np.arange(p, dtype=np.int64)
     rank = np.zeros(rows.shape[0], dtype=np.int64)
     prev = np.full(rows.shape[0], -1, dtype=np.int64)
@@ -582,8 +587,7 @@ def compose_first_slot(f: SymTensor, V: SymTensor) -> SymTensor:
     v_cols = V.coeffs[:, s_rank]  # (d, r)
     vals = np.einsum("rd,dr->r", f_ext, v_cols)
     n_m = num_canonical(d, m)
-    binom = _binomial_table(m + 1)[m, q]
-    out = np.bincount(out_row, weights=counts * vals, minlength=n_m) / float(binom)
+    out = np.bincount(out_row, weights=counts * vals, minlength=n_m) / float(math.comb(m, q))
     return SymTensor(m, d, out)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chrono_duhamel.cli import main
+from chrono_duhamel.symfun import SymTensor, num_canonical, save_tensor
 
 
 def write_config(path, body):
@@ -76,7 +77,9 @@ def test_byte_identical_reruns(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
         assert main(["invariance", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
-    assert (out1 / "invariance.csv").read_bytes() == (out2 / "invariance.csv").read_bytes()
+        assert main(["evolve", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
+    for name in ("invariance.csv", "trajectory.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_csv_headers_embed_config(tmp_path):
@@ -151,3 +154,75 @@ def test_selftest_ledger(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "main_invariance_small_drift: PASS" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "command, body",
+    [
+        ("invariance", SMALL.replace("steps = 10", "steps = 0")),
+        ("invariance", SMALL + "\n[dispersion]\nkind = schrodinger\n"),
+        ("certify", SMALL + "\n[dispersion]\nkind = schrodinger\n"),
+        ("trees", SMALL + "\n[dispersion]\nkind = schrodinger\n"),
+        ("trees", SMALL + "\n[nonlinearity]\n2 = 0.5\n3 = 1.0\n"),
+    ],
+    ids=[
+        "invariance-zero-steps",
+        "invariance-schrodinger",
+        "certify-schrodinger",
+        "trees-schrodinger",
+        "trees-two-monomials",
+    ],
+)
+def test_unsupported_config_is_a_config_error(tmp_path, capsys, command, body):
+    cfg = write_config(tmp_path / "c.ini", body)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_trees_rejects_a_nonlinear_functional(tmp_path, capsys):
+    path = tmp_path / "f.symt"
+    save_tensor(SymTensor(2, 16, np.ones((1, num_canonical(16, 2)))), str(path))
+    body = SMALL + f"\n[functional]\nkind = tensor_file\ntensor_file = {path}\n"
+    cfg = write_config(tmp_path / "c.ini", body)
+    assert main(["trees", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def _data_rows(path):
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    names = lines[0].split(",")
+    return [dict(zip(names, l.split(","))) for l in lines[1:]]
+
+
+def test_every_csv_cell_parses_as_a_number(tmp_path):
+    kg = write_config(tmp_path / "kg.ini", SMALL + "\n[output]\nsnapshots = 1\n")
+    sch = write_config(
+        tmp_path / "sch.ini", SMALL + "\n[dispersion]\nkind = schrodinger\n[output]\nsnapshots = 1\n"
+    )
+    runs = [(c, kg) for c in ("propagate", "evolve", "invariance", "certify", "trees")]
+    runs += [(c, sch) for c in ("propagate", "evolve")]
+    for command, cfg in runs:
+        out = tmp_path / f"{command}-{os.path.basename(cfg)}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    csvs = sorted(tmp_path.glob("*/*.csv"))
+    assert {p.name for p in csvs} >= {
+        "propagate.csv", "trajectory.csv", "final_field.csv", "invariance.csv", "certify.csv", "trees.csv",
+    }
+    for path in csvs:
+        schrodinger_snapshot = path.parent.name.endswith("sch.ini") and path.name not in (
+            "propagate.csv",
+            "trajectory.csv",
+        )
+        for row in _data_rows(path):
+            for name, cell in row.items():
+                if path.name == "trees.csv" and name == "parents":
+                    assert cell == "" or all(p.isdigit() for p in cell.split("-"))
+                elif path.name == "trees.csv" and row["order"] == "total" and name != "value":
+                    assert cell in ("total", "")
+                elif schrodinger_snapshot and name == "chi":
+                    assert cell == ""
+                elif schrodinger_snapshot and name == "psi":
+                    complex(cell)
+                else:
+                    float(cell)

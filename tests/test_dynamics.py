@@ -333,3 +333,45 @@ def test_trajectory_csv_written(tmp_path):
     assert lines[0] == "# demo"
     assert lines[1] == "t,cau_norm,energy,duhamel_residual_running"
     assert len(lines) == 2 + len(traj)
+
+
+def _running_residuals(path):
+    rows = [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
+    return [r.split(",")[3] for r in rows]
+
+
+@pytest.mark.parametrize(
+    "disp, t1, t2",
+    [(KG1, 0.0, 0.4), (SCH, 0.0, 0.4), (KG1, 0.3, -0.2)],
+    ids=["klein_gordon", "schrodinger", "backward"],
+)
+def test_trajectory_csv_running_residual_matches_duhamel_residual(tmp_path, disp, t1, t2):
+    rng = np.random.default_rng(21)
+    nonlin = NonlinearitySpec({2: -0.6, 3: 1.0})
+    if disp.second_order:
+        data = random_data(rng, t=t1, scale=0.3)
+    else:
+        psi = rng.standard_normal(GRID.M) + 1j * rng.standard_normal(GRID.M)
+        data = CauchyData(GRID, 0.3 * psi, None, t1)
+    traj = evolve(data, t1, t2, 0.05, disp, nonlin)
+    path = tmp_path / "traj.csv"
+    trajectory_csv(traj, str(path))
+    cells = _running_residuals(path)
+    assert cells[:2] == ["0.0", "0.0"]
+    for i in range(2, len(traj)):
+        assert cells[i] == repr(duhamel_residual(traj[: i + 1], t1, traj[i].time)[0])
+
+
+def test_trajectory_csv_one_field_evaluation_per_node(tmp_path, monkeypatch):
+    import chrono_duhamel.dynamics as dyn
+
+    traj = evolve(benchmark_data(GRID), 0.0, 0.5, 0.05, KG1, CUBIC)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return lagrange_duhamel_V(*args, **kwargs)
+
+    monkeypatch.setattr(dyn, "lagrange_duhamel_V", counted)
+    trajectory_csv(traj, str(tmp_path / "traj.csv"))
+    assert len(calls) == len(traj)

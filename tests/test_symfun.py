@@ -1,5 +1,7 @@
 """Symmetric multilinear algebra tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,16 @@ def test_rank_rows_is_inverse_of_enumeration():
         idx = canonical_indices(d, p)
         ranks = rank_rows(d, p, idx)
         np.testing.assert_array_equal(ranks, np.arange(idx.shape[0]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_index_counts_exact_at_large_dim():
+    # dim 64 (M = 32) needs binomials past C(67, 33), which wraps in int64
+    d, p = 64, 5
+    n = num_canonical(d, p)
+    assert n == math.comb(68, 5)
+    last = np.array([[0, 0, 0, 0, 0], [62, 63, 63, 63, 63], [63, 63, 63, 63, 63]])
+    np.testing.assert_array_equal(rank_rows(d, p, last), [0, n - 2, n - 1])
 
 
 def test_multiplicities_sum_to_full_count():
