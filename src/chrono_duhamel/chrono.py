@@ -20,13 +20,12 @@ simplex-quadrature semantics as an independent check of the same object.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EvolutionState, NonlinearitySpec, lagrange_duhamel_V
+from .dynamics import EvolutionState, NonlinearitySpec
 from .propagator import (
     KLEIN_GORDON,
     CauchyData,
@@ -44,8 +43,6 @@ from .symfun import (
     compose_first_slot,
     eval_series,
     functional_add,
-    functional_scale,
-    majorant_of,
 )
 
 __all__ = [
@@ -66,6 +63,9 @@ __all__ = [
 ]
 
 DEFAULT_DEGREE_CAP = 5
+
+# vertex-tensor entries a ChartMap keeps (see ChartMap)
+_VERTEX_CACHE_SIZE = 4
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +95,11 @@ class ChartMap:
     R^{2M} = (field trace, velocity trace) at the reference time, and the
     coordinate transform makes the discrete Cauchy norm equal to
     ``||psi-block||_2 + ||chi-block||_2``.
+
+    The vertex tensors of at most 4 (time, nonlinearity) keys are kept,
+    and the oldest is evicted first: one RK4 step asks for three distinct
+    stage times, so a transport reuses each entry while the cache stays
+    the same size however long the time grid.
     """
 
     def __init__(self, grid: Grid, disp: DispersionRelation, s: float = 0.0, m_ref: float = 1.0):
@@ -115,7 +120,6 @@ class ChartMap:
         self._Winv_psi = O.T * (w ** (-s))[None, :] / sq
         self._Winv_chi = O.T * (w ** (disp.r_order - s))[None, :] / sq
         self.norm_spec = VectorNorm.two_block(self.dim, M)
-        self._mode_cache: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._vertex_cache: dict[tuple, dict[int, SymTensor]] = {}
 
     # -- coordinate maps ----------------------------------------------------
@@ -134,45 +138,43 @@ class ChartMap:
 
     # -- per-time linear blocks ----------------------------------------------
 
-    def _mode_matrices(self, t: float):
-        """Grid-space matrices (C, S, D): cos, sin/eps, -eps sin at elapsed t."""
-        key = float(t)
-        if key not in self._mode_cache:
-            M = self.grid.M
-            eps = self.disp.eps(self.grid.xi)
-            eye_hat = np.fft.fft(np.eye(M), axis=0)
-            c = np.cos(eps * t)[:, None]
-            snc = (t * np.sinc(eps * t / np.pi))[:, None]
-            ms = (-eps * np.sin(eps * t))[:, None]
-            C = np.fft.ifft(c * eye_hat, axis=0).real
-            S = np.fft.ifft(snc * eye_hat, axis=0).real
-            D = np.fft.ifft(ms * eye_hat, axis=0).real
-            self._mode_cache[key] = (C, S, D)
-        return self._mode_cache[key]
+    def _mode_matrices(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Grid-space matrices (C, S): cos and sin/eps at elapsed t."""
+        M = self.grid.M
+        eps = self.disp.eps(self.grid.xi)
+        eye_hat = np.fft.fft(np.eye(M), axis=0)
+        c = np.cos(eps * t)[:, None]
+        snc = (t * np.sinc(eps * t / np.pi))[:, None]
+        C = np.fft.ifft(c * eye_hat, axis=0).real
+        S = np.fft.ifft(snc * eye_hat, axis=0).real
+        return C, S
+
+    def _rows_and_columns(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Sampling rows and Green-lift columns at time t from one set of mode matrices."""
+        M = self.grid.M
+        C, S = self._mode_matrices(t)
+        top = np.hstack([self._Winv_psi, np.zeros((M, M))])
+        bot = np.hstack([np.zeros((M, M)), self._Winv_chi])
+        rows = C @ top + S @ bot
+        # chart of the lift of (0, e_x) at t: psi0 = -S e_x, chi0 = C e_x
+        columns = np.vstack([self._W_psi @ (-S), self._W_chi @ C])
+        return rows, columns
 
     def sampling_rows(self, t: float) -> np.ndarray:
         """(M, dim) matrix: normalized coords -> field trace values at time t."""
-        C, S, _ = self._mode_matrices(t)
-        return C @ self._Winv_psi_pad()[0] + S @ self._Winv_psi_pad()[1]
-
-    def _Winv_psi_pad(self):
-        M = self.grid.M
-        top = np.hstack([self._Winv_psi, np.zeros((M, M))])
-        bot = np.hstack([np.zeros((M, M)), self._Winv_chi])
-        return top, bot
+        return self._rows_and_columns(t)[0]
 
     def green_columns(self, t: float) -> np.ndarray:
         """(dim, M) matrix: source field on slice t -> coords of its Green lift."""
-        C, S, _ = self._mode_matrices(t)
-        # chart of the lift of (0, e_x) at t: psi0 = -S e_x, chi0 = C e_x
-        return np.vstack([self._W_psi @ (-S), self._W_chi @ C])
+        return self._rows_and_columns(t)[1]
 
     def vertex_tensors(self, nonlin: NonlinearitySpec, t: float) -> dict[int, SymTensor]:
         """Degree components of the Lagrange-Duhamel field in chart coordinates."""
         key = (float(t), tuple(sorted(nonlin.coeffs.items())))
         if key not in self._vertex_cache:
-            A = self.sampling_rows(t)
-            B = self.green_columns(t)
+            A, B = self._rows_and_columns(t)
+            if len(self._vertex_cache) >= _VERTEX_CACHE_SIZE:
+                del self._vertex_cache[next(iter(self._vertex_cache))]
             self._vertex_cache[key] = {
                 k: SymTensor.from_rank_one_sum(B, A, degree=k, scale=v)
                 for k, v in nonlin.coeffs.items()

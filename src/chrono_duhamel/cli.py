@@ -198,9 +198,19 @@ def _write_csv(path: str, header: str, lines: list[str], cfg: RunConfig) -> None
         fh.write("\n".join(lines) + ("\n" if lines else ""))
 
 
+def _time_grid(cfg: RunConfig, command: str) -> tuple[float, float, int]:
+    """(t1, t2, steps) of a command that steps from t1 to t2 in equal intervals."""
+    t1, t2, steps = cfg.times
+    if steps < 1:
+        raise ConfigError(f"{command} needs [times] steps >= 1")
+    if t2 == t1:
+        raise ConfigError(f"{command} needs [times] t2 != t1")
+    return t1, t2, steps
+
+
 def cmd_propagate(cfg: RunConfig, out: str) -> None:
     grid, disp = cfg.grid, cfg.disp
-    t1, t2, steps = cfg.times
+    t1, t2, steps = _time_grid(cfg, "propagate")
     data = cfg.initial_data()
     s, m_ref = cfg.tol("s"), cfg.tol("m_ref")
     lines = []
@@ -215,8 +225,8 @@ def cmd_propagate(cfg: RunConfig, out: str) -> None:
 
 
 def cmd_evolve(cfg: RunConfig, out: str) -> list[dynamics.EvolutionState]:
-    t1, t2, steps = cfg.times
-    dt = abs(t2 - t1) / steps if steps else 1.0
+    t1, t2, steps = _time_grid(cfg, "evolve")
+    dt = abs(t2 - t1) / steps
     traj = dynamics.evolve(cfg.initial_data(), t1, t2, dt, cfg.disp, cfg.nonlin)
     dynamics.trajectory_csv(
         traj,
@@ -239,9 +249,7 @@ def _chart(cfg: RunConfig) -> chrono.ChartMap:
 
 
 def cmd_invariance(cfg: RunConfig, out: str) -> float:
-    t1, t2, steps = cfg.times
-    if steps < 1:
-        raise ConfigError("invariance needs [times] steps >= 1")
+    t1, t2, steps = _time_grid(cfg, "invariance")
     chart = _chart(cfg)
     traj = dynamics.evolve(
         cfg.initial_data(), t1, t2, abs(t2 - t1) / steps, cfg.disp, cfg.nonlin

@@ -30,8 +30,6 @@ import numpy as np
 from scipy.integrate import simpson, trapezoid
 
 from .propagator import (
-    KLEIN_GORDON,
-    SCHRODINGER,
     CauchyData,
     DispersionRelation,
     FreeSolution,
@@ -43,6 +41,7 @@ from .propagator import (
     propagate,
     propagator_bound,
     sample_at,
+    sobolev_norm,
 )
 from .series import MajorantSeries
 
@@ -338,18 +337,11 @@ def algebra_constant(
     for _ in range(n_samples):
         f = rng.standard_normal(grid.M)
         g = rng.standard_normal(grid.M)
-        nf = sobolev_h(grid, f, s, m_ref)
-        ng = sobolev_h(grid, g, s, m_ref)
-        nfg = sobolev_h(grid, f * g, s, m_ref)
+        nf = sobolev_norm(CauchyData(grid, f), s, 0, m_ref)
+        ng = sobolev_norm(CauchyData(grid, g), s, 0, m_ref)
+        nfg = sobolev_norm(CauchyData(grid, f * g), s, 0, m_ref)
         lower = max(lower, nfg / (nf * ng))
     return lower, upper
-
-
-def sobolev_h(grid: Grid, field: np.ndarray, s: float, m_ref: float) -> float:
-    """Scalar-field H^s norm under the package DFT normalization."""
-    w = np.sqrt(m_ref**2 + grid.xi**2)
-    c = np.fft.fft(field) / grid.M
-    return float(np.sqrt(grid.Lx * np.sum(w ** (2 * s) * np.abs(c) ** 2)))
 
 
 def vector_field_majorant(

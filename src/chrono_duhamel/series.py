@@ -13,8 +13,7 @@ series acts in two ways:
 
 All series here are treated as exact polynomials: every stored
 coefficient is meaningful and no tail is implied.  ``truncation_degree``
-records the highest stored degree.  Consumers that truncate a longer
-series must trim it themselves (see :func:`truncated`).
+records the highest stored degree.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "flow",
     "guaranteed_time",
     "apply_majorant_operator",
-    "truncated",
 ]
 
 #: Default blow-down detection floor: the condition "the backward flow stays
@@ -359,8 +357,3 @@ def apply_majorant_operator(X: MajorantSeries, H: MajorantSeries, k: int) -> Maj
         dh = coeffs[1:] * np.arange(1, coeffs.size)
         coeffs = np.convolve(X.coeffs, dh)
     return MajorantSeries(coeffs)
-
-
-def truncated(series: MajorantSeries, degree: int) -> MajorantSeries:
-    """Drop all coefficients above ``degree``."""
-    return MajorantSeries(series.coeffs[: degree + 1], min(series.truncation_degree, degree))

@@ -11,6 +11,14 @@ polarized form ``f((a1,a2),(b1,b2)) = (a1 b2 + a2 b1)/2``, so the stored
 canonical coefficients are ``{(0,0): 0, (0,1): 1/2, (1,1): 0}``.  The
 diagonal evaluation recovers ``mult((0,1)) * 1/2 * x1 x2 = x1 x2``.
 
+In general the polarized coefficient at K times ``multiplicities(K)`` is
+the monomial coefficient of ``x^K`` in the diagonal map.  The operator
+kernel :func:`compose_first_slot` rests on this: it multiplies monomial
+coefficients in one matmul, finds the rank of each product monomial by
+chained ``extend_table`` gathers, sums them with one ``bincount`` and
+divides by the output multiplicities.  ``canonical_indices``,
+``multiplicities`` and ``extend_table`` are the only index structures.
+
 Tensor norms are reported as a pair (sampled lower bound, certified upper
 bound).  The upper bound is the coefficient l1 mass over the full index
 expansion, which dominates the operator norm for every ambient norm that
@@ -24,7 +32,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -146,46 +154,6 @@ def extend_table(d: int, p: int) -> np.ndarray:
         ext[:, j] = rank_rows(d, p + 1, stacked)
     ext.setflags(write=False)
     return ext
-
-
-@lru_cache(maxsize=None)
-def compose_table(d: int, p: int, q: int):
-    """Index plumbing for the symmetrized composition f o (V (x) id^{p-1}).
-
-    For output degree ``m = p + q - 1`` returns flat arrays over all pairs
-    (canonical output index J, distinct sub-multiset S of J with |S| = q):
-    output row, count of position subsets realising S, rank of S in degree
-    q, rank of J \\ S in degree p-1.
-    """
-    m = p + q - 1
-    out_idx = canonical_indices(d, m)
-    rows_out, counts, s_ranks, rest_ranks = [], [], [], []
-    pos_subsets = list(combinations(range(m), q))
-    for J_rank, J in enumerate(map(tuple, out_idx)):
-        seen: dict[tuple, int] = {}
-        for pos in pos_subsets:
-            S = tuple(J[a] for a in pos)
-            seen[S] = seen.get(S, 0) + 1
-        for S, cnt in seen.items():
-            rest = list(J)
-            for v in S:
-                rest.remove(v)
-            rows_out.append(J_rank)
-            counts.append(cnt)
-            s_ranks.append(_rank_single(d, q, S))
-            rest_ranks.append(_rank_single(d, p - 1, tuple(rest)))
-    return (
-        np.asarray(rows_out, dtype=np.int64),
-        np.asarray(counts, dtype=np.float64),
-        np.asarray(s_ranks, dtype=np.int64),
-        np.asarray(rest_ranks, dtype=np.int64),
-    )
-
-
-def _rank_single(d: int, p: int, idx: tuple) -> int:
-    if p == 0:
-        return 0
-    return int(rank_rows(d, p, np.asarray(idx, dtype=np.int64)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +383,7 @@ def tensor_norm(
         raise ValueError("tensor_norm requires degree >= 1")
     if codomain_norm is None:
         codomain_norm = VectorNorm.euclidean(f.codomain_dim)
-    upper = float((np.abs(f.coeffs) * multiplicities(f.dim, f.degree)).sum())
+    upper = coefficient_l1(f)
     if not f.coeffs.any():
         return TensorNormBounds(0.0, 0.0)
 
@@ -508,8 +476,6 @@ class SymFunctional:
                 return t
         return None
 
-    def map_coeffs(self, fn) -> "SymFunctional":
-        return SymFunctional(SymTensor(t.degree, t.dim, fn(t.coeffs)) for t in self.terms)
 
 
 def eval_series(f: SymFunctional, phi: np.ndarray) -> np.ndarray:
@@ -538,7 +504,12 @@ def majorant_of(
     *,
     codomain_norm: VectorNorm | None = None,
 ) -> MajorantSeries:
-    """One-variable majorant collecting the per-degree upper tensor norms."""
+    """One-variable majorant collecting the per-degree upper tensor norms.
+
+    Each degree's entry is the upper bound of :func:`tensor_norm`, the
+    coefficient l1 mass, taken directly from :func:`coefficient_l1`; it
+    holds for every ``norm_spec`` (each dominates the coordinate sup-norm).
+    """
     if codomain_norm is None:
         codomain_norm = VectorNorm.euclidean(f.codomain_dim)
     coeffs = np.zeros(f.max_degree + 1 if f.terms else 1)
@@ -546,7 +517,7 @@ def majorant_of(
         if t.degree == 0:
             coeffs[0] = codomain_norm.norm(t.coeffs[:, 0])
         else:
-            coeffs[t.degree] = tensor_norm(t, norm_spec, codomain_norm=codomain_norm, n_samples=2).upper
+            coeffs[t.degree] = coefficient_l1(t)
     return MajorantSeries(coeffs)
 
 
@@ -561,16 +532,20 @@ def functional_add(f: SymFunctional, g: SymFunctional, scale: float = 1.0) -> Sy
     return SymFunctional(by_deg.values())
 
 
-def functional_scale(f: SymFunctional, a: float) -> SymFunctional:
-    return SymFunctional(t.scaled(a) for t in f.terms)
-
-
 def compose_first_slot(f: SymTensor, V: SymTensor) -> SymTensor:
     """Symmetrization of ``f o (V (x) id^{p-1})`` for scalar-valued f.
 
     ``V`` is a degree-q tensor with codomain dimension d; the result has
-    degree ``p + q - 1``.  This is one summand of the first-order operator
-    action on functionals; the caller supplies the factor ``p``.
+    degree ``m = p + q - 1``.  This is one summand of the first-order
+    operator action on functionals; the caller supplies the factor ``p``.
+
+    The kernel works on monomial coefficients (polarized coefficient times
+    multiplicity).  The diagonal ``f(V(x), x, ..., x)`` has the monomial
+    coefficient ``prod[K, S]`` at ``x^K x^S`` for every canonical K of
+    degree p-1 and S of degree q; a chain of ``extend_table`` gathers ranks
+    ``K + S`` in degree m, one ``bincount`` sums the products landing on
+    each output index, and dividing by the degree-m multiplicities returns
+    polarized coefficients.
     """
     if f.codomain_dim != 1:
         raise ValueError("compose_first_slot expects a scalar-valued tensor")
@@ -580,15 +555,13 @@ def compose_first_slot(f: SymTensor, V: SymTensor) -> SymTensor:
     if p < 1:
         raise ValueError("f must have degree >= 1")
     m = p + q - 1
-    out_row, counts, s_rank, rest_rank = compose_table(d, p, q)
     ext = extend_table(d, p - 1)  # (n_{p-1}, d) -> rank in degree p
-    f_flat = f.coeffs[0]
-    f_ext = f_flat[ext[rest_rank]]  # (r, d)
-    v_cols = V.coeffs[:, s_rank]  # (d, r)
-    vals = np.einsum("rd,dr->r", f_ext, v_cols)
-    n_m = num_canonical(d, m)
-    out = np.bincount(out_row, weights=counts * vals, minlength=n_m) / float(math.comb(m, q))
-    return SymTensor(m, d, out)
+    prod = (f.coeffs[0][ext] * multiplicities(d, p - 1)[:, None]) @ (V.coeffs * multiplicities(d, q))
+    rank = np.broadcast_to(np.arange(ext.shape[0])[:, None], prod.shape)
+    for i, letters in enumerate(canonical_indices(d, q).T):
+        rank = extend_table(d, p - 1 + i)[rank, letters]
+    out = np.bincount(rank.ravel(), weights=prod.ravel(), minlength=num_canonical(d, m))
+    return SymTensor(m, d, out / multiplicities(d, m))
 
 
 # ---------------------------------------------------------------------------

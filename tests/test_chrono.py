@@ -9,6 +9,7 @@ from chrono_duhamel.chrono import (
     ChartMap,
     certify_window,
     chrono_exp_evolve,
+    chrono_exp_path,
     evaluate_trees,
     invariance_scan,
     point_eval_functional,
@@ -214,6 +215,14 @@ def test_transport_self_convergence_order4():
         vals.append(eval_series(F, c)[0])
     e1, e2 = abs(vals[0] - vals[1]), abs(vals[1] - vals[2])
     assert e1 / e2 == pytest.approx(16.0, rel=0.5)
+
+
+def test_vertex_cache_stays_bounded():
+    # 40 intervals x 2 substeps ask for 173 distinct stage times
+    chart = ChartMap(GRID, KG1)
+    f = point_eval_functional(chart, 0.0, 0)
+    chrono_exp_path(f, np.linspace(0.0, 0.5, 41), KG1, CUBIC, chart, substeps=2, cap=3)
+    assert len(chart._vertex_cache) <= 4
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,12 @@ def test_selftest_ledger(tmp_path, capsys):
     "command, body",
     [
         ("invariance", SMALL.replace("steps = 10", "steps = 0")),
+        ("evolve", SMALL.replace("t2 = 0.25\n", "").replace("steps = 10", "steps = 0")),
+        ("evolve", SMALL.replace("steps = 10", "steps = -1")),
+        ("propagate", SMALL.replace("steps = 10", "steps = -1")),
+        ("evolve", SMALL.replace("t2 = 0.25", "t2 = 0.0")),
+        ("propagate", SMALL.replace("t2 = 0.25", "t2 = 0.0")),
+        ("invariance", SMALL.replace("t2 = 0.25", "t2 = 0.0")),
         ("invariance", SMALL + "\n[dispersion]\nkind = schrodinger\n"),
         ("certify", SMALL + "\n[dispersion]\nkind = schrodinger\n"),
         ("trees", SMALL + "\n[dispersion]\nkind = schrodinger\n"),
@@ -167,6 +173,12 @@ def test_selftest_ledger(tmp_path, capsys):
     ],
     ids=[
         "invariance-zero-steps",
+        "evolve-zero-steps",
+        "evolve-negative-steps",
+        "propagate-negative-steps",
+        "evolve-empty-span",
+        "propagate-empty-span",
+        "invariance-empty-span",
         "invariance-schrodinger",
         "certify-schrodinger",
         "trees-schrodinger",

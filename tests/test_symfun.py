@@ -319,13 +319,13 @@ def test_compose_first_slot_against_polarization():
         assert eval_diagonal(comp, x)[0] == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
-def test_compose_first_slot_full_polarized_oracle():
+@pytest.mark.parametrize("d, p, q", [(1, 1, 0), (3, 1, 3), (3, 2, 2), (4, 3, 0), (5, 3, 3), (2, 4, 1)])
+def test_compose_first_slot_full_polarized_oracle(d, p, q):
     # the composed tensor's polarized values must equal the explicit
     # symmetrization over argument subsets
     from itertools import combinations
 
     rng = np.random.default_rng(8)
-    d, p, q = 3, 2, 2
     f = random_tensor(rng, d, p)
     V = random_tensor(rng, d, q, codomain_dim=d)
     comp = compose_first_slot(f, V)
@@ -340,6 +340,19 @@ def test_compose_first_slot_full_polarized_oracle():
         count += 1
     expected = total / count
     assert eval_homogeneous(comp, args)[0] == pytest.approx(expected, rel=1e-10)
+
+
+def test_compose_first_slot_diagonal_at_chart_dimension():
+    # d = 32 is the chart of an M = 16 grid; degree 5 out has 376,992 indices
+    rng = np.random.default_rng(12)
+    d = 32
+    f = random_tensor(rng, d, 3)
+    V = random_tensor(rng, d, 3, codomain_dim=d)
+    comp = compose_first_slot(f, V)
+    assert comp.degree == 5
+    x = rng.standard_normal(d) / math.sqrt(d)
+    expected = eval_homogeneous(f, [eval_diagonal(V, x), x, x])[0]
+    assert eval_diagonal(comp, x)[0] == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
