@@ -8,8 +8,8 @@ The package is organised around five layers:
     guaranteed transport window.
 ``symfun``
     Symmetric multilinear algebra on a finite-dimensional state space:
-    homogeneous polynomial maps, polarization, tensor norms, truncated
-    formal series.
+    homogeneous polynomial maps, polarization, the coefficient-l1 tensor
+    norm, truncated formal series.
 ``propagator``
     Exact spectral solutions of the linear equation on a periodic 1-D
     grid: Cauchy data, free solutions, Green lifts, discrete Sobolev
@@ -34,7 +34,7 @@ from .series import (
     gamma_constant,
     guaranteed_time,
 )
-from .symfun import SymFunctional, SymTensor, VectorNorm, polarize, tensor_norm
+from .symfun import SymFunctional, SymTensor, VectorNorm, polarize
 from .propagator import (
     CauchyData,
     DispersionRelation,
@@ -55,7 +55,6 @@ from .dynamics import (
     lagrange_duhamel_V,
     strang_evolve,
     theta,
-    vector_field_majorant,
 )
 from .chrono import (
     ChartMap,

@@ -3,8 +3,8 @@
 Functionals live over *normalized chart coordinates*: the Cauchy-data
 chart at reference time 0, expressed in the weighted real-Fourier basis
 in which the discrete Cauchy norm is the plain sum of the two block
-Euclidean norms.  This makes the certified coefficient-l1 upper tensor
-norms compatible with the norm the majorant calculus bounds.
+Euclidean norms.  This makes the coefficient-l1 tensor norms compatible
+with the norm the majorant calculus bounds.
 
 The first-order operator action is
 
@@ -32,6 +32,7 @@ from .propagator import (
     DispersionRelation,
     FreeSolution,
     Grid,
+    _wave_factors,
     sample_at,
 )
 from .series import DEFAULT_FLOOR, MajorantSeries, eval_series as series_eval, flow
@@ -141,12 +142,10 @@ class ChartMap:
     def _mode_matrices(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Grid-space matrices (C, S): cos and sin/eps at elapsed t."""
         M = self.grid.M
-        eps = self.disp.eps(self.grid.xi)
+        c, snc = _wave_factors(self.disp.eps(self.grid.xi), t)
         eye_hat = np.fft.fft(np.eye(M), axis=0)
-        c = np.cos(eps * t)[:, None]
-        snc = (t * np.sinc(eps * t / np.pi))[:, None]
-        C = np.fft.ifft(c * eye_hat, axis=0).real
-        S = np.fft.ifft(snc * eye_hat, axis=0).real
+        C = np.fft.ifft(c[:, None] * eye_hat, axis=0).real
+        S = np.fft.ifft(snc[:, None] * eye_hat, axis=0).real
         return C, S
 
     def _rows_and_columns(self, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -407,8 +406,7 @@ def evaluate_trees(
 
     def green_shift(field: np.ndarray, dt_: float) -> np.ndarray:
         # convolution with the Green kernel: per-mode sin(eps dt)/eps
-        mult = dt_ * np.sinc(eps * dt_ / np.pi)
-        return np.fft.ifft(mult * np.fft.fft(field)).real
+        return np.fft.ifft(_wave_factors(eps, dt_)[1] * np.fft.fft(field)).real
 
     def tree_integrand(tree: FeynmanTree, taus: np.ndarray) -> float:
         ch = tree.children()
@@ -499,12 +497,12 @@ def transport_majorant(
     chart: ChartMap,
     times: np.ndarray,
 ) -> MajorantSeries:
-    """Majorant built from the measured upper (coefficient-l1) vertex norms.
+    """Majorant built from the coefficient-l1 norms of the vertex tensors.
 
-    ``X_k`` is the maximum over the supplied time nodes of the certified
-    upper tensor norm of the degree-k vertex tensor; with the transported
-    computation evaluated on the same nodes this dominates every operator
-    application the transport performs.
+    ``X_k`` is the maximum over the supplied time nodes of ``coefficient_l1``
+    of the degree-k vertex tensor; with the transported computation
+    evaluated on the same nodes this dominates every operator application
+    the transport performs.
     """
     if nonlin.is_zero:
         return MajorantSeries([])

@@ -293,10 +293,11 @@ def cmd_certify(cfg: RunConfig, out: str) -> chrono.CertificationRecord:
         stage_times = np.linspace(t1, t2, 2 * max(steps, 1) + 1)
         X = chrono.transport_majorant(cfg.nonlin, chart, stage_times)
     R = cfg.tol("certify_radius")
-    floor = cfg.tol("certify_floor")
-    t_bar = series.guaranteed_time(X, R, floor) if not X.is_zero else math.inf
+    t_bar = series.guaranteed_time(X, R, cfg.tol("certify_floor")) if not X.is_zero else math.inf
     span = abs(t2 - t1)
-    rec = chrono.certify_window(symfun.majorant_of(f, chart.norm_spec), X, R, span)
+    rec = chrono.certify_window(
+        symfun.majorant_of(f, chart.norm_spec), X, R, span, floor=cfg.tol("flow_floor")
+    )
     lines = [
         f"{R!r},{span!r},{rec.certified_radius!r},{int(rec.window_ok)},"
         f"{float(rec.f_majorant_at_R)!r},{t_bar!r}"

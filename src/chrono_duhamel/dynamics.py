@@ -23,7 +23,6 @@ vector-field evaluation per node.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,17 +32,13 @@ from .propagator import (
     CauchyData,
     DispersionRelation,
     FreeSolution,
-    Grid,
     cau_norm,
     energy,
     green_apply,
     make_free_solution,
     propagate,
-    propagator_bound,
     sample_at,
-    sobolev_norm,
 )
-from .series import MajorantSeries
 
 __all__ = [
     "NonlinearitySpec",
@@ -54,8 +49,6 @@ __all__ = [
     "evolve",
     "strang_evolve",
     "duhamel_residual",
-    "algebra_constant",
-    "vector_field_majorant",
     "trajectory_csv",
 ]
 
@@ -83,15 +76,6 @@ class NonlinearitySpec:
     @property
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self.coeffs))
-
-    @property
-    def majorant(self) -> MajorantSeries:
-        if self.is_zero:
-            return MajorantSeries([])
-        out = np.zeros(max(self.coeffs) + 1)
-        for k, v in self.coeffs.items():
-            out[k] = abs(v)
-        return MajorantSeries(out)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         out = np.zeros_like(u)
@@ -302,69 +286,6 @@ def _quad_with_error(values: np.ndarray, times: np.ndarray):
         coarse = simpson(values[::2], x=times[::2], axis=0)
         return fine, (fine - coarse) / 15.0
     return fine, fine - trapezoid(values, x=times, axis=0)
-
-
-# ---------------------------------------------------------------------------
-# measured discrete constants and the vector-field majorant
-# ---------------------------------------------------------------------------
-
-
-def algebra_constant(
-    grid: Grid,
-    s: float,
-    m_ref: float,
-    *,
-    n_samples: int = 200,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Discrete algebra constant ``||fg||_{H^s} <= Q ||f|| ||g||``.
-
-    Returns (sampled lower bound, certified upper bound).  The upper bound
-    is ``2 C_s sigma_s / sqrt(Lx)`` with the weight-splitting constant
-    ``C_s`` maximised exactly over the M^2 aliased mode pairs and
-    ``sigma_s`` the l2 mass of the inverse weights.
-    """
-    w = np.sqrt(m_ref**2 + grid.xi**2)
-    ws = w**s
-    pair_sum = ws[:, None] + ws[None, :]
-    idx = (np.arange(grid.M)[:, None] + np.arange(grid.M)[None, :]) % grid.M
-    C_s = float(np.max(ws[idx] / pair_sum))
-    sigma = float(np.sqrt(np.sum(w ** (-2 * s))))
-    upper = 2.0 * C_s * sigma / math.sqrt(grid.Lx)
-
-    rng = np.random.default_rng(seed)
-    lower = 0.0
-    for _ in range(n_samples):
-        f = rng.standard_normal(grid.M)
-        g = rng.standard_normal(grid.M)
-        nf = sobolev_norm(CauchyData(grid, f), s, 0, m_ref)
-        ng = sobolev_norm(CauchyData(grid, g), s, 0, m_ref)
-        nfg = sobolev_norm(CauchyData(grid, f * g), s, 0, m_ref)
-        lower = max(lower, nfg / (nf * ng))
-    return lower, upper
-
-
-def vector_field_majorant(
-    disp: DispersionRelation,
-    nonlin: NonlinearitySpec,
-    T: float,
-    grid: Grid,
-    s: float,
-    m_ref: float = 1.0,
-) -> MajorantSeries:
-    """Majorant ``X`` with ``X_k = C_Phi(T) Q_s^k |N_k|``.
-
-    ``C_Phi`` is the explicit per-mode torus propagator bound over the
-    interval and ``Q_s`` the certified discrete algebra constant.
-    """
-    if nonlin.is_zero:
-        return MajorantSeries([])
-    c_phi = propagator_bound(disp, grid, T, s, m_ref)
-    q_s = algebra_constant(grid, s, m_ref, n_samples=0)[1]
-    out = np.zeros(max(nonlin.coeffs) + 1)
-    for k, v in nonlin.coeffs.items():
-        out[k] = c_phi * q_s**k * abs(v)
-    return MajorantSeries(out)
 
 
 # ---------------------------------------------------------------------------

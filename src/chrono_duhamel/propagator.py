@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,6 @@ __all__ = [
     "sobolev_norm",
     "cau_norm",
     "energy",
-    "propagator_bound",
     "save_snapshot",
     "load_snapshot",
 ]
@@ -62,14 +62,19 @@ class Grid:
     def dx(self) -> float:
         return self.Lx / self.M
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return np.arange(self.M) * self.dx
+        """Node positions, built on first access and read-only."""
+        x = np.arange(self.M) * self.dx
+        x.setflags(write=False)
+        return x
 
-    @property
+    @cached_property
     def xi(self) -> np.ndarray:
-        """Mode frequencies in the standard FFT layout."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.M, d=self.dx)
+        """Mode frequencies in the standard FFT layout, built on first access and read-only."""
+        xi = 2.0 * np.pi * np.fft.fftfreq(self.M, d=self.dx)
+        xi.setflags(write=False)
+        return xi
 
 
 @dataclass(frozen=True)
@@ -151,6 +156,15 @@ def _field(grid: Grid, modes: np.ndarray, real: bool) -> np.ndarray:
     return out.real if real else out
 
 
+def _wave_factors(eps: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode ``cos(eps s)`` and ``sin(eps s)/eps`` of the second-order propagator.
+
+    ``s * sinc(eps s / pi)`` is ``sin(eps s)/eps`` with its exact limit ``s``
+    at ``eps = 0``.
+    """
+    return np.cos(eps * s), s * np.sinc(eps * s / np.pi)
+
+
 def propagate(disp: DispersionRelation, data: CauchyData, tau: float) -> CauchyData:
     """Exact per-mode propagation of Cauchy data from ``data.t`` to ``tau``."""
     grid = data.grid
@@ -165,9 +179,7 @@ def propagate(disp: DispersionRelation, data: CauchyData, tau: float) -> CauchyD
     if data.chi is None:
         raise ValueError("klein_gordon data needs a velocity trace")
     eps = disp.eps(xi)
-    c = np.cos(eps * s)
-    # s * sinc(eps s / pi) = sin(eps s)/eps, exact at eps = 0
-    snc = s * np.sinc(eps * s / np.pi)
+    c, snc = _wave_factors(eps, s)
     ms = eps * np.sin(eps * s)
     ph, ch = _modes(grid, data.psi), _modes(grid, data.chi)
     new_ph = c * ph + snc * ch
@@ -231,42 +243,6 @@ def energy(disp: DispersionRelation, data: CauchyData) -> float:
     eps = disp.eps(grid.xi)
     ph, ch = _modes(grid, data.psi), _modes(grid, data.chi)
     return float(0.5 * grid.Lx * np.sum(np.abs(ch) ** 2 + eps**2 * np.abs(ph) ** 2))
-
-
-def propagator_bound(disp: DispersionRelation, grid: Grid, T: float, s: float, m_ref: float) -> float:
-    """Certified bound for the Cauchy-norm operator norm of propagation by |tau| <= T.
-
-    Per mode the propagator is the 2x2 block
-    ``[[cos th, beta sin th], [-sin th / beta, cos th]]`` acting on the
-    weighted components, with ``th = eps |tau|`` and
-    ``beta = <xi>^r / eps``.  The bound is the worst column sum with the
-    trig factor maximised over the reachable angles.
-    """
-    if disp.kind == SCHRODINGER:
-        return 1.0  # unitary per mode
-    eps = disp.eps(grid.xi)
-    w = np.sqrt(m_ref**2 + grid.xi**2)
-    rot = eps > 0.0
-    best = 1.0
-    beta = w[rot] ** disp.r_order / eps[rot]
-    theta_max = eps[rot] * abs(T)
-    for gamma_arr in (beta, 1.0 / beta):
-        # sup over |theta| <= theta_max of |cos theta| + gamma |sin theta|,
-        # attained at arctan(gamma) or at the end of the reachable arc
-        peak = np.arctan(gamma_arr)
-        capped = np.minimum(theta_max, peak)
-        vals = np.where(
-            theta_max >= peak,
-            np.hypot(1.0, gamma_arr),
-            np.cos(capped) + gamma_arr * np.sin(capped),
-        )
-        best = max(best, float(vals.max()))
-    if np.any(~rot):
-        # massless zero mode drifts linearly: [[1, tau w^r], [0, 1]] on the
-        # weighted components
-        g0 = abs(T) * float(w[~rot][0] ** disp.r_order)
-        best = max(best, 1.0 + g0)
-    return best
 
 
 # ---------------------------------------------------------------------------

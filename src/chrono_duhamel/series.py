@@ -81,9 +81,6 @@ class MajorantSeries:
         nz = np.nonzero(self.coeffs)[0]
         return int(nz[0]) if nz.size else 0
 
-    def __call__(self, z: float) -> float:
-        return eval_series(self, z)
-
 
 @dataclass(frozen=True)
 class FlowResult:

@@ -19,11 +19,13 @@ chained ``extend_table`` gathers, sums them with one ``bincount`` and
 divides by the output multiplicities.  ``canonical_indices``,
 ``multiplicities`` and ``extend_table`` are the only index structures.
 
-Tensor norms are reported as a pair (sampled lower bound, certified upper
-bound).  The upper bound is the coefficient l1 mass over the full index
-expansion, which dominates the operator norm for every ambient norm that
-dominates the coordinate sup-norm (all norms used here do).  Computing
-the exact norm is not attempted.
+The one tensor norm is :func:`coefficient_l1`, the coefficient l1 mass
+over the full index expansion (polarized coefficient times multiplicity).
+It bounds ``|f(phi_1, ..., phi_p)|`` by ``coefficient_l1(f) prod ||phi_j||``
+for every ambient norm that dominates the coordinate sup-norm and every
+codomain norm dominated by the coordinate l1 norm (all norms used here
+are).  :func:`majorant_of` and ``chrono.transport_majorant`` build every
+majorant the certificate uses from it; the exact norm is not computed.
 """
 
 from __future__ import annotations
@@ -43,10 +45,9 @@ __all__ = [
     "VectorNorm",
     "SymTensor",
     "SymFunctional",
-    "TensorNormBounds",
     "eval_homogeneous",
     "polarize",
-    "tensor_norm",
+    "coefficient_l1",
     "eval_series",
     "directional_derivative",
     "majorant_of",
@@ -92,26 +93,18 @@ def canonical_indices(d: int, p: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def multiplicities(d: int, p: int) -> np.ndarray:
-    """Multinomial weight p!/prod(counts!) of each canonical multi-index."""
-    rows = canonical_indices(d, p)
-    if p == 0:
-        out = np.ones(1)
-    else:
-        out = np.empty(rows.shape[0])
-        from math import factorial
+    """Multinomial weight p!/prod(counts!) of each canonical multi-index.
 
-        fact = [factorial(i) for i in range(p + 1)]
-        for i, row in enumerate(rows):
-            m = fact[p]
-            run = 1
-            for a in range(1, p):
-                if row[a] == row[a - 1]:
-                    run += 1
-                else:
-                    m //= fact[run]
-                    run = 1
-            m //= fact[run]
-            out[i] = m
+    Along a sorted row the run counter climbs 1, 2, ..., c over a run of
+    c equal letters, so the product of the counters is prod(counts!).
+    """
+    rows = canonical_indices(d, p)
+    run = np.ones(rows.shape[0], dtype=np.int64)
+    denom = np.ones(rows.shape[0], dtype=np.int64)
+    for a in range(1, p):
+        run = np.where(rows[:, a] == rows[:, a - 1], run + 1, 1)
+        denom *= run
+    out = float(math.factorial(p)) / denom
     out.setflags(write=False)
     return out
 
@@ -167,8 +160,8 @@ class VectorNorm:
 
     A single block is the plain Euclidean norm; two blocks model a
     Cauchy-data norm (field part + velocity part).  Every such norm
-    dominates the coordinate sup-norm, which is what the certified upper
-    tensor-norm bound requires.
+    dominates the coordinate sup-norm, which is what the coefficient-l1
+    tensor norm requires.
     """
 
     dim: int
@@ -185,17 +178,6 @@ class VectorNorm:
     def norm(self, v: np.ndarray) -> float:
         v = np.asarray(v, dtype=float)
         return float(sum(np.linalg.norm(v[a:b]) for a, b in self.blocks))
-
-    def norms(self, V: np.ndarray) -> np.ndarray:
-        """Row-wise norm of a batch, shape (n, dim) -> (n,)."""
-        V = np.asarray(V, dtype=float)
-        return sum(np.linalg.norm(V[:, a:b], axis=1) for a, b in self.blocks)
-
-    def normalize(self, v: np.ndarray) -> np.ndarray:
-        n = self.norm(v)
-        if n == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return np.asarray(v, dtype=float) / n
 
 
 # ---------------------------------------------------------------------------
@@ -296,33 +278,6 @@ def eval_diagonal(f: SymTensor, phi: np.ndarray) -> np.ndarray:
     return f.coeffs @ mono
 
 
-def eval_diagonal_batch(f: SymTensor, phis: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Diagonal evaluation on a batch of points, shape (n, d) -> (n, e)."""
-    phis = np.asarray(phis, dtype=float)
-    idx = canonical_indices(f.dim, f.degree)
-    mult = multiplicities(f.dim, f.degree)
-    out = np.empty((phis.shape[0], f.codomain_dim))
-    for lo in range(0, phis.shape[0], chunk):
-        block = phis[lo : lo + chunk]
-        if f.degree == 0:
-            mono = np.ones((block.shape[0], 1))
-        else:
-            mono = block[:, idx].prod(axis=2)
-        out[lo : lo + chunk] = (mono * mult) @ f.coeffs.T
-    return out
-
-
-def diagonal_jacobian(f: SymTensor, phi: np.ndarray) -> np.ndarray:
-    """Jacobian of the diagonal map at phi: p * f(., phi, ..., phi), shape (e, d)."""
-    if f.degree == 0:
-        return np.zeros((f.codomain_dim, f.dim))
-    g = f
-    for _ in range(f.degree - 1):
-        g = contract_slot(g, phi)
-    # g has degree 1; its coefficients are exactly f(e_j, phi^{p-1})
-    return f.degree * g.coeffs
-
-
 def polarize(f_diag: Callable[[np.ndarray], np.ndarray], degree: int, args: Sequence[np.ndarray]):
     """Recover the symmetric polarized value from the diagonal map.
 
@@ -330,8 +285,6 @@ def polarize(f_diag: Callable[[np.ndarray], np.ndarray], degree: int, args: Sequ
     The caller is responsible for ``f_diag`` being homogeneous of the
     declared degree.
     """
-    from math import factorial
-
     p = degree
     if p < 1:
         raise ValueError("polarize needs degree >= 1")
@@ -344,91 +297,17 @@ def polarize(f_diag: Callable[[np.ndarray], np.ndarray], degree: int, args: Sequ
         point = sum(s * a for s, a in zip(signs, args))
         term = np.prod(signs) * np.asarray(f_diag(point), dtype=float)
         total = term if total is None else total + term
-    return total / (2**p * factorial(p))
+    return total / (2**p * math.factorial(p))
 
 
 # ---------------------------------------------------------------------------
-# tensor norms
+# the tensor norm
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TensorNormBounds:
-    lower: float
-    upper: float
 
 
 def coefficient_l1(f: SymTensor) -> float:
     """l1 mass of the full (multiplicity-expanded) coefficient array."""
     return float((np.abs(f.coeffs) * multiplicities(f.dim, f.degree)).sum())
-
-
-def tensor_norm(
-    f: SymTensor,
-    norm_spec: VectorNorm,
-    *,
-    codomain_norm: VectorNorm | None = None,
-    n_samples: int = 4096,
-    seed: int = 0,
-    ascent_steps: int = 60,
-) -> TensorNormBounds:
-    """Certified upper bound and sampled lower bound for the tensor norm.
-
-    upper: the l1 coefficient mass, valid because every ambient norm here
-    dominates the coordinate sup-norm and every codomain norm is dominated
-    by the coordinate l1-norm.  lower: the best diagonal evaluation over a
-    fixed-seed direction set, polished by projected gradient ascent.
-    """
-    if f.degree < 1:
-        raise ValueError("tensor_norm requires degree >= 1")
-    if codomain_norm is None:
-        codomain_norm = VectorNorm.euclidean(f.codomain_dim)
-    upper = coefficient_l1(f)
-    if not f.coeffs.any():
-        return TensorNormBounds(0.0, 0.0)
-
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_samples, f.dim))
-    dirs /= norm_spec.norms(dirs)[:, None]
-    vals = eval_diagonal_batch(f, dirs)
-    mags = np.array([codomain_norm.norm(v) for v in vals])
-    order = np.argsort(mags)[::-1]
-    best = float(mags[order[0]])
-
-    # local ascent from the few best starting directions
-    for start in order[:4]:
-        phi = dirs[start].copy()
-        val = mags[start]
-        step = 0.25
-        for _ in range(ascent_steps):
-            out = eval_diagonal(f, phi)
-            nrm = codomain_norm.norm(out)
-            if nrm == 0:
-                break
-            dual = _dual_vector(out, codomain_norm)
-            grad = diagonal_jacobian(f, phi).T @ dual
-            cand = norm_spec.normalize(phi + step * grad / max(np.linalg.norm(grad), 1e-300))
-            cand_val = codomain_norm.norm(eval_diagonal(f, cand))
-            if cand_val > val:
-                phi, val = cand, cand_val
-                step = min(step * 1.5, 0.5)
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-        best = max(best, float(val))
-    return TensorNormBounds(lower=min(best, upper), upper=upper)
-
-
-def _dual_vector(v: np.ndarray, norm_spec: VectorNorm) -> np.ndarray:
-    """Gradient of the block norm at v (any subgradient at kinks)."""
-    out = np.zeros_like(v, dtype=float)
-    for a, b in norm_spec.blocks:
-        blk = v[a:b]
-        n = np.linalg.norm(blk)
-        if n > 0:
-            out[a:b] = blk / n
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -498,26 +377,16 @@ def directional_derivative(f: SymFunctional, phi: np.ndarray, psi: np.ndarray) -
     return out
 
 
-def majorant_of(
-    f: SymFunctional,
-    norm_spec: VectorNorm,
-    *,
-    codomain_norm: VectorNorm | None = None,
-) -> MajorantSeries:
-    """One-variable majorant collecting the per-degree upper tensor norms.
+def majorant_of(f: SymFunctional, norm_spec: VectorNorm) -> MajorantSeries:
+    """One-variable majorant collecting the per-degree tensor norms.
 
-    Each degree's entry is the upper bound of :func:`tensor_norm`, the
-    coefficient l1 mass, taken directly from :func:`coefficient_l1`; it
-    holds for every ``norm_spec`` (each dominates the coordinate sup-norm).
+    Each degree's entry is :func:`coefficient_l1` of that degree's term;
+    it holds for every ``norm_spec`` (each dominates the coordinate
+    sup-norm).
     """
-    if codomain_norm is None:
-        codomain_norm = VectorNorm.euclidean(f.codomain_dim)
     coeffs = np.zeros(f.max_degree + 1 if f.terms else 1)
     for t in f.terms:
-        if t.degree == 0:
-            coeffs[0] = codomain_norm.norm(t.coeffs[:, 0])
-        else:
-            coeffs[t.degree] = coefficient_l1(t)
+        coeffs[t.degree] = coefficient_l1(t)
     return MajorantSeries(coeffs)
 
 
@@ -571,28 +440,17 @@ def compose_first_slot(f: SymTensor, V: SymTensor) -> SymTensor:
 _MAGIC = b"SYMT"
 
 
-def save_tensor(f: SymTensor, path: str, binary: bool = True) -> None:
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<qqq", f.degree, f.dim, f.codomain_dim))
-            fh.write(np.ascontiguousarray(f.coeffs, dtype="<f8").tobytes())
-    else:
-        with open(path, "w") as fh:
-            fh.write(f"{f.degree} {f.dim} {f.codomain_dim}\n")
-            for row in f.coeffs:
-                fh.write(" ".join(repr(float(x)) for x in row) + "\n")
+def save_tensor(f: SymTensor, path: str) -> None:
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<qqq", f.degree, f.dim, f.codomain_dim))
+        fh.write(np.ascontiguousarray(f.coeffs, dtype="<f8").tobytes())
 
 
-def load_tensor(path: str, binary: bool = True) -> SymTensor:
-    if binary:
-        with open(path, "rb") as fh:
-            if fh.read(4) != _MAGIC:
-                raise ValueError("not a tensor dump")
-            degree, dim, codim = struct.unpack("<qqq", fh.read(24))
-            data = np.frombuffer(fh.read(), dtype="<f8").reshape(codim, -1)
-        return SymTensor(degree, dim, data)
-    with open(path) as fh:
-        degree, dim, codim = map(int, fh.readline().split())
-        rows = [np.array(line.split(), dtype=float) for line in fh if line.strip()]
-    return SymTensor(degree, dim, np.vstack(rows))
+def load_tensor(path: str) -> SymTensor:
+    with open(path, "rb") as fh:
+        if fh.read(4) != _MAGIC:
+            raise ValueError("not a tensor dump")
+        degree, dim, codim = struct.unpack("<qqq", fh.read(24))
+        data = np.frombuffer(fh.read(), dtype="<f8").reshape(codim, -1)
+    return SymTensor(degree, dim, data)

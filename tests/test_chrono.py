@@ -32,6 +32,7 @@ from chrono_duhamel.symfun import (
     SymTensor,
     coefficient_l1,
     directional_derivative,
+    eval_homogeneous,
     eval_series,
     num_canonical,
 )
@@ -353,6 +354,44 @@ def test_invariance_cubic_small_amplitude():
     _, values, drift, _ = invariance_scan(f, traj, 0.0, 0.5, CHART, substeps=2, cap=5)
     assert drift <= 1e-7
     assert values[0] == pytest.approx(data.psi[0], abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the transport majorant
+# ---------------------------------------------------------------------------
+
+MIXED = NonlinearitySpec({2: 0.3, 3: 0.8})
+MAJORANT_TIMES = np.linspace(0.0, 1.0, 9)
+
+
+def test_transport_majorant_zero_nonlinearity():
+    assert transport_majorant(NonlinearitySpec.zero(), CHART, MAJORANT_TIMES).is_zero
+
+
+def test_transport_majorant_dominates_multilinear_components():
+    # ||V_t^(k)(c_1 ... c_k)|| <= X_k prod ||c_j|| in the chart norm at every
+    # time the majorant sampled
+    rng = np.random.default_rng(9)
+    X = transport_majorant(MIXED, CHART, MAJORANT_TIMES)
+    norm = CHART.norm_spec.norm
+    for t in MAJORANT_TIMES:
+        for k, Vk in CHART.vertex_tensors(MIXED, float(t)).items():
+            for _ in range(5):
+                cs = list(rng.standard_normal((k, CHART.dim)))
+                val = norm(eval_homogeneous(Vk, cs))
+                assert val <= X.coeffs[k] * np.prod([norm(c) for c in cs]) * (1 + 1e-10)
+
+
+def test_transport_majorant_dominates_field_norm():
+    # ||coords(V_t(phi))|| <= X(||c||) for the Lagrange-Duhamel field itself
+    rng = np.random.default_rng(8)
+    X = transport_majorant(MIXED, CHART, MAJORANT_TIMES)
+    norm = CHART.norm_spec.norm
+    for t in MAJORANT_TIMES:
+        for _ in range(5):
+            c = rng.uniform(0.05, 2.0) * rng.standard_normal(CHART.dim)
+            v = lagrange_duhamel_V(float(t), FreeSolution(CHART.from_coords(c)), KG1, MIXED)
+            assert norm(CHART.coords_of(v)) <= series_eval(X, norm(c)) * (1 + 1e-10)
 
 
 # ---------------------------------------------------------------------------

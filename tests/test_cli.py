@@ -72,6 +72,26 @@ certify_floor = 0.5
     assert float(vals[5]) == pytest.approx(0.75, rel=1e-6)  # guaranteed window
 
 
+def test_certify_honours_flow_floor(tmp_path):
+    # the backward flow of X = 2 z^3 from R = 1 over T = 0.25 ends at 1/sqrt(2),
+    # below a flow floor of 0.8, so no radius is certified
+    cfg = write_config(
+        tmp_path / "c.ini",
+        SMALL
+        + """
+[tolerances]
+x_coeffs = 0,0,0,2
+certify_radius = 1.0
+flow_floor = 0.8
+""",
+    )
+    out = tmp_path / "out"
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+    rows = [l for l in (out / "certify.csv").read_text().splitlines() if not l.startswith("#")]
+    vals = rows[1].split(",")
+    assert float(vals[2]) == 0.0 and vals[3] == "0"
+
+
 def test_byte_identical_reruns(tmp_path):
     cfg = write_config(tmp_path / "c.ini", SMALL)
     out1, out2 = tmp_path / "a", tmp_path / "b"

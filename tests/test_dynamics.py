@@ -1,4 +1,4 @@
-"""Nonlinear-layer tests: the chart ODE, its oracle, and measured constants."""
+"""Nonlinear-layer tests: the chart ODE, its oracle, and the trajectory dump."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,12 @@ import pytest
 from chrono_duhamel.dynamics import (
     DivergenceError,
     NonlinearitySpec,
-    algebra_constant,
     duhamel_residual,
     evolve,
     lagrange_duhamel_V,
     strang_evolve,
     theta,
     trajectory_csv,
-    vector_field_majorant,
 )
 from chrono_duhamel.propagator import (
     CauchyData,
@@ -24,9 +22,7 @@ from chrono_duhamel.propagator import (
     make_free_solution,
     propagate,
     sample_at,
-    sobolev_norm,
 )
-from chrono_duhamel.series import eval_series as series_eval
 
 GRID = Grid(16, 2 * np.pi)
 KG1 = DispersionRelation("klein_gordon", 1.0)
@@ -249,82 +245,8 @@ def test_schrodinger_evolve_vs_strang():
 
 
 # ---------------------------------------------------------------------------
-# measured constants and the majorant
+# trajectory dump
 # ---------------------------------------------------------------------------
-
-
-def test_algebra_constant_is_sound():
-    rng = np.random.default_rng(7)
-    for s in (0.0, 1.0):
-        lower, upper = algebra_constant(GRID, s, 1.0, n_samples=50, seed=1)
-        assert lower <= upper
-        for _ in range(200):
-            f = rng.standard_normal(GRID.M)
-            g = rng.standard_normal(GRID.M)
-            lhs = sobolev_norm(CauchyData(GRID, f * g), s, 0, 1.0)
-            rhs = upper * sobolev_norm(CauchyData(GRID, f), s, 0, 1.0) * sobolev_norm(
-                CauchyData(GRID, g), s, 0, 1.0
-            )
-            assert lhs <= rhs * (1 + 1e-12)
-
-
-def test_majorant_zero_nonlinearity():
-    assert vector_field_majorant(KG1, ZERO_N, 1.0, GRID, 0.0).is_zero
-
-
-def test_majorant_cubic_plug_in():
-    lam = 0.7
-    X = vector_field_majorant(KG1, NonlinearitySpec({3: lam}), 1.0, GRID, 0.0)
-    from chrono_duhamel.propagator import propagator_bound
-
-    c_phi = propagator_bound(KG1, GRID, 1.0, 0.0, 1.0)
-    q = algebra_constant(GRID, 0.0, 1.0, n_samples=0)[1]
-    np.testing.assert_allclose(X.coeffs, [0, 0, 0, c_phi * q**3 * lam], rtol=1e-13)
-
-
-def test_majorant_linear_in_coefficient():
-    X1 = vector_field_majorant(KG1, NonlinearitySpec({3: 1.0}), 1.0, GRID, 0.0)
-    X2 = vector_field_majorant(KG1, NonlinearitySpec({3: 2.0}), 1.0, GRID, 0.0)
-    assert X2.coeffs[3] == pytest.approx(2 * X1.coeffs[3], rel=1e-14)
-
-
-def test_majorant_dominates_field_norm():
-    # ||V_t(phi)|| <= X(||phi||) in the sup-over-interval norm
-    rng = np.random.default_rng(8)
-    T, s, m_ref = 1.0, 0.0, 1.0
-    X = vector_field_majorant(KG1, CUBIC, T, GRID, s, m_ref)
-    sample_times = np.linspace(0.0, T, 9)
-
-    def sup_norm(fs):
-        return max(cau_norm(KG1, sample_at(KG1, fs, float(tau)), s, m_ref) for tau in sample_times)
-
-    for _ in range(50):
-        phi = make_free_solution(KG1, random_data(rng, scale=0.2))
-        t = float(rng.uniform(0, T))
-        v = lagrange_duhamel_V(t, phi, KG1, CUBIC)
-        assert sup_norm(v) <= series_eval(X, sup_norm(phi)) * (1 + 1e-10)
-
-
-def test_majorant_dominates_multilinear_components():
-    # ||V_t^(k)(phi_1 ... phi_k)|| <= X_k prod ||phi_j|| on random arguments,
-    # with the polarized component realised as the Green lift of the product
-    # of the sampled traces
-    rng = np.random.default_rng(9)
-    T, s, m_ref = 1.0, 0.0, 1.0
-    lam = 0.8
-    X = vector_field_majorant(KG1, NonlinearitySpec({3: lam}), T, GRID, s, m_ref)
-    sample_times = np.linspace(0.0, T, 9)
-
-    def sup_norm(fs):
-        return max(cau_norm(KG1, sample_at(KG1, fs, float(tau)), s, m_ref) for tau in sample_times)
-
-    for _ in range(30):
-        t = float(rng.uniform(0, T))
-        phis = [make_free_solution(KG1, random_data(rng, scale=0.3)) for _ in range(3)]
-        traces = [sample_at(KG1, p, t).psi for p in phis]
-        lift = green_apply(KG1, GRID, t, lam * traces[0] * traces[1] * traces[2])
-        bound = X.coeffs[3] * np.prod([sup_norm(p) for p in phis])
-        assert sup_norm(lift) <= bound * (1 + 1e-10)
 
 
 def test_trajectory_csv_written(tmp_path):

@@ -1,6 +1,7 @@
 """Symmetric multilinear algebra tests."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from chrono_duhamel.symfun import (
     SymTensor,
     VectorNorm,
     canonical_indices,
+    coefficient_l1,
     compose_first_slot,
     contract_slot,
     directional_derivative,
@@ -25,7 +27,6 @@ from chrono_duhamel.symfun import (
     polarize,
     rank_rows,
     save_tensor,
-    tensor_norm,
 )
 
 
@@ -62,6 +63,16 @@ def test_index_counts_exact_at_large_dim():
 def test_multiplicities_sum_to_full_count():
     for d, p in [(2, 2), (3, 3), (4, 5)]:
         assert multiplicities(d, p).sum() == d**p
+
+
+def test_multiplicities_match_factorial_brute_force():
+    for d in range(1, 6):
+        for p in range(0, 6):
+            expected = [
+                math.factorial(p) // math.prod(math.factorial(c) for c in Counter(row).values())
+                for row in map(tuple, canonical_indices(d, p))
+            ]
+            np.testing.assert_array_equal(multiplicities(d, p), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -146,63 +157,30 @@ def test_contract_slot_matches_polarized_eval():
 
 
 def test_norm_scalar_single_coefficient():
-    f = SymTensor(2, 1, [[-3.5]])
-    bounds = tensor_norm(f, VectorNorm.euclidean(1))
-    assert bounds.upper == pytest.approx(3.5)
-    assert bounds.lower == pytest.approx(3.5, rel=1e-9)
+    assert coefficient_l1(SymTensor(2, 1, [[-3.5]])) == pytest.approx(3.5)
 
 
 def test_norm_zero_tensor():
-    bounds = tensor_norm(SymTensor.zero(3, 4), VectorNorm.euclidean(4))
-    assert bounds.lower == 0.0 and bounds.upper == 0.0
+    assert coefficient_l1(SymTensor.zero(3, 4)) == 0.0
 
 
 def test_norm_linear_form_euclidean():
-    f = SymTensor(1, 2, [[3.0, 4.0]])
-    bounds = tensor_norm(f, VectorNorm.euclidean(2))
-    assert bounds.upper == pytest.approx(7.0)
-    assert bounds.lower >= 5.0 - 1e-9
-    assert bounds.lower <= 5.0 + 1e-9
-
-
-def test_norm_bounds_order_random():
-    rng = np.random.default_rng(9)
-    for _ in range(25):
-        d = int(rng.integers(1, 7))
-        p = int(rng.integers(1, 5))
-        f = random_tensor(rng, d, p)
-        bounds = tensor_norm(f, VectorNorm.euclidean(d), n_samples=512)
-        assert bounds.lower <= bounds.upper * (1 + 1e-12)
+    assert coefficient_l1(SymTensor(1, 2, [[3.0, 4.0]])) == pytest.approx(7.0)
 
 
 def test_norm_upper_is_valid_on_random_arguments():
-    # |f(phi_1 ... phi_p)| <= upper * prod ||phi_j|| for unit-block norms
+    # |f(phi_1 ... phi_p)| <= coefficient_l1(f) * prod ||phi_j|| for unit-block norms
     rng = np.random.default_rng(23)
     for _ in range(30):
         d = int(rng.integers(2, 7))
         p = int(rng.integers(1, 4))
         norm = VectorNorm.two_block(d, d // 2) if d >= 2 and rng.random() < 0.5 else VectorNorm.euclidean(d)
         f = random_tensor(rng, d, p, codomain_dim=int(rng.integers(1, 3)))
-        upper = tensor_norm(f, norm, n_samples=8).upper
+        upper = coefficient_l1(f)
         for _ in range(20):
-            args = [norm.normalize(rng.standard_normal(d)) for _ in range(p)]
+            args = [v / norm.norm(v) for v in rng.standard_normal((p, d))]
             val = np.linalg.norm(eval_homogeneous(f, args))
             assert val <= upper * (1 + 1e-10)
-
-
-def test_norm_sandwich_diagonal():
-    # sampled lower <= upper always; lower <= p^p/p! * diagonal bound
-    from math import factorial
-
-    rng = np.random.default_rng(31)
-    for _ in range(15):
-        d = int(rng.integers(1, 6))
-        p = int(rng.integers(1, 5))
-        f = random_tensor(rng, d, p)
-        bounds = tensor_norm(f, VectorNorm.euclidean(d), n_samples=1024)
-        diag = bounds.lower  # our sampled bound is a diagonal supremum estimate
-        assert bounds.lower <= (p**p / factorial(p)) * diag * (1 + 1e-12)
-        assert bounds.lower <= bounds.upper * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +341,8 @@ def test_compose_first_slot_diagonal_at_chart_dimension():
 def test_tensor_dump_roundtrip(tmp_path):
     rng = np.random.default_rng(12)
     f = random_tensor(rng, 5, 3, codomain_dim=2)
-    pb = tmp_path / "t.bin"
-    pt = tmp_path / "t.txt"
-    save_tensor(f, str(pb), binary=True)
-    save_tensor(f, str(pt), binary=False)
-    for path, binary in [(pb, True), (pt, False)]:
-        g = load_tensor(str(path), binary=binary)
-        assert (g.degree, g.dim, g.codomain_dim) == (f.degree, f.dim, f.codomain_dim)
-        np.testing.assert_allclose(g.coeffs, f.coeffs, rtol=0, atol=0)
+    path = tmp_path / "t.bin"
+    save_tensor(f, str(path))
+    g = load_tensor(str(path))
+    assert (g.degree, g.dim, g.codomain_dim) == (f.degree, f.dim, f.codomain_dim)
+    np.testing.assert_allclose(g.coeffs, f.coeffs, rtol=0, atol=0)
