@@ -4,8 +4,9 @@ The package is organised around five layers:
 
 ``series``
     One-variable majorant calculus: power series with nonnegative
-    coefficients, their flows ``e^{tX}(z)``, comparison constants and the
-    guaranteed transport window.
+    coefficients, their flows ``e^{tX}(z)``, the flow times
+    ``int dz/X(z)``, comparison constants and the guaranteed transport
+    window.
 ``symfun``
     Symmetric multilinear algebra on a finite-dimensional state space:
     homogeneous polynomial maps, polarization, the coefficient-l1 tensor
@@ -31,10 +32,11 @@ from .series import (
     derivative,
     eval_series,
     flow,
+    flow_time,
     gamma_constant,
     guaranteed_time,
 )
-from .symfun import SymFunctional, SymTensor, VectorNorm, polarize
+from .symfun import SymFunctional, SymTensor, VectorNorm
 from .propagator import (
     CauchyData,
     DispersionRelation,

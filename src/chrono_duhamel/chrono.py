@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .dynamics import EvolutionState, NonlinearitySpec
 from .propagator import (
@@ -35,7 +36,7 @@ from .propagator import (
     _wave_factors,
     sample_at,
 )
-from .series import DEFAULT_FLOOR, MajorantSeries, eval_series as series_eval, flow
+from .series import DEFAULT_FLOOR, MajorantSeries, eval_series as series_eval, flow_time
 from .symfun import (
     SymFunctional,
     SymTensor,
@@ -67,6 +68,9 @@ DEFAULT_DEGREE_CAP = 5
 
 # vertex-tensor entries a ChartMap keeps (see ChartMap)
 _VERTEX_CACHE_SIZE = 4
+
+# brentq tolerances in log r' for the certified radius (rtol at brentq's floor)
+_RADIUS_XTOL, _RADIUS_RTOL = 1e-14, 4 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -523,30 +527,36 @@ def certify_window(
 ) -> CertificationRecord:
     """Transport-window certificate: radii before/after the backward flow.
 
-    Computes ``r' = e^{-T X}(R)``; the window holds when the backward flow
-    completes above the floor.  When a concretely transported functional's
-    majorant is supplied, additionally checks the norm contraction
-    ``[[U f]](r') <= [[f]](R)``.
+    The window holds when the backward flow from ``R`` stays above ``floor``
+    over the span, that is when ``flow_time(X, floor, R) > |T|``; otherwise
+    ``measured_window`` is that flow time (0 when ``floor >= R``).  The
+    certified radius ``r' = e^{-|T| X}(R)`` solves
+    ``flow_time(X, r', R) = |T|`` by ``brentq`` in ``log r'``.  When a
+    concretely transported functional's majorant is supplied, additionally
+    checks the norm contraction ``[[U f]](r') <= [[f]](R)``.
     """
-    res = flow(X, -abs(T), R, floor=floor)
+    T = abs(T)
     f_at_R = series_eval(f_majorant, R)
-    if not res.completed:
+    record = dict(radius_in=R, span=T, f_majorant_at_R=f_at_R)
+    t_floor = flow_time(X, floor, R) if floor < R else 0.0
+    if t_floor <= T:
         return CertificationRecord(
-            radius_in=R,
-            span=abs(T),
-            certified_radius=0.0,
-            window_ok=False,
-            f_majorant_at_R=f_at_R,
-            measured_window=res.time_reached,
+            **record, certified_radius=0.0, window_ok=False, measured_window=t_floor
         )
-    r_prime = float(np.real(res.value))
-    record = dict(
-        radius_in=R,
-        span=abs(T),
-        certified_radius=r_prime,
-        window_ok=r_prime > 0.0,
-        f_majorant_at_R=f_at_R,
-    )
+    if T == 0.0 or X.is_zero:
+        r_prime = R
+    else:
+        u = brentq(
+            lambda u: flow_time(X, min(math.exp(u), R), R) - T,
+            math.log(floor),
+            math.log(R),
+            xtol=_RADIUS_XTOL,
+            rtol=_RADIUS_RTOL,
+        )
+        # the root of the quadrature lies within xtol + rtol |u| of u; the
+        # lower end of that interval keeps r' at or below the exact flow
+        r_prime = math.exp(u - (_RADIUS_XTOL + _RADIUS_RTOL * abs(u)))
+    record.update(certified_radius=r_prime, window_ok=True)
     if uf_majorant is not None:
         uf_val = series_eval(uf_majorant, r_prime)
         record["uf_majorant_at_radius"] = uf_val

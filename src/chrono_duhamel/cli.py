@@ -242,6 +242,18 @@ def cmd_evolve(cfg: RunConfig, out: str) -> list[dynamics.EvolutionState]:
     return traj
 
 
+def _window_tolerances(cfg: RunConfig, command: str) -> tuple[float, float]:
+    """(certify_radius, flow_floor) of a command that certifies a window."""
+    R, floor = cfg.tol("certify_radius"), cfg.tol("flow_floor")
+    if not 0 < R < math.inf:
+        raise ConfigError(f"{command} needs a finite [tolerances] certify_radius > 0")
+    if not floor > 0:
+        raise ConfigError(f"{command} needs [tolerances] flow_floor > 0")
+    if command == "certify" and not 0 < cfg.tol("certify_floor") < R:
+        raise ConfigError("certify needs 0 < [tolerances] certify_floor < certify_radius")
+    return R, floor
+
+
 def _chart(cfg: RunConfig) -> chrono.ChartMap:
     if not cfg.disp.second_order:
         raise ConfigError(f"functional transport needs [dispersion] kind = {propagator.KLEIN_GORDON}")
@@ -250,6 +262,10 @@ def _chart(cfg: RunConfig) -> chrono.ChartMap:
 
 def cmd_invariance(cfg: RunConfig, out: str) -> float:
     t1, t2, steps = _time_grid(cfg, "invariance")
+    R, floor = _window_tolerances(cfg, "invariance")
+    substeps = cfg.tol("substeps", int)
+    if substeps < 1:
+        raise ConfigError("invariance needs [tolerances] substeps >= 1")
     chart = _chart(cfg)
     traj = dynamics.evolve(
         cfg.initial_data(), t1, t2, abs(t2 - t1) / steps, cfg.disp, cfg.nonlin
@@ -257,16 +273,14 @@ def cmd_invariance(cfg: RunConfig, out: str) -> float:
     f = cfg.functional(chart)
     cap = cfg._get("caps", "degree_cap", int)
     times, values, drift, events = chrono.invariance_scan(
-        f, traj, t1, t2, chart, substeps=cfg.tol("substeps", int), cap=cap
+        f, traj, t1, t2, chart, substeps=substeps, cap=cap
     )
-    stage_times = np.linspace(t1, t2, 2 * (len(times) - 1) + 1) if len(times) > 1 else [t1]
+    # every RK4 stage time of the scan: the ends and midpoint of each substep
+    n_stages = 2 * (len(times) - 1) * substeps
+    stage_times = np.linspace(t1, t2, n_stages + 1) if n_stages else [t1]
     X = chrono.transport_majorant(cfg.nonlin, chart, stage_times)
     rec = chrono.certify_window(
-        symfun.majorant_of(f, chart.norm_spec),
-        X,
-        cfg.tol("certify_radius"),
-        abs(t2 - t1),
-        floor=cfg.tol("flow_floor"),
+        symfun.majorant_of(f, chart.norm_spec), X, R, abs(t2 - t1), floor=floor
     )
     chrono.invariance_csv(
         times,
@@ -281,6 +295,7 @@ def cmd_invariance(cfg: RunConfig, out: str) -> float:
 
 def cmd_certify(cfg: RunConfig, out: str) -> chrono.CertificationRecord:
     t1, t2, steps = cfg.times
+    R, floor = _window_tolerances(cfg, "certify")
     chart = _chart(cfg)
     f = cfg.functional(chart)
     preset = cfg.raw["tolerances"]["x_coeffs"]
@@ -292,12 +307,9 @@ def cmd_certify(cfg: RunConfig, out: str) -> chrono.CertificationRecord:
     else:
         stage_times = np.linspace(t1, t2, 2 * max(steps, 1) + 1)
         X = chrono.transport_majorant(cfg.nonlin, chart, stage_times)
-    R = cfg.tol("certify_radius")
-    t_bar = series.guaranteed_time(X, R, cfg.tol("certify_floor")) if not X.is_zero else math.inf
+    t_bar = series.guaranteed_time(X, R, cfg.tol("certify_floor"))
     span = abs(t2 - t1)
-    rec = chrono.certify_window(
-        symfun.majorant_of(f, chart.norm_spec), X, R, span, floor=cfg.tol("flow_floor")
-    )
+    rec = chrono.certify_window(symfun.majorant_of(f, chart.norm_spec), X, R, span, floor=floor)
     lines = [
         f"{R!r},{span!r},{rec.certified_radius!r},{int(rec.window_ok)},"
         f"{float(rec.f_majorant_at_R)!r},{t_bar!r}"

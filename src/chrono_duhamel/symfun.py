@@ -34,8 +34,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,10 +45,8 @@ __all__ = [
     "SymTensor",
     "SymFunctional",
     "eval_homogeneous",
-    "polarize",
     "coefficient_l1",
     "eval_series",
-    "directional_derivative",
     "majorant_of",
     "compose_first_slot",
     "save_tensor",
@@ -83,10 +80,20 @@ def num_canonical(d: int, p: int) -> int:
 
 @lru_cache(maxsize=None)
 def canonical_indices(d: int, p: int) -> np.ndarray:
-    """All nondecreasing multi-indices of length p over {0..d-1}, lexicographic."""
-    if p == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    rows = np.array(list(combinations_with_replacement(range(d), p)), dtype=np.int64)
+    """All nondecreasing multi-indices of length p over {0..d-1}, lexicographic.
+
+    Grown one letter at a time: each row is followed by every letter from
+    its last one up to d-1, in order, which keeps the rows lexicographic.
+    """
+    rows = np.zeros((1, 0), dtype=np.int64)
+    last = np.zeros(1, dtype=np.int64)
+    for _ in range(p):
+        counts = d - last
+        parent = np.repeat(np.arange(rows.shape[0]), counts)
+        # position of each new row among its parent's children
+        offset = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        last = last[parent] + offset
+        rows = np.column_stack((rows[parent], last))
     rows.setflags(write=False)
     return rows
 
@@ -278,28 +285,6 @@ def eval_diagonal(f: SymTensor, phi: np.ndarray) -> np.ndarray:
     return f.coeffs @ mono
 
 
-def polarize(f_diag: Callable[[np.ndarray], np.ndarray], degree: int, args: Sequence[np.ndarray]):
-    """Recover the symmetric polarized value from the diagonal map.
-
-    Implements ``1/(2^p p!) sum_{eps in {+-1}^p} (prod eps) f(sum eps_j phi_j)``.
-    The caller is responsible for ``f_diag`` being homogeneous of the
-    declared degree.
-    """
-    p = degree
-    if p < 1:
-        raise ValueError("polarize needs degree >= 1")
-    if len(args) != p:
-        raise ValueError("polarize needs exactly `degree` arguments")
-    args = [np.asarray(a, dtype=float) for a in args]
-    total = None
-    for mask in range(1 << p):
-        signs = [1.0 if (mask >> j) & 1 == 0 else -1.0 for j in range(p)]
-        point = sum(s * a for s, a in zip(signs, args))
-        term = np.prod(signs) * np.asarray(f_diag(point), dtype=float)
-        total = term if total is None else total + term
-    return total / (2**p * math.factorial(p))
-
-
 # ---------------------------------------------------------------------------
 # the tensor norm
 # ---------------------------------------------------------------------------
@@ -364,16 +349,6 @@ def eval_series(f: SymFunctional, phi: np.ndarray) -> np.ndarray:
     out = np.zeros(f.codomain_dim)
     for t in f.terms:
         out += eval_diagonal(t, phi)
-    return out
-
-
-def directional_derivative(f: SymFunctional, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """sum_p p f^(p)(psi, phi, ..., phi)."""
-    out = np.zeros(f.codomain_dim)
-    for t in f.terms:
-        if t.degree == 0:
-            continue
-        out += t.degree * eval_diagonal(contract_slot(t, psi), phi)
     return out
 
 

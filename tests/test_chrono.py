@@ -31,11 +31,12 @@ from chrono_duhamel.symfun import (
     SymFunctional,
     SymTensor,
     coefficient_l1,
-    directional_derivative,
     eval_homogeneous,
     eval_series,
     num_canonical,
 )
+
+from oracles import directional_derivative
 
 GRID = Grid(8, 2 * np.pi)
 KG1 = DispersionRelation("klein_gordon", 1.0)
@@ -417,6 +418,9 @@ def test_certify_window_exceeded():
     rec = certify_window(MajorantSeries([0, 1.0]), X, 0.5, 2.0, floor=0.01)
     assert not rec.window_ok
     assert rec.measured_window == pytest.approx(0.49, abs=1e-6)
+    # a floor at or above the radius leaves no window at all
+    rec = certify_window(MajorantSeries([0, 1.0]), X, 0.5, 2.0, floor=0.5)
+    assert not rec.window_ok and rec.certified_radius == 0.0 and rec.measured_window == 0.0
 
 
 def test_certified_transport_contraction():

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from chrono_duhamel import chrono, series
 from chrono_duhamel.cli import main
 from chrono_duhamel.symfun import SymTensor, num_canonical, save_tensor
 
@@ -190,6 +191,14 @@ def test_selftest_ledger(tmp_path, capsys):
         ("certify", SMALL + "\n[dispersion]\nkind = schrodinger\n"),
         ("trees", SMALL + "\n[dispersion]\nkind = schrodinger\n"),
         ("trees", SMALL + "\n[nonlinearity]\n2 = 0.5\n3 = 1.0\n"),
+        ("certify", SMALL + "\n[tolerances]\ncertify_floor = 0.5\n"),
+        ("certify", SMALL + "\n[tolerances]\ncertify_radius = 0\n"),
+        ("certify", SMALL + "\n[tolerances]\ncertify_radius = -1\n"),
+        ("invariance", SMALL + "\n[tolerances]\ncertify_radius = -1\n"),
+        ("certify", SMALL + "\n[tolerances]\ncertify_radius = inf\n"),
+        ("certify", SMALL + "\n[tolerances]\nflow_floor = 0\n"),
+        ("invariance", SMALL + "\n[tolerances]\nflow_floor = -1e-12\n"),
+        ("invariance", SMALL + "\n[tolerances]\nsubsteps = 0\n"),
     ],
     ids=[
         "invariance-zero-steps",
@@ -203,6 +212,14 @@ def test_selftest_ledger(tmp_path, capsys):
         "certify-schrodinger",
         "trees-schrodinger",
         "trees-two-monomials",
+        "certify-floor-above-radius",
+        "certify-zero-radius",
+        "certify-negative-radius",
+        "invariance-negative-radius",
+        "certify-infinite-radius",
+        "certify-zero-flow-floor",
+        "invariance-negative-flow-floor",
+        "invariance-zero-substeps",
     ],
 )
 def test_unsupported_config_is_a_config_error(tmp_path, capsys, command, body):
@@ -210,6 +227,39 @@ def test_unsupported_config_is_a_config_error(tmp_path, capsys, command, body):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_unvouched_flow_time_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(series, "quad", lambda f, a, b, **kw: (1.0, 1e-6))
+    cfg = write_config(tmp_path / "c.ini", SMALL)
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure in certify:") and "Traceback" not in err
+
+
+def test_invariance_majorant_covers_every_rk4_stage_time(tmp_path, monkeypatch):
+    # with two substeps RK4 evaluates the vertex tensors at quarter points of
+    # each trajectory interval; the majorant must sample each of those times
+    scan_times, sampled = [], []
+    vertex_tensors = chrono.ChartMap.vertex_tensors
+    transport_majorant = chrono.transport_majorant
+
+    def record_vertex(chart, nonlin, t):
+        scan_times.append(t)
+        return vertex_tensors(chart, nonlin, t)
+
+    def record_majorant(nonlin, chart, times):
+        monkeypatch.setattr(chrono.ChartMap, "vertex_tensors", vertex_tensors)
+        sampled.extend(times)
+        return transport_majorant(nonlin, chart, times)
+
+    monkeypatch.setattr(chrono.ChartMap, "vertex_tensors", record_vertex)
+    monkeypatch.setattr(chrono, "transport_majorant", record_majorant)
+    cfg = write_config(tmp_path / "c.ini", SMALL + "\n[tolerances]\nsubsteps = 2\n")
+    assert main(["invariance", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    nodes = np.array(sampled)
+    assert len(nodes) == 2 * 10 * 2 + 1 and len(set(scan_times)) > 2 * 10 + 1
+    assert max(np.min(np.abs(nodes - t)) for t in scan_times) <= 1e-12
 
 
 def test_trees_rejects_a_nonlinear_functional(tmp_path, capsys):

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
+from chrono_duhamel import series
+from chrono_duhamel.chrono import certify_window
 from chrono_duhamel.series import (
     MajorantSeries,
     apply_majorant_operator,
     derivative,
     eval_series,
     flow,
+    flow_time,
     gamma_constant,
     guaranteed_time,
 )
@@ -198,13 +200,6 @@ def test_flow_blowup_detected():
     assert res.time_reached == pytest.approx(1.0, abs=1e-6)
 
 
-def test_flow_hit_zero_detected():
-    # dz/dt = -1 from 0.5 crosses a floor of 0.2 at t = 0.3
-    res = flow(MajorantSeries([1.0]), -1.0, 0.5, floor=0.2)
-    assert res.status == "hit_zero"
-    assert res.time_reached == pytest.approx(0.3, abs=1e-9)
-
-
 def test_flow_group_law():
     rng = np.random.default_rng(3)
     for _ in range(60):
@@ -242,8 +237,30 @@ def test_flow_domination_complex():
 
 
 # ---------------------------------------------------------------------------
-# guaranteed time
+# flow times and the guaranteed time
 # ---------------------------------------------------------------------------
+
+
+def test_flow_time_constant_field_and_endpoints():
+    X = MajorantSeries([2.0])
+    assert flow_time(X, 0.2, 1.0) == pytest.approx(0.4, rel=1e-12)
+    assert flow_time(X, 1.0, 1.0) == 0.0
+    assert flow_time(MajorantSeries([0.0]), 0.2, 1.0) == math.inf
+    with pytest.raises(ValueError):
+        flow_time(X, 0.0, 1.0)
+
+
+def test_flow_time_down_to_the_default_floor():
+    # X = 2 z^3: T(r) = (r^-2 - R^-2) / 4, about 2.5e23 at r = 1e-12
+    X = MajorantSeries([0, 0, 0, 2.0])
+    exact = (1e24 - 1.0) / 4
+    assert flow_time(X, 1e-12, 1.0) == pytest.approx(exact, rel=1e-11)
+
+
+def test_flow_time_refuses_an_unvouched_quadrature(monkeypatch):
+    monkeypatch.setattr(series, "quad", lambda f, a, b, **kw: (1.0, 1e-6))
+    with pytest.raises(FloatingPointError):
+        flow_time(MajorantSeries([1.0]), 0.5, 1.0)
 
 
 def test_guaranteed_time_constant_field():
@@ -266,16 +283,32 @@ def test_guaranteed_time_zero_field_is_infinite():
     assert guaranteed_time(MajorantSeries([0.0, 0.0]), 1.0, 0.5) == math.inf
 
 
-def test_guaranteed_time_matches_quadrature_oracle():
-    # for an autonomous scalar field, T = integral_floor^R dz / X(z)
+def test_flow_times_match_the_ode_flow_oracle():
+    # the Dormand-Prince flow checks the quadrature independently: flowing
+    # back for the guaranteed time lands on the floor, and flowing back for
+    # T lands on the certified radius
     rng = np.random.default_rng(5)
     for _ in range(10):
         coeffs = rng.uniform(0.05, 1.0, size=rng.integers(1, 5))
         X = MajorantSeries(coeffs)
         R = rng.uniform(0.5, 1.5)
         floor = rng.uniform(0.05, 0.4) * R
-        expected = quad(lambda z: 1.0 / eval_series(X, z), floor, R)[0]
-        assert guaranteed_time(X, R, floor) == pytest.approx(expected, rel=1e-6)
+        t_bar = guaranteed_time(X, R, floor)
+        assert flow(X, -t_bar, R, rtol=1e-12).value == pytest.approx(floor, rel=1e-9)
+        T = rng.uniform(0.1, 0.9) * t_bar
+        rec = certify_window(MajorantSeries([0, 1.0]), X, R, T, floor=floor)
+        assert rec.window_ok
+        assert rec.certified_radius == pytest.approx(flow(X, -T, R, rtol=1e-12).value, rel=1e-9)
+
+
+def test_cubic_preset_stays_on_the_safe_side():
+    # X = 2 z^3 from R = 1: the floor 1/2 is reached at exactly 3/4, and the
+    # flow over T = 1/4 ends at exactly 1/sqrt(2); neither may be overstated
+    X = MajorantSeries([0, 0, 0, 2.0])
+    t_bar = guaranteed_time(X, 1.0, 0.5)
+    r = certify_window(MajorantSeries([0, 1.0]), X, 1.0, 0.25).certified_radius
+    assert 0.75 * (1 - 1e-11) <= t_bar <= 0.75
+    assert (1 - 1e-11) / math.sqrt(2) <= r <= 1 / math.sqrt(2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from chrono_duhamel.symfun import (
     coefficient_l1,
     compose_first_slot,
     contract_slot,
-    directional_derivative,
     eval_diagonal,
     eval_homogeneous,
     eval_series,
@@ -24,10 +24,11 @@ from chrono_duhamel.symfun import (
     majorant_of,
     multiplicities,
     num_canonical,
-    polarize,
     rank_rows,
     save_tensor,
 )
+
+from oracles import directional_derivative, polarize
 
 
 def random_tensor(rng, d, p, codomain_dim=1, scale=1.0):
@@ -41,6 +42,15 @@ def random_functional(rng, d, degrees, scale=1.0):
 # ---------------------------------------------------------------------------
 # index machinery
 # ---------------------------------------------------------------------------
+
+
+def test_canonical_indices_match_itertools():
+    for d in range(1, 7):
+        for p in range(0, 6):
+            expected = list(combinations_with_replacement(range(d), p))
+            idx = canonical_indices(d, p)
+            assert idx.dtype == np.int64 and idx.shape == (len(expected), p)
+            assert list(map(tuple, idx.tolist())) == expected
 
 
 def test_rank_rows_is_inverse_of_enumeration():
