@@ -12,18 +12,25 @@ The first-order operator action is
 
 with the vertex tensors ``V^(k)`` assembled as rank-one sums over grid
 nodes: sampling row times Green-lift column, one per node.  The
-time-ordered exponential is computed by integrating dF/dt = V_t . F in
-coefficient space (the differentiated form of the nested-integral
-recursion); the rooted-tree expansion below keeps the explicit
-simplex-quadrature semantics as an independent check of the same object.
+time-ordered exponential solves dF/dt = V_t . F in coefficient space by
+Chebyshev-Picard sweeps ``G <- f + int_{t1}^t V . G`` on one
+Chebyshev-Lobatto panel (Greengard, SIAM J. Numer. Anal. 28, 1991;
+Dutt-Greengard-Rokhlin, BIT 40, 2000).  Under the degree cap the operator
+is graded nilpotent when every nonlinearity degree is at least 2, so a
+known number of sweeps settles every degree and time needs only spectral
+accuracy; otherwise the sweeps run to a tolerance.  The rooted-tree
+expansion below keeps the explicit simplex-quadrature semantics as an
+independent check of the same object.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 from scipy.optimize import brentq
 
 from .dynamics import EvolutionState, NonlinearitySpec
@@ -41,10 +48,10 @@ from .symfun import (
     SymFunctional,
     SymTensor,
     VectorNorm,
+    canonical_indices,
     coefficient_l1,
     compose_first_slot,
-    eval_series,
-    functional_add,
+    multiplicities,
 )
 
 __all__ = [
@@ -55,7 +62,7 @@ __all__ = [
     "point_eval_functional",
     "vdot",
     "chrono_exp_evolve",
-    "chrono_exp_path",
+    "picard_nodes",
     "tree_expand",
     "evaluate_trees",
     "invariance_scan",
@@ -65,6 +72,13 @@ __all__ = [
 ]
 
 DEFAULT_DEGREE_CAP = 5
+
+# Picard sweeps of an operator that is not nilpotent under the cap (a
+# degree-0 or degree-1 nonlinearity term) stop once the largest coefficient
+# change is at most PICARD_RTOL times the largest coefficient; a transport
+# still moving after PICARD_MAX_SWEEPS sweeps raises FloatingPointError.
+PICARD_RTOL = 1e-13
+PICARD_MAX_SWEEPS = 40
 
 # vertex-tensor entries a ChartMap keeps (see ChartMap)
 _VERTEX_CACHE_SIZE = 4
@@ -102,9 +116,9 @@ class ChartMap:
     ``||psi-block||_2 + ||chi-block||_2``.
 
     The vertex tensors of at most 4 (time, nonlinearity) keys are kept,
-    and the oldest is evicted first: one RK4 step asks for three distinct
-    stage times, so a transport reuses each entry while the cache stays
-    the same size however long the time grid.
+    and the oldest is evicted first: a Picard sweep visits its nodes in
+    order, once each, so the cache stays the same size however many nodes
+    a transport has.
     """
 
     def __init__(self, grid: Grid, disp: DispersionRelation, s: float = 0.0, m_ref: float = 1.0):
@@ -241,6 +255,158 @@ def vdot(
     return SymFunctional(out.values()), events
 
 
+def _picard_sweeps(f: SymFunctional, nonlin: NonlinearitySpec, cap: int) -> int | None:
+    """Picard sweeps after which the capped transport of ``f`` is exact in degree.
+
+    Each application of the operator raises a degree by ``k - 1`` for a
+    nonlinearity degree ``k``, so when every ``k >= 2`` the terms of ``s``
+    nested applications start at degree ``p_min + s (k_min - 1)`` and every
+    degree up to ``cap`` is settled after ``ceil((cap - p_min) / (k_min - 1))``
+    sweeps.  ``None`` when a degree-0 or degree-1 term keeps the operator
+    from being nilpotent.
+    """
+    positive = [t.degree for t in f.terms if t.degree > 0]
+    if nonlin.is_zero or not positive:
+        return 0
+    k_min = min(nonlin.coeffs)
+    if k_min < 2:
+        return None
+    return max(math.ceil((cap - min(positive)) / (k_min - 1)), 0)
+
+
+def picard_nodes(
+    f: SymFunctional,
+    t1: float,
+    t2: float,
+    nonlin: NonlinearitySpec,
+    chart: ChartMap,
+    substeps: int = 1,
+    cap: int = DEFAULT_DEGREE_CAP,
+) -> np.ndarray:
+    """Chebyshev-Lobatto nodes of the transport of ``f`` over [t1, t2], t1 first.
+
+    The panel has ``n = ceil(substeps * s * (k_max + 1) * eps_max * |t2 - t1| / 2) + 8``
+    nodes.  ``s`` is the sweep count (2 when it is not known in advance),
+    ``k_max`` the top nonlinearity degree and ``eps_max`` the chart's largest
+    frequency; a vertex tensor carries ``k + 1`` factors oscillating at most
+    at ``eps_max``, so ``s (k_max + 1) eps_max`` bounds the angular frequency
+    of the last sweep's integrand.  ``substeps`` is the node density over
+    that oscillation.  The transport applies the operator at these times
+    and nowhere else.
+    """
+    sweeps = _picard_sweeps(f, nonlin, cap)
+    s = 2 if sweeps is None else sweeps
+    eps_max = float(np.max(chart.disp.eps(chart.grid.xi)))
+    k_max = max(nonlin.coeffs, default=0)
+    n = math.ceil(substeps * s * (k_max + 1) * eps_max * abs(t2 - t1) / 2) + 8
+    times = t1 + (t2 - t1) * (_lobatto(n) + 1) / 2
+    times[-1] = t2
+    return times
+
+
+def _lobatto(n: int) -> np.ndarray:
+    """Chebyshev-Lobatto points on [-1, 1], from -1 up."""
+    return -np.cos(np.pi * np.arange(n) / (n - 1))
+
+
+def _integration_matrix(n: int) -> np.ndarray:
+    """``S[i, l]``: weights of ``int_{-1}^{x_i} p`` on the values of ``p`` at the Lobatto points.
+
+    ``S = V . chebint . V^{-1}`` with ``V`` the Chebyshev Vandermonde matrix;
+    exact for polynomials of degree below ``n``.
+    """
+    x = _lobatto(n)
+    integ = cheb.chebvander(x, n) @ cheb.chebint(np.eye(n), lbnd=-1)
+    S = np.linalg.solve(cheb.chebvander(x, n - 1).T, integ.T).T
+    S[0] = 0.0  # the integral from t1 to t1
+    return S
+
+
+def _interpolation_matrix(n: int, x: np.ndarray) -> np.ndarray:
+    """Barycentric interpolation from the n Lobatto points to the points ``x``."""
+    nodes = _lobatto(n)
+    w = (-1.0) ** np.arange(n)
+    w[[0, -1]] /= 2
+    diff = x[:, None] - nodes[None, :]
+    hit = diff == 0
+    q = w / np.where(hit, 1.0, diff)
+    L = q / q.sum(axis=1, keepdims=True)
+    rows, cols = np.nonzero(hit)
+    L[rows] = 0.0
+    L[rows, cols] = 1.0
+    return L
+
+
+def _picard(
+    f: SymFunctional,
+    t1: float,
+    t2: float,
+    nonlin: NonlinearitySpec,
+    chart: ChartMap,
+    substeps: int,
+    cap: int,
+):
+    """Chebyshev-Picard sweeps ``G <- f + S . [vdot(t_j, G_j)]`` on one panel over [t1, t2].
+
+    Runs every sweep but the last and returns ``(times, S, final)``: the
+    nodes, the integration matrix scaled to the panel (negative for a
+    backward span) and the last sweep as an iterator over
+    ``K_l = vdot(t_l, G_l)``.  The transported functional at node ``i`` is
+    ``f + sum_l S[i, l] K_l``; callers accumulate what they need of it and
+    drop each ``K_l``, so the last, highest-degree sweep is never stored.
+
+    A nilpotent operator runs the known number of sweeps.  Otherwise stored
+    sweeps repeat until the largest coefficient change is at most
+    ``PICARD_RTOL`` times the largest coefficient, and ``FloatingPointError``
+    is raised after ``PICARD_MAX_SWEEPS`` sweeps without that.
+    """
+    sweeps = _picard_sweeps(f, nonlin, cap)
+    times = picard_nodes(f, t1, t2, nonlin, chart, substeps, cap)
+    S = _integration_matrix(times.size) * (0.5 * (t2 - t1))
+    if sweeps == 0:
+        return times, S, iter(())
+    base = {t.degree: t.coeffs[0] for t in f.terms}
+    G = {p: np.broadcast_to(c, (times.size, c.size)) for p, c in base.items()}
+
+    def at(l: int) -> SymFunctional:
+        return SymFunctional(SymTensor(p, chart.dim, c[l]) for p, c in G.items())
+
+    def applied():
+        for l, t in enumerate(times):
+            yield vdot(t, at(l), chart.disp, nonlin, chart, cap=cap)[0]
+
+    limit = PICARD_MAX_SWEEPS if sweeps is None else sweeps - 1
+    for _ in range(limit):
+        K = list(applied())
+        new = dict(G)
+        for m in K[0].degrees:
+            new[m] = base.get(m, 0.0) + S @ np.stack([k.term(m).coeffs[0] for k in K])
+        update = max(np.max(np.abs(c - G.get(m, 0.0))) for m, c in new.items())
+        scale = max(np.max(np.abs(c)) for c in new.values())
+        if not np.isfinite(update + scale):
+            raise FloatingPointError(f"Picard sweep diverged on [{t1}, {t2}]")
+        G = new
+        if sweeps is None and update <= PICARD_RTOL * scale:
+            break
+    else:
+        if sweeps is None:
+            raise FloatingPointError(
+                f"Picard sweeps did not settle within {PICARD_MAX_SWEEPS} on [{t1}, {t2}]"
+            )
+    return times, S, applied()
+
+
+def _truncation_events(
+    times: np.ndarray, degrees: Iterable[int], nonlin: NonlinearitySpec, cap: int
+) -> list[TruncationEvent]:
+    """What the cap drops: at each node, one event per stored degree ``p > 0`` and
+    nonlinearity degree ``k`` with ``p + k - 1 > cap``.  Nothing is composed for them."""
+    pairs = [
+        (p, p + k - 1) for p in sorted(degrees) if p > 0 for k in nonlin.degrees if p + k - 1 > cap
+    ]
+    return [TruncationEvent(float(t), p, m) for t in times for p, m in pairs]
+
+
 def chrono_exp_evolve(
     f: SymFunctional,
     t1: float,
@@ -251,48 +417,25 @@ def chrono_exp_evolve(
     chart: ChartMap,
     cap: int = DEFAULT_DEGREE_CAP,
 ) -> tuple[SymFunctional, list[TruncationEvent]]:
-    """Transport ``f`` from t1 to t2: RK4 on dF/dt = V_t . F, F(t1) = f."""
-    path, events = chrono_exp_path(f, np.linspace(t1, t2, steps + 1), disp, nonlin, chart, cap=cap)
-    return path[-1], events
+    """Transport ``f`` from t1 to t2: dF/dt = V_t . F, F(t1) = f, by Chebyshev-Picard sweeps.
 
-
-def chrono_exp_path(
-    f: SymFunctional,
-    times: np.ndarray,
-    disp: DispersionRelation,
-    nonlin: NonlinearitySpec,
-    chart: ChartMap,
-    substeps: int = 1,
-    cap: int = DEFAULT_DEGREE_CAP,
-) -> tuple[list[SymFunctional], list[TruncationEvent]]:
-    """Transported functional at each node of a monotone time grid."""
-    events: list[TruncationEvent] = []
-
-    def rhs(tau, F):
-        out, ev = vdot(tau, F, disp, nonlin, chart, cap=cap)
-        events.extend(ev)
-        return out
-
-    path = [f]
-    F = f
-    for a in range(len(times) - 1):
-        h_total = times[a + 1] - times[a]
-        for b in range(substeps):
-            t = times[a] + h_total * b / substeps
-            h = h_total / substeps
-            k1 = rhs(t, F)
-            k2 = rhs(t + h / 2, functional_add(F, k1, h / 2))
-            k3 = rhs(t + h / 2, functional_add(F, k2, h / 2))
-            k4 = rhs(t + h, functional_add(F, k3, h))
-            F = functional_add(F, k1, h / 6)
-            F = functional_add(F, k2, h / 3)
-            F = functional_add(F, k3, h / 3)
-            F = functional_add(F, k4, h / 6)
-            for term in F.terms:
-                if not np.all(np.isfinite(term.coeffs)):
-                    raise FloatingPointError(f"functional coefficients diverged near t = {t}")
-        path.append(F)
-    return path, events
+    The panel has the nodes of ``picard_nodes`` at density 1.  ``steps``
+    must be at least 1 when ``t1 != t2`` but no longer sets the accuracy.
+    """
+    if t1 == t2:
+        return f, []
+    if steps < 1:
+        raise ValueError("chrono_exp_evolve needs steps >= 1 when t1 != t2")
+    times, S, final = _picard(f, t1, t2, nonlin, chart, 1, cap)
+    out = {t.degree: t.coeffs[0].copy() for t in f.terms}
+    for l, K in enumerate(final):
+        for term in K.terms:
+            out.setdefault(term.degree, np.zeros(term.coeffs.shape[1]))
+            out[term.degree] += S[-1, l] * term.coeffs[0]
+    if not all(np.all(np.isfinite(c)) for c in out.values()):
+        raise FloatingPointError(f"functional coefficients diverged on [{t1}, {t2}]")
+    F = SymFunctional(SymTensor(p, chart.dim, c) for p, c in out.items())
+    return F, _truncation_events(times, F.degrees, nonlin, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +597,16 @@ def evaluate_trees(
 # ---------------------------------------------------------------------------
 
 
+def _monomials(coords: np.ndarray, degree: int) -> np.ndarray:
+    """``(len(coords), n_canonical)``: multiplicity times each canonical monomial of each row."""
+    idx = canonical_indices(coords.shape[1], degree)
+    out = np.empty((coords.shape[0], idx.shape[0]))
+    for row, c in zip(out, coords):
+        np.prod(c[idx], axis=1, out=row)
+    out *= multiplicities(coords.shape[1], degree)
+    return out
+
+
 def invariance_scan(
     f: SymFunctional,
     traj: list[EvolutionState],
@@ -467,14 +620,38 @@ def invariance_scan(
 
     Under exact arithmetic the sequence is constant, equal to
     ``f(Theta_{t1} u)``.  Returns (times, values, drift, events).
+
+    One Chebyshev-Picard panel over [t1, t2] (``picard_nodes`` at density
+    ``substeps``) carries ``f``; its values reach the trajectory times by
+    barycentric interpolation ``L``.  With ``W = L . S`` the value at node
+    ``i`` is ``f(c_i) + sum_l W[i, l] K_l(c_i)``, accumulated one final-sweep
+    term ``K_l`` at a time on per-degree monomial matrices of the
+    trajectory coordinates ``c_i``.
     """
     nodes = [st for st in traj if min(t1, t2) - 1e-12 <= st.time <= max(t1, t2) + 1e-12]
     times = np.array([st.time for st in nodes])
-    disp, nonlin = nodes[0].disp, nodes[0].nonlin
-    path, events = chrono_exp_path(f, times, disp, nonlin, chart, substeps=substeps, cap=cap)
-    values = np.array(
-        [float(eval_series(F, chart.coords_of(st.current))[0]) for F, st in zip(path, nodes)]
-    )
+    nonlin = nodes[0].nonlin
+    coords = np.array([chart.coords_of(st.current) for st in nodes])
+    monomials: dict[int, np.ndarray] = {}
+
+    def values_of(term: SymTensor) -> np.ndarray:
+        if term.degree not in monomials:
+            monomials[term.degree] = _monomials(coords, term.degree)
+        return monomials[term.degree] @ term.coeffs[0]
+
+    values = sum((values_of(t) for t in f.terms), np.zeros(len(nodes)))
+    degrees = set(f.degrees)
+    events: list[TruncationEvent] = []
+    if t1 != t2:
+        pn, S, final = _picard(f, t1, t2, nonlin, chart, substeps, cap)
+        W = _interpolation_matrix(pn.size, 2 * (times - t1) / (t2 - t1) - 1) @ S
+        for l, K in enumerate(final):
+            for term in K.terms:
+                values += W[:, l] * values_of(term)
+            degrees.update(K.degrees)
+        events = _truncation_events(pn, degrees, nonlin, cap)
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError(f"transported values diverged on [{t1}, {t2}]")
     drift = float(np.max(np.abs(values - values[0])))
     return times, values, drift, events
 
@@ -504,9 +681,9 @@ def transport_majorant(
     """Majorant built from the coefficient-l1 norms of the vertex tensors.
 
     ``X_k`` is the maximum over the supplied time nodes of ``coefficient_l1``
-    of the degree-k vertex tensor; with the transported computation
-    evaluated on the same nodes this dominates every operator application
-    the transport performs.
+    of the degree-k vertex tensor; when the nodes include the transport's
+    ``picard_nodes`` this dominates every operator application the
+    transport performs.
     """
     if nonlin.is_zero:
         return MajorantSeries([])
@@ -580,8 +757,10 @@ def invariance_csv(
     """Columns: (t, functional_value, running_drift, certified_radius, truncation_events)."""
     running = np.maximum.accumulate(np.abs(values - values[0]))
     ev_count = np.zeros(len(times), dtype=int)
+    # an event counts from the row whose interval holds it, in the direction of travel
+    sign = -1.0 if times[-1] < times[0] else 1.0
     for ev in events:
-        pos = np.searchsorted(times, ev.time, side="right") - 1
+        pos = np.searchsorted(sign * times, sign * ev.time, side="right") - 1
         ev_count[max(pos, 0)] += 1
     with open(path, "w") as fh:
         if header_comment:

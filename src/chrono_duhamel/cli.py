@@ -275,10 +275,15 @@ def cmd_invariance(cfg: RunConfig, out: str) -> float:
     times, values, drift, events = chrono.invariance_scan(
         f, traj, t1, t2, chart, substeps=substeps, cap=cap
     )
-    # every RK4 stage time of the scan: the ends and midpoint of each substep
-    n_stages = 2 * (len(times) - 1) * substeps
-    stage_times = np.linspace(t1, t2, n_stages + 1) if n_stages else [t1]
-    X = chrono.transport_majorant(cfg.nonlin, chart, stage_times)
+    # the scan applies the operator only at its Picard nodes (substeps is
+    # their density); sampling them besides the uniform grid of
+    # 2 * steps * substeps intervals makes X cover every operator time and
+    # keeps it at or above the uniform-grid majorant
+    sampled = np.union1d(
+        np.linspace(t1, t2, 2 * steps * substeps + 1),
+        chrono.picard_nodes(f, t1, t2, cfg.nonlin, chart, substeps, cap),
+    )
+    X = chrono.transport_majorant(cfg.nonlin, chart, sampled)
     rec = chrono.certify_window(
         symfun.majorant_of(f, chart.norm_spec), X, R, abs(t2 - t1), floor=floor
     )

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from chrono_duhamel.symfun import contract_slot, eval_diagonal
+from chrono_duhamel.chrono import DEFAULT_DEGREE_CAP, vdot
+from chrono_duhamel.symfun import contract_slot, eval_diagonal, functional_add
 
 
 def polarize(f_diag, degree, args):
@@ -32,3 +33,30 @@ def directional_derivative(f, phi, psi):
             continue
         out += t.degree * eval_diagonal(contract_slot(t, psi), phi)
     return out
+
+
+def rk4_transport(f, times, disp, nonlin, chart, substeps=1, cap=DEFAULT_DEGREE_CAP):
+    """Classical RK4 on dF/dt = V_t . F: the transported functional at each node of ``times``.
+
+    ``substeps`` equal RK4 steps per interval of the monotone grid ``times``.
+    """
+
+    def rhs(tau, F):
+        return vdot(tau, F, disp, nonlin, chart, cap=cap)[0]
+
+    path = [f]
+    F = f
+    for a in range(len(times) - 1):
+        h = (times[a + 1] - times[a]) / substeps
+        for b in range(substeps):
+            t = times[a] + h * b
+            k1 = rhs(t, F)
+            k2 = rhs(t + h / 2, functional_add(F, k1, h / 2))
+            k3 = rhs(t + h / 2, functional_add(F, k2, h / 2))
+            k4 = rhs(t + h, functional_add(F, k3, h))
+            F = functional_add(F, k1, h / 6)
+            F = functional_add(F, k2, h / 3)
+            F = functional_add(F, k3, h / 3)
+            F = functional_add(F, k4, h / 6)
+        path.append(F)
+    return path

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from chrono_duhamel import chrono
 from chrono_duhamel.chrono import (
     ChartMap,
     certify_window,
     chrono_exp_evolve,
-    chrono_exp_path,
     evaluate_trees,
+    invariance_csv,
     invariance_scan,
+    picard_nodes,
     point_eval_functional,
     transport_majorant,
     tree_expand,
@@ -36,7 +38,7 @@ from chrono_duhamel.symfun import (
     num_canonical,
 )
 
-from oracles import directional_derivative
+from oracles import directional_derivative, rk4_transport
 
 GRID = Grid(8, 2 * np.pi)
 KG1 = DispersionRelation("klein_gordon", 1.0)
@@ -207,23 +209,140 @@ def test_transport_reversal():
             np.testing.assert_allclose(term.coeffs, ref.coeffs, atol=1e-8)
 
 
-def test_transport_self_convergence_order4():
+def test_transport_needs_a_step_on_a_nonempty_span():
     f = point_eval_functional(CHART, 0.0, 0)
-    u = bench_solution(amp=0.3)
-    c = CHART.coords_of(u)
-    vals = []
-    for steps in (4, 8, 16):
-        F, _ = chrono_exp_evolve(f, 0.0, 0.4, steps, KG1, CUBIC, CHART, cap=3)
-        vals.append(eval_series(F, c)[0])
-    e1, e2 = abs(vals[0] - vals[1]), abs(vals[1] - vals[2])
-    assert e1 / e2 == pytest.approx(16.0, rel=0.5)
+    with pytest.raises(ValueError):
+        chrono_exp_evolve(f, 0.0, 1.0, 0, KG1, CUBIC, CHART)
+
+
+def _cosine_problem(M, mass=1.0, Lx=2 * np.pi, amp=0.3):
+    grid = Grid(M, Lx)
+    disp = DispersionRelation("klein_gordon", mass)
+    chart = ChartMap(grid, disp)
+    data = CauchyData(grid, amp * np.cos(2 * np.pi * grid.x / grid.Lx), np.zeros(M), 0.0)
+    return disp, chart, data
+
+
+@pytest.mark.parametrize(
+    "M, coeffs, mass, Lx, t1, t2, intervals",
+    [
+        (8, {3: 1.0}, 1.0, 2 * np.pi, 0.0, 2.0, 80),
+        (8, {3: 1.0}, 1.0, 2 * np.pi, 0.5, -0.5, 80),
+        (8, {2: 0.3, 3: 0.8}, 2.0, 2 * np.pi, 0.0, 1.0, 80),
+        (8, {2: 1.0}, 1.0, 4.0, 0.0, 1.0, 80),
+        # RK4 costs 0.2 s per operator application at dimension 32; 2 x 10
+        # steps are within 1.5e-10 of 2 x 20 there
+        (16, {3: 1.0}, 1.0, 2 * np.pi, 0.0, 0.5, 10),
+    ],
+    ids=["cubic-forward", "cubic-backward", "mixed-mass2", "quadratic-Lx4", "cubic-M16"],
+)
+def test_picard_transport_matches_rk4_oracle(M, coeffs, mass, Lx, t1, t2, intervals):
+    disp, chart, data = _cosine_problem(M, mass, Lx)
+    nonlin = NonlinearitySpec(coeffs)
+    f = point_eval_functional(chart, 0.0, 0)
+    c = chart.coords_of(make_free_solution(disp, data))
+    F, _ = chrono_exp_evolve(f, t1, t2, 1, disp, nonlin, chart)
+    ref = rk4_transport(f, np.linspace(t1, t2, intervals + 1), disp, nonlin, chart, substeps=2)[-1]
+    assert eval_series(F, c)[0] == pytest.approx(eval_series(ref, c)[0], abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [{1: 0.5, 3: 1.0}, {0: 0.2, 3: 1.0}, {1: 2.0, 2: 0.5}],
+    ids=["linear", "constant", "strong-linear"],
+)
+def test_picard_settles_when_the_operator_is_not_nilpotent(coeffs, monkeypatch):
+    # a degree-0 or degree-1 term keeps the degree from rising: sweeps run to
+    # PICARD_RTOL, well inside the sweep cap
+    disp, chart, data = _cosine_problem(8)
+    nonlin = NonlinearitySpec(coeffs)
+    f = point_eval_functional(chart, 0.0, 0)
+    c = chart.coords_of(make_free_solution(disp, data))
+    monkeypatch.setattr(chrono, "PICARD_MAX_SWEEPS", 15)
+    F, _ = chrono_exp_evolve(f, 0.0, 1.0, 1, disp, nonlin, chart)
+    ref = rk4_transport(f, np.linspace(0.0, 1.0, 41), disp, nonlin, chart, substeps=2)[-1]
+    assert eval_series(F, c)[0] == pytest.approx(eval_series(ref, c)[0], abs=1e-9)
+
+
+def test_picard_sweep_cap_is_a_numerical_failure(monkeypatch):
+    monkeypatch.setattr(chrono, "PICARD_MAX_SWEEPS", 1)
+    f = point_eval_functional(CHART, 0.0, 0)
+    with pytest.raises(FloatingPointError):
+        chrono_exp_evolve(f, 0.0, 1.0, 1, KG1, NonlinearitySpec({1: 0.5, 3: 1.0}), CHART)
+
+
+def test_invariance_scan_interpolates_every_path_node():
+    # each of the 41 values is the transported functional at that node,
+    # evaluated on the trajectory's free solution there
+    disp, chart, data = _cosine_problem(8)
+    traj = evolve(data, 0.0, 0.5, 0.0125, disp, CUBIC)
+    f = point_eval_functional(chart, 0.0, 0)
+    times, values, _, _ = invariance_scan(f, traj, 0.0, 0.5, chart, substeps=2)
+    path = rk4_transport(f, times, disp, CUBIC, chart, substeps=4)
+    expected = [eval_series(F, chart.coords_of(st.current))[0] for F, st in zip(path, traj)]
+    assert len(values) == 41
+    np.testing.assert_allclose(values, expected, rtol=0, atol=1e-10)
+
+
+def test_picard_applies_the_operator_once_per_node_and_sweep(monkeypatch):
+    # the cubic at cap 5 is exact after two sweeps from a linear functional
+    calls = []
+
+    def counted(t, *args, **kwargs):
+        calls.append(t)
+        return vdot(t, *args, **kwargs)
+
+    monkeypatch.setattr(chrono, "vdot", counted)
+    f = point_eval_functional(CHART, 0.0, 0)
+    chrono_exp_evolve(f, 0.0, 0.5, 1, KG1, CUBIC, CHART, cap=5)
+    nodes = picard_nodes(f, 0.0, 0.5, CUBIC, CHART, 1, 5)
+    assert len(nodes) == math.ceil(2 * 4 * math.sqrt(17) * 0.5 / 2) + 8
+    assert calls == list(nodes) * 2
+
+
+@pytest.mark.parametrize("cap", [3, 5])
+def test_truncation_events_mean_what_the_cap_drops(cap):
+    # one event per node: the top stored degree would leave the cap
+    data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.0)
+    traj = evolve(data, 0.0, 0.5, 0.05, KG1, CUBIC)
+    f = point_eval_functional(CHART, 0.0, 0)
+    nodes = picard_nodes(f, 0.0, 0.5, CUBIC, CHART, 2, cap)
+    _, _, _, events = invariance_scan(f, traj, 0.0, 0.5, CHART, substeps=2, cap=cap)
+    assert [ev.time for ev in events] == list(nodes)
+    assert {(ev.in_degree, ev.out_degree) for ev in events} == {(cap, cap + 2)}
+    _, events = chrono_exp_evolve(f, 0.0, 0.5, 1, KG1, CUBIC, CHART, cap=cap)
+    assert len(events) == len(picard_nodes(f, 0.0, 0.5, CUBIC, CHART, 1, cap))
+
+
+def test_truncation_events_column_follows_a_backward_span(tmp_path):
+    # row i counts the events met before the next trajectory time, going from t1 to t2
+    data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.5)
+    traj = evolve(data, 0.5, 0.0, 0.05, KG1, CUBIC)
+    f = point_eval_functional(CHART, 0.0, 0)
+    times, values, _, events = invariance_scan(f, traj, 0.5, 0.0, CHART, substeps=2)
+    path = tmp_path / "invariance.csv"
+    invariance_csv(times, values, 0.1, events, str(path))
+    column = [int(l.split(",")[4]) for l in path.read_text().splitlines()[1:]]
+    expected = [sum(ev.time > t for ev in events) for t in times[1:]] + [len(events)]
+    assert column == expected
+
+
+def test_truncation_events_none_without_a_nonlinearity():
+    data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.0)
+    zero = NonlinearitySpec.zero()
+    traj = evolve(data, 0.0, 0.5, 0.05, KG1, zero)
+    f = point_eval_functional(CHART, 0.0, 0)
+    assert invariance_scan(f, traj, 0.0, 0.5, CHART, substeps=2)[3] == []
+    assert chrono_exp_evolve(f, 0.0, 0.5, 1, KG1, zero, CHART)[1] == []
 
 
 def test_vertex_cache_stays_bounded():
-    # 40 intervals x 2 substeps ask for 173 distinct stage times
+    # a 41-node scan over two Picard sweeps asks for every Chebyshev node twice
     chart = ChartMap(GRID, KG1)
+    data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.0)
+    traj = evolve(data, 0.0, 0.5, 0.0125, KG1, CUBIC)
     f = point_eval_functional(chart, 0.0, 0)
-    chrono_exp_path(f, np.linspace(0.0, 0.5, 41), KG1, CUBIC, chart, substeps=2, cap=3)
+    invariance_scan(f, traj, 0.0, 0.5, chart, substeps=2, cap=5)
     assert len(chart._vertex_cache) <= 4
 
 

@@ -237,9 +237,9 @@ def test_unvouched_flow_time_is_a_numerical_failure(tmp_path, capsys, monkeypatc
     assert err.startswith("numerical failure in certify:") and "Traceback" not in err
 
 
-def test_invariance_majorant_covers_every_rk4_stage_time(tmp_path, monkeypatch):
-    # with two substeps RK4 evaluates the vertex tensors at quarter points of
-    # each trajectory interval; the majorant must sample each of those times
+def test_invariance_majorant_covers_every_operator_time(tmp_path, monkeypatch):
+    # the scan applies the operator at its Picard nodes; the majorant must
+    # sample each of those times, besides the uniform grid of 2 * 10 * 2 intervals
     scan_times, sampled = [], []
     vertex_tensors = chrono.ChartMap.vertex_tensors
     transport_majorant = chrono.transport_majorant
@@ -258,8 +258,18 @@ def test_invariance_majorant_covers_every_rk4_stage_time(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "c.ini", SMALL + "\n[tolerances]\nsubsteps = 2\n")
     assert main(["invariance", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     nodes = np.array(sampled)
-    assert len(nodes) == 2 * 10 * 2 + 1 and len(set(scan_times)) > 2 * 10 + 1
-    assert max(np.min(np.abs(nodes - t)) for t in scan_times) <= 1e-12
+    assert set(np.linspace(0.0, 0.25, 2 * 10 * 2 + 1)) <= set(sampled)
+    assert len(set(scan_times)) > 8
+    assert all(np.min(np.abs(nodes - t)) == 0.0 for t in scan_times)
+
+
+def test_unsettled_picard_sweeps_are_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # a linear term keeps the operator from being nilpotent; one sweep cannot settle it
+    monkeypatch.setattr(chrono, "PICARD_MAX_SWEEPS", 1)
+    cfg = write_config(tmp_path / "c.ini", SMALL + "\n[nonlinearity]\n1 = 0.5\n3 = 1.0\n")
+    assert main(["invariance", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure in invariance:") and "Traceback" not in err
 
 
 def test_trees_rejects_a_nonlinear_functional(tmp_path, capsys):
