@@ -143,7 +143,18 @@ class RunConfig:
             path = self.raw["initial"]["file"]
             if not path or not os.path.exists(path):
                 raise ConfigError(f"initial data file not found: {path!r}")
-            _, data = propagator.load_snapshot(path)
+            try:
+                snap_disp, data = propagator.load_snapshot(path)
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
+                raise ConfigError(f"unreadable initial data file {path!r}: {exc}") from exc
+            found = {"[grid]": data.grid, "[dispersion]": snap_disp, "[times] t1": data.t}
+            for name, want in {"[grid]": grid, "[dispersion]": disp, "[times] t1": t1}.items():
+                if found[name] != want:
+                    raise ConfigError(
+                        f"initial data file {path!r} does not match {name}: {found[name]} != {want}"
+                    )
+            if (data.chi is None) == disp.second_order:
+                raise ConfigError(f"initial data file {path!r} has the wrong traces for {disp.kind}")
             return data
         amp = self._get("initial", "amplitude", float)
         if kind == "cosine":

@@ -8,17 +8,20 @@ solution that shares its Cauchy data at time ``t``.  In the chart
 
 where ``A_t`` is the linear propagator on Cauchy data and script-N the
 pointwise nonlinearity lifted through the Green structure (interaction
-picture).  The reference integrator is classical RK4 on this chart ODE;
-an independent Strang splitting on the raw Cauchy data serves as the
-cross-check oracle.  Duhamel's identity
+picture).  ``A_t`` is diagonal per Fourier mode, so the chart state is
+kept as its modes ``c_k = fft(field) / M`` and one private kernel computes
+``Vbar_t`` on arrays batched over times: per-mode factors of ``A_t``, one
+inverse FFT to the traces, one call to ``N``, one forward FFT back.  The
+reference integrator is classical RK4 on this chart ODE, every stage one
+kernel call; an independent Strang splitting on the raw Cauchy data serves
+as the cross-check oracle.  Duhamel's identity
 
     c(t2) - c(t1) + integral_{t1}^{t2} Vbar_t(c(t)) dt = 0
 
 is used as a residual diagnostic: for an exact solution it vanishes, and
 for the RK4 trajectory it decreases at the integrator's order.  The
-running residual of a trajectory dump samples the vector field once per
-node and sums every prefix from those samples, so it costs one
-vector-field evaluation per node.
+running residual of a trajectory dump samples the vector field at every
+node with one batched kernel call and sums every prefix from those samples.
 """
 
 from __future__ import annotations
@@ -32,12 +35,14 @@ from .propagator import (
     CauchyData,
     DispersionRelation,
     FreeSolution,
-    cau_norm,
-    energy,
-    green_apply,
+    Grid,
+    _energies,
+    _field,
+    _modes,
+    _sobolev_norms,
+    _wave_factors,
     make_free_solution,
     propagate,
-    sample_at,
 )
 
 __all__ = [
@@ -107,21 +112,76 @@ def theta(disp: DispersionRelation, pde_cauchy_data: CauchyData) -> FreeSolution
     return make_free_solution(disp, pde_cauchy_data)
 
 
-def _source_factor(disp: DispersionRelation) -> complex:
-    # Green restriction on the source slice: second-order kinds lift through
-    # the velocity slot with unit weight; the first-order Schrodinger kernel
-    # carries (gamma^0)^{-1} = -i.
-    return 1.0 if disp.second_order else -1.0j
+def _chart_factors(disp: DispersionRelation, grid: Grid, times) -> tuple[np.ndarray, ...]:
+    """Per-mode factors of ``A_t`` at every time, as ``(len(times), M)`` arrays.
+
+    Second-order kinds: ``(cos(eps t), sin(eps t)/eps)``; first-order kinds:
+    the phase ``(exp(i omega t),)``.  ``A_{-t}`` uses the same factors
+    (``sin`` and the phase change sign).
+    """
+    t = np.asarray(times, dtype=float)[:, None]
+    if disp.second_order:
+        return _wave_factors(disp.eps(grid.xi), t)
+    return (np.exp(1j * disp.phase(grid.xi) * t),)
+
+
+def _chart_field(disp, nonlin, factors, c, real):
+    """Chart modes of ``Vbar_t(c) = A_{-t} o script-N o A_t (c)`` at every time of ``factors``.
+
+    ``c`` holds chart modes ``fft(field) / M`` stacked as ``(..., K, M)``
+    with rows (psi, chi) for second-order kinds and (psi,) for first-order
+    ones; its leading axes are one row per time of ``factors`` or broadcast
+    against them.  ``real`` projects the field trace on its real part, as
+    the physical-space propagator does for real Klein-Gordon data.  One
+    inverse FFT, one call to ``N`` and one forward FFT serve all times.
+    """
+    # Green restriction on the source slice: second-order kinds lift N(trace)
+    # as the Cauchy data (0, g) with unit weight; the first-order Schrodinger
+    # kernel carries (gamma^0)^{-1} = -i.
+    M = c.shape[-1]
+    if disp.second_order:
+        cos, snc = factors
+        u = np.fft.ifft((cos * c[..., 0, :] + snc * c[..., 1, :]) * M)
+        g = np.fft.fft(nonlin.apply(u.real if real else u)) / M
+        return np.stack([-snc * g, cos * g], axis=-2)
+    (phase,) = factors
+    u = np.fft.ifft(phase * c[..., 0, :] * M)
+    g = np.fft.fft(-1.0j * nonlin.apply(u)) / M
+    return (phase.conj() * g)[..., None, :]
+
+
+def _chart_modes(disp: DispersionRelation, datas: list[CauchyData]) -> tuple[np.ndarray, bool]:
+    """Chart modes of Cauchy data stacked as ``(len(datas), K, M)``, and whether all are real.
+
+    A first-order kind has no chi row; ``real`` is only ever True for the
+    second-order kind.
+    """
+    grid = datas[0].grid
+    if not disp.second_order:
+        fields = np.array([d.psi for d in datas])[:, None, :]
+        return _modes(grid, fields), False
+    if any(d.chi is None for d in datas):
+        raise ValueError("klein_gordon data needs a velocity trace")
+    fields = np.array([(d.psi, d.chi) for d in datas])
+    return _modes(grid, fields), np.isrealobj(fields)
+
+
+def _chart_data(grid: Grid, fields: np.ndarray) -> CauchyData:
+    """Chart Cauchy data from one ``(K, M)`` block of fields."""
+    return CauchyData(grid, fields[0], fields[1] if len(fields) > 1 else None, 0.0)
 
 
 def lagrange_duhamel_V(
     t: float, phi: FreeSolution, disp: DispersionRelation, nonlin: NonlinearitySpec
 ) -> FreeSolution:
-    """Vector field on free solutions: Green lift of N(trace) on the slice t."""
-    grid = phi.chart_data.grid
-    trace = sample_at(disp, phi, t)
-    g = _source_factor(disp) * nonlin.apply(trace.psi)
-    return green_apply(disp, grid, t, g)
+    """Vector field on free solutions: Green lift of N(trace) on the slice t.
+
+    The single-time case of the batched chart kernel.
+    """
+    chart = phi.chart_data
+    c, real = _chart_modes(disp, [chart])
+    v = _chart_field(disp, nonlin, _chart_factors(disp, chart.grid, [t]), c, real)
+    return FreeSolution(_chart_data(chart.grid, _field(chart.grid, v[0], real)))
 
 
 def evolve(
@@ -132,47 +192,58 @@ def evolve(
     disp: DispersionRelation,
     nonlin: NonlinearitySpec,
 ) -> list[EvolutionState]:
-    """Classical RK4 on the chart ODE; returns the trajectory at every node."""
+    """Classical RK4 on the chart ODE; returns the trajectory at every node.
+
+    The state stays in chart modes for the whole loop: the per-mode factors
+    of all ``2n + 1`` stage times ``t1 + j h/2`` are built once, every stage
+    is one call of the mode-space kernel, and the trajectory goes back to
+    physical space with one batched inverse FFT at the end.  Node ``i`` sits
+    at ``t1 + i h``; ``DivergenceError`` names the first step whose fields
+    are not finite.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if initial.t != t1:
         raise ValueError("initial data must be anchored at t1")
-    grid = initial.grid
     span = t2 - t1
     n = max(int(round(abs(span) / dt)), 0) if span != 0 else 0
     if n and abs(abs(span) / n - dt) > 1e-9 * dt:
         raise ValueError("dt must divide |t2 - t1|")
     chart = theta(disp, initial).chart_data
-    psi, chi = chart.psi, chart.chi
+    grid = chart.grid
     h = span / n if n else 0.0
-    out = [EvolutionState(FreeSolution(CauchyData(grid, psi, chi, 0.0)), t1, disp, nonlin)]
+    out = [EvolutionState(FreeSolution(chart), t1, disp, nonlin)]
+    if not n:
+        return out
+    modes, real = _chart_modes(disp, [chart])
+    c = modes[0]
+    stages = list(zip(*_chart_factors(disp, grid, t1 + h / 2 * np.arange(2 * n + 1))))
 
-    def rhs(t, psi, chi):
-        # dc/dt = -Vbar_t(c) on chart arrays
-        v = lagrange_duhamel_V(t, FreeSolution(CauchyData(grid, psi, chi, 0.0)), disp, nonlin).chart_data
-        return -v.psi, None if v.chi is None else -v.chi
+    def rhs(j, c):
+        # dc/dt = -Vbar_t(c) at stage time t1 + j h/2
+        return -_chart_field(disp, nonlin, stages[j], c, real)
 
-    t = t1
+    nodes = []
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(n):
-            k1 = rhs(t, psi, chi)
-            k2 = rhs(t + h / 2, psi + h / 2 * k1[0], _axpy(chi, h / 2, k1[1]))
-            k3 = rhs(t + h / 2, psi + h / 2 * k2[0], _axpy(chi, h / 2, k2[1]))
-            k4 = rhs(t + h, psi + h * k3[0], _axpy(chi, h, k3[1]))
-            psi = psi + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            if chi is not None:
-                chi = chi + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            t = t1 + (step + 1) * h
-            if not np.all(np.isfinite(psi)) or (chi is not None and not np.all(np.isfinite(chi))):
-                raise DivergenceError(f"field values diverged at step {step + 1} (t = {t})")
-            out.append(EvolutionState(FreeSolution(CauchyData(grid, psi, chi, 0.0)), t, disp, nonlin))
+            j = 2 * step
+            k1 = rhs(j, c)
+            k2 = rhs(j + 1, c + h / 2 * k1)
+            k3 = rhs(j + 1, c + h / 2 * k2)
+            k4 = rhs(j + 2, c + h * k3)
+            c = c + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            nodes.append(c)
+            if not np.all(np.isfinite(c)):
+                break
+        nodes = np.array(nodes)
+        fields = _field(grid, nodes, real)
+    finite = np.all(np.isfinite(nodes), axis=(1, 2)) & np.all(np.isfinite(fields), axis=(1, 2))
+    if not finite.all():
+        step = int(np.argmin(finite)) + 1
+        raise DivergenceError(f"field values diverged at step {step} (t = {t1 + step * h})")
+    for step, f in enumerate(fields, 1):
+        out.append(EvolutionState(FreeSolution(_chart_data(grid, f)), t1 + step * h, disp, nonlin))
     return out
-
-
-def _axpy(x, a, y):
-    if x is None:
-        return None
-    return x + a * y
 
 
 def strang_evolve(
@@ -232,60 +303,50 @@ def duhamel_residual(
     """Cauchy norm of c(t2) - c(t1) + Quad(integral of Vbar) over the nodes.
 
     Quad is composite Simpson; the second return value is its own error
-    estimate (coarse-grid Simpson comparison).
+    estimate.  When the node count allows a coarse (every-second-node)
+    Simpson pass the estimate is the Richardson difference / 15; otherwise
+    the conservative Simpson-vs-trapezoid gap is reported.
     """
     nodes = [st for st in traj if min(t1, t2) - 1e-12 <= st.time <= max(t1, t2) + 1e-12]
     if len(nodes) < 3:
         raise ValueError("trajectory must cover [t1, t2] with at least 3 nodes")
-    return _prefix_residual(nodes, *_field_samples(nodes), len(nodes), s, m_ref)
+    disp, grid = nodes[0].disp, nodes[0].current.chart_data.grid
+    times, c, v = _field_samples(nodes)
+    res, fine = _prefix_residual(times, c, v, len(nodes))
+    if (len(times) - 1) % 2 == 0 and len(times) >= 5:
+        err = (fine - simpson(v[::2], x=times[::2], axis=0)) / 15.0
+    else:
+        err = fine - trapezoid(v, x=times, axis=0)
+    norms = _cau_norms(disp, grid, np.array([res, err]), s, m_ref)
+    return float(norms[0]), float(norms[1])
 
 
 def _field_samples(nodes: list[EvolutionState]):
-    """Node times and ``lagrange_duhamel_V`` at every node, one evaluation each.
+    """Node times, chart modes and the chart field at every node, from one kernel call.
 
-    Returns ``(times, v_psi, v_chi)`` with ``(n, M)`` arrays of the chart
-    parts; ``v_chi`` is None for first-order kinds.
+    Returns ``(times, c, v)`` with ``c`` and ``v`` stacked ``(n, K, M)`` as
+    in ``_chart_field``.
     """
     disp, nonlin = nodes[0].disp, nodes[0].nonlin
-    times = np.array([st.time for st in nodes])
-    vs = [lagrange_duhamel_V(st.time, st.current, disp, nonlin).chart_data for st in nodes]
-    v_psi = np.array([v.psi for v in vs])
-    v_chi = np.array([v.chi for v in vs]) if disp.second_order else None
-    return times, v_psi, v_chi
-
-
-def _prefix_residual(nodes, times, v_psi, v_chi, n, s, m_ref) -> tuple[float, float]:
-    """``duhamel_residual`` over the first ``n`` nodes, from their field samples."""
-    disp = nodes[0].disp
     grid = nodes[0].current.chart_data.grid
-    quad_psi, err_psi = _quad_with_error(v_psi[:n], times[:n])
-    first, last = nodes[0].current.chart_data, nodes[n - 1].current.chart_data
-    res_psi = last.psi - first.psi + quad_psi
-    if v_chi is not None:
-        quad_chi, err_chi = _quad_with_error(v_chi[:n], times[:n])
-        res_chi = last.chi - first.chi + quad_chi
-        err_data = CauchyData(grid, err_psi, err_chi, 0.0)
-        res_data = CauchyData(grid, res_psi, res_chi, 0.0)
-    else:
-        err_data = CauchyData(grid, err_psi, None, 0.0)
-        res_data = CauchyData(grid, res_psi, None, 0.0)
-    residual = cau_norm(disp, res_data, s, m_ref)
-    quad_err = cau_norm(disp, err_data, s, m_ref)
-    return residual, quad_err
+    times = np.array([st.time for st in nodes])
+    c, real = _chart_modes(disp, [st.current.chart_data for st in nodes])
+    return times, c, _chart_field(disp, nonlin, _chart_factors(disp, grid, times), c, real)
 
 
-def _quad_with_error(values: np.ndarray, times: np.ndarray):
-    """Composite Simpson plus its own error estimate.
+def _prefix_residual(times, c, v, n):
+    """Duhamel residual modes over the first ``n`` nodes, and their Simpson sum.
 
-    When the node count allows a coarse (every-second-node) Simpson pass
-    the estimate is the Richardson difference / 15; otherwise the
-    conservative Simpson-vs-trapezoid gap is reported.
+    One composite Simpson sum over the stacked (psi, chi) samples.
     """
-    fine = simpson(values, x=times, axis=0)
-    if (len(times) - 1) % 2 == 0 and len(times) >= 5:
-        coarse = simpson(values[::2], x=times[::2], axis=0)
-        return fine, (fine - coarse) / 15.0
-    return fine, fine - trapezoid(values, x=times, axis=0)
+    quad = simpson(v[:n], x=times[:n], axis=0)
+    return c[n - 1] - c[0] + quad, quad
+
+
+def _cau_norms(disp, grid, modes, s, m_ref):
+    """``cau_norm`` of every ``(K, M)`` block of stacked chart modes."""
+    chi = modes[:, 1] if disp.second_order else None
+    return _sobolev_norms(grid, modes[:, 0], chi, s, disp.r_order, m_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -303,19 +364,26 @@ def trajectory_csv(
     """One row per node: (t, cau_norm, energy, duhamel_residual_running).
 
     The running residual of row i is ``duhamel_residual(traj[:i+1], t_0, t_i)``.
-    The vector field is evaluated once per node and every row's composite
-    Simpson sum is taken over a prefix of those samples, so the whole column
-    costs one ``lagrange_duhamel_V`` evaluation per node.
+    One batched kernel call samples the chart field at every node, every
+    row's composite Simpson sum is taken over a prefix of those samples,
+    and norms and energies are taken on all rows at once.
     """
     disp = traj[0].disp
-    samples = _field_samples(traj)
-    lines = []
-    for i, st in enumerate(traj):
-        data = st.current.chart_data
-        nrm = cau_norm(disp, data, s, m_ref)
-        en = energy(disp, data) if disp.second_order else float("nan")
-        res = _prefix_residual(traj, *samples, i + 1, s, m_ref)[0] if i >= 2 else 0.0
-        lines.append(f"{st.time!r},{nrm!r},{en!r},{res!r}")
+    grid = traj[0].current.chart_data.grid
+    times, c, v = _field_samples(traj)
+    norms = _cau_norms(disp, grid, c, s, m_ref).tolist()
+    if disp.second_order:
+        energies = _energies(disp, grid, c[:, 0], c[:, 1]).tolist()
+    else:
+        energies = [float("nan")] * len(traj)
+    running = [0.0] * min(len(traj), 2)
+    if len(traj) > 2:
+        prefixes = np.array([_prefix_residual(times, c, v, n)[0] for n in range(3, len(traj) + 1)])
+        running += _cau_norms(disp, grid, prefixes, s, m_ref).tolist()
+    lines = [
+        f"{st.time!r},{nrm!r},{en!r},{res!r}"
+        for st, nrm, en, res in zip(traj, norms, energies, running)
+    ]
     with open(path, "w") as fh:
         if header_comment:
             for ln in header_comment.splitlines():

@@ -213,26 +213,36 @@ def green_apply(disp: DispersionRelation, grid: Grid, t: float, f: np.ndarray) -
     return make_free_solution(disp, data)
 
 
+def _sobolev_norms(grid: Grid, psi_modes, chi_modes, s: float, r_order: int, m_ref: float):
+    """``sobolev_norm`` of mode arrays: one norm per row of ``(..., M)`` modes."""
+    if not m_ref > 0:
+        raise ValueError("m_ref must be positive")
+    w = np.sqrt(m_ref**2 + grid.xi**2)
+    total = np.sqrt(grid.Lx * np.sum(w ** (2 * s) * np.abs(psi_modes) ** 2, axis=-1))
+    if chi_modes is not None:
+        total += np.sqrt(grid.Lx * np.sum(w ** (2 * (s - r_order)) * np.abs(chi_modes) ** 2, axis=-1))
+    return total
+
+
 def sobolev_norm(data: CauchyData, s: float, r_order: int, m_ref: float) -> float:
     """Discrete ``H^s`` norm of psi plus ``H^{s-r}`` norm of chi.
 
     ``||f||_{H^s}^2 = Lx sum_k <xi_k>^{2s} |c_k|^2`` with
     ``<xi> = sqrt(m_ref^2 + xi^2)``; Parseval-exact at ``s = 0``.
     """
-    if not m_ref > 0:
-        raise ValueError("m_ref must be positive")
     grid = data.grid
-    w = np.sqrt(m_ref**2 + grid.xi**2)
-    total = np.sqrt(grid.Lx * np.sum(w ** (2 * s) * np.abs(_modes(grid, data.psi)) ** 2))
-    if data.chi is not None:
-        total += np.sqrt(
-            grid.Lx * np.sum(w ** (2 * (s - r_order)) * np.abs(_modes(grid, data.chi)) ** 2)
-        )
-    return float(total)
+    chi = None if data.chi is None else _modes(grid, data.chi)
+    return float(_sobolev_norms(grid, _modes(grid, data.psi), chi, s, r_order, m_ref))
 
 
 def cau_norm(disp: DispersionRelation, data: CauchyData, s: float, m_ref: float) -> float:
     return sobolev_norm(data, s, disp.r_order, m_ref)
+
+
+def _energies(disp: DispersionRelation, grid: Grid, psi_modes, chi_modes):
+    """``energy`` of mode arrays: one value per row of ``(..., M)`` modes."""
+    eps = disp.eps(grid.xi)
+    return 0.5 * grid.Lx * np.sum(np.abs(chi_modes) ** 2 + eps**2 * np.abs(psi_modes) ** 2, axis=-1)
 
 
 def energy(disp: DispersionRelation, data: CauchyData) -> float:
@@ -240,9 +250,7 @@ def energy(disp: DispersionRelation, data: CauchyData) -> float:
     if not disp.second_order:
         raise ValueError("energy is defined for the second-order kind")
     grid = data.grid
-    eps = disp.eps(grid.xi)
-    ph, ch = _modes(grid, data.psi), _modes(grid, data.chi)
-    return float(0.5 * grid.Lx * np.sum(np.abs(ch) ** 2 + eps**2 * np.abs(ph) ** 2))
+    return float(_energies(disp, grid, _modes(grid, data.psi), _modes(grid, data.chi)))
 
 
 # ---------------------------------------------------------------------------

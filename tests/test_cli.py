@@ -1,5 +1,7 @@
 """CLI behaviour: determinism, exit codes, artifact shapes."""
 
+import json
+import math
 import os
 
 import numpy as np
@@ -13,6 +15,30 @@ from chrono_duhamel.symfun import SymTensor, num_canonical, save_tensor
 def write_config(path, body):
     path.write_text(body)
     return str(path)
+
+
+def snapshot_text(M=8, Lx=2 * math.pi, kind="klein_gordon", m=1.0, t=0.0):
+    """Initial data in the snapshot format, with the given header."""
+    header = json.dumps({"M": M, "Lx": Lx, "kind": kind, "m": m, "t": t})
+    rows = "".join(f"{j * Lx / M!r},0.01,0.0\n" for j in range(M))
+    return f"# {header}\nx,psi,chi\n{rows}"
+
+
+# snapshot files that the parametrized config-error cases name as {tmp}/<file>
+SNAPSHOTS = {
+    "t03.csv": snapshot_text(t=0.3),
+    "m4.csv": snapshot_text(M=4),
+    "m6.csv": snapshot_text(M=6),
+    "lx1.csv": snapshot_text(Lx=1.0),
+    "mass2.csv": snapshot_text(m=2.0),
+    "schrodinger.csv": snapshot_text(kind="schrodinger"),
+    "garbage.csv": "not a snapshot\n",
+    "no_rows.csv": snapshot_text()[: snapshot_text().index("x,psi")],
+}
+
+
+def from_file(name):
+    return f"\n[initial]\nkind = file\nfile = {{tmp}}/{name}\n"
 
 
 SMALL = """
@@ -199,6 +225,15 @@ def test_selftest_ledger(tmp_path, capsys):
         ("certify", SMALL + "\n[tolerances]\nflow_floor = 0\n"),
         ("invariance", SMALL + "\n[tolerances]\nflow_floor = -1e-12\n"),
         ("invariance", SMALL + "\n[tolerances]\nsubsteps = 0\n"),
+        ("evolve", SMALL + from_file("t03.csv")),
+        ("evolve", SMALL + from_file("m4.csv")),
+        ("evolve", SMALL + from_file("m6.csv")),
+        ("evolve", SMALL + from_file("lx1.csv")),
+        ("evolve", SMALL + from_file("mass2.csv")),
+        ("evolve", SMALL + from_file("schrodinger.csv")),
+        ("evolve", SMALL + from_file("garbage.csv")),
+        ("evolve", SMALL + from_file("no_rows.csv")),
+        ("invariance", SMALL + from_file("t03.csv")),
     ],
     ids=[
         "invariance-zero-steps",
@@ -220,10 +255,21 @@ def test_selftest_ledger(tmp_path, capsys):
         "certify-zero-flow-floor",
         "invariance-negative-flow-floor",
         "invariance-zero-substeps",
+        "evolve-snapshot-time-off-t1",
+        "evolve-snapshot-smaller-grid",
+        "evolve-snapshot-grid-not-power-of-two",
+        "evolve-snapshot-other-lx",
+        "evolve-snapshot-other-mass",
+        "evolve-snapshot-other-kind",
+        "evolve-snapshot-unparsable",
+        "evolve-snapshot-without-rows",
+        "invariance-snapshot-time-off-t1",
     ],
 )
 def test_unsupported_config_is_a_config_error(tmp_path, capsys, command, body):
-    cfg = write_config(tmp_path / "c.ini", body)
+    for name, text in SNAPSHOTS.items():
+        (tmp_path / name).write_text(text)
+    cfg = write_config(tmp_path / "c.ini", body.replace("{tmp}", str(tmp_path)))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
@@ -318,3 +364,27 @@ def test_every_csv_cell_parses_as_a_number(tmp_path):
                     complex(cell)
                 else:
                     float(cell)
+
+
+def _final_field(out):
+    text = (out / "final_field.csv").read_text().splitlines()
+    header = json.loads(text[0][2:])
+    rows = np.array([[float(v) for v in l.split(",")] for l in text[2:]])
+    return header, rows
+
+
+def test_evolve_restarts_from_its_own_final_field(tmp_path):
+    # [0, 0.5] then [0.5, 1] from the written snapshot agrees with one [0, 1] run
+    def run(name, body):
+        cfg = write_config(tmp_path / f"{name}.ini", body + "\n[output]\nsnapshots = 1\n")
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        return _final_field(tmp_path / name)
+
+    run("first", "[times]\nt1 = 0.0\nt2 = 0.5\nsteps = 50\n")
+    snap = tmp_path / "first" / "final_field.csv"
+    header, restarted = run(
+        "second", f"[times]\nt1 = 0.5\nt2 = 1.0\nsteps = 50\n[initial]\nkind = file\nfile = {snap}\n"
+    )
+    whole_header, whole = run("whole", "[times]\nt1 = 0.0\nt2 = 1.0\nsteps = 100\n")
+    assert header == whole_header and header["t"] == 1.0
+    assert np.max(np.abs(restarted - whole)) <= 1e-13

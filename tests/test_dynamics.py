@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from oracles import rk4_chart_evolve
 
+import chrono_duhamel.dynamics as dyn
 from chrono_duhamel.dynamics import (
     DivergenceError,
     NonlinearitySpec,
@@ -18,6 +20,7 @@ from chrono_duhamel.propagator import (
     DispersionRelation,
     Grid,
     cau_norm,
+    _field,
     green_apply,
     make_free_solution,
     propagate,
@@ -142,6 +145,11 @@ def test_evolve_self_convergence_order4():
     e1 = cau_norm(KG1, CauchyData(GRID, ends[0].psi - ends[1].psi, ends[0].chi - ends[1].chi, 0.0), 0.0, 1.0)
     e2 = cau_norm(KG1, CauchyData(GRID, ends[1].psi - ends[2].psi, ends[1].chi - ends[2].chi, 0.0), 0.0, 1.0)
     assert e1 / e2 == pytest.approx(16.0, rel=0.35)
+
+
+def test_evolve_requires_a_velocity_trace_for_klein_gordon():
+    with pytest.raises(ValueError, match="velocity trace"):
+        evolve(CauchyData(GRID, np.ones(GRID.M)), 0.0, 1.0, 0.1, KG1, CUBIC)
 
 
 def test_evolve_divergence_reported():
@@ -286,16 +294,61 @@ def test_trajectory_csv_running_residual_matches_duhamel_residual(tmp_path, disp
         assert cells[i] == repr(duhamel_residual(traj[: i + 1], t1, traj[i].time)[0])
 
 
-def test_trajectory_csv_one_field_evaluation_per_node(tmp_path, monkeypatch):
-    import chrono_duhamel.dynamics as dyn
-
+def test_trajectory_csv_one_batched_field_evaluation(tmp_path, monkeypatch):
+    # the whole dump samples the chart field with one kernel call at every node
     traj = evolve(benchmark_data(GRID), 0.0, 0.5, 0.05, KG1, CUBIC)
-    calls = []
+    rows = []
+    kernel = dyn._chart_field
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return lagrange_duhamel_V(*args, **kwargs)
+    def counted(disp, nonlin, factors, c, real):
+        rows.append(len(factors[0]))
+        return kernel(disp, nonlin, factors, c, real)
 
-    monkeypatch.setattr(dyn, "lagrange_duhamel_V", counted)
+    monkeypatch.setattr(dyn, "_chart_field", counted)
     trajectory_csv(traj, str(tmp_path / "traj.csv"))
-    assert len(calls) == len(traj)
+    assert rows == [len(traj)]
+
+
+# ---------------------------------------------------------------------------
+# the mode-space kernel against the per-node physical-space reference
+# ---------------------------------------------------------------------------
+
+MIXED = NonlinearitySpec({0: 0.2, 2: -0.6, 3: 1.0})
+REFERENCE_CASES = pytest.mark.parametrize(
+    "disp, t1, t2, nonlin",
+    [(KG1, 0.0, 0.5, CUBIC), (SCH, 0.0, 0.5, CUBIC), (KG1, 0.3, -0.2, CUBIC), (KG1, 0.0, 0.5, MIXED)],
+    ids=["klein_gordon", "schrodinger", "backward", "mixed"],
+)
+
+
+def reference_data(disp, t1):
+    rng = np.random.default_rng(22)
+    if disp.second_order:
+        return random_data(rng, t=t1, scale=0.3)
+    return CauchyData(GRID, 0.3 * (rng.standard_normal(GRID.M) + 1j * rng.standard_normal(GRID.M)), None, t1)
+
+
+@REFERENCE_CASES
+def test_evolve_matches_per_node_reference(disp, t1, t2, nonlin):
+    data = reference_data(disp, t1)
+    traj = evolve(data, t1, t2, 0.05, disp, nonlin)
+    ref = rk4_chart_evolve(data, t1, t2, 10, disp, nonlin)
+    h = (t2 - t1) / 10
+    assert [st.time for st in traj] == [t1 + i * h for i in range(11)]
+    for st, want in zip(traj, ref, strict=True):
+        got = st.current.chart_data
+        for a, b in ((got.psi, want.psi), (got.chi, want.chi)):
+            if b is not None:
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+@REFERENCE_CASES
+def test_batched_field_equals_lagrange_duhamel_V_node_by_node(disp, t1, t2, nonlin):
+    traj = evolve(reference_data(disp, t1), t1, t2, 0.05, disp, nonlin)
+    _, _, v = dyn._field_samples(traj)
+    for st, vi in zip(traj, v, strict=True):
+        single = lagrange_duhamel_V(st.time, st.current, disp, nonlin).chart_data
+        fields = _field(GRID, vi, disp.second_order)
+        np.testing.assert_array_equal(fields[0], single.psi)
+        if disp.second_order:
+            np.testing.assert_array_equal(fields[1], single.chi)
