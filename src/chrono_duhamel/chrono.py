@@ -49,7 +49,6 @@ from .symfun import (
     SymTensor,
     VectorNorm,
     canonical_indices,
-    coefficient_l1,
     compose_first_slot,
     multiplicities,
 )
@@ -79,9 +78,6 @@ DEFAULT_DEGREE_CAP = 5
 # still moving after PICARD_MAX_SWEEPS sweeps raises FloatingPointError.
 PICARD_RTOL = 1e-13
 PICARD_MAX_SWEEPS = 40
-
-# vertex-tensor entries a ChartMap keeps (see ChartMap)
-_VERTEX_CACHE_SIZE = 4
 
 # brentq tolerances in log r' for the certified radius (rtol at brentq's floor)
 _RADIUS_XTOL, _RADIUS_RTOL = 1e-14, 4 * np.finfo(float).eps
@@ -115,10 +111,9 @@ class ChartMap:
     coordinate transform makes the discrete Cauchy norm equal to
     ``||psi-block||_2 + ||chi-block||_2``.
 
-    The vertex tensors of at most 4 (time, nonlinearity) keys are kept,
-    and the oldest is evicted first: a Picard sweep visits its nodes in
-    order, once each, so the cache stays the same size however many nodes
-    a transport has.
+    The free propagator is diagonal on each real-Fourier row: per mode it
+    is the pair ``(cos(eps t), sin(eps t)/eps)``, so every per-time block
+    is the weight matrices scaled row by row or column by column.
     """
 
     def __init__(self, grid: Grid, disp: DispersionRelation, s: float = 0.0, m_ref: float = 1.0):
@@ -127,19 +122,18 @@ class ChartMap:
         self.grid = grid
         self.disp = disp
         self.s = float(s)
-        self.m_ref = float(m_ref)
         M = grid.M
         self.dim = 2 * M
         O, freq_idx = _orthonormal_real_dft(M)
         xi_abs = 2 * np.pi * freq_idx / grid.Lx
         w = np.sqrt(m_ref**2 + xi_abs**2)
+        self._w, self._eps = w, disp.eps(xi_abs)
         sq = math.sqrt(grid.dx)
         self._W_psi = sq * (w**s)[:, None] * O
         self._W_chi = sq * (w ** (s - disp.r_order))[:, None] * O
         self._Winv_psi = O.T * (w ** (-s))[None, :] / sq
         self._Winv_chi = O.T * (w ** (disp.r_order - s))[None, :] / sq
         self.norm_spec = VectorNorm.two_block(self.dim, M)
-        self._vertex_cache: dict[tuple, dict[int, SymTensor]] = {}
 
     # -- coordinate maps ----------------------------------------------------
 
@@ -157,24 +151,26 @@ class ChartMap:
 
     # -- per-time linear blocks ----------------------------------------------
 
-    def _mode_matrices(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Grid-space matrices (C, S): cos and sin/eps at elapsed t."""
-        M = self.grid.M
-        c, snc = _wave_factors(self.disp.eps(self.grid.xi), t)
-        eye_hat = np.fft.fft(np.eye(M), axis=0)
-        C = np.fft.ifft(c[:, None] * eye_hat, axis=0).real
-        S = np.fft.ifft(snc[:, None] * eye_hat, axis=0).real
-        return C, S
-
     def _rows_and_columns(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Sampling rows and Green-lift columns at time t from one set of mode matrices."""
-        M = self.grid.M
-        C, S = self._mode_matrices(t)
-        top = np.hstack([self._Winv_psi, np.zeros((M, M))])
-        bot = np.hstack([np.zeros((M, M)), self._Winv_chi])
-        rows = C @ top + S @ bot
+        """Sampling rows and Green-lift columns at time t from the per-mode factors."""
+        c, snc = _wave_factors(self._eps, t)
+        rows = np.hstack([self._Winv_psi * c, self._Winv_chi * snc])
         # chart of the lift of (0, e_x) at t: psi0 = -S e_x, chi0 = C e_x
-        columns = np.vstack([self._W_psi @ (-S), self._W_chi @ C])
+        columns = np.vstack([-snc[:, None] * self._W_psi, c[:, None] * self._W_chi])
+        return rows, columns
+
+    def _block_norm_sups(self, t_max: float) -> tuple[float, float]:
+        """Sups of ``||sampling_rows(t)||_2`` and ``||green_columns(t)||_2`` over ``|t| <= t_max``.
+
+        Per mode the squared row norm is ``w^{-2s} g / dx`` and the squared
+        column norm ``w^{2(s-r)} g dx``, with ``g = c^2 + w^{2r} snc^2 =
+        1 + (w^{2r} - eps^2) snc^2`` and ``|snc| <= min(t_max, 1/eps)``.
+        """
+        w, s, r, dx = self._w, self.s, self.disp.r_order, self.grid.dx
+        sigma2 = t_max**2 / np.maximum(1.0, (self._eps * t_max) ** 2)  # min(t_max, 1/eps)^2
+        g = 1.0 + sigma2 * np.maximum(w ** (2 * r) - self._eps**2, 0.0)
+        rows = math.sqrt(float(np.max(w ** (-2 * s) * g)) / dx)
+        columns = math.sqrt(float(np.max(w ** (2 * (s - r)) * g)) * dx)
         return rows, columns
 
     def sampling_rows(self, t: float) -> np.ndarray:
@@ -187,16 +183,10 @@ class ChartMap:
 
     def vertex_tensors(self, nonlin: NonlinearitySpec, t: float) -> dict[int, SymTensor]:
         """Degree components of the Lagrange-Duhamel field in chart coordinates."""
-        key = (float(t), tuple(sorted(nonlin.coeffs.items())))
-        if key not in self._vertex_cache:
-            A, B = self._rows_and_columns(t)
-            if len(self._vertex_cache) >= _VERTEX_CACHE_SIZE:
-                del self._vertex_cache[next(iter(self._vertex_cache))]
-            self._vertex_cache[key] = {
-                k: SymTensor.from_rank_one_sum(B, A, degree=k, scale=v)
-                for k, v in nonlin.coeffs.items()
-            }
-        return self._vertex_cache[key]
+        A, B = self._rows_and_columns(t)
+        return {
+            k: SymTensor.from_rank_one_sum(B, A, degree=k, scale=v) for k, v in nonlin.coeffs.items()
+        }
 
 
 def point_eval_functional(chart: ChartMap, t_point: float = 0.0, x_index: int = 0) -> SymFunctional:
@@ -678,19 +668,21 @@ def transport_majorant(
     chart: ChartMap,
     times: np.ndarray,
 ) -> MajorantSeries:
-    """Majorant built from the coefficient-l1 norms of the vertex tensors.
+    """Majorant of the vertices at every time ``|t| <= max |times|``, in closed form.
 
-    ``X_k`` is the maximum over the supplied time nodes of ``coefficient_l1``
-    of the degree-k vertex tensor; when the nodes include the transport's
-    ``picard_nodes`` this dominates every operator application the
-    transport performs.
+    ``V_t^(k)(c_1, ..., c_k) = lam_k B (A c_1 o ... o A c_k)`` with ``A`` the
+    sampling rows, ``B`` the Green-lift columns and ``o`` the product over
+    grid nodes.  The chart norm lies between the Euclidean norm and
+    ``sqrt(2)`` times it, so ``X_k = |lam_k| sqrt(2) ||B||_2 ||A||_2^k`` bounds
+    the multilinear norm of ``V_t^(k)``, with the two operator norms taken
+    as their sups over the window.
     """
     if nonlin.is_zero:
         return MajorantSeries([])
+    a, b = chart._block_norm_sups(float(np.max(np.abs(times))))
     out = np.zeros(max(nonlin.coeffs) + 1)
-    for t in times:
-        for k, Vk in chart.vertex_tensors(nonlin, float(t)).items():
-            out[k] = max(out[k], coefficient_l1(Vk))
+    for k, lam in nonlin.coeffs.items():
+        out[k] = abs(lam) * math.sqrt(2.0) * b * a**k
     return MajorantSeries(out)
 
 

@@ -85,9 +85,12 @@ class RunConfig:
 
     def _get(self, sec: str, key: str, cast):
         try:
-            return cast(self.raw[sec][key])
+            val = cast(self.raw[sec][key])
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad or missing field [{sec}] {key}: {exc}") from exc
+        if cast is float and not math.isfinite(val):
+            raise ConfigError(f"[{sec}] {key} must be finite, not {val}")
+        return val
 
     @property
     def grid(self) -> propagator.Grid:
@@ -120,6 +123,14 @@ class RunConfig:
             self._get("times", "t2", float),
             self._get("times", "steps", int),
         )
+
+    @property
+    def norm_weights(self) -> tuple[float, float]:
+        """(s, m_ref) of the Sobolev weight <xi>^s, <xi> = sqrt(m_ref^2 + xi^2)."""
+        m_ref = self.tol("m_ref")
+        if not m_ref > 0:
+            raise ConfigError("[tolerances] m_ref must be > 0")
+        return self.tol("s"), m_ref
 
     @property
     def seed(self) -> int:
@@ -223,7 +234,7 @@ def cmd_propagate(cfg: RunConfig, out: str) -> None:
     grid, disp = cfg.grid, cfg.disp
     t1, t2, steps = _time_grid(cfg, "propagate")
     data = cfg.initial_data()
-    s, m_ref = cfg.tol("s"), cfg.tol("m_ref")
+    s, m_ref = cfg.norm_weights
     lines = []
     for tau in np.linspace(t1, t2, steps + 1):
         snap = propagator.propagate(disp, data, float(tau))
@@ -237,13 +248,14 @@ def cmd_propagate(cfg: RunConfig, out: str) -> None:
 
 def cmd_evolve(cfg: RunConfig, out: str) -> list[dynamics.EvolutionState]:
     t1, t2, steps = _time_grid(cfg, "evolve")
+    s, m_ref = cfg.norm_weights
     dt = abs(t2 - t1) / steps
     traj = dynamics.evolve(cfg.initial_data(), t1, t2, dt, cfg.disp, cfg.nonlin)
     dynamics.trajectory_csv(
         traj,
         os.path.join(out, "trajectory.csv"),
-        s=cfg.tol("s"),
-        m_ref=cfg.tol("m_ref"),
+        s=s,
+        m_ref=m_ref,
         header_comment=f"config {cfg.resolved_json()}",
     )
     if cfg._get("output", "snapshots", int):
@@ -256,8 +268,8 @@ def cmd_evolve(cfg: RunConfig, out: str) -> list[dynamics.EvolutionState]:
 def _window_tolerances(cfg: RunConfig, command: str) -> tuple[float, float]:
     """(certify_radius, flow_floor) of a command that certifies a window."""
     R, floor = cfg.tol("certify_radius"), cfg.tol("flow_floor")
-    if not 0 < R < math.inf:
-        raise ConfigError(f"{command} needs a finite [tolerances] certify_radius > 0")
+    if not R > 0:
+        raise ConfigError(f"{command} needs [tolerances] certify_radius > 0")
     if not floor > 0:
         raise ConfigError(f"{command} needs [tolerances] flow_floor > 0")
     if command == "certify" and not 0 < cfg.tol("certify_floor") < R:
@@ -268,7 +280,7 @@ def _window_tolerances(cfg: RunConfig, command: str) -> tuple[float, float]:
 def _chart(cfg: RunConfig) -> chrono.ChartMap:
     if not cfg.disp.second_order:
         raise ConfigError(f"functional transport needs [dispersion] kind = {propagator.KLEIN_GORDON}")
-    return chrono.ChartMap(cfg.grid, cfg.disp, cfg.tol("s"), cfg.tol("m_ref"))
+    return chrono.ChartMap(cfg.grid, cfg.disp, *cfg.norm_weights)
 
 
 def cmd_invariance(cfg: RunConfig, out: str) -> float:
@@ -286,15 +298,7 @@ def cmd_invariance(cfg: RunConfig, out: str) -> float:
     times, values, drift, events = chrono.invariance_scan(
         f, traj, t1, t2, chart, substeps=substeps, cap=cap
     )
-    # the scan applies the operator only at its Picard nodes (substeps is
-    # their density); sampling them besides the uniform grid of
-    # 2 * steps * substeps intervals makes X cover every operator time and
-    # keeps it at or above the uniform-grid majorant
-    sampled = np.union1d(
-        np.linspace(t1, t2, 2 * steps * substeps + 1),
-        chrono.picard_nodes(f, t1, t2, cfg.nonlin, chart, substeps, cap),
-    )
-    X = chrono.transport_majorant(cfg.nonlin, chart, sampled)
+    X = chrono.transport_majorant(cfg.nonlin, chart, np.array([t1, t2]))
     rec = chrono.certify_window(
         symfun.majorant_of(f, chart.norm_spec), X, R, abs(t2 - t1), floor=floor
     )
@@ -310,7 +314,7 @@ def cmd_invariance(cfg: RunConfig, out: str) -> float:
 
 
 def cmd_certify(cfg: RunConfig, out: str) -> chrono.CertificationRecord:
-    t1, t2, steps = cfg.times
+    t1, t2, _ = cfg.times
     R, floor = _window_tolerances(cfg, "certify")
     chart = _chart(cfg)
     f = cfg.functional(chart)
@@ -321,8 +325,7 @@ def cmd_certify(cfg: RunConfig, out: str) -> chrono.CertificationRecord:
         except ValueError as exc:
             raise ConfigError(f"bad x_coeffs: {exc}") from exc
     else:
-        stage_times = np.linspace(t1, t2, 2 * max(steps, 1) + 1)
-        X = chrono.transport_majorant(cfg.nonlin, chart, stage_times)
+        X = chrono.transport_majorant(cfg.nonlin, chart, np.array([t1, t2]))
     t_bar = series.guaranteed_time(X, R, cfg.tol("certify_floor"))
     span = abs(t2 - t1)
     rec = chrono.certify_window(symfun.majorant_of(f, chart.norm_spec), X, R, span, floor=floor)

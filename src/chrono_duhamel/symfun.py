@@ -24,8 +24,8 @@ over the full index expansion (polarized coefficient times multiplicity).
 It bounds ``|f(phi_1, ..., phi_p)|`` by ``coefficient_l1(f) prod ||phi_j||``
 for every ambient norm that dominates the coordinate sup-norm and every
 codomain norm dominated by the coordinate l1 norm (all norms used here
-are).  :func:`majorant_of` and ``chrono.transport_majorant`` build every
-majorant the certificate uses from it; the exact norm is not computed.
+are).  :func:`majorant_of` builds a functional's majorant from it; the
+exact norm is not computed.
 """
 
 from __future__ import annotations

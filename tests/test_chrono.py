@@ -336,16 +336,6 @@ def test_truncation_events_none_without_a_nonlinearity():
     assert chrono_exp_evolve(f, 0.0, 0.5, 1, KG1, zero, CHART)[1] == []
 
 
-def test_vertex_cache_stays_bounded():
-    # a 41-node scan over two Picard sweeps asks for every Chebyshev node twice
-    chart = ChartMap(GRID, KG1)
-    data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.0)
-    traj = evolve(data, 0.0, 0.5, 0.0125, KG1, CUBIC)
-    f = point_eval_functional(chart, 0.0, 0)
-    invariance_scan(f, traj, 0.0, 0.5, chart, substeps=2, cap=5)
-    assert len(chart._vertex_cache) <= 4
-
-
 # ---------------------------------------------------------------------------
 # trees
 # ---------------------------------------------------------------------------
@@ -481,37 +471,54 @@ def test_invariance_cubic_small_amplitude():
 # ---------------------------------------------------------------------------
 
 MIXED = NonlinearitySpec({2: 0.3, 3: 0.8})
-MAJORANT_TIMES = np.linspace(0.0, 1.0, 9)
+# a backward window; the majorant reads only its endpoints
+WINDOW = np.array([0.5, -1.5])
+MAJORANT_CHARTS = [
+    ChartMap(GRID, KG1, s=0.0, m_ref=1.0),
+    ChartMap(GRID, DispersionRelation("klein_gordon", 0.0)),
+    ChartMap(GRID, KG1, s=0.5, m_ref=2.0),
+    ChartMap(GRID, DispersionRelation("klein_gordon", 0.5), s=-0.5),
+]
+CHART_IDS = ["rotation", "massless", "mref2-s0.5", "mass0.5-s-0.5"]
 
 
 def test_transport_majorant_zero_nonlinearity():
-    assert transport_majorant(NonlinearitySpec.zero(), CHART, MAJORANT_TIMES).is_zero
+    assert transport_majorant(NonlinearitySpec.zero(), CHART, WINDOW).is_zero
 
 
-def test_transport_majorant_dominates_multilinear_components():
+@pytest.mark.parametrize("chart", MAJORANT_CHARTS, ids=CHART_IDS)
+def test_transport_majorant_dominates_multilinear_components(chart):
     # ||V_t^(k)(c_1 ... c_k)|| <= X_k prod ||c_j|| in the chart norm at every
-    # time the majorant sampled
+    # time inside the window, and X_k is at least the operator-norm product
+    # |lam_k| sqrt(2) ||B(t)||_2 ||A(t)||_2^k it bounds in closed form
     rng = np.random.default_rng(9)
-    X = transport_majorant(MIXED, CHART, MAJORANT_TIMES)
-    norm = CHART.norm_spec.norm
-    for t in MAJORANT_TIMES:
-        for k, Vk in CHART.vertex_tensors(MIXED, float(t)).items():
+    X = transport_majorant(MIXED, chart, WINDOW)
+    for t in np.linspace(*WINDOW, 2001):
+        A, B = chart._rows_and_columns(float(t))
+        a, b = np.linalg.norm(A, 2), np.linalg.norm(B, 2)
+        for k, lam in MIXED.coeffs.items():
+            assert abs(lam) * math.sqrt(2) * b * a**k <= X.coeffs[k] * (1 + 1e-12)
+    norm = chart.norm_spec.norm
+    for t in np.linspace(*WINDOW, 201):
+        for k, Vk in chart.vertex_tensors(MIXED, float(t)).items():
             for _ in range(5):
-                cs = list(rng.standard_normal((k, CHART.dim)))
+                cs = list(rng.standard_normal((k, chart.dim)))
                 val = norm(eval_homogeneous(Vk, cs))
                 assert val <= X.coeffs[k] * np.prod([norm(c) for c in cs]) * (1 + 1e-10)
 
 
-def test_transport_majorant_dominates_field_norm():
+@pytest.mark.parametrize("chart", MAJORANT_CHARTS, ids=CHART_IDS)
+def test_transport_majorant_dominates_field_norm(chart):
     # ||coords(V_t(phi))|| <= X(||c||) for the Lagrange-Duhamel field itself
     rng = np.random.default_rng(8)
-    X = transport_majorant(MIXED, CHART, MAJORANT_TIMES)
-    norm = CHART.norm_spec.norm
-    for t in MAJORANT_TIMES:
+    X = transport_majorant(MIXED, chart, WINDOW)
+    norm = chart.norm_spec.norm
+    for t in np.linspace(*WINDOW, 201):
         for _ in range(5):
-            c = rng.uniform(0.05, 2.0) * rng.standard_normal(CHART.dim)
-            v = lagrange_duhamel_V(float(t), FreeSolution(CHART.from_coords(c)), KG1, MIXED)
-            assert norm(CHART.coords_of(v)) <= series_eval(X, norm(c)) * (1 + 1e-10)
+            c = rng.uniform(0.05, 2.0) * rng.standard_normal(chart.dim)
+            phi = FreeSolution(chart.from_coords(c))
+            v = lagrange_duhamel_V(float(t), phi, chart.disp, MIXED)
+            assert norm(chart.coords_of(v)) <= series_eval(X, norm(c)) * (1 + 1e-10)
 
 
 # ---------------------------------------------------------------------------

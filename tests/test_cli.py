@@ -234,6 +234,20 @@ def test_selftest_ledger(tmp_path, capsys):
         ("evolve", SMALL + from_file("garbage.csv")),
         ("evolve", SMALL + from_file("no_rows.csv")),
         ("invariance", SMALL + from_file("t03.csv")),
+        ("certify", SMALL.replace("t2 = 0.25", "t2 = nan")),
+        ("certify", SMALL.replace("t1 = 0.0", "t1 = nan")),
+        ("invariance", SMALL.replace("t1 = 0.0", "t1 = nan")),
+        ("invariance", SMALL.replace("t2 = 0.25", "t2 = inf")),
+        ("invariance", SMALL.replace("t2 = 0.25", "t2 = nan")),
+        ("evolve", SMALL.replace("t2 = 0.25", "t2 = inf")),
+        ("evolve", SMALL.replace("t2 = 0.25", "t2 = nan")),
+        ("certify", SMALL + "\n[tolerances]\ns = nan\n"),
+        ("propagate", SMALL + "\n[tolerances]\ns = inf\n"),
+        ("certify", SMALL + "\n[tolerances]\nm_ref = 0\n"),
+        ("invariance", SMALL + "\n[tolerances]\nm_ref = -1\n"),
+        ("propagate", SMALL + "\n[tolerances]\nm_ref = 0\n"),
+        ("evolve", SMALL + "\n[tolerances]\nm_ref = 0\n"),
+        ("evolve", SMALL + "\n[tolerances]\nm_ref = nan\n"),
     ],
     ids=[
         "invariance-zero-steps",
@@ -264,6 +278,20 @@ def test_selftest_ledger(tmp_path, capsys):
         "evolve-snapshot-unparsable",
         "evolve-snapshot-without-rows",
         "invariance-snapshot-time-off-t1",
+        "certify-nan-t2",
+        "certify-nan-t1",
+        "invariance-nan-t1",
+        "invariance-infinite-t2",
+        "invariance-nan-t2",
+        "evolve-infinite-t2",
+        "evolve-nan-t2",
+        "certify-nan-s",
+        "propagate-infinite-s",
+        "certify-zero-m-ref",
+        "invariance-negative-m-ref",
+        "propagate-zero-m-ref",
+        "evolve-zero-m-ref",
+        "evolve-nan-m-ref",
     ],
 )
 def test_unsupported_config_is_a_config_error(tmp_path, capsys, command, body):
@@ -283,30 +311,28 @@ def test_unvouched_flow_time_is_a_numerical_failure(tmp_path, capsys, monkeypatc
     assert err.startswith("numerical failure in certify:") and "Traceback" not in err
 
 
-def test_invariance_majorant_covers_every_operator_time(tmp_path, monkeypatch):
-    # the scan applies the operator at its Picard nodes; the majorant must
-    # sample each of those times, besides the uniform grid of 2 * 10 * 2 intervals
-    scan_times, sampled = [], []
+def test_certificate_builds_no_vertex_tensors(tmp_path, monkeypatch):
+    # the window majorant is closed-form: building a vertex tensor inside it fails the command
     vertex_tensors = chrono.ChartMap.vertex_tensors
     transport_majorant = chrono.transport_majorant
+    calls = []
 
-    def record_vertex(chart, nonlin, t):
-        scan_times.append(t)
-        return vertex_tensors(chart, nonlin, t)
+    def refuse(chart, nonlin, t):
+        raise AssertionError("transport_majorant built a vertex tensor")
 
-    def record_majorant(nonlin, chart, times):
-        monkeypatch.setattr(chrono.ChartMap, "vertex_tensors", vertex_tensors)
-        sampled.extend(times)
-        return transport_majorant(nonlin, chart, times)
+    def guarded(nonlin, chart, times):
+        calls.append(times)
+        monkeypatch.setattr(chrono.ChartMap, "vertex_tensors", refuse)
+        try:
+            return transport_majorant(nonlin, chart, times)
+        finally:
+            monkeypatch.setattr(chrono.ChartMap, "vertex_tensors", vertex_tensors)
 
-    monkeypatch.setattr(chrono.ChartMap, "vertex_tensors", record_vertex)
-    monkeypatch.setattr(chrono, "transport_majorant", record_majorant)
+    monkeypatch.setattr(chrono, "transport_majorant", guarded)
     cfg = write_config(tmp_path / "c.ini", SMALL + "\n[tolerances]\nsubsteps = 2\n")
-    assert main(["invariance", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    nodes = np.array(sampled)
-    assert set(np.linspace(0.0, 0.25, 2 * 10 * 2 + 1)) <= set(sampled)
-    assert len(set(scan_times)) > 8
-    assert all(np.min(np.abs(nodes - t)) == 0.0 for t in scan_times)
+    for command in ("certify", "invariance"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+    assert len(calls) == 2
 
 
 def test_unsettled_picard_sweeps_are_a_numerical_failure(tmp_path, capsys, monkeypatch):
