@@ -219,18 +219,17 @@ def vdot(
     nonlin: NonlinearitySpec,
     chart: ChartMap,
     cap: int = DEFAULT_DEGREE_CAP,
-) -> tuple[SymFunctional, list[TruncationEvent]]:
+) -> SymFunctional:
     """Apply the operator ``f -> delta f (V_t)`` degree by degree.
 
     Output degree ``m`` collects ``p f^(p) o (V^(m-p+1) (x) id^(p-1))``
     over the stored degrees ``p`` and the nonlinearity degrees.  Degrees
-    above ``cap`` are dropped and recorded.
+    above ``cap`` are dropped; ``_truncation_events`` records them.
     """
     if f.terms and f.dim != chart.dim:
         raise ValueError("functional dimension does not match the chart")
     vertices = chart.vertex_tensors(nonlin, t)
     out: dict[int, SymTensor] = {}
-    events: list[TruncationEvent] = []
     for term in f.terms:
         p = term.degree
         if p == 0:
@@ -238,11 +237,10 @@ def vdot(
         for k, Vk in vertices.items():
             m = p + k - 1
             if m > cap:
-                events.append(TruncationEvent(t, p, m))
                 continue
             comp = compose_first_slot(term, Vk).scaled(float(p))
             out[m] = comp if m not in out else out[m] + comp
-    return SymFunctional(out.values()), events
+    return SymFunctional(out.values())
 
 
 def _picard_sweeps(f: SymFunctional, nonlin: NonlinearitySpec, cap: int) -> int | None:
@@ -299,32 +297,29 @@ def _lobatto(n: int) -> np.ndarray:
     return -np.cos(np.pi * np.arange(n) / (n - 1))
 
 
+def _lobatto_solve(n: int, basis: np.ndarray) -> np.ndarray:
+    """``basis . V^{-1}`` with ``V = chebvander(_lobatto(n), n - 1)``.
+
+    ``V`` takes the Chebyshev coefficients of a polynomial of degree below
+    ``n`` to its values at the Lobatto points, so a map ``basis`` that reads
+    coefficients becomes the same map acting on those values.
+    """
+    return np.linalg.solve(cheb.chebvander(_lobatto(n), n - 1).T, basis.T).T
+
+
 def _integration_matrix(n: int) -> np.ndarray:
     """``S[i, l]``: weights of ``int_{-1}^{x_i} p`` on the values of ``p`` at the Lobatto points.
 
-    ``S = V . chebint . V^{-1}`` with ``V`` the Chebyshev Vandermonde matrix;
-    exact for polynomials of degree below ``n``.
+    Exact for polynomials of degree below ``n``.
     """
-    x = _lobatto(n)
-    integ = cheb.chebvander(x, n) @ cheb.chebint(np.eye(n), lbnd=-1)
-    S = np.linalg.solve(cheb.chebvander(x, n - 1).T, integ.T).T
+    S = _lobatto_solve(n, cheb.chebvander(_lobatto(n), n) @ cheb.chebint(np.eye(n), lbnd=-1))
     S[0] = 0.0  # the integral from t1 to t1
     return S
 
 
 def _interpolation_matrix(n: int, x: np.ndarray) -> np.ndarray:
-    """Barycentric interpolation from the n Lobatto points to the points ``x``."""
-    nodes = _lobatto(n)
-    w = (-1.0) ** np.arange(n)
-    w[[0, -1]] /= 2
-    diff = x[:, None] - nodes[None, :]
-    hit = diff == 0
-    q = w / np.where(hit, 1.0, diff)
-    L = q / q.sum(axis=1, keepdims=True)
-    rows, cols = np.nonzero(hit)
-    L[rows] = 0.0
-    L[rows, cols] = 1.0
-    return L
+    """Polynomial interpolation from the n Lobatto points to the points ``x``."""
+    return _lobatto_solve(n, cheb.chebvander(x, n - 1))
 
 
 def _picard(
@@ -363,7 +358,7 @@ def _picard(
 
     def applied():
         for l, t in enumerate(times):
-            yield vdot(t, at(l), chart.disp, nonlin, chart, cap=cap)[0]
+            yield vdot(t, at(l), chart.disp, nonlin, chart, cap=cap)
 
     limit = PICARD_MAX_SWEEPS if sweeps is None else sweeps - 1
     for _ in range(limit):
@@ -613,10 +608,11 @@ def invariance_scan(
 
     One Chebyshev-Picard panel over [t1, t2] (``picard_nodes`` at density
     ``substeps``) carries ``f``; its values reach the trajectory times by
-    barycentric interpolation ``L``.  With ``W = L . S`` the value at node
-    ``i`` is ``f(c_i) + sum_l W[i, l] K_l(c_i)``, accumulated one final-sweep
-    term ``K_l`` at a time on per-degree monomial matrices of the
-    trajectory coordinates ``c_i``.
+    polynomial interpolation ``L`` through the panel's Chebyshev
+    coefficients.  With ``W = L . S`` the value at node ``i`` is
+    ``f(c_i) + sum_l W[i, l] K_l(c_i)``, accumulated one final-sweep term
+    ``K_l`` at a time on per-degree monomial matrices of the trajectory
+    coordinates ``c_i``.
     """
     nodes = [st for st in traj if min(t1, t2) - 1e-12 <= st.time <= max(t1, t2) + 1e-12]
     times = np.array([st.time for st in nodes])

@@ -17,6 +17,7 @@ import configparser
 import json
 import math
 import os
+import struct
 import sys
 from dataclasses import dataclass, field
 
@@ -92,6 +93,16 @@ class RunConfig:
             raise ConfigError(f"[{sec}] {key} must be finite, not {val}")
         return val
 
+    def _floats(self, sec: str, key: str) -> np.ndarray:
+        """A comma-separated field of finite floats."""
+        try:
+            vals = np.array([float(v) for v in self.raw[sec][key].split(",")])
+        except ValueError as exc:
+            raise ConfigError(f"bad [{sec}] {key}: {exc}") from exc
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError(f"[{sec}] {key} must be finite")
+        return vals
+
     @property
     def grid(self) -> propagator.Grid:
         try:
@@ -112,9 +123,11 @@ class RunConfig:
     def nonlin(self) -> dynamics.NonlinearitySpec:
         try:
             coeffs = {int(k): float(v) for k, v in self.raw["nonlinearity"].items()}
+            if not all(map(math.isfinite, coeffs.values())):
+                raise ValueError("coefficients must be finite")
+            return dynamics.NonlinearitySpec(coeffs)
         except ValueError as exc:
-            raise ConfigError(f"bad nonlinearity coefficient: {exc}") from exc
-        return dynamics.NonlinearitySpec(coeffs)
+            raise ConfigError(f"bad nonlinearity: {exc}") from exc
 
     @property
     def times(self) -> tuple[float, float, int]:
@@ -134,7 +147,10 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        return self._get("output", "seed", int)
+        seed = self._get("output", "seed", int)
+        if seed < 0:
+            raise ConfigError("[output] seed must be >= 0")
+        return seed
 
     @property
     def out_dir(self) -> str:
@@ -184,17 +200,13 @@ class RunConfig:
     def functional(self, chart: chrono.ChartMap) -> symfun.SymFunctional:
         kind = self.raw["functional"]["kind"]
         if kind == "point_eval":
-            return chrono.point_eval_functional(
-                chart,
-                self._get("functional", "t_point", float),
-                self._get("functional", "x_index", int),
-            )
+            x_index = self._get("functional", "x_index", int)
+            if not 0 <= x_index < chart.grid.M:
+                raise ConfigError(f"[functional] x_index must lie in [0, {chart.grid.M})")
+            t_pt = self._get("functional", "t_point", float)
+            return chrono.point_eval_functional(chart, t_pt, x_index)
         if kind == "linear_weights":
-            txt = self.raw["functional"]["weights"]
-            try:
-                w = np.array([float(v) for v in txt.split(",")])
-            except ValueError as exc:
-                raise ConfigError(f"bad functional weights: {exc}") from exc
+            w = self._floats("functional", "weights")
             if w.size != chart.grid.M:
                 raise ConfigError("functional weights length must equal the grid size")
             t_pt = self._get("functional", "t_point", float)
@@ -204,7 +216,15 @@ class RunConfig:
             path = self.raw["functional"]["tensor_file"]
             if not path or not os.path.exists(path):
                 raise ConfigError(f"functional tensor file not found: {path!r}")
-            return symfun.SymFunctional([symfun.load_tensor(path)])
+            try:
+                tensor = symfun.load_tensor(path)
+            except (ValueError, struct.error) as exc:
+                raise ConfigError(f"unreadable functional tensor file {path!r}: {exc}") from exc
+            if (tensor.dim, tensor.codomain_dim) != (chart.dim, 1):
+                raise ConfigError(f"functional tensor file {path!r} must be scalar over dim {chart.dim}")
+            if not np.all(np.isfinite(tensor.coeffs)):
+                raise ConfigError(f"functional tensor file {path!r} has non-finite coefficients")
+            return symfun.SymFunctional([tensor])
         raise ConfigError(f"unknown functional kind {kind!r}")
 
 
@@ -290,11 +310,13 @@ def cmd_invariance(cfg: RunConfig, out: str) -> float:
     if substeps < 1:
         raise ConfigError("invariance needs [tolerances] substeps >= 1")
     chart = _chart(cfg)
+    f = cfg.functional(chart)
+    cap = cfg._get("caps", "degree_cap", int)
+    if cap < f.max_degree:
+        raise ConfigError(f"invariance needs [caps] degree_cap >= {f.max_degree}, the functional's degree")
     traj = dynamics.evolve(
         cfg.initial_data(), t1, t2, abs(t2 - t1) / steps, cfg.disp, cfg.nonlin
     )
-    f = cfg.functional(chart)
-    cap = cfg._get("caps", "degree_cap", int)
     times, values, drift, events = chrono.invariance_scan(
         f, traj, t1, t2, chart, substeps=substeps, cap=cap
     )
@@ -318,10 +340,9 @@ def cmd_certify(cfg: RunConfig, out: str) -> chrono.CertificationRecord:
     R, floor = _window_tolerances(cfg, "certify")
     chart = _chart(cfg)
     f = cfg.functional(chart)
-    preset = cfg.raw["tolerances"]["x_coeffs"]
-    if preset:
+    if cfg.raw["tolerances"]["x_coeffs"]:
         try:
-            X = series.MajorantSeries([float(v) for v in preset.split(",")])
+            X = series.MajorantSeries(cfg._floats("tolerances", "x_coeffs"))
         except ValueError as exc:
             raise ConfigError(f"bad x_coeffs: {exc}") from exc
     else:
@@ -352,6 +373,8 @@ def cmd_trees(cfg: RunConfig, out: str) -> float:
     if f.degrees != (1,):
         raise ConfigError("trees needs a linear functional")
     K = cfg._get("caps", "tree_order", int)
+    if K < 0:
+        raise ConfigError("trees needs [caps] tree_order >= 0")
     u = propagator.make_free_solution(cfg.disp, cfg.initial_data())
     trees, _ = chrono.tree_expand(f, t1, t2, K, cfg.disp, nonlin, chart)
     lines = []

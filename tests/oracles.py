@@ -43,7 +43,7 @@ def rk4_transport(f, times, disp, nonlin, chart, substeps=1, cap=DEFAULT_DEGREE_
     """
 
     def rhs(tau, F):
-        return vdot(tau, F, disp, nonlin, chart, cap=cap)[0]
+        return vdot(tau, F, disp, nonlin, chart, cap=cap)
 
     path = [f]
     F = f

@@ -37,8 +37,19 @@ SNAPSHOTS = {
 }
 
 
+# functional tensor dumps that the parametrized config-error cases name as {tmp}/<file>
+TENSORS = {
+    "dim8.bin": SymTensor(1, 8, np.ones(8)),
+    "nan.bin": SymTensor(1, 16, np.full(16, np.nan)),
+}
+
+
 def from_file(name):
     return f"\n[initial]\nkind = file\nfile = {{tmp}}/{name}\n"
+
+
+def tensor_file(name):
+    return f"\n[functional]\nkind = tensor_file\ntensor_file = {{tmp}}/{name}\n"
 
 
 SMALL = """
@@ -153,6 +164,8 @@ def test_config_error_exit_code(tmp_path):
     assert main(["evolve", "--config", missing, "--out", str(tmp_path / "o")]) == 2
     unknown = write_config(tmp_path / "u.ini", "[grid]\nbogus = 1\n")
     assert main(["evolve", "--config", unknown, "--out", str(tmp_path / "o")]) == 2
+    rand = write_config(tmp_path / "r.ini", SMALL + "\n[initial]\nkind = random\n")
+    assert main(["evolve", "--config", rand, "--out", str(tmp_path / "o"), "--seed", "-5"]) == 2
 
 
 def test_numerical_failure_exit_code(tmp_path):
@@ -248,6 +261,20 @@ def test_selftest_ledger(tmp_path, capsys):
         ("propagate", SMALL + "\n[tolerances]\nm_ref = 0\n"),
         ("evolve", SMALL + "\n[tolerances]\nm_ref = 0\n"),
         ("evolve", SMALL + "\n[tolerances]\nm_ref = nan\n"),
+        ("certify", SMALL + "\n[nonlinearity]\n-1 = 1.0\n"),
+        ("certify", SMALL + "\n[nonlinearity]\n3 = nan\n"),
+        ("certify", SMALL + "\n[functional]\nx_index = 100\n"),
+        ("certify", SMALL + "\n[functional]\nx_index = -1\n"),
+        ("certify", SMALL + tensor_file("garbage.csv")),
+        ("certify", SMALL + tensor_file("short.bin")),
+        ("certify", SMALL + tensor_file("dim8.bin")),
+        ("invariance", SMALL + tensor_file("dim8.bin")),
+        ("certify", SMALL + tensor_file("nan.bin")),
+        ("certify", SMALL + "\n[functional]\nkind = linear_weights\nweights = 1,1,1,1,1,1,1,nan\n"),
+        ("certify", SMALL + "\n[tolerances]\nx_coeffs = 0,0,0,inf\n"),
+        ("evolve", SMALL + "\n[initial]\nkind = random\n\n[output]\nseed = -5\n"),
+        ("invariance", SMALL.replace("degree_cap = 3", "degree_cap = 0")),
+        ("trees", SMALL.replace("tree_order = 1", "tree_order = -1")),
     ],
     ids=[
         "invariance-zero-steps",
@@ -292,11 +319,28 @@ def test_selftest_ledger(tmp_path, capsys):
         "propagate-zero-m-ref",
         "evolve-zero-m-ref",
         "evolve-nan-m-ref",
+        "certify-negative-nonlinearity-degree",
+        "certify-nan-nonlinearity",
+        "certify-x-index-past-the-grid",
+        "certify-negative-x-index",
+        "certify-tensor-file-not-a-dump",
+        "certify-tensor-file-truncated",
+        "certify-tensor-file-wrong-dim",
+        "invariance-tensor-file-wrong-dim",
+        "certify-tensor-file-nan",
+        "certify-nan-weights",
+        "certify-infinite-x-coeffs",
+        "evolve-negative-seed",
+        "invariance-cap-below-functional-degree",
+        "trees-negative-tree-order",
     ],
 )
 def test_unsupported_config_is_a_config_error(tmp_path, capsys, command, body):
     for name, text in SNAPSHOTS.items():
         (tmp_path / name).write_text(text)
+    for name, tensor in TENSORS.items():
+        save_tensor(tensor, str(tmp_path / name))
+    (tmp_path / "short.bin").write_bytes(b"SYMT\x01")
     cfg = write_config(tmp_path / "c.ini", body.replace("{tmp}", str(tmp_path)))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Majorant-calculus unit and property tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,15 @@ def test_derivative_beyond_degree_is_zero():
     assert derivative(MajorantSeries([1, 2, 3]), 7).is_zero
 
 
+def test_derivative_factors_are_exact():
+    # coefficient j of the k-th derivative is exactly (j+k)!/j! times coeffs[j+k]
+    rng = np.random.default_rng(19)
+    for k in range(1, 13):
+        c = rng.uniform(0, 1, size=40)
+        expected = [float(math.perm(j + k, k)) * c[j + k] for j in range(40 - k)]
+        assert derivative(MajorantSeries(c), k).coeffs.tolist() == expected
+
+
 @given(
     coeffs=st.lists(st.floats(0, 5), min_size=1, max_size=7),
     z=st.floats(0.0, 1.5),
@@ -108,12 +118,13 @@ def test_derivative_matches_finite_difference(coeffs, z):
 # ---------------------------------------------------------------------------
 
 
-def _gamma_brute(r, R, k, p_max=5000):
-    best = 0.0
-    for p in range(k, p_max):
-        term = math.exp(math.lgamma(p + 1) - math.lgamma(p - k + 1)) * (r / R) ** p
-        best = max(best, term)
-    return best / r**k
+def _gamma_brute(r, R, k, p_max=100_000):
+    """The largest of the terms p = k .. p_max, far past the maximiser at ratios up
+    to 0.999, with log p!/(p-k)! summed as k logarithms; also its index."""
+    p = np.arange(k, p_max, dtype=float)
+    log_terms = np.log(p[:, None] - np.arange(k)).sum(axis=1) + p * math.log(r / R)
+    i = int(np.argmax(log_terms))
+    return math.exp(float(log_terms[i])) / r**k, p[i]
 
 
 def test_gamma_k0():
@@ -139,13 +150,17 @@ def test_gamma_rejects_bad_radii():
 
 @given(
     r=st.floats(0.05, 2.0),
-    ratio=st.floats(0.05, 0.95),
+    ratio=st.floats(0.05, 0.999),
     k=st.integers(0, 5),
 )
 @settings(max_examples=80, deadline=None)
 def test_gamma_matches_brute_force(r, ratio, k):
+    # gamma_constant takes the log of p!/(p-k)! as a difference of log-gammas,
+    # which loses a few ulps of lgamma(p + 1) at the maximiser p
     R = r / ratio
-    assert gamma_constant(r, R, k) == pytest.approx(_gamma_brute(r, R, k), rel=1e-12)
+    brute, p = _gamma_brute(r, R, k)
+    rel = 1e-12 + 8 * np.finfo(float).eps * math.lgamma(p + 1)
+    assert gamma_constant(r, R, k) == pytest.approx(brute, rel=rel)
 
 
 def test_gamma_dominates_derivative_evaluations():
@@ -198,6 +213,16 @@ def test_flow_blowup_detected():
     res = flow(MajorantSeries([0, 0, 1]), 2.0, 1.0)
     assert res.status == "blew_up"
     assert res.time_reached == pytest.approx(1.0, abs=1e-6)
+
+
+def test_flow_step_collapse_is_a_blow_up():
+    # dz/dt = 2 z^3 from 1 blows up at t = 1/4; DOP853's step size collapses
+    # before |z| reaches the cap, and its warning stays inside flow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = flow(MajorantSeries([0, 0, 0, 2.0]), 1.0, 1.0)
+    assert res.status == "blew_up"
+    assert res.time_reached == pytest.approx(0.25, abs=1e-9)
 
 
 def test_flow_group_law():
@@ -284,7 +309,7 @@ def test_guaranteed_time_zero_field_is_infinite():
 
 
 def test_flow_times_match_the_ode_flow_oracle():
-    # the Dormand-Prince flow checks the quadrature independently: flowing
+    # the DOP853 flow checks the quadrature independently: flowing
     # back for the guaranteed time lands on the floor, and flowing back for
     # T lands on the certified radius
     rng = np.random.default_rng(5)
