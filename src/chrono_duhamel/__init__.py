@@ -10,15 +10,14 @@ The package is organised around five layers:
 ``symfun``
     Symmetric multilinear algebra on a finite-dimensional state space:
     homogeneous polynomial maps, polarization, the coefficient-l1 tensor
-    norm, truncated formal series.
+    norm, truncated formal series, the operator's composition kernel.
 ``propagator``
     Exact spectral solutions of the linear equation on a periodic 1-D
     grid: Cauchy data, free solutions, Green lifts, discrete Sobolev
     norms.
 ``dynamics``
-    The nonlinear layer: the map onto free solutions, the
-    Lagrange-Duhamel vector field, the reference integrator and
-    Duhamel-residual diagnostics.
+    The nonlinear layer: the Lagrange-Duhamel vector field, the
+    reference integrator and Duhamel-residual diagnostics.
 ``chrono``
     The time-ordered exponential acting on functionals, its Feynman-tree
     expansion, the invariance diagnostic and the certified convergence
@@ -56,7 +55,6 @@ from .dynamics import (
     evolve,
     lagrange_duhamel_V,
     strang_evolve,
-    theta,
 )
 from .chrono import (
     ChartMap,

@@ -10,8 +10,9 @@ The first-order operator action is
 
     (V.f)^(m) = sym[ sum_p p f^(p) o (V^(q) (x) id^{p-1}) ],  q = m - p + 1,
 
-with the vertex tensors ``V^(k)`` assembled as rank-one sums over grid
-nodes: sampling row times Green-lift column, one per node.  The
+with each vertex ``V_t^(k) = lam_k sum_x B_t[:, x] (x) A_t[x]^{(x) k}`` kept
+as its factors, the sampling rows ``A_t`` and Green-lift columns ``B_t``, on
+which ``compose_rank_one`` composes without forming the tensor.  The
 time-ordered exponential solves dF/dt = V_t . F in coefficient space by
 Chebyshev-Picard sweeps ``G <- f + int_{t1}^t V . G`` on one
 Chebyshev-Lobatto panel (Greengard, SIAM J. Numer. Anal. 28, 1991;
@@ -48,9 +49,8 @@ from .symfun import (
     SymFunctional,
     SymTensor,
     VectorNorm,
-    canonical_indices,
-    compose_first_slot,
-    multiplicities,
+    compose_rank_one,
+    monomials,
 )
 
 __all__ = [
@@ -181,13 +181,6 @@ class ChartMap:
         """(dim, M) matrix: source field on slice t -> coords of its Green lift."""
         return self._rows_and_columns(t)[1]
 
-    def vertex_tensors(self, nonlin: NonlinearitySpec, t: float) -> dict[int, SymTensor]:
-        """Degree components of the Lagrange-Duhamel field in chart coordinates."""
-        A, B = self._rows_and_columns(t)
-        return {
-            k: SymTensor.from_rank_one_sum(B, A, degree=k, scale=v) for k, v in nonlin.coeffs.items()
-        }
-
 
 def point_eval_functional(chart: ChartMap, t_point: float = 0.0, x_index: int = 0) -> SymFunctional:
     """Linear functional phi -> phi(t_point, x_{x_index}) in chart coordinates.
@@ -228,17 +221,18 @@ def vdot(
     """
     if f.terms and f.dim != chart.dim:
         raise ValueError("functional dimension does not match the chart")
-    vertices = chart.vertex_tensors(nonlin, t)
+    A, B = chart._rows_and_columns(t)
+    fields = {k: lam * monomials(A, k) for k, lam in nonlin.coeffs.items()}
     out: dict[int, SymTensor] = {}
     for term in f.terms:
         p = term.degree
         if p == 0:
             continue
-        for k, Vk in vertices.items():
+        for k, W in fields.items():
             m = p + k - 1
             if m > cap:
                 continue
-            comp = compose_first_slot(term, Vk).scaled(float(p))
+            comp = compose_rank_one(term, B, W, k).scaled(float(p))
             out[m] = comp if m not in out else out[m] + comp
     return SymFunctional(out.values())
 
@@ -276,7 +270,7 @@ def picard_nodes(
     The panel has ``n = ceil(substeps * s * (k_max + 1) * eps_max * |t2 - t1| / 2) + 8``
     nodes.  ``s`` is the sweep count (2 when it is not known in advance),
     ``k_max`` the top nonlinearity degree and ``eps_max`` the chart's largest
-    frequency; a vertex tensor carries ``k + 1`` factors oscillating at most
+    frequency; a degree-k vertex carries ``k + 1`` factors oscillating at most
     at ``eps_max``, so ``s (k_max + 1) eps_max`` bounds the angular frequency
     of the last sweep's integrand.  ``substeps`` is the node density over
     that oscillation.  The transport applies the operator at these times
@@ -582,16 +576,6 @@ def evaluate_trees(
 # ---------------------------------------------------------------------------
 
 
-def _monomials(coords: np.ndarray, degree: int) -> np.ndarray:
-    """``(len(coords), n_canonical)``: multiplicity times each canonical monomial of each row."""
-    idx = canonical_indices(coords.shape[1], degree)
-    out = np.empty((coords.shape[0], idx.shape[0]))
-    for row, c in zip(out, coords):
-        np.prod(c[idx], axis=1, out=row)
-    out *= multiplicities(coords.shape[1], degree)
-    return out
-
-
 def invariance_scan(
     f: SymFunctional,
     traj: list[EvolutionState],
@@ -618,12 +602,12 @@ def invariance_scan(
     times = np.array([st.time for st in nodes])
     nonlin = nodes[0].nonlin
     coords = np.array([chart.coords_of(st.current) for st in nodes])
-    monomials: dict[int, np.ndarray] = {}
+    powers: dict[int, np.ndarray] = {}
 
     def values_of(term: SymTensor) -> np.ndarray:
-        if term.degree not in monomials:
-            monomials[term.degree] = _monomials(coords, term.degree)
-        return monomials[term.degree] @ term.coeffs[0]
+        if term.degree not in powers:
+            powers[term.degree] = monomials(coords, term.degree)
+        return powers[term.degree] @ term.coeffs[0]
 
     values = sum((values_of(t) for t in f.terms), np.zeros(len(nodes)))
     degrees = set(f.degrees)

@@ -472,8 +472,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (dynamics.DivergenceError, FloatingPointError) as exc:
-        print(f"numerical failure in {args.command}: {exc}", file=sys.stderr)
+    except (dynamics.DivergenceError, FloatingPointError, MemoryError) as exc:
+        # a MemoryError usually carries no message: name the exception instead
+        detail = str(exc) or type(exc).__name__
+        print(f"numerical failure in {args.command}: {detail}", file=sys.stderr)
         return 1
     if args.command == "selftest" and not result:
         return 1

@@ -49,7 +49,6 @@ __all__ = [
     "NonlinearitySpec",
     "EvolutionState",
     "DivergenceError",
-    "theta",
     "lagrange_duhamel_V",
     "evolve",
     "strang_evolve",
@@ -105,11 +104,6 @@ class EvolutionState:
     time: float
     disp: DispersionRelation
     nonlin: NonlinearitySpec
-
-
-def theta(disp: DispersionRelation, pde_cauchy_data: CauchyData) -> FreeSolution:
-    """The unique free solution matching the given Cauchy data at its anchor."""
-    return make_free_solution(disp, pde_cauchy_data)
 
 
 def _chart_factors(disp: DispersionRelation, grid: Grid, times) -> tuple[np.ndarray, ...]:
@@ -209,7 +203,7 @@ def evolve(
     n = max(int(round(abs(span) / dt)), 0) if span != 0 else 0
     if n and abs(abs(span) / n - dt) > 1e-9 * dt:
         raise ValueError("dt must divide |t2 - t1|")
-    chart = theta(disp, initial).chart_data
+    chart = make_free_solution(disp, initial).chart_data
     grid = chart.grid
     h = span / n if n else 0.0
     out = [EvolutionState(FreeSolution(chart), t1, disp, nonlin)]

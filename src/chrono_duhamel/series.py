@@ -145,17 +145,17 @@ def gamma_constant(r: float, R: float, k: int) -> float:
     have the ratio ``(p+1) rho / (p+1-k)`` with ``rho = r/R``, which falls
     as ``p`` grows and crosses 1 at ``p + 1 = k / (1 - rho)``, so the
     supremum is the term at ``p* = floor(k R / (R - r))`` or one of its
-    neighbours; those at least ``k`` are compared in log form.
+    neighbours; those at least ``k`` are compared in log form, with
+    ``p!/(p-k)!`` taken as the exact integer ``math.perm(p, k)``.
     """
     if not (0.0 < r < R):
         raise ValueError("gamma_constant requires 0 < r < R")
     if k < 0:
         raise ValueError("k must be >= 0")
-    log_ratio = math.log(r / R)
+    log_ratio = math.log(r) - math.log(R)
     p_star = math.floor(k * R / (R - r))
     best = max(
-        math.lgamma(p + 1) - math.lgamma(p - k + 1) + p * log_ratio
-        for p in range(max(p_star - 1, k), p_star + 2)
+        math.log(math.perm(p, k)) + p * log_ratio for p in range(max(p_star - 1, k), p_star + 2)
     )
     return math.exp(best - k * math.log(r))
 

@@ -13,11 +13,12 @@ diagonal evaluation recovers ``mult((0,1)) * 1/2 * x1 x2 = x1 x2``.
 
 In general the polarized coefficient at K times ``multiplicities(K)`` is
 the monomial coefficient of ``x^K`` in the diagonal map.  The operator
-kernel :func:`compose_first_slot` rests on this: it multiplies monomial
-coefficients in one matmul, finds the rank of each product monomial by
-chained ``extend_table`` gathers, sums them with one ``bincount`` and
-divides by the output multiplicities.  ``canonical_indices``,
-``multiplicities`` and ``extend_table`` are the only index structures.
+kernel rests on this: it multiplies monomial coefficients in one matmul,
+finds the rank of each product monomial by chained ``extend_table``
+gathers, sums them with one ``bincount`` and divides by the output
+multiplicities.  :func:`compose_rank_one` takes the field as two factors
+and never forms it.  ``canonical_indices``, ``multiplicities`` and
+``extend_table`` are the only index structures.
 
 The one tensor norm is :func:`coefficient_l1`, the coefficient l1 mass
 over the full index expansion (polarized coefficient times multiplicity).
@@ -49,6 +50,8 @@ __all__ = [
     "eval_series",
     "majorant_of",
     "compose_first_slot",
+    "compose_rank_one",
+    "monomials",
     "save_tensor",
     "load_tensor",
 ]
@@ -228,22 +231,6 @@ class SymTensor:
     def zero(degree: int, dim: int, codomain_dim: int = 1) -> "SymTensor":
         return SymTensor(degree, dim, np.zeros((codomain_dim, num_canonical(dim, degree))))
 
-    @staticmethod
-    def from_rank_one_sum(B: np.ndarray, A: np.ndarray, degree: int, scale: float = 1.0) -> "SymTensor":
-        """Assemble ``scale * sum_x B[:, x] (x) A[x, :]^{(x) degree}``.
-
-        ``B`` has shape (codomain_dim, n_terms) and ``A`` shape (n_terms, dim).
-        """
-        B = np.asarray(B, dtype=float)
-        A = np.asarray(A, dtype=float)
-        d = A.shape[1]
-        idx = canonical_indices(d, degree)
-        if degree == 0:
-            prod = np.ones((A.shape[0], 1))
-        else:
-            prod = A[:, idx].prod(axis=2)  # (n_terms, n_canonical)
-        return SymTensor(degree, d, scale * (B @ prod))
-
     def scaled(self, a: float) -> "SymTensor":
         return SymTensor(self.degree, self.dim, a * self.coeffs)
 
@@ -275,14 +262,21 @@ def eval_homogeneous(f: SymTensor, args: Sequence[np.ndarray]) -> np.ndarray:
     return g.coeffs[:, 0].copy()
 
 
+def monomials(X: np.ndarray, degree: int) -> np.ndarray:
+    """``(len(X), n_canonical)``: multiplicity times each canonical monomial of each row of ``X``.
+
+    Filled row by row, so no ``(len(X), n_canonical, degree)`` gather is made."""
+    idx = canonical_indices(X.shape[1], degree)
+    out = np.empty((X.shape[0], idx.shape[0]))
+    for row, x in zip(out, X):
+        np.prod(x[idx], axis=1, out=row)
+    out *= multiplicities(X.shape[1], degree)
+    return out
+
+
 def eval_diagonal(f: SymTensor, phi: np.ndarray) -> np.ndarray:
     """Evaluate the homogeneous map on equal arguments (the monomial expansion)."""
-    phi = np.asarray(phi, dtype=float)
-    if f.degree == 0:
-        return f.coeffs[:, 0].copy()
-    idx = canonical_indices(f.dim, f.degree)
-    mono = phi[idx].prod(axis=1) * multiplicities(f.dim, f.degree)
-    return f.coeffs @ mono
+    return f.coeffs @ monomials(np.asarray(phi)[None, :], f.degree)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +359,26 @@ def majorant_of(f: SymFunctional, norm_spec: VectorNorm) -> MajorantSeries:
     return MajorantSeries(coeffs)
 
 
-def functional_add(f: SymFunctional, g: SymFunctional, scale: float = 1.0) -> SymFunctional:
-    """f + scale * g, aligning degrees."""
-    by_deg: dict[int, SymTensor] = {t.degree: t for t in f.terms}
-    for t in g.terms:
-        if t.degree in by_deg:
-            by_deg[t.degree] = by_deg[t.degree] + t.scaled(scale)
-        else:
-            by_deg[t.degree] = t.scaled(scale)
-    return SymFunctional(by_deg.values())
+def _open_slot(f: SymTensor) -> np.ndarray:
+    """Monomial coefficients of scalar ``f`` with the first slot open: ``(n_{p-1}, d)``."""
+    if f.codomain_dim != 1:
+        raise ValueError("composition expects a scalar-valued tensor")
+    if f.degree < 1:
+        raise ValueError("f must have degree >= 1")
+    ext = extend_table(f.dim, f.degree - 1)  # (n_{p-1}, d) -> rank in degree p
+    return f.coeffs[0][ext] * multiplicities(f.dim, f.degree - 1)[:, None]
+
+
+def _collect(prod: np.ndarray, d: int, p: int, q: int) -> SymTensor:
+    """Degree-``p + q - 1`` tensor from the monomial products ``prod[K, S]`` at ``x^K x^S``:
+    ``extend_table`` gathers rank ``K + S``, one ``bincount`` sums by rank,
+    and dividing by the multiplicities returns polarized coefficients."""
+    m = p + q - 1
+    rank = np.broadcast_to(np.arange(prod.shape[0])[:, None], prod.shape)
+    for i, letters in enumerate(canonical_indices(d, q).T):
+        rank = extend_table(d, p - 1 + i)[rank, letters]
+    out = np.bincount(rank.ravel(), weights=prod.ravel(), minlength=num_canonical(d, m))
+    return SymTensor(m, d, out / multiplicities(d, m))
 
 
 def compose_first_slot(f: SymTensor, V: SymTensor) -> SymTensor:
@@ -386,26 +391,23 @@ def compose_first_slot(f: SymTensor, V: SymTensor) -> SymTensor:
     The kernel works on monomial coefficients (polarized coefficient times
     multiplicity).  The diagonal ``f(V(x), x, ..., x)`` has the monomial
     coefficient ``prod[K, S]`` at ``x^K x^S`` for every canonical K of
-    degree p-1 and S of degree q; a chain of ``extend_table`` gathers ranks
-    ``K + S`` in degree m, one ``bincount`` sums the products landing on
-    each output index, and dividing by the degree-m multiplicities returns
-    polarized coefficients.
+    degree p-1 and S of degree q, one matmul of the open-slot coefficients
+    of ``f`` with those of ``V``; :func:`_collect` sums them by output index.
     """
-    if f.codomain_dim != 1:
-        raise ValueError("compose_first_slot expects a scalar-valued tensor")
     if V.dim != f.dim or V.codomain_dim != f.dim:
         raise ValueError("V must be a vector field on the same space")
-    d, p, q = f.dim, f.degree, V.degree
-    if p < 1:
-        raise ValueError("f must have degree >= 1")
-    m = p + q - 1
-    ext = extend_table(d, p - 1)  # (n_{p-1}, d) -> rank in degree p
-    prod = (f.coeffs[0][ext] * multiplicities(d, p - 1)[:, None]) @ (V.coeffs * multiplicities(d, q))
-    rank = np.broadcast_to(np.arange(ext.shape[0])[:, None], prod.shape)
-    for i, letters in enumerate(canonical_indices(d, q).T):
-        rank = extend_table(d, p - 1 + i)[rank, letters]
-    out = np.bincount(rank.ravel(), weights=prod.ravel(), minlength=num_canonical(d, m))
-    return SymTensor(m, d, out / multiplicities(d, m))
+    prod = _open_slot(f) @ (V.coeffs * multiplicities(V.dim, V.degree))
+    return _collect(prod, f.dim, f.degree, V.degree)
+
+
+def compose_rank_one(f: SymTensor, B: np.ndarray, W: np.ndarray, q: int) -> SymTensor:
+    """:func:`compose_first_slot` of ``f`` with ``V = sum_x B[:, x] (x) W[x]``, never formed.
+
+    ``B`` is (d, n); row ``x`` of ``W`` holds the monomial coefficients of a
+    degree-q scalar map, e.g. ``W = lam * monomials(A, q)`` for
+    ``V = lam sum_x B[:, x] (x) A[x]^{(x) q}``.
+    """
+    return _collect((_open_slot(f) @ B) @ W, f.dim, f.degree, q)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 
 from chrono_duhamel.chrono import DEFAULT_DEGREE_CAP, vdot
 from chrono_duhamel.propagator import CauchyData, FreeSolution, green_apply, make_free_solution, sample_at
-from chrono_duhamel.symfun import contract_slot, eval_diagonal, functional_add
+from chrono_duhamel.symfun import SymFunctional, SymTensor, canonical_indices, contract_slot, eval_diagonal
 
 
 def polarize(f_diag, degree, args):
@@ -34,6 +34,32 @@ def directional_derivative(f, phi, psi):
             continue
         out += t.degree * eval_diagonal(contract_slot(t, psi), phi)
     return out
+
+
+def vertex_tensors(chart, nonlin, t):
+    """Degree components ``lam_k B (x) A^{(x) k}`` of the Lagrange-Duhamel field in chart coordinates.
+
+    ``A`` and ``B`` are the chart's sampling rows and Green-lift columns at
+    ``t``; each canonical coefficient is the sum over grid nodes of a
+    column entry times the product of row entries.
+    """
+    A, B = chart._rows_and_columns(t)
+    out = {}
+    for k, lam in nonlin.coeffs.items():
+        idx = canonical_indices(chart.dim, k)
+        out[k] = SymTensor(k, chart.dim, lam * (B @ A[:, idx].prod(axis=2)))
+    return out
+
+
+def functional_add(f, g, scale=1.0):
+    """f + scale * g, aligning degrees."""
+    by_deg = {t.degree: t for t in f.terms}
+    for t in g.terms:
+        if t.degree in by_deg:
+            by_deg[t.degree] = by_deg[t.degree] + t.scaled(scale)
+        else:
+            by_deg[t.degree] = t.scaled(scale)
+    return SymFunctional(by_deg.values())
 
 
 def rk4_transport(f, times, disp, nonlin, chart, substeps=1, cap=DEFAULT_DEGREE_CAP):

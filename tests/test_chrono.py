@@ -39,7 +39,7 @@ from chrono_duhamel.symfun import (
     num_canonical,
 )
 
-from oracles import directional_derivative, rk4_transport
+from oracles import directional_derivative, rk4_transport, vertex_tensors
 
 GRID = Grid(8, 2 * np.pi)
 KG1 = DispersionRelation("klein_gordon", 1.0)
@@ -116,7 +116,10 @@ def test_vdot_truncation_recorded():
     assert events == [TruncationEvent(0.0, 1, 3)]
 
 
-def test_vdot_pointwise_consistency():
+@pytest.mark.parametrize(
+    "nonlin", [CUBIC, NonlinearitySpec({0: 0.2, 1: 0.5, 2: 0.3, 3: 1.0})], ids=["cubic", "degrees0-3"]
+)
+def test_vdot_pointwise_consistency(nonlin):
     # eval(vdot f, c) == directional derivative of f at c along Vbar_t(c)
     rng = np.random.default_rng(3)
     f = SymFunctional(
@@ -126,11 +129,11 @@ def test_vdot_pointwise_consistency():
         ]
     )
     for t in (0.0, 0.37, -0.6):
-        out = vdot(t, f, KG1, CUBIC, CHART, cap=7)
+        out = vdot(t, f, KG1, nonlin, CHART, cap=7)
         for _ in range(5):
             c = 0.3 * rng.standard_normal(CHART.dim)
             phi = FreeSolution(CHART.from_coords(c))
-            v = lagrange_duhamel_V(t, phi, KG1, CUBIC)
+            v = lagrange_duhamel_V(t, phi, KG1, nonlin)
             v_coords = CHART.coords_of(v)
             lhs = eval_series(out, c)[0]
             rhs = directional_derivative(f, c, v_coords)[0]
@@ -143,7 +146,7 @@ def test_vertex_tensor_matches_field_on_diagonal():
 
     rng = np.random.default_rng(4)
     t = 0.51
-    V3 = CHART.vertex_tensors(CUBIC, t)[3]
+    V3 = vertex_tensors(CHART, CUBIC, t)[3]
     c = 0.4 * rng.standard_normal(CHART.dim)
     phi = FreeSolution(CHART.from_coords(c))
     expected = CHART.coords_of(lagrange_duhamel_V(t, phi, KG1, CUBIC))
@@ -497,7 +500,7 @@ def test_transport_majorant_dominates_multilinear_components(chart):
             assert abs(lam) * math.sqrt(2) * b * a**k <= X.coeffs[k] * (1 + 1e-12)
     norm = chart.norm_spec.norm
     for t in np.linspace(*WINDOW, 201):
-        for k, Vk in chart.vertex_tensors(MIXED, float(t)).items():
+        for k, Vk in vertex_tensors(chart, MIXED, float(t)).items():
             for _ in range(5):
                 cs = list(rng.standard_normal((k, chart.dim)))
                 val = norm(eval_homogeneous(Vk, cs))

@@ -355,28 +355,16 @@ def test_unvouched_flow_time_is_a_numerical_failure(tmp_path, capsys, monkeypatc
     assert err.startswith("numerical failure in certify:") and "Traceback" not in err
 
 
-def test_certificate_builds_no_vertex_tensors(tmp_path, monkeypatch):
-    # the window majorant is closed-form: building a vertex tensor inside it fails the command
-    vertex_tensors = chrono.ChartMap.vertex_tensors
-    transport_majorant = chrono.transport_majorant
-    calls = []
+def test_memory_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # an allocation that fails inside the transport exits 1 with a message, not a traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError
 
-    def refuse(chart, nonlin, t):
-        raise AssertionError("transport_majorant built a vertex tensor")
-
-    def guarded(nonlin, chart, times):
-        calls.append(times)
-        monkeypatch.setattr(chrono.ChartMap, "vertex_tensors", refuse)
-        try:
-            return transport_majorant(nonlin, chart, times)
-        finally:
-            monkeypatch.setattr(chrono.ChartMap, "vertex_tensors", vertex_tensors)
-
-    monkeypatch.setattr(chrono, "transport_majorant", guarded)
-    cfg = write_config(tmp_path / "c.ini", SMALL + "\n[tolerances]\nsubsteps = 2\n")
-    for command in ("certify", "invariance"):
-        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
-    assert len(calls) == 2
+    monkeypatch.setattr(chrono, "vdot", exhausted)
+    cfg = write_config(tmp_path / "c.ini", SMALL)
+    assert main(["invariance", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure in invariance: MemoryError") and "Traceback" not in err
 
 
 def test_unsettled_picard_sweeps_are_a_numerical_failure(tmp_path, capsys, monkeypatch):

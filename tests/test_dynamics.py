@@ -12,7 +12,6 @@ from chrono_duhamel.dynamics import (
     evolve,
     lagrange_duhamel_V,
     strang_evolve,
-    theta,
     trajectory_csv,
 )
 from chrono_duhamel.propagator import (
@@ -43,28 +42,28 @@ def random_data(rng, grid=GRID, t=0.0, scale=0.1):
 
 
 # ---------------------------------------------------------------------------
-# theta
+# the free solution through given Cauchy data
 # ---------------------------------------------------------------------------
 
 
 def test_theta_idempotent_on_free_traces():
     rng = np.random.default_rng(0)
     data = random_data(rng, t=0.4)
-    fs = theta(KG1, data)
-    again = theta(KG1, sample_at(KG1, fs, 1.3))
+    fs = make_free_solution(KG1, data)
+    again = make_free_solution(KG1, sample_at(KG1, fs, 1.3))
     np.testing.assert_allclose(again.chart_data.psi, fs.chart_data.psi, atol=1e-12)
     np.testing.assert_allclose(again.chart_data.chi, fs.chart_data.chi, atol=1e-12)
 
 
 def test_theta_zero():
-    fs = theta(KG1, CauchyData.zero(GRID, KG1, t=2.0))
+    fs = make_free_solution(KG1, CauchyData.zero(GRID, KG1, t=2.0))
     assert not fs.chart_data.psi.any()
 
 
 def test_theta_chart_is_propagation_to_reference_time():
     rng = np.random.default_rng(1)
     data = random_data(rng, t=0.4)
-    fs = theta(KG1, data)
+    fs = make_free_solution(KG1, data)
     chart = propagate(KG1, data, 0.0)
     np.testing.assert_allclose(fs.chart_data.psi, chart.psi, atol=1e-14)
 
@@ -73,7 +72,7 @@ def test_trace_identity():
     # [Theta_t u]_t = [u]_t through the round trip
     rng = np.random.default_rng(2)
     data = random_data(rng, t=-0.8)
-    back = sample_at(KG1, theta(KG1, data), -0.8)
+    back = sample_at(KG1, make_free_solution(KG1, data), -0.8)
     np.testing.assert_allclose(back.psi, data.psi, atol=1e-12)
     np.testing.assert_allclose(back.chi, data.chi, atol=1e-12)
 
@@ -85,7 +84,7 @@ def test_trace_identity():
 
 def test_field_vanishes_without_nonlinearity():
     rng = np.random.default_rng(3)
-    phi = theta(KG1, random_data(rng))
+    phi = make_free_solution(KG1, random_data(rng))
     v = lagrange_duhamel_V(0.7, phi, KG1, ZERO_N)
     assert not v.chart_data.psi.any() and not v.chart_data.chi.any()
 
@@ -216,14 +215,14 @@ def test_evolve_vs_strang_agreement():
 
 
 def test_strang_solution_satisfies_duhamel_identity():
-    # push the independent solution through theta; its Duhamel residual
+    # push the independent solution onto free solutions; its Duhamel residual
     # must be at the Strang integrator's own accuracy
     from chrono_duhamel.dynamics import EvolutionState
 
     data = benchmark_data(GRID)
     dt = 0.01
     states = strang_evolve(data, 0.0, 1.0, dt, KG1, CUBIC)
-    traj = [EvolutionState(theta(KG1, d), d.t, KG1, CUBIC) for d in states]
+    traj = [EvolutionState(make_free_solution(KG1, d), d.t, KG1, CUBIC) for d in states]
     res, _ = duhamel_residual(traj, 0.0, 1.0)
     half = strang_evolve(data, 0.0, 1.0, dt / 2, KG1, CUBIC)[-1]
     err = self_estimate(states[-1], half, 2)

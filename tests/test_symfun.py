@@ -16,12 +16,14 @@ from chrono_duhamel.symfun import (
     canonical_indices,
     coefficient_l1,
     compose_first_slot,
+    compose_rank_one,
     contract_slot,
     eval_diagonal,
     eval_homogeneous,
     eval_series,
     load_tensor,
     majorant_of,
+    monomials,
     multiplicities,
     num_canonical,
     rank_rows,
@@ -310,24 +312,40 @@ def test_compose_first_slot_against_polarization():
 @pytest.mark.parametrize("d, p, q", [(1, 1, 0), (3, 1, 3), (3, 2, 2), (4, 3, 0), (5, 3, 3), (2, 4, 1)])
 def test_compose_first_slot_full_polarized_oracle(d, p, q):
     # the composed tensor's polarized values must equal the explicit
-    # symmetrization over argument subsets
+    # symmetrization over argument subsets, for a field given as a tensor
+    # (compose_first_slot) and as rank-one factors (compose_rank_one)
     from itertools import combinations
 
     rng = np.random.default_rng(8)
     f = random_tensor(rng, d, p)
     V = random_tensor(rng, d, q, codomain_dim=d)
-    comp = compose_first_slot(f, V)
+    A = rng.standard_normal((3, d))
+    B = rng.standard_normal((d, 3))
+
+    def rank_one_field(v_args):
+        # sum_x B[:, x] prod_j (A v_j)[x]
+        u = np.ones(A.shape[0])
+        for v in v_args:
+            u = u * (A @ v)
+        return B @ u
+
     m = p + q - 1
     args = [rng.standard_normal(d) for _ in range(m)]
-    total = 0.0
-    count = 0
-    for pos in combinations(range(m), q):
-        v_args = [args[a] for a in pos]
-        rest = [args[a] for a in range(m) if a not in pos]
-        total += eval_homogeneous(f, [eval_homogeneous(V, v_args)] + rest)[0]
-        count += 1
-    expected = total / count
-    assert eval_homogeneous(comp, args)[0] == pytest.approx(expected, rel=1e-10)
+    subjects = [
+        (compose_first_slot(f, V), lambda v_args: eval_homogeneous(V, v_args)),
+        (compose_rank_one(f, B, 0.7 * monomials(A, q), q), lambda v_args: 0.7 * rank_one_field(v_args)),
+    ]
+    for comp, field in subjects:
+        assert comp.degree == m
+        total = 0.0
+        count = 0
+        for pos in combinations(range(m), q):
+            v_args = [args[a] for a in pos]
+            rest = [args[a] for a in range(m) if a not in pos]
+            total += eval_homogeneous(f, [field(v_args)] + rest)[0]
+            count += 1
+        expected = total / count
+        assert eval_homogeneous(comp, args)[0] == pytest.approx(expected, rel=1e-10)
 
 
 def test_compose_first_slot_diagonal_at_chart_dimension():
