@@ -152,7 +152,7 @@ def gamma_constant(r: float, R: float, k: int) -> float:
         raise ValueError("gamma_constant requires 0 < r < R")
     if k < 0:
         raise ValueError("k must be >= 0")
-    log_ratio = math.log(r) - math.log(R)
+    log_ratio = math.log(r / R)
     p_star = math.floor(k * R / (R - r))
     best = max(
         math.log(math.perm(p, k)) + p * log_ratio for p in range(max(p_star - 1, k), p_star + 2)
