@@ -24,48 +24,4 @@ The package is organised around five layers:
     window.
 """
 
-from .series import (
-    FlowResult,
-    MajorantSeries,
-    apply_majorant_operator,
-    derivative,
-    eval_series,
-    flow,
-    flow_time,
-    gamma_constant,
-    guaranteed_time,
-)
-from .symfun import SymFunctional, SymTensor, VectorNorm
-from .propagator import (
-    CauchyData,
-    DispersionRelation,
-    FreeSolution,
-    Grid,
-    energy,
-    green_apply,
-    make_free_solution,
-    propagate,
-    sample_at,
-    sobolev_norm,
-)
-from .dynamics import (
-    EvolutionState,
-    NonlinearitySpec,
-    duhamel_residual,
-    evolve,
-    lagrange_duhamel_V,
-    strang_evolve,
-)
-from .chrono import (
-    ChartMap,
-    FeynmanTree,
-    certify_window,
-    chrono_exp_evolve,
-    invariance_scan,
-    point_eval_functional,
-    tree_expand,
-    vdot,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

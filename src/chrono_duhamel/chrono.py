@@ -82,6 +82,9 @@ PICARD_MAX_SWEEPS = 40
 # brentq tolerances in log r' for the certified radius (rtol at brentq's floor)
 _RADIUS_XTOL, _RADIUS_RTOL = 1e-14, 4 * np.finfo(float).eps
 
+# Gauss-Legendre nodes per simplex dimension of a tree's nested time integral
+_QUAD_ORDER = 8
+
 
 # ---------------------------------------------------------------------------
 # chart coordinates
@@ -460,7 +463,6 @@ def tree_expand(
     disp: DispersionRelation,
     nonlin: NonlinearitySpec,
     chart: ChartMap,
-    quad_order: int = 8,
 ):
     """Enumerate interaction trees up to ``max_order`` vertices + evaluator.
 
@@ -500,7 +502,7 @@ def tree_expand(
         trees.extend(FeynmanTree(parents, mult, k) for parents, mult in frontier)
 
     def evaluator(u: FreeSolution) -> float:
-        return evaluate_trees(trees, f_linear, u, t1, t2, disp, nonlin, chart, quad_order)
+        return evaluate_trees(trees, f_linear, u, t1, t2, disp, nonlin, chart)
 
     return trees, evaluator
 
@@ -514,14 +516,13 @@ def evaluate_trees(
     disp: DispersionRelation,
     nonlin: NonlinearitySpec,
     chart: ChartMap,
-    quad_order: int = 8,
 ) -> float:
     """Sum of the tree contributions applied to the free solution ``u``."""
     (k, lam), = nonlin.coeffs.items()
     grid = chart.grid
     eps = disp.eps(grid.xi)
     f_row = f_linear.term(1).coeffs[0]
-    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_ORDER)
 
     trace_cache: dict[float, np.ndarray] = {}
 
@@ -728,12 +729,10 @@ def invariance_csv(
 ) -> None:
     """Columns: (t, functional_value, running_drift, certified_radius, truncation_events)."""
     running = np.maximum.accumulate(np.abs(values - values[0]))
-    ev_count = np.zeros(len(times), dtype=int)
     # an event counts from the row whose interval holds it, in the direction of travel
     sign = -1.0 if times[-1] < times[0] else 1.0
-    for ev in events:
-        pos = np.searchsorted(sign * times, sign * ev.time, side="right") - 1
-        ev_count[max(pos, 0)] += 1
+    pos = np.searchsorted(sign * times, sign * np.array([ev.time for ev in events]), side="right") - 1
+    ev_count = np.cumsum(np.bincount(np.maximum(pos, 0), minlength=len(times)))
     with open(path, "w") as fh:
         if header_comment:
             for ln in header_comment.splitlines():
@@ -742,5 +741,5 @@ def invariance_csv(
         for i in range(len(times)):
             fh.write(
                 f"{float(times[i])!r},{float(values[i])!r},{float(running[i])!r},"
-                f"{certified_radius!r},{int(np.sum(ev_count[: i + 1]))}\n"
+                f"{certified_radius!r},{int(ev_count[i])}\n"
             )

@@ -472,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (dynamics.DivergenceError, FloatingPointError, MemoryError) as exc:
+    except (dynamics.DivergenceError, FloatingPointError, MemoryError, OverflowError) as exc:
         # a MemoryError usually carries no message: name the exception instead
         detail = str(exc) or type(exc).__name__
         print(f"numerical failure in {args.command}: {detail}", file=sys.stderr)

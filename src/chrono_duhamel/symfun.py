@@ -62,20 +62,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _binomial_table(n_max: int, k_max: int) -> np.ndarray:
-    """``C[n, k] = binom(n, k)`` for n <= n_max and k <= k_max.
-
-    Bounding the columns keeps the int64 entries exact: the central
-    binomials of large n would wrap.
-    """
-    C = np.zeros((n_max + 1, k_max + 1), dtype=np.int64)
-    C[:, 0] = 1
-    for n in range(1, n_max + 1):
-        C[n, 1:] = C[n - 1, :-1] + C[n - 1, 1:]
-    return C
-
-
 def num_canonical(d: int, p: int) -> int:
     """Number of nondecreasing multi-indices: C(d+p-1, p)."""
     return math.comb(d + p - 1, p)
@@ -119,42 +105,31 @@ def multiplicities(d: int, p: int) -> np.ndarray:
     return out
 
 
-def rank_rows(d: int, p: int, rows: np.ndarray) -> np.ndarray:
-    """Lexicographic rank of nondecreasing rows among canonical_indices(d, p).
-
-    Vectorised through the bijection with strictly increasing tuples and
-    hockey-stick prefix sums.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    if p == 0:
-        return np.zeros(rows.shape[0], dtype=np.int64)
-    D = d + p - 1
-    C = _binomial_table(D + 1, p)
-    c = rows + np.arange(p, dtype=np.int64)
-    rank = np.zeros(rows.shape[0], dtype=np.int64)
-    prev = np.full(rows.shape[0], -1, dtype=np.int64)
-    for a in range(p):
-        rem = p - a
-        rank += C[D - prev - 1, rem] - C[D - c[:, a], rem]
-        prev = c[:, a]
-    return rank
-
-
 @lru_cache(maxsize=None)
 def extend_table(d: int, p: int) -> np.ndarray:
     """Rank in degree p+1 of each canonical degree-p index extended by one letter.
 
     ``extend_table(d, p)[K, j]`` is the canonical rank of ``sorted(K + (j,))``.
+    Built from the degree-(p-1) table by the growth rule of
+    :func:`canonical_indices`.  With ``l = last(K)``, ``K + (l,)`` is K's
+    first child, so a letter ``j >= l`` lands ``j - l`` rows after it.  A
+    smaller letter goes inside: the previous table ranks K's prefix
+    extended by j, and l, still the largest letter, is appended to that.
     """
-    base = canonical_indices(d, p)
-    n = base.shape[0]
-    ext = np.empty((n, d), dtype=np.int64)
-    stacked = np.empty((n, p + 1), dtype=np.int64)
-    for j in range(d):
-        stacked[:, :p] = base
-        stacked[:, p] = j
-        stacked.sort(axis=1)
-        ext[:, j] = rank_rows(d, p + 1, stacked)
+    if p == 0:
+        ext = np.arange(d, dtype=np.int64)[None]
+    else:
+        last = canonical_indices(d, p)[:, -1]
+        counts = d - last
+        start = np.cumsum(counts) - counts  # rank of K + (l,) in degree p+1
+        # the prefix's rank: the degree-(p-1) row that K grew from
+        prev_last = canonical_indices(d, p - 1)[:, -1] if p > 1 else 0
+        prefix = np.repeat(np.arange(num_canonical(d, p - 1)), d - prev_last)
+        inner = extend_table(d, p - 1)
+        ext = np.empty((last.size, d), dtype=np.int64)
+        for j in range(d):
+            q = inner[prefix, j]
+            ext[:, j] = np.where(j >= last, start + (j - last), start[q] + (last - last[q]))
     ext.setflags(write=False)
     return ext
 

@@ -367,6 +367,25 @@ def test_memory_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
     assert err.startswith("numerical failure in invariance: MemoryError") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, body",
+    [
+        ("propagate", SMALL + "\n[tolerances]\nm_ref = 1e300\n"),
+        ("evolve", SMALL + "\n[tolerances]\nm_ref = 1e300\n"),
+        ("invariance", SMALL + "\n[tolerances]\nm_ref = 1e300\n"),
+        ("certify", SMALL + "\n[tolerances]\nm_ref = 1e300\n"),
+        ("certify", SMALL.replace("t2 = 0.25", "t2 = 1e300")),
+    ],
+    ids=["propagate-m-ref", "evolve-m-ref", "invariance-m-ref", "certify-m-ref", "certify-t2"],
+)
+def test_float_overflow_is_a_numerical_failure(tmp_path, capsys, command, body):
+    # a finite config float whose square overflows raises OverflowError from Python's **
+    cfg = write_config(tmp_path / "c.ini", body)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure in {command}:") and "Traceback" not in err
+
+
 def test_unsettled_picard_sweeps_are_a_numerical_failure(tmp_path, capsys, monkeypatch):
     # a linear term keeps the operator from being nilpotent; one sweep cannot settle it
     monkeypatch.setattr(chrono, "PICARD_MAX_SWEEPS", 1)

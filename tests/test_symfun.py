@@ -21,12 +21,12 @@ from chrono_duhamel.symfun import (
     eval_diagonal,
     eval_homogeneous,
     eval_series,
+    extend_table,
     load_tensor,
     majorant_of,
     monomials,
     multiplicities,
     num_canonical,
-    rank_rows,
     save_tensor,
 )
 
@@ -55,21 +55,28 @@ def test_canonical_indices_match_itertools():
             assert list(map(tuple, idx.tolist())) == expected
 
 
-def test_rank_rows_is_inverse_of_enumeration():
-    for d, p in [(1, 3), (2, 2), (3, 4), (6, 3), (16, 2)]:
-        idx = canonical_indices(d, p)
-        ranks = rank_rows(d, p, idx)
-        np.testing.assert_array_equal(ranks, np.arange(idx.shape[0]))
+def test_extend_table_ranks_each_extended_row():
+    for d in range(1, 7):
+        for p in range(0, 6):
+            rank = {K: r for r, K in enumerate(combinations_with_replacement(range(d), p + 1))}
+            ext = extend_table(d, p)
+            assert ext.dtype == np.int64 and not ext.flags.writeable
+            expected = [
+                [rank[tuple(sorted(K + (j,)))] for j in range(d)]
+                for K in combinations_with_replacement(range(d), p)
+            ]
+            np.testing.assert_array_equal(ext, expected)
 
 
 @pytest.mark.filterwarnings("error")
 def test_index_counts_exact_at_large_dim():
-    # dim 64 (M = 32) needs binomials past C(67, 33), which wraps in int64
-    d, p = 64, 5
-    n = num_canonical(d, p)
-    assert n == math.comb(68, 5)
-    last = np.array([[0, 0, 0, 0, 0], [62, 63, 63, 63, 63], [63, 63, 63, 63, 63]])
-    np.testing.assert_array_equal(rank_rows(d, p, last), [0, n - 2, n - 1])
+    # dim 64 (M = 32): ranks stay exact where central binomials such as C(67, 33) wrap in int64
+    d = 64
+    assert num_canonical(d, 5) == math.comb(68, 5)
+    n3, n4 = num_canonical(d, 3), num_canonical(d, 4)
+    ext = extend_table(d, 3)
+    assert ext.shape == (n3, d)
+    np.testing.assert_array_equal(ext[[0, n3 - 1, n3 - 1], [0, 62, 63]], [0, n4 - 2, n4 - 1])
 
 
 def test_multiplicities_sum_to_full_count():
