@@ -19,9 +19,12 @@ Chebyshev-Lobatto panel (Greengard, SIAM J. Numer. Anal. 28, 1991;
 Dutt-Greengard-Rokhlin, BIT 40, 2000).  Under the degree cap the operator
 is graded nilpotent when every nonlinearity degree is at least 2, so a
 known number of sweeps settles every degree and time needs only spectral
-accuracy; otherwise the sweeps run to a tolerance.  The rooted-tree
-expansion below keeps the explicit simplex-quadrature semantics as an
-independent check of the same object.
+accuracy; otherwise the sweeps run to a tolerance.  ``chrono_exp_evolve``
+composes the last sweep into tensors; ``invariance_scan`` needs it only at
+the trajectory coordinates, where it is the stored sweep's derivative
+along the field, and evaluates it there without forming its top-degree
+tensors.  The rooted-tree expansion below keeps the explicit
+simplex-quadrature semantics as an independent check of the same object.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .propagator import (
     FreeSolution,
     Grid,
     _wave_factors,
+    _weight_powers,
     sample_at,
 )
 from .series import DEFAULT_FLOOR, MajorantSeries, eval_series as series_eval, flow_time
@@ -50,6 +54,7 @@ from .symfun import (
     SymTensor,
     VectorNorm,
     compose_rank_one,
+    extend_table,
     monomials,
 )
 
@@ -132,10 +137,12 @@ class ChartMap:
         w = np.sqrt(m_ref**2 + xi_abs**2)
         self._w, self._eps = w, disp.eps(xi_abs)
         sq = math.sqrt(grid.dx)
-        self._W_psi = sq * (w**s)[:, None] * O
-        self._W_chi = sq * (w ** (s - disp.r_order))[:, None] * O
-        self._Winv_psi = O.T * (w ** (-s))[None, :] / sq
-        self._Winv_chi = O.T * (w ** (disp.r_order - s))[None, :] / sq
+        r = disp.r_order
+        w_psi, w_chi, winv_psi, winv_chi = _weight_powers(w, s, s - r, -s, r - s)
+        self._W_psi = sq * w_psi[:, None] * O
+        self._W_chi = sq * w_chi[:, None] * O
+        self._Winv_psi = O.T * winv_psi[None, :] / sq
+        self._Winv_chi = O.T * winv_chi[None, :] / sq
         self.norm_spec = VectorNorm.two_block(self.dim, M)
 
     # -- coordinate maps ----------------------------------------------------
@@ -319,6 +326,11 @@ def _interpolation_matrix(n: int, x: np.ndarray) -> np.ndarray:
     return _lobatto_solve(n, cheb.chebvander(x, n - 1))
 
 
+def _sweep_at(G: dict[int, np.ndarray], l: int, dim: int) -> SymFunctional:
+    """The functional a stored sweep ``G`` (degree -> per-node coefficients) holds at node ``l``."""
+    return SymFunctional(SymTensor(p, dim, c[l]) for p, c in G.items())
+
+
 def _picard(
     f: SymFunctional,
     t1: float,
@@ -327,15 +339,16 @@ def _picard(
     chart: ChartMap,
     substeps: int,
     cap: int,
-):
+) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
     """Chebyshev-Picard sweeps ``G <- f + S . [vdot(t_j, G_j)]`` on one panel over [t1, t2].
 
-    Runs every sweep but the last and returns ``(times, S, final)``: the
-    nodes, the integration matrix scaled to the panel (negative for a
-    backward span) and the last sweep as an iterator over
-    ``K_l = vdot(t_l, G_l)``.  The transported functional at node ``i`` is
-    ``f + sum_l S[i, l] K_l``; callers accumulate what they need of it and
-    drop each ``K_l``, so the last, highest-degree sweep is never stored.
+    Runs every sweep but the last and returns ``(times, S, G)``: the nodes,
+    the integration matrix scaled to the panel (negative for a backward
+    span) and the last stored sweep, degree -> ``(len(times), n_p)``
+    coefficients.  The transported functional at node ``i`` is
+    ``f + sum_l S[i, l] vdot(t_l, G_l)``; callers apply that last,
+    highest-degree sweep themselves to what they need of it.  ``G`` is
+    empty when the operator leaves ``f`` fixed.
 
     A nilpotent operator runs the known number of sweeps.  Otherwise stored
     sweeps repeat until the largest coefficient change is at most
@@ -346,20 +359,15 @@ def _picard(
     times = picard_nodes(f, t1, t2, nonlin, chart, substeps, cap)
     S = _integration_matrix(times.size) * (0.5 * (t2 - t1))
     if sweeps == 0:
-        return times, S, iter(())
+        return times, S, {}
     base = {t.degree: t.coeffs[0] for t in f.terms}
     G = {p: np.broadcast_to(c, (times.size, c.size)) for p, c in base.items()}
-
-    def at(l: int) -> SymFunctional:
-        return SymFunctional(SymTensor(p, chart.dim, c[l]) for p, c in G.items())
-
-    def applied():
-        for l, t in enumerate(times):
-            yield vdot(t, at(l), chart.disp, nonlin, chart, cap=cap)
-
     limit = PICARD_MAX_SWEEPS if sweeps is None else sweeps - 1
     for _ in range(limit):
-        K = list(applied())
+        K = [
+            vdot(t, _sweep_at(G, l, chart.dim), chart.disp, nonlin, chart, cap=cap)
+            for l, t in enumerate(times)
+        ]
         new = dict(G)
         for m in K[0].degrees:
             new[m] = base.get(m, 0.0) + S @ np.stack([k.term(m).coeffs[0] for k in K])
@@ -375,7 +383,7 @@ def _picard(
             raise FloatingPointError(
                 f"Picard sweeps did not settle within {PICARD_MAX_SWEEPS} on [{t1}, {t2}]"
             )
-    return times, S, applied()
+    return times, S, G
 
 
 def _truncation_events(
@@ -408,10 +416,12 @@ def chrono_exp_evolve(
         return f, []
     if steps < 1:
         raise ValueError("chrono_exp_evolve needs steps >= 1 when t1 != t2")
-    times, S, final = _picard(f, t1, t2, nonlin, chart, 1, cap)
+    times, S, G = _picard(f, t1, t2, nonlin, chart, 1, cap)
+    if not G:
+        return f, []
     out = {t.degree: t.coeffs[0].copy() for t in f.terms}
-    for l, K in enumerate(final):
-        for term in K.terms:
+    for l, t in enumerate(times):
+        for term in vdot(t, _sweep_at(G, l, chart.dim), disp, nonlin, chart, cap=cap).terms:
             out.setdefault(term.degree, np.zeros(term.coeffs.shape[1]))
             out[term.degree] += S[-1, l] * term.coeffs[0]
     if not all(np.all(np.isfinite(c)) for c in out.values()):
@@ -595,9 +605,16 @@ def invariance_scan(
     ``substeps``) carries ``f``; its values reach the trajectory times by
     polynomial interpolation ``L`` through the panel's Chebyshev
     coefficients.  With ``W = L . S`` the value at node ``i`` is
-    ``f(c_i) + sum_l W[i, l] K_l(c_i)``, accumulated one final-sweep term
-    ``K_l`` at a time on per-degree monomial matrices of the trajectory
-    coordinates ``c_i``.
+    ``f(c_i) + sum_l W[i, l] K_l(c_i)`` on the trajectory coordinates
+    ``c_i``.  The last sweep ``K_l = vdot(t_l, G_l)`` is only needed at the
+    ``c_i``, where it is the derivative of the stored sweep along the field,
+
+        K_l(c) = sum_{p, k: p + k - 1 <= cap} p <grad G_l^(p)(c), V_{t_l}^(k)(c)>,
+
+    with ``V^(k)(c) = lam_k B (A c)^k`` from the sampling rows ``A`` and
+    Green-lift columns ``B`` at ``t_l`` and ``grad G^(p)(c)`` the degree
+    ``p - 1`` monomials of ``c`` times ``G^(p)`` gathered through
+    ``extend_table``.  No tensor of the last sweep's degrees is built.
     """
     nodes = [st for st in traj if min(t1, t2) - 1e-12 <= st.time <= max(t1, t2) + 1e-12]
     times = np.array([st.time for st in nodes])
@@ -605,21 +622,28 @@ def invariance_scan(
     coords = np.array([chart.coords_of(st.current) for st in nodes])
     powers: dict[int, np.ndarray] = {}
 
-    def values_of(term: SymTensor) -> np.ndarray:
-        if term.degree not in powers:
-            powers[term.degree] = monomials(coords, term.degree)
-        return powers[term.degree] @ term.coeffs[0]
+    def monomials_of(degree: int) -> np.ndarray:
+        if degree not in powers:
+            powers[degree] = monomials(coords, degree)
+        return powers[degree]
 
-    values = sum((values_of(t) for t in f.terms), np.zeros(len(nodes)))
+    values = sum((monomials_of(t.degree) @ t.coeffs[0] for t in f.terms), np.zeros(len(nodes)))
     degrees = set(f.degrees)
     events: list[TruncationEvent] = []
     if t1 != t2:
-        pn, S, final = _picard(f, t1, t2, nonlin, chart, substeps, cap)
+        pn, S, G = _picard(f, t1, t2, nonlin, chart, substeps, cap)
         W = _interpolation_matrix(pn.size, 2 * (times - t1) / (t2 - t1) - 1) @ S
-        for l, K in enumerate(final):
-            for term in K.terms:
-                values += W[:, l] * values_of(term)
-            degrees.update(K.degrees)
+        # the nonlinearity degrees vdot composes with each stored degree
+        pairs = {p: [k for k in nonlin.degrees if p + k - 1 <= cap] for p in G if p > 0}
+        pairs = {p: ks for p, ks in pairs.items() if ks}
+        for l, t in enumerate(pn):
+            A, B = chart._rows_and_columns(t)
+            U = coords @ A.T
+            fields = {k: lam * (U**k) @ B.T for k, lam in nonlin.coeffs.items()}
+            for p, ks in pairs.items():
+                grad = monomials_of(p - 1) @ G[p][l][extend_table(chart.dim, p - 1)]
+                values += (p * W[:, l]) * np.einsum("ij,ij->i", grad, sum(fields[k] for k in ks))
+        degrees.update(p + k - 1 for p, ks in pairs.items() for k in ks)
         events = _truncation_events(pn, degrees, nonlin, cap)
     if not np.all(np.isfinite(values)):
         raise FloatingPointError(f"transported values diverged on [{t1}, {t2}]")

@@ -257,9 +257,13 @@ def cmd_propagate(cfg: RunConfig, out: str) -> None:
     s, m_ref = cfg.norm_weights
     lines = []
     for tau in np.linspace(t1, t2, steps + 1):
-        snap = propagator.propagate(disp, data, float(tau))
-        nrm = propagator.cau_norm(disp, snap, s, m_ref)
-        en = propagator.energy(disp, snap) if disp.second_order else float("nan")
+        with np.errstate(all="ignore"):
+            snap = propagator.propagate(disp, data, float(tau))
+            nrm = propagator.cau_norm(disp, snap, s, m_ref)
+            en = propagator.energy(disp, snap) if disp.second_order else float("nan")
+        # the Schrodinger energy column is nan by definition
+        if not (math.isfinite(nrm) and (math.isfinite(en) or not disp.second_order)):
+            raise FloatingPointError(f"cau_norm {nrm!r} or energy {en!r} at t = {float(tau)!r}")
         lines.append(f"{float(tau)!r},{nrm!r},{en!r}")
         if cfg._get("output", "snapshots", int):
             propagator.save_snapshot(disp, snap, os.path.join(out, f"field_{tau:.6f}.csv"))
@@ -380,9 +384,15 @@ def cmd_trees(cfg: RunConfig, out: str) -> float:
     lines = []
     total = 0.0
     for tree in trees:
-        contrib = float(chrono.evaluate_trees([tree], f, u, t1, t2, cfg.disp, nonlin, chart))
+        parents = "-".join(map(str, tree.parents))
+        with np.errstate(all="ignore"):
+            contrib = float(chrono.evaluate_trees([tree], f, u, t1, t2, cfg.disp, nonlin, chart))
         total += contrib
-        lines.append(f"{tree.order},{'-'.join(map(str, tree.parents))},{tree.multiplicity},{contrib!r}")
+        if not math.isfinite(total):
+            raise FloatingPointError(
+                f"order-{tree.order} tree ({parents}) contributes {contrib!r}, total {total!r}"
+            )
+        lines.append(f"{tree.order},{parents},{tree.multiplicity},{contrib!r}")
     lines.append(f"total,,,{total!r}")
     _write_csv(os.path.join(out, "trees.csv"), "order,parents,multiplicity,value", lines, cfg)
     return total

@@ -106,42 +106,43 @@ class EvolutionState:
     nonlin: NonlinearitySpec
 
 
-def _chart_factors(disp: DispersionRelation, grid: Grid, times) -> tuple[np.ndarray, ...]:
-    """Per-mode factors of ``A_t`` at every time, as ``(len(times), M)`` arrays.
+def _chart_factors(disp: DispersionRelation, grid: Grid, times) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode factors ``(fwd, back)`` of ``A_t`` and ``A_{-t}``, ``(len(times), K, M)`` each.
 
-    Second-order kinds: ``(cos(eps t), sin(eps t)/eps)``; first-order kinds:
-    the phase ``(exp(i omega t),)``.  ``A_{-t}`` uses the same factors
-    (``sin`` and the phase change sign).
+    Second-order kinds: ``fwd = M (cos, snc)`` and ``back = (-snc, cos) / M``
+    with ``cos = cos(eps t)`` and ``snc = sin(eps t)/eps``; first-order kinds:
+    ``fwd = M phase`` and ``back = -i conj(phase) / M`` with ``phase =
+    exp(i omega t)``.  ``back`` carries the Green restriction on the source
+    slice: second-order kinds lift N(trace) as the Cauchy data (0, g) with
+    unit weight, the first-order Schrodinger kernel carries
+    ``(gamma^0)^{-1} = -i``.  ``M`` is a power of two, so folding the FFT
+    scale into the factors is exact.
     """
     t = np.asarray(times, dtype=float)[:, None]
+    M = grid.M
     if disp.second_order:
-        return _wave_factors(disp.eps(grid.xi), t)
-    return (np.exp(1j * disp.phase(grid.xi) * t),)
+        cos, snc = _wave_factors(disp.eps(grid.xi), t)
+        fwd, back = np.stack([cos, snc], axis=-2), np.stack([-snc, cos], axis=-2)
+        fwd *= M
+        back /= M
+        return fwd, back
+    phase = np.exp(1j * disp.phase(grid.xi) * t)
+    return (M * phase)[:, None, :], (-1j * phase.conj() / M)[:, None, :]
 
 
-def _chart_field(disp, nonlin, factors, c, real):
-    """Chart modes of ``Vbar_t(c) = A_{-t} o script-N o A_t (c)`` at every time of ``factors``.
+def _chart_field(nonlin, fwd, back, c, real):
+    """Chart modes of ``Vbar_t(c) = A_{-t} o script-N o A_t (c)`` at every time of the factors.
 
     ``c`` holds chart modes ``fft(field) / M`` stacked as ``(..., K, M)``
     with rows (psi, chi) for second-order kinds and (psi,) for first-order
-    ones; its leading axes are one row per time of ``factors`` or broadcast
-    against them.  ``real`` projects the field trace on its real part, as
-    the physical-space propagator does for real Klein-Gordon data.  One
-    inverse FFT, one call to ``N`` and one forward FFT serve all times.
+    ones; ``fwd`` and ``back`` are factors of ``_chart_factors``, one
+    ``(K, M)`` block per time, and broadcast against ``c``.  ``real``
+    projects the field trace on its real part, as the physical-space
+    propagator does for real Klein-Gordon data.  One inverse FFT, one call
+    to ``N`` and one forward FFT serve all times.
     """
-    # Green restriction on the source slice: second-order kinds lift N(trace)
-    # as the Cauchy data (0, g) with unit weight; the first-order Schrodinger
-    # kernel carries (gamma^0)^{-1} = -i.
-    M = c.shape[-1]
-    if disp.second_order:
-        cos, snc = factors
-        u = np.fft.ifft((cos * c[..., 0, :] + snc * c[..., 1, :]) * M)
-        g = np.fft.fft(nonlin.apply(u.real if real else u)) / M
-        return np.stack([-snc * g, cos * g], axis=-2)
-    (phase,) = factors
-    u = np.fft.ifft(phase * c[..., 0, :] * M)
-    g = np.fft.fft(-1.0j * nonlin.apply(u)) / M
-    return (phase.conj() * g)[..., None, :]
+    u = np.fft.ifft((fwd * c).sum(axis=-2))
+    return back * np.fft.fft(nonlin.apply(u.real if real else u))[..., None, :]
 
 
 def _chart_modes(disp: DispersionRelation, datas: list[CauchyData]) -> tuple[np.ndarray, bool]:
@@ -174,7 +175,7 @@ def lagrange_duhamel_V(
     """
     chart = phi.chart_data
     c, real = _chart_modes(disp, [chart])
-    v = _chart_field(disp, nonlin, _chart_factors(disp, chart.grid, [t]), c, real)
+    v = _chart_field(nonlin, *_chart_factors(disp, chart.grid, [t]), c, real)
     return FreeSolution(_chart_data(chart.grid, _field(chart.grid, v[0], real)))
 
 
@@ -211,11 +212,14 @@ def evolve(
         return out
     modes, real = _chart_modes(disp, [chart])
     c = modes[0]
-    stages = list(zip(*_chart_factors(disp, grid, t1 + h / 2 * np.arange(2 * n + 1))))
+    fwd, back = _chart_factors(disp, grid, t1 + h / 2 * np.arange(2 * n + 1))
+    # dc/dt = -Vbar_t(c): the sign rides on the factors of A_{-t}
+    np.negative(back, out=back)
+    stages = list(zip(fwd, back))
 
     def rhs(j, c):
-        # dc/dt = -Vbar_t(c) at stage time t1 + j h/2
-        return -_chart_field(disp, nonlin, stages[j], c, real)
+        # dc/dt at stage time t1 + j h/2
+        return _chart_field(nonlin, *stages[j], c, real)
 
     nodes = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -325,7 +329,7 @@ def _field_samples(nodes: list[EvolutionState]):
     grid = nodes[0].current.chart_data.grid
     times = np.array([st.time for st in nodes])
     c, real = _chart_modes(disp, [st.current.chart_data for st in nodes])
-    return times, c, _chart_field(disp, nonlin, _chart_factors(disp, grid, times), c, real)
+    return times, c, _chart_field(nonlin, *_chart_factors(disp, grid, times), c, real)
 
 
 def _prefix_residual(times, c, v, n):

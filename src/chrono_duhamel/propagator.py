@@ -213,14 +213,29 @@ def green_apply(disp: DispersionRelation, grid: Grid, t: float, f: np.ndarray) -
     return make_free_solution(disp, data)
 
 
+def _weight_powers(w: np.ndarray, *exponents: float) -> list[np.ndarray]:
+    """``w ** e`` for each exponent; ``FloatingPointError`` when one overflows.
+
+    A tiny ``m_ref`` (``m_ref**2`` underflows to 0) makes ``w = 0`` at
+    ``xi = 0``, where a negative power is infinite.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        out = [w**e for e in exponents]
+    if not all(np.all(np.isfinite(x)) for x in out):
+        raise FloatingPointError(f"Sobolev weights overflow: min <xi> = {float(np.min(w))!r}")
+    return out
+
+
 def _sobolev_norms(grid: Grid, psi_modes, chi_modes, s: float, r_order: int, m_ref: float):
     """``sobolev_norm`` of mode arrays: one norm per row of ``(..., M)`` modes."""
     if not m_ref > 0:
         raise ValueError("m_ref must be positive")
     w = np.sqrt(m_ref**2 + grid.xi**2)
-    total = np.sqrt(grid.Lx * np.sum(w ** (2 * s) * np.abs(psi_modes) ** 2, axis=-1))
+    (w_psi,) = _weight_powers(w, 2 * s)
+    total = np.sqrt(grid.Lx * np.sum(w_psi * np.abs(psi_modes) ** 2, axis=-1))
     if chi_modes is not None:
-        total += np.sqrt(grid.Lx * np.sum(w ** (2 * (s - r_order)) * np.abs(chi_modes) ** 2, axis=-1))
+        (w_chi,) = _weight_powers(w, 2 * (s - r_order))
+        total += np.sqrt(grid.Lx * np.sum(w_chi * np.abs(chi_modes) ** 2, axis=-1))
     return total
 
 

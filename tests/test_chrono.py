@@ -300,6 +300,50 @@ def test_picard_applies_the_operator_once_per_node_and_sweep(monkeypatch):
     assert calls == list(nodes) * 2
 
 
+@pytest.mark.parametrize(
+    "coeffs, t1, t2",
+    [
+        ({3: 1.0}, 0.0, 0.5),
+        ({2: 0.3, 3: 0.8}, 0.0, 0.5),
+        ({1: 0.5, 3: 1.0}, 0.0, 0.5),
+        ({0: 0.2, 3: 1.0}, 0.0, 0.5),
+        ({3: 1.0}, 0.5, 0.0),
+    ],
+    ids=["cubic-two-sweeps", "mixed", "linear", "constant", "cubic-backward"],
+)
+def test_matrix_free_last_sweep_matches_the_transported_functional(coeffs, t1, t2):
+    # at density 1 the scan's panel is the transport's, so its value at t2 is the
+    # transported functional, with the last sweep composed as tensors, at the last point
+    grid = Grid(8, 2 * np.pi)
+    chart = ChartMap(grid, KG1)
+    nonlin = NonlinearitySpec(coeffs)
+    data = CauchyData(grid, 0.3 * np.cos(grid.x), np.zeros(grid.M), t1)
+    traj = evolve(data, t1, t2, 0.05, KG1, nonlin)
+    f = point_eval_functional(chart, 0.0, 0)
+    _, values, _, _ = invariance_scan(f, traj, t1, t2, chart, substeps=1, cap=5)
+    F, _ = chrono_exp_evolve(f, t1, t2, 1, KG1, nonlin, chart, cap=5)
+    expected = eval_series(F, chart.coords_of(traj[-1].current))[0]
+    assert values[-1] == pytest.approx(expected, rel=1e-13)
+
+
+def test_invariance_scan_builds_no_tensor_of_the_last_sweep(monkeypatch):
+    # the cubic at cap 5 takes two sweeps: the stored one composes degree 3, and
+    # the last one, which would compose degree 5, is evaluated on the path only
+    degrees = []
+    kernel = chrono.compose_rank_one
+
+    def spied(f, B, W, q):
+        degrees.append(f.degree + q - 1)
+        return kernel(f, B, W, q)
+
+    monkeypatch.setattr(chrono, "compose_rank_one", spied)
+    data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.0)
+    traj = evolve(data, 0.0, 0.5, 0.05, KG1, CUBIC)
+    f = point_eval_functional(CHART, 0.0, 0)
+    invariance_scan(f, traj, 0.0, 0.5, CHART, substeps=2, cap=5)
+    assert degrees and set(degrees) == {3}
+
+
 @pytest.mark.parametrize("cap", [3, 5])
 def test_truncation_events_mean_what_the_cap_drops(cap):
     # one event per node: the top stored degree would leave the cap

@@ -201,6 +201,17 @@ def test_shipped_benchmark_config(tmp_path, capsys):
     assert float(rows[-1].split(",")[2]) == pytest.approx(drift, rel=1e-12)
 
 
+def test_benchmark_problem_at_m16(tmp_path, capsys):
+    # dimension 32 at cap 5: the last Picard sweep is never stored as degree-5 tensors
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.ini")
+    with open(path) as fh:
+        body = fh.read()
+    assert "\nm = 8\n" in body
+    cfg = write_config(tmp_path / "c.ini", body.replace("\nm = 8\n", "\nm = 16\n"))
+    assert main(["invariance", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert float(capsys.readouterr().out.split(":")[1]) <= 1e-6
+
+
 def test_shipped_certify_preset(tmp_path):
     cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "certify_cubic_preset.ini")
     out = tmp_path / "out"
@@ -356,11 +367,12 @@ def test_unvouched_flow_time_is_a_numerical_failure(tmp_path, capsys, monkeypatc
 
 
 def test_memory_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
-    # an allocation that fails inside the transport exits 1 with a message, not a traceback
+    # an allocation that fails inside the transport exits 1 with a message, not a traceback;
+    # the cubic at cap 3 runs one matrix-free sweep, which builds monomials of the path
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(chrono, "vdot", exhausted)
+    monkeypatch.setattr(chrono, "monomials", exhausted)
     cfg = write_config(tmp_path / "c.ini", SMALL)
     assert main(["invariance", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
@@ -375,11 +387,31 @@ def test_memory_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
         ("invariance", SMALL + "\n[tolerances]\nm_ref = 1e300\n"),
         ("certify", SMALL + "\n[tolerances]\nm_ref = 1e300\n"),
         ("certify", SMALL.replace("t2 = 0.25", "t2 = 1e300")),
+        ("propagate", SMALL + "\n[initial]\namplitude = 1e300\n"),
+        ("trees", SMALL + "\n[initial]\namplitude = 1e300\n"),
+        ("propagate", SMALL + "\n[tolerances]\nm_ref = 1e-300\n"),
+        ("trees", SMALL + "\n[tolerances]\nm_ref = 1e-300\n"),
+        ("evolve", SMALL + "\n[tolerances]\nm_ref = 1e-300\n"),
+        ("certify", SMALL + "\n[tolerances]\nm_ref = 1e-300\n"),
     ],
-    ids=["propagate-m-ref", "evolve-m-ref", "invariance-m-ref", "certify-m-ref", "certify-t2"],
+    ids=[
+        "propagate-m-ref",
+        "evolve-m-ref",
+        "invariance-m-ref",
+        "certify-m-ref",
+        "certify-t2",
+        "propagate-huge-amplitude",
+        "trees-huge-amplitude",
+        "propagate-tiny-m-ref",
+        "trees-tiny-m-ref",
+        "evolve-tiny-m-ref",
+        "certify-tiny-m-ref",
+    ],
 )
 def test_float_overflow_is_a_numerical_failure(tmp_path, capsys, command, body):
-    # a finite config float whose square overflows raises OverflowError from Python's **
+    # a finite config float whose square overflows raises OverflowError from Python's **;
+    # one that makes a norm, a Sobolev weight or a tree value non-finite raises
+    # FloatingPointError, so no inf or nan cell is written
     cfg = write_config(tmp_path / "c.ini", body)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err

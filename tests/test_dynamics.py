@@ -299,9 +299,9 @@ def test_trajectory_csv_one_batched_field_evaluation(tmp_path, monkeypatch):
     rows = []
     kernel = dyn._chart_field
 
-    def counted(disp, nonlin, factors, c, real):
-        rows.append(len(factors[0]))
-        return kernel(disp, nonlin, factors, c, real)
+    def counted(nonlin, fwd, back, c, real):
+        rows.append(len(fwd))
+        return kernel(nonlin, fwd, back, c, real)
 
     monkeypatch.setattr(dyn, "_chart_field", counted)
     trajectory_csv(traj, str(tmp_path / "traj.csv"))
