@@ -37,7 +37,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 from scipy.optimize import brentq
 
-from .dynamics import EvolutionState, NonlinearitySpec
+from .dynamics import EvolutionState, NonlinearitySpec, _window
 from .propagator import (
     KLEIN_GORDON,
     CauchyData,
@@ -147,22 +147,23 @@ class ChartMap:
 
     # -- coordinate maps ----------------------------------------------------
 
-    def to_coords(self, data: CauchyData) -> np.ndarray:
-        if data.t != 0.0:
-            raise ValueError("chart coordinates are defined on data anchored at 0")
-        return np.concatenate([self._W_psi @ data.psi.real, self._W_chi @ data.chi.real])
-
     def from_coords(self, vec: np.ndarray) -> CauchyData:
         M = self.grid.M
         return CauchyData(self.grid, self._Winv_psi @ vec[:M], self._Winv_chi @ vec[M:], 0.0)
 
     def coords_of(self, phi: FreeSolution) -> np.ndarray:
-        return self.to_coords(phi.chart_data)
+        data = phi.chart_data
+        return np.concatenate([self._W_psi @ data.psi.real, self._W_chi @ data.chi.real])
 
     # -- per-time linear blocks ----------------------------------------------
 
-    def _rows_and_columns(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Sampling rows and Green-lift columns at time t from the per-mode factors."""
+    def rows_and_columns(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The blocks at time t, from the per-mode factors.
+
+        The sampling rows ``(M, dim)`` take normalized coords to the field
+        trace values at t; the Green-lift columns ``(dim, M)`` take a source
+        field on the slice t to the coords of its Green lift.
+        """
         c, snc = _wave_factors(self._eps, t)
         rows = np.hstack([self._Winv_psi * c, self._Winv_chi * snc])
         # chart of the lift of (0, e_x) at t: psi0 = -S e_x, chi0 = C e_x
@@ -170,7 +171,7 @@ class ChartMap:
         return rows, columns
 
     def _block_norm_sups(self, t_max: float) -> tuple[float, float]:
-        """Sups of ``||sampling_rows(t)||_2`` and ``||green_columns(t)||_2`` over ``|t| <= t_max``.
+        """Sups of the 2-norms of both ``rows_and_columns(t)`` blocks over ``|t| <= t_max``.
 
         Per mode the squared row norm is ``w^{-2s} g / dx`` and the squared
         column norm ``w^{2(s-r)} g dx``, with ``g = c^2 + w^{2r} snc^2 =
@@ -183,14 +184,6 @@ class ChartMap:
         columns = math.sqrt(float(np.max(w ** (2 * (s - r)) * g)) * dx)
         return rows, columns
 
-    def sampling_rows(self, t: float) -> np.ndarray:
-        """(M, dim) matrix: normalized coords -> field trace values at time t."""
-        return self._rows_and_columns(t)[0]
-
-    def green_columns(self, t: float) -> np.ndarray:
-        """(dim, M) matrix: source field on slice t -> coords of its Green lift."""
-        return self._rows_and_columns(t)[1]
-
 
 def point_eval_functional(chart: ChartMap, t_point: float = 0.0, x_index: int = 0) -> SymFunctional:
     """Linear functional phi -> phi(t_point, x_{x_index}) in chart coordinates.
@@ -199,7 +192,7 @@ def point_eval_functional(chart: ChartMap, t_point: float = 0.0, x_index: int = 
     its chart data with one sampling row (the discrete counterpart of the
     Green-propagated delta pairing).
     """
-    row = chart.sampling_rows(t_point)[x_index]
+    row = chart.rows_and_columns(t_point)[0][x_index]
     return SymFunctional([SymTensor(1, chart.dim, row)])
 
 
@@ -215,10 +208,14 @@ class TruncationEvent:
     out_degree: int
 
 
+def _check_disp(disp: DispersionRelation, chart: ChartMap) -> None:
+    if disp != chart.disp:
+        raise ValueError(f"dispersion {disp} differs from the chart's {chart.disp}")
+
+
 def vdot(
     t: float,
     f: SymFunctional,
-    disp: DispersionRelation,
     nonlin: NonlinearitySpec,
     chart: ChartMap,
     cap: int = DEFAULT_DEGREE_CAP,
@@ -231,7 +228,7 @@ def vdot(
     """
     if f.terms and f.dim != chart.dim:
         raise ValueError("functional dimension does not match the chart")
-    A, B = chart._rows_and_columns(t)
+    A, B = chart.rows_and_columns(t)
     fields = {k: lam * monomials(A, k) for k, lam in nonlin.coeffs.items()}
     out: dict[int, SymTensor] = {}
     for term in f.terms:
@@ -365,7 +362,7 @@ def _picard(
     limit = PICARD_MAX_SWEEPS if sweeps is None else sweeps - 1
     for _ in range(limit):
         K = [
-            vdot(t, _sweep_at(G, l, chart.dim), chart.disp, nonlin, chart, cap=cap)
+            vdot(t, _sweep_at(G, l, chart.dim), nonlin, chart, cap=cap)
             for l, t in enumerate(times)
         ]
         new = dict(G)
@@ -411,7 +408,9 @@ def chrono_exp_evolve(
 
     The panel has the nodes of ``picard_nodes`` at density 1.  ``steps``
     must be at least 1 when ``t1 != t2`` but no longer sets the accuracy.
+    ``disp`` must be the chart's.
     """
+    _check_disp(disp, chart)
     if t1 == t2:
         return f, []
     if steps < 1:
@@ -421,7 +420,7 @@ def chrono_exp_evolve(
         return f, []
     out = {t.degree: t.coeffs[0].copy() for t in f.terms}
     for l, t in enumerate(times):
-        for term in vdot(t, _sweep_at(G, l, chart.dim), disp, nonlin, chart, cap=cap).terms:
+        for term in vdot(t, _sweep_at(G, l, chart.dim), nonlin, chart, cap=cap).terms:
             out.setdefault(term.degree, np.zeros(term.coeffs.shape[1]))
             out[term.degree] += S[-1, l] * term.coeffs[0]
     if not all(np.all(np.isfinite(c)) for c in out.values()):
@@ -476,11 +475,12 @@ def tree_expand(
 ):
     """Enumerate interaction trees up to ``max_order`` vertices + evaluator.
 
-    The nonlinearity must be a single monomial ``lam u^k`` and the
-    functional linear.  The returned evaluator maps a free solution to the
-    sum over trees of multiplicity x nested time integral, each integral
-    taken by Gauss-Legendre per simplex dimension.
+    The nonlinearity must be a single monomial ``lam u^k``, the functional
+    linear and ``disp`` the chart's.  The returned evaluator maps a free
+    solution to the sum over trees of multiplicity x nested time integral,
+    each integral taken by Gauss-Legendre per simplex dimension.
     """
+    _check_disp(disp, chart)
     if len(nonlin.coeffs) != 1:
         raise ValueError("tree expansion requires a single-monomial nonlinearity")
     if f_linear.degrees != (1,):
@@ -512,7 +512,7 @@ def tree_expand(
         trees.extend(FeynmanTree(parents, mult, k) for parents, mult in frontier)
 
     def evaluator(u: FreeSolution) -> float:
-        return evaluate_trees(trees, f_linear, u, t1, t2, disp, nonlin, chart)
+        return evaluate_trees(trees, f_linear, u, t1, t2, nonlin, chart)
 
     return trees, evaluator
 
@@ -523,14 +523,13 @@ def evaluate_trees(
     u: FreeSolution,
     t1: float,
     t2: float,
-    disp: DispersionRelation,
     nonlin: NonlinearitySpec,
     chart: ChartMap,
 ) -> float:
     """Sum of the tree contributions applied to the free solution ``u``."""
     (k, lam), = nonlin.coeffs.items()
-    grid = chart.grid
-    eps = disp.eps(grid.xi)
+    disp = chart.disp
+    eps = disp.eps(chart.grid.xi)
     f_row = f_linear.term(1).coeffs[0]
     nodes, weights = np.polynomial.legendre.leggauss(_QUAD_ORDER)
 
@@ -555,7 +554,7 @@ def evaluate_trees(
                 F = F * green_shift(fields.pop(c), float(taus[a - 1] - taus[c - 1]))
             fields[a] = lam * F
         # pair the root: f applied to the Green lift of the order-1 field
-        coords = chart.green_columns(float(taus[0])) @ fields[1]
+        coords = chart.rows_and_columns(float(taus[0]))[1] @ fields[1]
         return float(f_row @ coords)
 
     def nested(tree: FeynmanTree, level: int, taus: list[float], upper: float) -> float:
@@ -615,8 +614,10 @@ def invariance_scan(
     Green-lift columns ``B`` at ``t_l`` and ``grad G^(p)(c)`` the degree
     ``p - 1`` monomials of ``c`` times ``G^(p)`` gathered through
     ``extend_table``.  No tensor of the last sweep's degrees is built.
+    The trajectory's dispersion must be the chart's.
     """
-    nodes = [st for st in traj if min(t1, t2) - 1e-12 <= st.time <= max(t1, t2) + 1e-12]
+    nodes = _window(traj, t1, t2)
+    _check_disp(nodes[0].disp, chart)
     times = np.array([st.time for st in nodes])
     nonlin = nodes[0].nonlin
     coords = np.array([chart.coords_of(st.current) for st in nodes])
@@ -637,7 +638,7 @@ def invariance_scan(
         pairs = {p: [k for k in nonlin.degrees if p + k - 1 <= cap] for p in G if p > 0}
         pairs = {p: ks for p, ks in pairs.items() if ks}
         for l, t in enumerate(pn):
-            A, B = chart._rows_and_columns(t)
+            A, B = chart.rows_and_columns(t)
             U = coords @ A.T
             fields = {k: lam * (U**k) @ B.T for k, lam in nonlin.coeffs.items()}
             for p, ks in pairs.items():
@@ -748,22 +749,18 @@ def invariance_csv(
     values: np.ndarray,
     certified_radius: float,
     events: list[TruncationEvent],
-    path: str,
-    header_comment: str = "",
-) -> None:
-    """Columns: (t, functional_value, running_drift, certified_radius, truncation_events)."""
+) -> tuple[str, list[str]]:
+    """Header and rows of the scan dump.
+
+    Columns: (t, functional_value, running_drift, certified_radius, truncation_events).
+    """
     running = np.maximum.accumulate(np.abs(values - values[0]))
     # an event counts from the row whose interval holds it, in the direction of travel
     sign = -1.0 if times[-1] < times[0] else 1.0
     pos = np.searchsorted(sign * times, sign * np.array([ev.time for ev in events]), side="right") - 1
     ev_count = np.cumsum(np.bincount(np.maximum(pos, 0), minlength=len(times)))
-    with open(path, "w") as fh:
-        if header_comment:
-            for ln in header_comment.splitlines():
-                fh.write(f"# {ln}\n")
-        fh.write("t,functional_value,running_drift,certified_radius,truncation_events\n")
-        for i in range(len(times)):
-            fh.write(
-                f"{float(times[i])!r},{float(values[i])!r},{float(running[i])!r},"
-                f"{certified_radius!r},{int(ev_count[i])}\n"
-            )
+    lines = [
+        f"{float(t)!r},{float(v)!r},{float(r)!r},{certified_radius!r},{int(n)}"
+        for t, v, r, n in zip(times, values, running, ev_count)
+    ]
+    return "t,functional_value,running_drift,certified_radius,truncation_events", lines

@@ -210,7 +210,7 @@ class RunConfig:
             if w.size != chart.grid.M:
                 raise ConfigError("functional weights length must equal the grid size")
             t_pt = self._get("functional", "t_point", float)
-            row = (w * chart.grid.dx) @ chart.sampling_rows(t_pt)
+            row = (w * chart.grid.dx) @ chart.rows_and_columns(t_pt)[0]
             return symfun.SymFunctional([symfun.SymTensor(1, chart.dim, row)])
         if kind == "tensor_file":
             path = self.raw["functional"]["tensor_file"]
@@ -275,13 +275,7 @@ def cmd_evolve(cfg: RunConfig, out: str) -> list[dynamics.EvolutionState]:
     s, m_ref = cfg.norm_weights
     dt = abs(t2 - t1) / steps
     traj = dynamics.evolve(cfg.initial_data(), t1, t2, dt, cfg.disp, cfg.nonlin)
-    dynamics.trajectory_csv(
-        traj,
-        os.path.join(out, "trajectory.csv"),
-        s=s,
-        m_ref=m_ref,
-        header_comment=f"config {cfg.resolved_json()}",
-    )
+    _write_csv(os.path.join(out, "trajectory.csv"), *dynamics.trajectory_csv(traj, s, m_ref), cfg)
     if cfg._get("output", "snapshots", int):
         last = traj[-1]
         snap = propagator.sample_at(last.disp, last.current, last.time)
@@ -328,13 +322,10 @@ def cmd_invariance(cfg: RunConfig, out: str) -> float:
     rec = chrono.certify_window(
         symfun.majorant_of(f, chart.norm_spec), X, R, abs(t2 - t1), floor=floor
     )
-    chrono.invariance_csv(
-        times,
-        values,
-        rec.certified_radius,
-        events,
+    _write_csv(
         os.path.join(out, "invariance.csv"),
-        header_comment=f"config {cfg.resolved_json()}",
+        *chrono.invariance_csv(times, values, rec.certified_radius, events),
+        cfg,
     )
     return drift
 
@@ -386,7 +377,7 @@ def cmd_trees(cfg: RunConfig, out: str) -> float:
     for tree in trees:
         parents = "-".join(map(str, tree.parents))
         with np.errstate(all="ignore"):
-            contrib = float(chrono.evaluate_trees([tree], f, u, t1, t2, cfg.disp, nonlin, chart))
+            contrib = float(chrono.evaluate_trees([tree], f, u, t1, t2, nonlin, chart))
         total += contrib
         if not math.isfinite(total):
             raise FloatingPointError(

@@ -291,6 +291,12 @@ def _kick_rk4(u, h, nonlin):
     return u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _window(traj: list[EvolutionState], t1: float, t2: float) -> list[EvolutionState]:
+    """The nodes of ``traj`` with times in ``[min(t1, t2), max(t1, t2)]``, give or take 1e-12."""
+    lo, hi = min(t1, t2) - 1e-12, max(t1, t2) + 1e-12
+    return [st for st in traj if lo <= st.time <= hi]
+
+
 def duhamel_residual(
     traj: list[EvolutionState],
     t1: float,
@@ -305,7 +311,7 @@ def duhamel_residual(
     Simpson pass the estimate is the Richardson difference / 15; otherwise
     the conservative Simpson-vs-trapezoid gap is reported.
     """
-    nodes = [st for st in traj if min(t1, t2) - 1e-12 <= st.time <= max(t1, t2) + 1e-12]
+    nodes = _window(traj, t1, t2)
     if len(nodes) < 3:
         raise ValueError("trajectory must cover [t1, t2] with at least 3 nodes")
     disp, grid = nodes[0].disp, nodes[0].current.chart_data.grid
@@ -353,13 +359,11 @@ def _cau_norms(disp, grid, modes, s, m_ref):
 
 
 def trajectory_csv(
-    traj: list[EvolutionState],
-    path: str,
-    s: float = 0.0,
-    m_ref: float = 1.0,
-    header_comment: str = "",
-) -> None:
-    """One row per node: (t, cau_norm, energy, duhamel_residual_running).
+    traj: list[EvolutionState], s: float = 0.0, m_ref: float = 1.0
+) -> tuple[str, list[str]]:
+    """Header and rows of the trajectory dump, one row per node.
+
+    Columns: (t, cau_norm, energy, duhamel_residual_running).
 
     The running residual of row i is ``duhamel_residual(traj[:i+1], t_0, t_i)``.
     One batched kernel call samples the chart field at every node, every
@@ -382,9 +386,4 @@ def trajectory_csv(
         f"{st.time!r},{nrm!r},{en!r},{res!r}"
         for st, nrm, en, res in zip(traj, norms, energies, running)
     ]
-    with open(path, "w") as fh:
-        if header_comment:
-            for ln in header_comment.splitlines():
-                fh.write(f"# {ln}\n")
-        fh.write("t,cau_norm,energy,duhamel_residual_running\n")
-        fh.write("\n".join(lines) + "\n")
+    return "t,cau_norm,energy,duhamel_residual_running", lines

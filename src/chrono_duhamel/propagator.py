@@ -34,7 +34,6 @@ __all__ = [
     "make_free_solution",
     "sample_at",
     "green_apply",
-    "sobolev_norm",
     "cau_norm",
     "energy",
     "save_snapshot",
@@ -130,11 +129,6 @@ class CauchyData:
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "t", float(t))
 
-    @staticmethod
-    def zero(grid: Grid, disp: DispersionRelation, t: float = 0.0) -> "CauchyData":
-        chi = np.zeros(grid.M) if disp.second_order else None
-        return CauchyData(grid, np.zeros(grid.M), chi, t)
-
 
 @dataclass(frozen=True)
 class FreeSolution:
@@ -227,7 +221,7 @@ def _weight_powers(w: np.ndarray, *exponents: float) -> list[np.ndarray]:
 
 
 def _sobolev_norms(grid: Grid, psi_modes, chi_modes, s: float, r_order: int, m_ref: float):
-    """``sobolev_norm`` of mode arrays: one norm per row of ``(..., M)`` modes."""
+    """``cau_norm`` of mode arrays: one norm per row of ``(..., M)`` modes."""
     if not m_ref > 0:
         raise ValueError("m_ref must be positive")
     w = np.sqrt(m_ref**2 + grid.xi**2)
@@ -239,19 +233,15 @@ def _sobolev_norms(grid: Grid, psi_modes, chi_modes, s: float, r_order: int, m_r
     return total
 
 
-def sobolev_norm(data: CauchyData, s: float, r_order: int, m_ref: float) -> float:
-    """Discrete ``H^s`` norm of psi plus ``H^{s-r}`` norm of chi.
+def cau_norm(disp: DispersionRelation, data: CauchyData, s: float, m_ref: float) -> float:
+    """Discrete ``H^s`` norm of psi plus ``H^{s-r}`` norm of chi, ``r = disp.r_order``.
 
     ``||f||_{H^s}^2 = Lx sum_k <xi_k>^{2s} |c_k|^2`` with
     ``<xi> = sqrt(m_ref^2 + xi^2)``; Parseval-exact at ``s = 0``.
     """
     grid = data.grid
     chi = None if data.chi is None else _modes(grid, data.chi)
-    return float(_sobolev_norms(grid, _modes(grid, data.psi), chi, s, r_order, m_ref))
-
-
-def cau_norm(disp: DispersionRelation, data: CauchyData, s: float, m_ref: float) -> float:
-    return sobolev_norm(data, s, disp.r_order, m_ref)
+    return float(_sobolev_norms(grid, _modes(grid, data.psi), chi, s, disp.r_order, m_ref))
 
 
 def _energies(disp: DispersionRelation, grid: Grid, psi_modes, chi_modes):

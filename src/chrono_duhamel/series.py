@@ -19,8 +19,7 @@ program certifies with ``flow_time`` alone, and ``flow`` is the tests'
 independent check of it.
 
 All series here are treated as exact polynomials: every stored
-coefficient is meaningful and no tail is implied.  ``truncation_degree``
-is the highest stored degree.
+coefficient is meaningful and no tail is implied.
 """
 
 from __future__ import annotations
@@ -76,10 +75,6 @@ class MajorantSeries:
             raise ValueError("majorant coefficients must be nonnegative")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def truncation_degree(self) -> int:
-        return max(self.coeffs.size - 1, 0)
 
     @property
     def is_zero(self) -> bool:

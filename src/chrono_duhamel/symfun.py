@@ -68,20 +68,31 @@ def num_canonical(d: int, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def canonical_indices(d: int, p: int) -> np.ndarray:
-    """All nondecreasing multi-indices of length p over {0..d-1}, lexicographic.
+def _growth(d: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(parent, last)`` of each canonical degree-p index, ``p >= 1``.
 
-    Grown one letter at a time: each row is followed by every letter from
-    its last one up to d-1, in order, which keeps the rows lexicographic.
+    The canonical rows grow one letter at a time: each degree-(p-1) row is
+    followed by every letter from its last one up to d-1, in order, which
+    keeps the rows lexicographic.  ``parent`` is the degree-(p-1) rank a row
+    grew from and ``last`` the letter it appended.
     """
+    prev_last = _growth(d, p - 1)[1] if p > 1 else np.zeros(1, dtype=np.int64)
+    counts = d - prev_last
+    parent = np.repeat(np.arange(prev_last.size), counts)
+    # position of each new row among its parent's children
+    offset = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    last = prev_last[parent] + offset
+    parent.setflags(write=False)
+    last.setflags(write=False)
+    return parent, last
+
+
+@lru_cache(maxsize=None)
+def canonical_indices(d: int, p: int) -> np.ndarray:
+    """All nondecreasing multi-indices of length p over {0..d-1}, lexicographic."""
     rows = np.zeros((1, 0), dtype=np.int64)
-    last = np.zeros(1, dtype=np.int64)
-    for _ in range(p):
-        counts = d - last
-        parent = np.repeat(np.arange(rows.shape[0]), counts)
-        # position of each new row among its parent's children
-        offset = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        last = last[parent] + offset
+    for q in range(1, p + 1):
+        parent, last = _growth(d, q)
         rows = np.column_stack((rows[parent], last))
     rows.setflags(write=False)
     return rows
@@ -119,12 +130,10 @@ def extend_table(d: int, p: int) -> np.ndarray:
     if p == 0:
         ext = np.arange(d, dtype=np.int64)[None]
     else:
-        last = canonical_indices(d, p)[:, -1]
+        # the prefix's rank: the degree-(p-1) row that K grew from
+        prefix, last = _growth(d, p)
         counts = d - last
         start = np.cumsum(counts) - counts  # rank of K + (l,) in degree p+1
-        # the prefix's rank: the degree-(p-1) row that K grew from
-        prev_last = canonical_indices(d, p - 1)[:, -1] if p > 1 else 0
-        prefix = np.repeat(np.arange(num_canonical(d, p - 1)), d - prev_last)
         inner = extend_table(d, p - 1)
         ext = np.empty((last.size, d), dtype=np.int64)
         for j in range(d):
@@ -202,10 +211,6 @@ class SymTensor:
     def codomain_dim(self) -> int:
         return self.coeffs.shape[0]
 
-    @staticmethod
-    def zero(degree: int, dim: int, codomain_dim: int = 1) -> "SymTensor":
-        return SymTensor(degree, dim, np.zeros((codomain_dim, num_canonical(dim, degree))))
-
     def scaled(self, a: float) -> "SymTensor":
         return SymTensor(self.degree, self.dim, a * self.coeffs)
 
@@ -240,12 +245,15 @@ def eval_homogeneous(f: SymTensor, args: Sequence[np.ndarray]) -> np.ndarray:
 def monomials(X: np.ndarray, degree: int) -> np.ndarray:
     """``(len(X), n_canonical)``: multiplicity times each canonical monomial of each row of ``X``.
 
-    Filled row by row, so no ``(len(X), n_canonical, degree)`` gather is made."""
-    idx = canonical_indices(X.shape[1], degree)
-    out = np.empty((X.shape[0], idx.shape[0]))
-    for row, x in zip(out, X):
-        np.prod(x[idx], axis=1, out=row)
-    out *= multiplicities(X.shape[1], degree)
+    Built degree by degree on the growth rule: a monomial is its parent's
+    times the appended letter, one gather and one multiply per degree, in the
+    letters' order.  The result is C-ordered."""
+    d = X.shape[1]
+    out = np.ones((X.shape[0], 1))
+    for q in range(1, degree + 1):
+        parent, last = _growth(d, q)
+        out = np.multiply(out.take(parent, axis=1), X.take(last, axis=1), order="C")
+    out *= multiplicities(d, degree)
     return out
 
 

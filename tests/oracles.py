@@ -43,7 +43,7 @@ def vertex_tensors(chart, nonlin, t):
     ``t``; each canonical coefficient is the sum over grid nodes of a
     column entry times the product of row entries.
     """
-    A, B = chart._rows_and_columns(t)
+    A, B = chart.rows_and_columns(t)
     out = {}
     for k, lam in nonlin.coeffs.items():
         idx = canonical_indices(chart.dim, k)
@@ -62,14 +62,14 @@ def functional_add(f, g, scale=1.0):
     return SymFunctional(by_deg.values())
 
 
-def rk4_transport(f, times, disp, nonlin, chart, substeps=1, cap=DEFAULT_DEGREE_CAP):
+def rk4_transport(f, times, nonlin, chart, substeps=1, cap=DEFAULT_DEGREE_CAP):
     """Classical RK4 on dF/dt = V_t . F: the transported functional at each node of ``times``.
 
     ``substeps`` equal RK4 steps per interval of the monotone grid ``times``.
     """
 
     def rhs(tau, F):
-        return vdot(tau, F, disp, nonlin, chart, cap=cap)
+        return vdot(tau, F, nonlin, chart, cap=cap)
 
     path = [f]
     F = f

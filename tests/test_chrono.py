@@ -63,7 +63,7 @@ def test_chart_norm_matches_cauchy_norm():
         chart = ChartMap(GRID, KG1, s=s, m_ref=1.0)
         for _ in range(10):
             data = CauchyData(GRID, rng.standard_normal(GRID.M), rng.standard_normal(GRID.M), 0.0)
-            coords = chart.to_coords(data)
+            coords = chart.coords_of(FreeSolution(data))
             assert chart.norm_spec.norm(coords) == pytest.approx(
                 cau_norm(KG1, data, s, 1.0), rel=1e-12
             )
@@ -72,7 +72,7 @@ def test_chart_norm_matches_cauchy_norm():
 def test_chart_round_trip():
     rng = np.random.default_rng(1)
     data = CauchyData(GRID, rng.standard_normal(GRID.M), rng.standard_normal(GRID.M), 0.0)
-    back = CHART.from_coords(CHART.to_coords(data))
+    back = CHART.from_coords(CHART.coords_of(FreeSolution(data)))
     np.testing.assert_allclose(back.psi, data.psi, atol=1e-12)
     np.testing.assert_allclose(back.chi, data.chi, atol=1e-12)
 
@@ -96,22 +96,22 @@ def test_point_eval_functional_samples_the_field():
 
 def test_vdot_of_constant_vanishes():
     one = SymFunctional([SymTensor(0, CHART.dim, [[1.0]])])
-    assert not vdot(0.3, one, KG1, CUBIC, CHART).terms
+    assert not vdot(0.3, one, CUBIC, CHART).terms
 
 
 def test_vdot_zero_nonlinearity():
     f = point_eval_functional(CHART, 0.0, 0)
-    assert not vdot(0.2, f, KG1, NonlinearitySpec.zero(), CHART).terms
+    assert not vdot(0.2, f, NonlinearitySpec.zero(), CHART).terms
 
 
 def test_vdot_linear_gives_cubic_term():
     f = point_eval_functional(CHART, 0.0, 0)
-    assert vdot(0.0, f, KG1, CUBIC, CHART).degrees == (3,)
+    assert vdot(0.0, f, CUBIC, CHART).degrees == (3,)
 
 
 def test_vdot_truncation_recorded():
     f = SymFunctional([SymTensor(1, CHART.dim, np.ones(CHART.dim))])
-    assert not vdot(0.0, f, KG1, CUBIC, CHART, cap=2).terms
+    assert not vdot(0.0, f, CUBIC, CHART, cap=2).terms
     events = chrono._truncation_events(np.array([0.0]), f.degrees, CUBIC, 2)
     assert events == [TruncationEvent(0.0, 1, 3)]
 
@@ -129,7 +129,7 @@ def test_vdot_pointwise_consistency(nonlin):
         ]
     )
     for t in (0.0, 0.37, -0.6):
-        out = vdot(t, f, KG1, nonlin, CHART, cap=7)
+        out = vdot(t, f, nonlin, CHART, cap=7)
         for _ in range(5):
             c = 0.3 * rng.standard_normal(CHART.dim)
             phi = FreeSolution(CHART.from_coords(c))
@@ -215,6 +215,29 @@ def test_transport_needs_a_step_on_a_nonempty_span():
         chrono_exp_evolve(f, 0.0, 1.0, 0, KG1, CUBIC, CHART)
 
 
+MASS2 = DispersionRelation("klein_gordon", 2.0)
+
+
+def _mass2_trajectory():
+    data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.0)
+    return evolve(data, 0.0, 0.5, 0.05, MASS2, CUBIC)
+
+
+@pytest.mark.parametrize(
+    "transport",
+    [
+        lambda f: chrono_exp_evolve(f, 0.0, 0.5, 1, MASS2, CUBIC, CHART),
+        lambda f: tree_expand(f, 0.0, 0.5, 2, MASS2, CUBIC, CHART),
+        lambda f: invariance_scan(f, _mass2_trajectory(), 0.0, 0.5, CHART),
+    ],
+    ids=["chrono_exp_evolve", "tree_expand", "invariance_scan"],
+)
+def test_a_second_dispersion_is_rejected(transport):
+    # the chart's dispersion is the one the transport uses; another one is an error
+    with pytest.raises(ValueError, match="dispersion"):
+        transport(point_eval_functional(CHART, 0.0, 0))
+
+
 def _cosine_problem(M, mass=1.0, Lx=2 * np.pi, amp=0.3):
     grid = Grid(M, Lx)
     disp = DispersionRelation("klein_gordon", mass)
@@ -242,7 +265,7 @@ def test_picard_transport_matches_rk4_oracle(M, coeffs, mass, Lx, t1, t2, interv
     f = point_eval_functional(chart, 0.0, 0)
     c = chart.coords_of(make_free_solution(disp, data))
     F, _ = chrono_exp_evolve(f, t1, t2, 1, disp, nonlin, chart)
-    ref = rk4_transport(f, np.linspace(t1, t2, intervals + 1), disp, nonlin, chart, substeps=2)[-1]
+    ref = rk4_transport(f, np.linspace(t1, t2, intervals + 1), nonlin, chart, substeps=2)[-1]
     assert eval_series(F, c)[0] == pytest.approx(eval_series(ref, c)[0], abs=1e-9)
 
 
@@ -260,7 +283,7 @@ def test_picard_settles_when_the_operator_is_not_nilpotent(coeffs, monkeypatch):
     c = chart.coords_of(make_free_solution(disp, data))
     monkeypatch.setattr(chrono, "PICARD_MAX_SWEEPS", 15)
     F, _ = chrono_exp_evolve(f, 0.0, 1.0, 1, disp, nonlin, chart)
-    ref = rk4_transport(f, np.linspace(0.0, 1.0, 41), disp, nonlin, chart, substeps=2)[-1]
+    ref = rk4_transport(f, np.linspace(0.0, 1.0, 41), nonlin, chart, substeps=2)[-1]
     assert eval_series(F, c)[0] == pytest.approx(eval_series(ref, c)[0], abs=1e-9)
 
 
@@ -278,7 +301,7 @@ def test_invariance_scan_interpolates_every_path_node():
     traj = evolve(data, 0.0, 0.5, 0.0125, disp, CUBIC)
     f = point_eval_functional(chart, 0.0, 0)
     times, values, _, _ = invariance_scan(f, traj, 0.0, 0.5, chart, substeps=2)
-    path = rk4_transport(f, times, disp, CUBIC, chart, substeps=4)
+    path = rk4_transport(f, times, CUBIC, chart, substeps=4)
     expected = [eval_series(F, chart.coords_of(st.current))[0] for F, st in zip(path, traj)]
     assert len(values) == 41
     np.testing.assert_allclose(values, expected, rtol=0, atol=1e-10)
@@ -358,15 +381,14 @@ def test_truncation_events_mean_what_the_cap_drops(cap):
     assert len(events) == len(picard_nodes(f, 0.0, 0.5, CUBIC, CHART, 1, cap))
 
 
-def test_truncation_events_column_follows_a_backward_span(tmp_path):
+def test_truncation_events_column_follows_a_backward_span():
     # row i counts the events met before the next trajectory time, going from t1 to t2
     data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.5)
     traj = evolve(data, 0.5, 0.0, 0.05, KG1, CUBIC)
     f = point_eval_functional(CHART, 0.0, 0)
     times, values, _, events = invariance_scan(f, traj, 0.5, 0.0, CHART, substeps=2)
-    path = tmp_path / "invariance.csv"
-    invariance_csv(times, values, 0.1, events, str(path))
-    column = [int(l.split(",")[4]) for l in path.read_text().splitlines()[1:]]
+    _, lines = invariance_csv(times, values, 0.1, events)
+    column = [int(l.split(",")[4]) for l in lines]
     expected = [sum(ev.time > t for ev in events) for t in times[1:]] + [len(events)]
     assert column == expected
 
@@ -423,12 +445,12 @@ def test_tree_order1_matches_direct_quadrature():
     t1, t2 = 0.0, 0.3
     trees, _ = tree_expand(f, t1, t2, 1, KG1, CUBIC, CHART)
     first_order = [tr for tr in trees if tr.order == 1]
-    val = evaluate_trees(first_order, f, u, t1, t2, KG1, CUBIC, CHART)
+    val = evaluate_trees(first_order, f, u, t1, t2, CUBIC, CHART)
     taus = np.linspace(t1, t2, 4001)
     row = f.term(1).coeffs[0]
     samples = []
     for tau in taus:
-        lift = CHART.green_columns(float(tau)) @ sample_at(KG1, u, float(tau)).psi ** 3
+        lift = CHART.rows_and_columns(float(tau))[1] @ sample_at(KG1, u, float(tau)).psi ** 3
         samples.append(row @ lift)
     oracle = np.trapezoid(samples, taus)
     assert val == pytest.approx(oracle, rel=1e-8)
@@ -444,11 +466,11 @@ def test_tree_order1_backward_orientation_sign():
     t1, t2 = 0.3, 0.0
     trees, _ = tree_expand(f, t1, t2, 1, KG1, CUBIC, CHART)
     first_order = [tr for tr in trees if tr.order == 1]
-    val = evaluate_trees(first_order, f, u, t1, t2, KG1, CUBIC, CHART)
+    val = evaluate_trees(first_order, f, u, t1, t2, CUBIC, CHART)
     taus = np.linspace(t2, t1, 4001)
     row = f.term(1).coeffs[0]
     samples = [
-        row @ (CHART.green_columns(float(tau)) @ sample_at(KG1, u, float(tau)).psi ** 3)
+        row @ (CHART.rows_and_columns(float(tau))[1] @ sample_at(KG1, u, float(tau)).psi ** 3)
         for tau in taus
     ]
     oracle = -np.trapezoid(samples, taus)
@@ -538,7 +560,7 @@ def test_transport_majorant_dominates_multilinear_components(chart):
     rng = np.random.default_rng(9)
     X = transport_majorant(MIXED, chart, WINDOW)
     for t in np.linspace(*WINDOW, 2001):
-        A, B = chart._rows_and_columns(float(t))
+        A, B = chart.rows_and_columns(float(t))
         a, b = np.linalg.norm(A, 2), np.linalg.norm(B, 2)
         for k, lam in MIXED.coeffs.items():
             assert abs(lam) * math.sqrt(2) * b * a**k <= X.coeffs[k] * (1 + 1e-12)

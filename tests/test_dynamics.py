@@ -56,7 +56,7 @@ def test_theta_idempotent_on_free_traces():
 
 
 def test_theta_zero():
-    fs = make_free_solution(KG1, CauchyData.zero(GRID, KG1, t=2.0))
+    fs = make_free_solution(KG1, CauchyData(GRID, np.zeros(GRID.M), np.zeros(GRID.M), 2.0))
     assert not fs.chart_data.psi.any()
 
 
@@ -256,19 +256,12 @@ def test_schrodinger_evolve_vs_strang():
 # ---------------------------------------------------------------------------
 
 
-def test_trajectory_csv_written(tmp_path):
+def test_trajectory_csv_header_and_rows():
     traj = evolve(benchmark_data(GRID), 0.0, 0.2, 0.05, KG1, CUBIC)
-    path = tmp_path / "traj.csv"
-    trajectory_csv(traj, str(path), header_comment="demo")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# demo"
-    assert lines[1] == "t,cau_norm,energy,duhamel_residual_running"
-    assert len(lines) == 2 + len(traj)
-
-
-def _running_residuals(path):
-    rows = [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
-    return [r.split(",")[3] for r in rows]
+    header, lines = trajectory_csv(traj)
+    assert header == "t,cau_norm,energy,duhamel_residual_running"
+    assert len(lines) == len(traj)
+    assert [float(l.split(",")[0]) for l in lines] == [st.time for st in traj]
 
 
 @pytest.mark.parametrize(
@@ -276,7 +269,7 @@ def _running_residuals(path):
     [(KG1, 0.0, 0.4), (SCH, 0.0, 0.4), (KG1, 0.3, -0.2)],
     ids=["klein_gordon", "schrodinger", "backward"],
 )
-def test_trajectory_csv_running_residual_matches_duhamel_residual(tmp_path, disp, t1, t2):
+def test_trajectory_csv_running_residual_matches_duhamel_residual(disp, t1, t2):
     rng = np.random.default_rng(21)
     nonlin = NonlinearitySpec({2: -0.6, 3: 1.0})
     if disp.second_order:
@@ -285,15 +278,13 @@ def test_trajectory_csv_running_residual_matches_duhamel_residual(tmp_path, disp
         psi = rng.standard_normal(GRID.M) + 1j * rng.standard_normal(GRID.M)
         data = CauchyData(GRID, 0.3 * psi, None, t1)
     traj = evolve(data, t1, t2, 0.05, disp, nonlin)
-    path = tmp_path / "traj.csv"
-    trajectory_csv(traj, str(path))
-    cells = _running_residuals(path)
+    cells = [row.split(",")[3] for row in trajectory_csv(traj)[1]]
     assert cells[:2] == ["0.0", "0.0"]
     for i in range(2, len(traj)):
         assert cells[i] == repr(duhamel_residual(traj[: i + 1], t1, traj[i].time)[0])
 
 
-def test_trajectory_csv_one_batched_field_evaluation(tmp_path, monkeypatch):
+def test_trajectory_csv_one_batched_field_evaluation(monkeypatch):
     # the whole dump samples the chart field with one kernel call at every node
     traj = evolve(benchmark_data(GRID), 0.0, 0.5, 0.05, KG1, CUBIC)
     rows = []
@@ -304,7 +295,7 @@ def test_trajectory_csv_one_batched_field_evaluation(tmp_path, monkeypatch):
         return kernel(nonlin, fwd, back, c, real)
 
     monkeypatch.setattr(dyn, "_chart_field", counted)
-    trajectory_csv(traj, str(tmp_path / "traj.csv"))
+    trajectory_csv(traj)
     assert rows == [len(traj)]
 
 

@@ -1,0 +1,85 @@
+"""The public surface of each layer: every name in ``__all__`` is pinned here.
+
+A new public name, or one that leaves, has to edit this list.
+"""
+
+import importlib
+
+import pytest
+
+PUBLIC = {
+    "propagator": {
+        "Grid",
+        "DispersionRelation",
+        "CauchyData",
+        "FreeSolution",
+        "propagate",
+        "make_free_solution",
+        "sample_at",
+        "green_apply",
+        "cau_norm",
+        "energy",
+        "save_snapshot",
+        "load_snapshot",
+    },
+    "dynamics": {
+        "NonlinearitySpec",
+        "EvolutionState",
+        "DivergenceError",
+        "lagrange_duhamel_V",
+        "evolve",
+        "strang_evolve",
+        "duhamel_residual",
+        "trajectory_csv",
+    },
+    "symfun": {
+        "VectorNorm",
+        "SymTensor",
+        "SymFunctional",
+        "eval_homogeneous",
+        "coefficient_l1",
+        "eval_series",
+        "majorant_of",
+        "compose_first_slot",
+        "compose_rank_one",
+        "monomials",
+        "save_tensor",
+        "load_tensor",
+    },
+    "series": {
+        "MajorantSeries",
+        "FlowResult",
+        "eval_series",
+        "derivative",
+        "gamma_constant",
+        "flow",
+        "flow_time",
+        "guaranteed_time",
+        "apply_majorant_operator",
+    },
+    "chrono": {
+        "ChartMap",
+        "FeynmanTree",
+        "TruncationEvent",
+        "CertificationRecord",
+        "point_eval_functional",
+        "vdot",
+        "chrono_exp_evolve",
+        "picard_nodes",
+        "tree_expand",
+        "evaluate_trees",
+        "invariance_scan",
+        "transport_majorant",
+        "certify_window",
+        "invariance_csv",
+    },
+}
+
+
+@pytest.mark.parametrize("layer", sorted(PUBLIC))
+def test_public_names_are_pinned_and_resolve(layer):
+    module = importlib.import_module(f"chrono_duhamel.{layer}")
+    assert len(module.__all__) == len(set(module.__all__))
+    assert set(module.__all__) == PUBLIC[layer]
+    for name in module.__all__:
+        assert hasattr(module, name), f"{layer}.{name}"

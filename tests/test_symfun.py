@@ -94,6 +94,20 @@ def test_multiplicities_match_factorial_brute_force():
             np.testing.assert_array_equal(multiplicities(d, p), expected)
 
 
+def test_monomials_equal_the_per_row_product():
+    # built degree by degree, the factors multiply in the order np.prod takes
+    # them along each canonical row, so the bits agree; the matmuls downstream
+    # see a C-ordered array
+    rng = np.random.default_rng(4)
+    for d, p, n in [(1, 3, 2), (3, 0, 4), (4, 1, 3), (5, 4, 6), (8, 3, 4), (16, 3, 2)]:
+        X = rng.standard_normal((n, d))
+        idx = canonical_indices(d, p)
+        expected = np.array([np.prod(x[idx], axis=1) for x in X]) * multiplicities(d, p)
+        out = monomials(X, p)
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(out, expected)
+
+
 # ---------------------------------------------------------------------------
 # evaluation and polarization
 # ---------------------------------------------------------------------------
@@ -180,7 +194,7 @@ def test_norm_scalar_single_coefficient():
 
 
 def test_norm_zero_tensor():
-    assert coefficient_l1(SymTensor.zero(3, 4)) == 0.0
+    assert coefficient_l1(SymTensor(3, 4, np.zeros(num_canonical(4, 3)))) == 0.0
 
 
 def test_norm_linear_form_euclidean():
