@@ -20,7 +20,7 @@ Dutt-Greengard-Rokhlin, BIT 40, 2000).  Under the degree cap the operator
 is graded nilpotent when every nonlinearity degree is at least 2, so a
 known number of sweeps settles every degree and time needs only spectral
 accuracy; otherwise the sweeps run to a tolerance.  ``chrono_exp_evolve``
-composes the last sweep into tensors; ``invariance_scan`` needs it only at
+stores the last sweep as tensors too; ``invariance_scan`` needs it only at
 the trajectory coordinates, where it is the stored sweep's derivative
 along the field, and evaluates it there without forming its top-degree
 tensors.  The rooted-tree expansion below keeps the explicit
@@ -66,7 +66,6 @@ __all__ = [
     "point_eval_functional",
     "vdot",
     "chrono_exp_evolve",
-    "picard_nodes",
     "tree_expand",
     "evaluate_trees",
     "invariance_scan",
@@ -263,27 +262,25 @@ def _picard_sweeps(f: SymFunctional, nonlin: NonlinearitySpec, cap: int) -> int 
     return max(math.ceil((cap - min(positive)) / (k_min - 1)), 0)
 
 
-def picard_nodes(
-    f: SymFunctional,
+def _picard_nodes(
     t1: float,
     t2: float,
     nonlin: NonlinearitySpec,
     chart: ChartMap,
-    substeps: int = 1,
-    cap: int = DEFAULT_DEGREE_CAP,
+    substeps: int,
+    sweeps: int | None,
 ) -> np.ndarray:
-    """Chebyshev-Lobatto nodes of the transport of ``f`` over [t1, t2], t1 first.
+    """Chebyshev-Lobatto nodes of a transport over [t1, t2] in ``sweeps`` sweeps, t1 first.
 
     The panel has ``n = ceil(substeps * s * (k_max + 1) * eps_max * |t2 - t1| / 2) + 8``
-    nodes.  ``s`` is the sweep count (2 when it is not known in advance),
-    ``k_max`` the top nonlinearity degree and ``eps_max`` the chart's largest
-    frequency; a degree-k vertex carries ``k + 1`` factors oscillating at most
-    at ``eps_max``, so ``s (k_max + 1) eps_max`` bounds the angular frequency
-    of the last sweep's integrand.  ``substeps`` is the node density over
-    that oscillation.  The transport applies the operator at these times
-    and nowhere else.
+    nodes.  ``s`` is the sweep count of ``_picard_sweeps`` (2 when it is
+    ``None``), ``k_max`` the top nonlinearity degree and ``eps_max`` the
+    chart's largest frequency; a degree-k vertex carries ``k + 1`` factors
+    oscillating at most at ``eps_max``, so ``s (k_max + 1) eps_max`` bounds
+    the angular frequency of the last sweep's integrand.  ``substeps`` is
+    the node density over that oscillation.  The transport applies the
+    operator at these times and nowhere else.
     """
-    sweeps = _picard_sweeps(f, nonlin, cap)
     s = 2 if sweeps is None else sweeps
     eps_max = float(np.max(chart.disp.eps(chart.grid.xi)))
     k_max = max(nonlin.coeffs, default=0)
@@ -336,40 +333,46 @@ def _picard(
     chart: ChartMap,
     substeps: int,
     cap: int,
+    last: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
     """Chebyshev-Picard sweeps ``G <- f + S . [vdot(t_j, G_j)]`` on one panel over [t1, t2].
 
-    Runs every sweep but the last and returns ``(times, S, G)``: the nodes,
-    the integration matrix scaled to the panel (negative for a backward
-    span) and the last stored sweep, degree -> ``(len(times), n_p)``
-    coefficients.  The transported functional at node ``i`` is
-    ``f + sum_l S[i, l] vdot(t_l, G_l)``; callers apply that last,
-    highest-degree sweep themselves to what they need of it.  ``G`` is
-    empty when the operator leaves ``f`` fixed.
+    Returns ``(times, S, G)``: the nodes of ``_picard_nodes``, the
+    integration matrix scaled to the panel (negative for a backward span)
+    and the last stored sweep, degree -> ``(len(times), n_p)`` coefficients,
+    empty when the operator leaves ``f`` fixed.  With ``last`` that is the
+    transported functional at each node.  Without it the last, highest-degree
+    sweep is left to callers, which apply it to what they need of it: the
+    transported functional at node ``i`` is ``f + sum_l S[i, l] vdot(t_l, G_l)``.
 
     A nilpotent operator runs the known number of sweeps.  Otherwise stored
     sweeps repeat until the largest coefficient change is at most
-    ``PICARD_RTOL`` times the largest coefficient, and ``FloatingPointError``
-    is raised after ``PICARD_MAX_SWEEPS`` sweeps without that.
+    ``PICARD_RTOL`` times the largest coefficient.  ``FloatingPointError``
+    is raised after ``PICARD_MAX_SWEEPS`` sweeps without that, and on
+    non-finite coefficients.
     """
     sweeps = _picard_sweeps(f, nonlin, cap)
-    times = picard_nodes(f, t1, t2, nonlin, chart, substeps, cap)
+    times = _picard_nodes(t1, t2, nonlin, chart, substeps, sweeps)
     S = _integration_matrix(times.size) * (0.5 * (t2 - t1))
     if sweeps == 0:
         return times, S, {}
     base = {t.degree: t.coeffs[0] for t in f.terms}
     G = {p: np.broadcast_to(c, (times.size, c.size)) for p, c in base.items()}
-    limit = PICARD_MAX_SWEEPS if sweeps is None else sweeps - 1
+    limit = PICARD_MAX_SWEEPS if sweeps is None else sweeps - (0 if last else 1)
     for _ in range(limit):
-        K = [
-            vdot(t, _sweep_at(G, l, chart.dim), nonlin, chart, cap=cap)
-            for l, t in enumerate(times)
-        ]
+        # degree -> the operator at the nodes, filled node by node, dropped once integrated
+        K: dict[int, np.ndarray] = {}
+        for l, t in enumerate(times):
+            for term in vdot(t, _sweep_at(G, l, chart.dim), nonlin, chart, cap=cap).terms:
+                if term.degree not in K:
+                    K[term.degree] = np.empty((times.size, term.coeffs.shape[1]))
+                K[term.degree][l] = term.coeffs[0]
         new = dict(G)
-        for m in K[0].degrees:
-            new[m] = base.get(m, 0.0) + S @ np.stack([k.term(m).coeffs[0] for k in K])
-        update = max(np.max(np.abs(c - G.get(m, 0.0))) for m, c in new.items())
-        scale = max(np.max(np.abs(c)) for c in new.values())
+        for m in list(K):
+            new[m] = base.get(m, 0.0) + S @ K.pop(m)
+        # np.max, unlike max, keeps a nan of any degree
+        update = np.max([np.max(np.abs(c - G.get(m, 0.0))) for m, c in new.items()])
+        scale = np.max([np.max(np.abs(c)) for c in new.values()])
         if not np.isfinite(update + scale):
             raise FloatingPointError(f"Picard sweep diverged on [{t1}, {t2}]")
         G = new
@@ -406,26 +409,19 @@ def chrono_exp_evolve(
 ) -> tuple[SymFunctional, list[TruncationEvent]]:
     """Transport ``f`` from t1 to t2: dF/dt = V_t . F, F(t1) = f, by Chebyshev-Picard sweeps.
 
-    The panel has the nodes of ``picard_nodes`` at density 1.  ``steps``
-    must be at least 1 when ``t1 != t2`` but no longer sets the accuracy.
-    ``disp`` must be the chart's.
+    ``F`` is the last node's sweep of ``_picard`` at density 1, all sweeps
+    stored.  ``steps`` must be at least 1 when ``t1 != t2`` but no longer
+    sets the accuracy.  ``disp`` must be the chart's.
     """
     _check_disp(disp, chart)
     if t1 == t2:
         return f, []
     if steps < 1:
         raise ValueError("chrono_exp_evolve needs steps >= 1 when t1 != t2")
-    times, S, G = _picard(f, t1, t2, nonlin, chart, 1, cap)
+    times, _, G = _picard(f, t1, t2, nonlin, chart, 1, cap, last=True)
     if not G:
         return f, []
-    out = {t.degree: t.coeffs[0].copy() for t in f.terms}
-    for l, t in enumerate(times):
-        for term in vdot(t, _sweep_at(G, l, chart.dim), nonlin, chart, cap=cap).terms:
-            out.setdefault(term.degree, np.zeros(term.coeffs.shape[1]))
-            out[term.degree] += S[-1, l] * term.coeffs[0]
-    if not all(np.all(np.isfinite(c)) for c in out.values()):
-        raise FloatingPointError(f"functional coefficients diverged on [{t1}, {t2}]")
-    F = SymFunctional(SymTensor(p, chart.dim, c) for p, c in out.items())
+    F = _sweep_at(G, -1, chart.dim)
     return F, _truncation_events(times, F.degrees, nonlin, cap)
 
 
@@ -489,26 +485,21 @@ def tree_expand(
     if k < 1:
         raise ValueError("the monomial degree must be >= 1")
 
+    # each vertex has k legs and the root one; a tree of order j + 1 hangs
+    # vertex j + 1 on a free leg of a tree of order j, and every parents
+    # tuple arises once, in lexicographic order
     trees: list[FeynmanTree] = [FeynmanTree((), 1, k)]
     frontier: list[tuple[tuple[int, ...], int]] = [((), 1)]
-    for order in range(1, max_order + 1):
+    for _ in range(max_order):
         new_frontier: list[tuple[tuple[int, ...], int]] = []
         for parents, mult in frontier:
-            j = len(parents)
-            if j == 0:
-                new_frontier.append(((0,), mult))
-                continue
-            child_count = [0] * (j + 1)
+            free_legs = [1] + [k] * len(parents)
             for par in parents:
-                child_count[par] += 1
-            for v in range(1, j + 1):
-                free_legs = k - child_count[v]
-                if free_legs > 0:
-                    new_frontier.append((parents + (v,), mult * free_legs))
-        merged: dict[tuple[int, ...], int] = {}
-        for parents, mult in new_frontier:
-            merged[parents] = merged.get(parents, 0) + mult
-        frontier = sorted(merged.items())
+                free_legs[par] -= 1
+            for v, free in enumerate(free_legs):
+                if free > 0:
+                    new_frontier.append((parents + (v,), mult * free))
+        frontier = new_frontier
         trees.extend(FeynmanTree(parents, mult, k) for parents, mult in frontier)
 
     def evaluator(u: FreeSolution) -> float:
@@ -600,10 +591,10 @@ def invariance_scan(
     Under exact arithmetic the sequence is constant, equal to
     ``f(Theta_{t1} u)``.  Returns (times, values, drift, events).
 
-    One Chebyshev-Picard panel over [t1, t2] (``picard_nodes`` at density
-    ``substeps``) carries ``f``; its values reach the trajectory times by
-    polynomial interpolation ``L`` through the panel's Chebyshev
-    coefficients.  With ``W = L . S`` the value at node ``i`` is
+    One Chebyshev-Picard panel over [t1, t2] (``_picard`` at node density
+    ``substeps``, without its last sweep) carries ``f``; its values reach
+    the trajectory times by polynomial interpolation ``L`` through the
+    panel's Chebyshev coefficients.  With ``W = L . S`` the value at node ``i`` is
     ``f(c_i) + sum_l W[i, l] K_l(c_i)`` on the trajectory coordinates
     ``c_i``.  The last sweep ``K_l = vdot(t_l, G_l)`` is only needed at the
     ``c_i``, where it is the derivative of the stored sweep along the field,

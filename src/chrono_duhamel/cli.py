@@ -7,7 +7,8 @@ Configuration is a plain-text INI file with sections; every field has a
 default (see DEFAULTS).  Outputs are deterministic for a fixed
 config+seed, and every CSV carries the fully resolved configuration in
 its header comment.  Exit status: 0 success, 1 numerical failure,
-2 configuration error.
+2 configuration error, which includes an input path that cannot be read
+and an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -64,12 +65,11 @@ class RunConfig:
     def load(path: str | None) -> "RunConfig":
         merged = {sec: dict(vals) for sec, vals in DEFAULTS.items()}
         if path:
-            if not os.path.exists(path):
-                raise ConfigError(f"config file not found: {path}")
             parser = configparser.ConfigParser()
             try:
-                parser.read(path)
-            except configparser.Error as exc:
+                with open(path) as fh:
+                    parser.read_file(fh)
+            except (configparser.Error, UnicodeDecodeError) as exc:
                 raise ConfigError(f"config parse error: {exc}") from exc
             for sec in parser.sections():
                 if sec not in merged:
@@ -153,6 +153,13 @@ class RunConfig:
         return seed
 
     @property
+    def snapshots(self) -> bool:
+        flag = self._get("output", "snapshots", int)
+        if flag not in (0, 1):
+            raise ConfigError("[output] snapshots must be 0 or 1")
+        return bool(flag)
+
+    @property
     def out_dir(self) -> str:
         return self.raw["output"]["directory"]
 
@@ -168,8 +175,6 @@ class RunConfig:
         t1 = self.times[0]
         if kind == "file":
             path = self.raw["initial"]["file"]
-            if not path or not os.path.exists(path):
-                raise ConfigError(f"initial data file not found: {path!r}")
             try:
                 snap_disp, data = propagator.load_snapshot(path)
             except (ValueError, KeyError, IndexError, TypeError) as exc:
@@ -214,8 +219,6 @@ class RunConfig:
             return symfun.SymFunctional([symfun.SymTensor(1, chart.dim, row)])
         if kind == "tensor_file":
             path = self.raw["functional"]["tensor_file"]
-            if not path or not os.path.exists(path):
-                raise ConfigError(f"functional tensor file not found: {path!r}")
             try:
                 tensor = symfun.load_tensor(path)
             except (ValueError, struct.error) as exc:
@@ -255,8 +258,12 @@ def cmd_propagate(cfg: RunConfig, out: str) -> None:
     t1, t2, steps = _time_grid(cfg, "propagate")
     data = cfg.initial_data()
     s, m_ref = cfg.norm_weights
+    taus = np.linspace(t1, t2, steps + 1)
+    snapshots = [f"field_{tau:.6f}.csv" for tau in taus] if cfg.snapshots else []
+    if len(set(snapshots)) < len(snapshots):
+        raise ConfigError("propagate snapshot times closer than 1e-6 would share a file name")
     lines = []
-    for tau in np.linspace(t1, t2, steps + 1):
+    for i, tau in enumerate(taus):
         with np.errstate(all="ignore"):
             snap = propagator.propagate(disp, data, float(tau))
             nrm = propagator.cau_norm(disp, snap, s, m_ref)
@@ -265,18 +272,19 @@ def cmd_propagate(cfg: RunConfig, out: str) -> None:
         if not (math.isfinite(nrm) and (math.isfinite(en) or not disp.second_order)):
             raise FloatingPointError(f"cau_norm {nrm!r} or energy {en!r} at t = {float(tau)!r}")
         lines.append(f"{float(tau)!r},{nrm!r},{en!r}")
-        if cfg._get("output", "snapshots", int):
-            propagator.save_snapshot(disp, snap, os.path.join(out, f"field_{tau:.6f}.csv"))
+        if snapshots:
+            propagator.save_snapshot(disp, snap, os.path.join(out, snapshots[i]))
     _write_csv(os.path.join(out, "propagate.csv"), "t,cau_norm,energy", lines, cfg)
 
 
 def cmd_evolve(cfg: RunConfig, out: str) -> list[dynamics.EvolutionState]:
     t1, t2, steps = _time_grid(cfg, "evolve")
     s, m_ref = cfg.norm_weights
+    snapshot = cfg.snapshots
     dt = abs(t2 - t1) / steps
     traj = dynamics.evolve(cfg.initial_data(), t1, t2, dt, cfg.disp, cfg.nonlin)
     _write_csv(os.path.join(out, "trajectory.csv"), *dynamics.trajectory_csv(traj, s, m_ref), cfg)
-    if cfg._get("output", "snapshots", int):
+    if snapshot:
         last = traj[-1]
         snap = propagator.sample_at(last.disp, last.current, last.time)
         propagator.save_snapshot(last.disp, snap, os.path.join(out, "final_field.csv"))
@@ -464,13 +472,8 @@ def main(argv: list[str] | None = None) -> int:
             cfg.raw["output"]["seed"] = str(args.seed)
         out = args.out or cfg.out_dir
         os.makedirs(out, exist_ok=True)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         result = COMMANDS[args.command](cfg, out)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (dynamics.DivergenceError, FloatingPointError, MemoryError, OverflowError) as exc:

@@ -14,7 +14,6 @@ from chrono_duhamel.chrono import (
     evaluate_trees,
     invariance_csv,
     invariance_scan,
-    picard_nodes,
     point_eval_functional,
     transport_majorant,
     tree_expand,
@@ -294,6 +293,14 @@ def test_picard_sweep_cap_is_a_numerical_failure(monkeypatch):
         chrono_exp_evolve(f, 0.0, 1.0, 1, KG1, NonlinearitySpec({1: 0.5, 3: 1.0}), CHART)
 
 
+def test_non_finite_coefficients_of_a_higher_degree_are_a_numerical_failure():
+    # degrees 1 and 3 stay finite; the last sweep's degree 5 overflows to inf and nan
+    f = point_eval_functional(CHART, 0.0, 0)
+    f = SymFunctional([f.term(1).scaled(1e10)])
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+        chrono_exp_evolve(f, 0.0, 0.5, 1, KG1, NonlinearitySpec({3: 1e150}), CHART)
+
+
 def test_invariance_scan_interpolates_every_path_node():
     # each of the 41 values is the transported functional at that node,
     # evaluated on the trajectory's free solution there
@@ -307,6 +314,12 @@ def test_invariance_scan_interpolates_every_path_node():
     np.testing.assert_allclose(values, expected, rtol=0, atol=1e-10)
 
 
+def _cubic_nodes(f, substeps, cap):
+    """The Picard panel of the cubic transport of ``f`` over [0, 0.5] on CHART."""
+    sweeps = chrono._picard_sweeps(f, CUBIC, cap)
+    return chrono._picard_nodes(0.0, 0.5, CUBIC, CHART, substeps, sweeps)
+
+
 def test_picard_applies_the_operator_once_per_node_and_sweep(monkeypatch):
     # the cubic at cap 5 is exact after two sweeps from a linear functional
     calls = []
@@ -318,7 +331,7 @@ def test_picard_applies_the_operator_once_per_node_and_sweep(monkeypatch):
     monkeypatch.setattr(chrono, "vdot", counted)
     f = point_eval_functional(CHART, 0.0, 0)
     chrono_exp_evolve(f, 0.0, 0.5, 1, KG1, CUBIC, CHART, cap=5)
-    nodes = picard_nodes(f, 0.0, 0.5, CUBIC, CHART, 1, 5)
+    nodes = _cubic_nodes(f, 1, 5)
     assert len(nodes) == math.ceil(2 * 4 * math.sqrt(17) * 0.5 / 2) + 8
     assert calls == list(nodes) * 2
 
@@ -373,12 +386,12 @@ def test_truncation_events_mean_what_the_cap_drops(cap):
     data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.0)
     traj = evolve(data, 0.0, 0.5, 0.05, KG1, CUBIC)
     f = point_eval_functional(CHART, 0.0, 0)
-    nodes = picard_nodes(f, 0.0, 0.5, CUBIC, CHART, 2, cap)
+    nodes = _cubic_nodes(f, 2, cap)
     _, _, _, events = invariance_scan(f, traj, 0.0, 0.5, CHART, substeps=2, cap=cap)
     assert [ev.time for ev in events] == list(nodes)
     assert {(ev.in_degree, ev.out_degree) for ev in events} == {(cap, cap + 2)}
     _, events = chrono_exp_evolve(f, 0.0, 0.5, 1, KG1, CUBIC, CHART, cap=cap)
-    assert len(events) == len(picard_nodes(f, 0.0, 0.5, CUBIC, CHART, 1, cap))
+    assert len(events) == len(_cubic_nodes(f, 1, cap))
 
 
 def test_truncation_events_column_follows_a_backward_span():

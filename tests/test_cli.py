@@ -3,12 +3,16 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chrono_duhamel
 from chrono_duhamel import chrono, series
 from chrono_duhamel.cli import main
+from chrono_duhamel.propagator import Grid
 from chrono_duhamel.symfun import SymTensor, num_canonical, save_tensor
 
 
@@ -282,10 +286,13 @@ def test_selftest_ledger(tmp_path, capsys):
         ("invariance", SMALL + tensor_file("dim8.bin")),
         ("certify", SMALL + tensor_file("nan.bin")),
         ("certify", SMALL + "\n[functional]\nkind = linear_weights\nweights = 1,1,1,1,1,1,1,nan\n"),
+        ("certify", SMALL + "\n[functional]\nkind = linear_weights\nweights = 1,0,0\n"),
         ("certify", SMALL + "\n[tolerances]\nx_coeffs = 0,0,0,inf\n"),
         ("evolve", SMALL + "\n[initial]\nkind = random\n\n[output]\nseed = -5\n"),
         ("invariance", SMALL.replace("degree_cap = 3", "degree_cap = 0")),
         ("trees", SMALL.replace("tree_order = 1", "tree_order = -1")),
+        ("evolve", SMALL + "\n[output]\nsnapshots = -3\n"),
+        ("propagate", SMALL + "\n[output]\nsnapshots = 2\n"),
     ],
     ids=[
         "invariance-zero-steps",
@@ -340,10 +347,13 @@ def test_selftest_ledger(tmp_path, capsys):
         "invariance-tensor-file-wrong-dim",
         "certify-tensor-file-nan",
         "certify-nan-weights",
+        "certify-weights-of-the-wrong-length",
         "certify-infinite-x-coeffs",
         "evolve-negative-seed",
         "invariance-cap-below-functional-degree",
         "trees-negative-tree-order",
+        "evolve-negative-snapshots",
+        "propagate-snapshots-above-one",
     ],
 )
 def test_unsupported_config_is_a_config_error(tmp_path, capsys, command, body):
@@ -356,6 +366,88 @@ def test_unsupported_config_is_a_config_error(tmp_path, capsys, command, body):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_propagate_snapshot_names_must_differ(tmp_path, capsys):
+    # times 1e-7 apart would all write field_0.000000.csv and the like
+    body = SMALL.replace("t2 = 0.25", "t2 = 1e-5").replace("steps = 10", "steps = 100")
+    cfg = write_config(tmp_path / "c.ini", body + "\n[output]\nsnapshots = 1\n")
+    out = tmp_path / "o"
+    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert os.listdir(out) == []
+
+
+# (command, --config, --out) of paths that cannot be read or written; {tmp} is
+# the directory that _unusable_paths fills
+UNUSABLE_PATHS = {
+    "config-is-a-directory": ("certify", "{tmp}/dir", "{tmp}/o"),
+    "out-is-a-file": ("certify", "{tmp}/c.ini", "{tmp}/file"),
+    "out-under-a-file": ("certify", "{tmp}/c.ini", "{tmp}/file/o"),
+    "initial-file-is-a-directory": ("evolve", "{tmp}/initial.ini", "{tmp}/o"),
+    "tensor-file-is-a-directory": ("certify", "{tmp}/tensor.ini", "{tmp}/o"),
+    "config-not-utf8": ("certify", "{tmp}/utf16.ini", "{tmp}/o"),
+}
+
+
+def _unusable_paths(tmp_path, row):
+    """The argv of an UNUSABLE_PATHS row, with a directory, a file and the configs it names."""
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("not a directory\n")
+    write_config(tmp_path / "c.ini", SMALL)
+    for name, body in {"initial.ini": from_file("dir"), "tensor.ini": tensor_file("dir")}.items():
+        write_config(tmp_path / name, (SMALL + body).replace("{tmp}", str(tmp_path)))
+    (tmp_path / "utf16.ini").write_bytes(SMALL.encode("utf-16"))
+    command, config, out = UNUSABLE_PATHS[row]
+    return [command, "--config", config.format(tmp=tmp_path), "--out", out.format(tmp=tmp_path)]
+
+
+@pytest.mark.parametrize("row", sorted(UNUSABLE_PATHS))
+def test_unusable_paths_are_a_config_error(tmp_path, capsys, row):
+    assert main(_unusable_paths(tmp_path, row)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
+def test_module_entry_point_keeps_the_exit_code_contract(tmp_path):
+    src = os.path.dirname(os.path.dirname(chrono_duhamel.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "chrono_duhamel.cli"]
+    argv += _unusable_paths(tmp_path, "config-is-a-directory")
+    proc = subprocess.run(
+        argv, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.count("config error:") == 1 and "Traceback" not in proc.stderr
+
+
+def _data_lines(path):
+    return [l for l in path.read_text().splitlines() if not l.startswith("#")]
+
+
+def test_linear_weights_on_one_node_equal_point_eval(tmp_path):
+    # weights (1/dx, 0, ..., 0) pair the field trace with the sampling row of node 0
+    grid = Grid(8, 2 * math.pi)
+    weights = ",".join([repr(1 / grid.dx)] + ["0"] * (grid.M - 1))
+    bodies = {
+        "point": SMALL,
+        "weights": SMALL + f"\n[functional]\nkind = linear_weights\nweights = {weights}\n",
+    }
+    for name, body in bodies.items():
+        cfg = write_config(tmp_path / f"{name}.ini", body)
+        for command in ("invariance", "certify", "trees"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / name)]) == 0
+    for csv in ("invariance.csv", "certify.csv", "trees.csv"):
+        assert _data_lines(tmp_path / "weights" / csv) == _data_lines(tmp_path / "point" / csv)
+
+
+def test_random_initial_data_follows_the_seed(tmp_path):
+    cfg = write_config(tmp_path / "c.ini", SMALL + "\n[initial]\nkind = random\n")
+    for name, seed in (("a", "3"), ("b", "3"), ("c", "4")):
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / name), "--seed", seed]) == 0
+    a, b, c = (tmp_path / name / "trajectory.csv" for name in "abc")
+    assert a.read_bytes() == b.read_bytes()
+    assert _data_lines(a) != _data_lines(c)
 
 
 def test_unvouched_flow_time_is_a_numerical_failure(tmp_path, capsys, monkeypatch):

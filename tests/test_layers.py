@@ -65,7 +65,6 @@ PUBLIC = {
         "point_eval_functional",
         "vdot",
         "chrono_exp_evolve",
-        "picard_nodes",
         "tree_expand",
         "evaluate_trees",
         "invariance_scan",
