@@ -20,7 +20,8 @@ Dutt-Greengard-Rokhlin, BIT 40, 2000).  Under the degree cap the operator
 is graded nilpotent when every nonlinearity degree is at least 2, so a
 known number of sweeps settles every degree and time needs only spectral
 accuracy; otherwise the sweeps run to a tolerance.  ``chrono_exp_evolve``
-stores the last sweep as tensors too; ``invariance_scan`` needs it only at
+needs the last sweep as tensors, but only at the panel's last node, where
+it sums them up node by node; ``invariance_scan`` needs it only at
 the trajectory coordinates, where it is the stored sweep's derivative
 along the field, and evaluates it there without forming its top-degree
 tensors.  The rooted-tree expansion below keeps the explicit
@@ -279,12 +280,19 @@ def _picard_nodes(
     oscillating at most at ``eps_max``, so ``s (k_max + 1) eps_max`` bounds
     the angular frequency of the last sweep's integrand.  ``substeps`` is
     the node density over that oscillation.  The transport applies the
-    operator at these times and nowhere else.
+    operator at these times and nowhere else.  ``OverflowError`` is raised
+    when the panel's ``(n, n)`` float64 integration matrix is too large for
+    any NumPy array.
     """
     s = 2 if sweeps is None else sweeps
     eps_max = float(np.max(chart.disp.eps(chart.grid.xi)))
     k_max = max(nonlin.coeffs, default=0)
     n = math.ceil(substeps * s * (k_max + 1) * eps_max * abs(t2 - t1) / 2) + 8
+    if 8 * n * n > np.iinfo(np.intp).max:
+        raise OverflowError(
+            f"a Picard panel of {n:.6g} nodes over [{t1}, {t2}] needs an integration matrix"
+            " beyond NumPy's array size limit"
+        )
     times = t1 + (t2 - t1) * (_lobatto(n) + 1) / 2
     times[-1] = t2
     return times
@@ -340,10 +348,13 @@ def _picard(
     Returns ``(times, S, G)``: the nodes of ``_picard_nodes``, the
     integration matrix scaled to the panel (negative for a backward span)
     and the last stored sweep, degree -> ``(len(times), n_p)`` coefficients,
-    empty when the operator leaves ``f`` fixed.  With ``last`` that is the
-    transported functional at each node.  Without it the last, highest-degree
-    sweep is left to callers, which apply it to what they need of it: the
-    transported functional at node ``i`` is ``f + sum_l S[i, l] vdot(t_l, G_l)``.
+    empty when the operator leaves ``f`` fixed.  Without ``last`` the last,
+    highest-degree sweep is left to callers, which apply it to what they
+    need of it: the transported functional at node ``i`` is
+    ``f + sum_l S[i, l] vdot(t_l, G_l)``.  With ``last`` ``G`` is that
+    functional at the last node only, degree -> ``(1, n_p)``; a nilpotent
+    operator's last sweep is accumulated there node by node, so none of its
+    coefficients is stored at any other node.
 
     A nilpotent operator runs the known number of sweeps.  Otherwise stored
     sweeps repeat until the largest coefficient change is at most
@@ -358,8 +369,7 @@ def _picard(
         return times, S, {}
     base = {t.degree: t.coeffs[0] for t in f.terms}
     G = {p: np.broadcast_to(c, (times.size, c.size)) for p, c in base.items()}
-    limit = PICARD_MAX_SWEEPS if sweeps is None else sweeps - (0 if last else 1)
-    for _ in range(limit):
+    for _ in range(PICARD_MAX_SWEEPS if sweeps is None else sweeps - 1):
         # degree -> the operator at the nodes, filled node by node, dropped once integrated
         K: dict[int, np.ndarray] = {}
         for l, t in enumerate(times):
@@ -370,9 +380,8 @@ def _picard(
         new = dict(G)
         for m in list(K):
             new[m] = base.get(m, 0.0) + S @ K.pop(m)
-        # np.max, unlike max, keeps a nan of any degree
         update = np.max([np.max(np.abs(c - G.get(m, 0.0))) for m, c in new.items()])
-        scale = np.max([np.max(np.abs(c)) for c in new.values()])
+        scale = _largest(new)
         if not np.isfinite(update + scale):
             raise FloatingPointError(f"Picard sweep diverged on [{t1}, {t2}]")
         G = new
@@ -383,7 +392,29 @@ def _picard(
             raise FloatingPointError(
                 f"Picard sweeps did not settle within {PICARD_MAX_SWEEPS} on [{t1}, {t2}]"
             )
-    return times, S, G
+    if not last:
+        return times, S, G
+    top = {p: c[-1:] for p, c in G.items()}
+    if sweeps is None:
+        return times, S, top
+    # the last sweep at the last node only: f + sum_l S[-1, l] vdot(t_l, G_l)
+    acc: dict[int, np.ndarray] = {}
+    for l, t in enumerate(times):
+        for term in vdot(t, _sweep_at(G, l, chart.dim), nonlin, chart, cap=cap).terms:
+            part = S[-1, l] * term.coeffs
+            if term.degree in acc:
+                acc[term.degree] += part
+            else:
+                acc[term.degree] = part
+    top.update((m, base.get(m, 0.0) + c) for m, c in acc.items())
+    if not np.isfinite(_largest(top)):
+        raise FloatingPointError(f"Picard sweep diverged on [{t1}, {t2}]")
+    return times, S, top
+
+
+def _largest(G: dict[int, np.ndarray]) -> float:
+    """The largest coefficient magnitude of a sweep; ``np.max``, unlike ``max``, keeps any nan."""
+    return np.max([np.max(np.abs(c)) for c in G.values()])
 
 
 def _truncation_events(
@@ -409,8 +440,8 @@ def chrono_exp_evolve(
 ) -> tuple[SymFunctional, list[TruncationEvent]]:
     """Transport ``f`` from t1 to t2: dF/dt = V_t . F, F(t1) = f, by Chebyshev-Picard sweeps.
 
-    ``F`` is the last node's sweep of ``_picard`` at density 1, all sweeps
-    stored.  ``steps`` must be at least 1 when ``t1 != t2`` but no longer
+    ``F`` is ``_picard``'s transported functional at the last node, at
+    density 1.  ``steps`` must be at least 1 when ``t1 != t2`` but no longer
     sets the accuracy.  ``disp`` must be the chart's.
     """
     _check_disp(disp, chart)

@@ -21,7 +21,8 @@ as the cross-check oracle.  Duhamel's identity
 is used as a residual diagnostic: for an exact solution it vanishes, and
 for the RK4 trajectory it decreases at the integrator's order.  The
 running residual of a trajectory dump samples the vector field at every
-node with one batched kernel call and sums every prefix from those samples.
+node with one batched kernel call and takes the composite Simpson sums of
+all prefixes in one cumulative pass over those samples.
 """
 
 from __future__ import annotations
@@ -316,7 +317,8 @@ def duhamel_residual(
         raise ValueError("trajectory must cover [t1, t2] with at least 3 nodes")
     disp, grid = nodes[0].disp, nodes[0].current.chart_data.grid
     times, c, v = _field_samples(nodes)
-    res, fine = _prefix_residual(times, c, v, len(nodes))
+    fine = simpson(v, x=times, axis=0)
+    res = c[-1] - c[0] + fine
     if (len(times) - 1) % 2 == 0 and len(times) >= 5:
         err = (fine - simpson(v[::2], x=times[::2], axis=0)) / 15.0
     else:
@@ -338,13 +340,47 @@ def _field_samples(nodes: list[EvolutionState]):
     return times, c, _chart_field(nonlin, *_chart_factors(disp, grid, times), c, real)
 
 
-def _prefix_residual(times, c, v, n):
-    """Duhamel residual modes over the first ``n`` nodes, and their Simpson sum.
+def _guarded_divide(a, b):
+    """``a / b`` where ``b != 0`` and 0 elsewhere, as SciPy's Simpson weights divide."""
+    return np.true_divide(a, b, out=np.zeros_like(b), where=b != 0)
 
-    One composite Simpson sum over the stacked (psi, chi) samples.
+
+def _prefix_simpson(times, v):
+    """``simpson(v[:n], x=times[:n], axis=0)`` for every ``n = 3 .. len(times)``, stacked.
+
+    SciPy's composite Simpson sum over ``n`` nodes adds one term per node
+    pair ``(2j, 2j + 1, 2j + 2)`` that does not depend on ``n``; an even
+    ``n`` stops one pair short and adds Cartwright's correction for its
+    last interval.  The pair terms are formed once, term for term as
+    ``scipy.integrate._quadrature._basic_simpson`` forms them, and summed
+    cumulatively, so one pass gives every row with SciPy's bits.  The added
+    ``0.0`` gives a zero sum SciPy's ``+0.0``.
     """
-    quad = simpson(v[:n], x=times[:n], axis=0)
-    return c[n - 1] - c[0] + quad, quad
+    n = len(times)
+    h = np.diff(times)[:, None, None]
+    # pair j: spacings h0 = h[2j] and h1 = h[2j + 1]
+    e = 2 * ((n - 1) // 2)
+    h0, h1 = h[0:e:2], h[1:e:2]
+    hsum, hprod = h0 + h1, h0 * h1
+    h0divh1 = _guarded_divide(h0, h1)
+    pairs = hsum / 6.0 * (
+        v[0:e:2] * (2.0 - _guarded_divide(1.0, h0divh1))
+        + v[1:e:2] * (hsum * _guarded_divide(hsum, hprod))
+        + v[2 : e + 1 : 2] * (2.0 - h0divh1)
+    )
+    partial = np.cumsum(pairs, axis=0) + 0.0
+    out = np.empty((n - 2, *v.shape[1:]), dtype=partial.dtype)
+    # odd n = 2j + 3: pairs 0..j
+    out[0::2] = partial
+    # even n = 2j + 4: pairs 0..j, then the last interval with h0 = h[2j + 1], h1 = h[2j + 2]
+    e = 2 * ((n - 2) // 2)
+    h0, h1 = h[1:e:2], h[2 : e + 1 : 2]
+    alpha = _guarded_divide(2 * h1**2 + 3 * h0 * h1, 6 * (h1 + h0))
+    beta = _guarded_divide(h1**2 + 3.0 * h0 * h1, 6 * h0)
+    eta = _guarded_divide(h1**3, 6 * h0 * (h0 + h1))
+    last = alpha * v[3 : e + 3 : 2] + beta * v[2 : e + 2 : 2] - eta * v[1 : e + 1 : 2]
+    out[1::2] = partial[: e // 2] + last + 0.0
+    return out
 
 
 def _cau_norms(disp, grid, modes, s, m_ref):
@@ -366,24 +402,35 @@ def trajectory_csv(
     Columns: (t, cau_norm, energy, duhamel_residual_running).
 
     The running residual of row i is ``duhamel_residual(traj[:i+1], t_0, t_i)``.
-    One batched kernel call samples the chart field at every node, every
-    row's composite Simpson sum is taken over a prefix of those samples,
-    and norms and energies are taken on all rows at once.
+    One batched kernel call samples the chart field at every node, one
+    cumulative pass (``_prefix_simpson``) gives the composite Simpson sums
+    of all prefixes, and norms and energies are taken on all rows at once.
+    ``FloatingPointError`` names the first row whose time, norm, running
+    residual or (second-order kinds) energy is not finite; the Schrodinger
+    energy column is nan by definition.
     """
     disp = traj[0].disp
     grid = traj[0].current.chart_data.grid
-    times, c, v = _field_samples(traj)
-    norms = _cau_norms(disp, grid, c, s, m_ref).tolist()
-    if disp.second_order:
-        energies = _energies(disp, grid, c[:, 0], c[:, 1]).tolist()
-    else:
-        energies = [float("nan")] * len(traj)
-    running = [0.0] * min(len(traj), 2)
-    if len(traj) > 2:
-        prefixes = np.array([_prefix_residual(times, c, v, n)[0] for n in range(3, len(traj) + 1)])
-        running += _cau_norms(disp, grid, prefixes, s, m_ref).tolist()
+    with np.errstate(all="ignore"):
+        times, c, v = _field_samples(traj)
+        norms = _cau_norms(disp, grid, c, s, m_ref)
+        if disp.second_order:
+            energies = _energies(disp, grid, c[:, 0], c[:, 1])
+        else:
+            energies = np.full(len(traj), np.nan)
+        running = np.zeros(len(traj))
+        if len(traj) > 2:
+            running[2:] = _cau_norms(disp, grid, c[2:] - c[0] + _prefix_simpson(times, v), s, m_ref)
+    checked = [times, norms, running] + ([energies] if disp.second_order else [])
+    finite = np.isfinite(np.array(checked)).all(axis=0)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise FloatingPointError(
+            f"trajectory row at t = {float(times[i])!r}: cau_norm {float(norms[i])!r}, "
+            f"energy {float(energies[i])!r}, duhamel_residual_running {float(running[i])!r}"
+        )
     lines = [
         f"{st.time!r},{nrm!r},{en!r},{res!r}"
-        for st, nrm, en, res in zip(traj, norms, energies, running)
+        for st, nrm, en, res in zip(traj, norms.tolist(), energies.tolist(), running.tolist())
     ]
     return "t,cau_norm,energy,duhamel_residual_running", lines

@@ -380,6 +380,21 @@ def test_invariance_scan_builds_no_tensor_of_the_last_sweep(monkeypatch):
     assert degrees and set(degrees) == {3}
 
 
+@pytest.mark.parametrize("t1, t2", [(0.0, 0.5), (0.5, 0.0)], ids=["forward", "backward"])
+def test_last_sweep_is_kept_at_the_last_node_only(t1, t2):
+    # the cubic at cap 5 from a linear f: the last sweep gives degrees 3 and 5 as
+    # sum_l S[-1, l] vdot(t_l, G_l) over the stored sweep G, and degree 1 stays f's
+    f = point_eval_functional(CHART, 0.0, 0)
+    times, S, G = chrono._picard(f, t1, t2, CUBIC, CHART, 1, 5)
+    _, _, top = chrono._picard(f, t1, t2, CUBIC, CHART, 1, 5, last=True)
+    assert {p: c.shape[0] for p, c in top.items()} == {1: 1, 3: 1, 5: 1}
+    np.testing.assert_array_equal(top[1][0], f.term(1).coeffs[0])
+    K = [vdot(t, chrono._sweep_at(G, l, CHART.dim), CUBIC, CHART, cap=5) for l, t in enumerate(times)]
+    for m in (3, 5):
+        expected = S[-1] @ np.array([k.term(m).coeffs[0] for k in K])
+        np.testing.assert_allclose(top[m][0], expected, rtol=0, atol=1e-14 * np.max(np.abs(expected)))
+
+
 @pytest.mark.parametrize("cap", [3, 5])
 def test_truncation_events_mean_what_the_cap_drops(cap):
     # one event per node: the top stored degree would leave the cap

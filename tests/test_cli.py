@@ -471,6 +471,10 @@ def test_memory_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
     assert err.startswith("numerical failure in invariance: MemoryError") and "Traceback" not in err
 
 
+# the running Duhamel residual's Simpson sums overflow, and the Picard panel has ~1e301 nodes
+HUGE_SPAN = "[grid]\nm = 4\n[initial]\namplitude = 1e-300\n[times]\nt2 = 1e300\nsteps = 4\n"
+
+
 @pytest.mark.parametrize(
     "command, body",
     [
@@ -485,6 +489,8 @@ def test_memory_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
         ("trees", SMALL + "\n[tolerances]\nm_ref = 1e-300\n"),
         ("evolve", SMALL + "\n[tolerances]\nm_ref = 1e-300\n"),
         ("certify", SMALL + "\n[tolerances]\nm_ref = 1e-300\n"),
+        ("evolve", HUGE_SPAN),
+        ("invariance", HUGE_SPAN),
     ],
     ids=[
         "propagate-m-ref",
@@ -498,16 +504,20 @@ def test_memory_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
         "trees-tiny-m-ref",
         "evolve-tiny-m-ref",
         "certify-tiny-m-ref",
+        "evolve-huge-span",
+        "invariance-huge-span",
     ],
 )
 def test_float_overflow_is_a_numerical_failure(tmp_path, capsys, command, body):
     # a finite config float whose square overflows raises OverflowError from Python's **;
-    # one that makes a norm, a Sobolev weight or a tree value non-finite raises
-    # FloatingPointError, so no inf or nan cell is written
+    # one that makes a norm, a Sobolev weight, a tree value or a running Duhamel residual
+    # non-finite raises FloatingPointError, so no inf or nan cell is written; a Picard
+    # panel too large for any array raises OverflowError before it is built
     cfg = write_config(tmp_path / "c.ini", body)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"numerical failure in {command}:") and "Traceback" not in err
+    assert err.startswith(f"numerical failure in {command}:") and err.count("\n") == 1
+    assert not (tmp_path / "o" / "trajectory.csv").exists()
 
 
 def test_unsettled_picard_sweeps_are_a_numerical_failure(tmp_path, capsys, monkeypatch):

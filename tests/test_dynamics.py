@@ -299,6 +299,48 @@ def test_trajectory_csv_one_batched_field_evaluation(monkeypatch):
     assert rows == [len(traj)]
 
 
+@pytest.mark.parametrize(
+    "disp, t1, t2, steps, nonlin, grid",
+    [
+        (KG1, 0.0, 1.0, 100, CUBIC, Grid(32, 2 * np.pi)),
+        (KG1, 0.3, -0.2, 10, CUBIC, GRID),
+        (SCH, 0.0, 0.4, 8, CUBIC, GRID),
+        (KG1, 0.0, 0.4, 8, NonlinearitySpec({2: -0.6, 3: 1.0}), GRID),
+        (KG1, 0.0, 0.1, 2, CUBIC, GRID),
+        (KG1, 0.0, 0.15, 3, CUBIC, GRID),
+    ],
+    ids=["klein_gordon-101", "backward", "schrodinger", "mixed", "N3", "N4"],
+)
+def test_prefix_simpson_is_scipy_simpson_on_every_prefix(disp, t1, t2, steps, nonlin, grid):
+    rng = np.random.default_rng(23)
+    if disp.second_order:
+        data = random_data(rng, grid=grid, t=t1, scale=0.3)
+    else:
+        psi = rng.standard_normal(grid.M) + 1j * rng.standard_normal(grid.M)
+        data = CauchyData(grid, 0.3 * psi, None, t1)
+    traj = evolve(data, t1, t2, abs(t2 - t1) / steps, disp, nonlin)
+    times, _, v = dyn._field_samples(traj)
+    sums = dyn._prefix_simpson(times, v)
+    assert len(sums) == len(traj) - 2
+    for n, got in enumerate(sums, 3):
+        # raw bytes, so that the sign of a zero counts
+        assert got.tobytes() == dyn.simpson(v[:n], x=times[:n], axis=0).tobytes()
+
+
+def test_trajectory_csv_calls_no_scipy_simpson(monkeypatch):
+    traj = evolve(benchmark_data(GRID), 0.0, 0.5, 0.05, KG1, CUBIC)
+    calls = []
+    quad = dyn.simpson
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(dyn, "simpson", counted)
+    trajectory_csv(traj)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # the mode-space kernel against the per-node physical-space reference
 # ---------------------------------------------------------------------------
