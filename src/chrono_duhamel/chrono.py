@@ -13,19 +13,20 @@ The first-order operator action is
 with each vertex ``V_t^(k) = lam_k sum_x B_t[:, x] (x) A_t[x]^{(x) k}`` kept
 as its factors, the sampling rows ``A_t`` and Green-lift columns ``B_t``, on
 which ``compose_rank_one`` composes without forming the tensor.  The
-time-ordered exponential solves dF/dt = V_t . F in coefficient space by
-Chebyshev-Picard sweeps ``G <- f + int_{t1}^t V . G`` on one
+time-ordered exponential solves dF/dt = V_t . F in coefficient space as its
+Dyson series: ``T_0 = f``, ``T_j = int_{t1}^t V . T_{j-1}``, ``F = sum_j T_j``
+(Agrachev-Gamkrelidze, Math. USSR-Sb. 35, 1979), each integral taken on one
 Chebyshev-Lobatto panel (Greengard, SIAM J. Numer. Anal. 28, 1991;
 Dutt-Greengard-Rokhlin, BIT 40, 2000).  Under the degree cap the operator
-is graded nilpotent when every nonlinearity degree is at least 2, so a
-known number of sweeps settles every degree and time needs only spectral
-accuracy; otherwise the sweeps run to a tolerance.  ``chrono_exp_evolve``
-needs the last sweep as tensors, but only at the panel's last node, where
-it sums them up node by node; ``invariance_scan`` needs it only at
-the trajectory coordinates, where it is the stored sweep's derivative
-along the field, and evaluates it there without forming its top-degree
-tensors.  The rooted-tree expansion below keeps the explicit
-simplex-quadrature semantics as an independent check of the same object.
+is graded nilpotent when every nonlinearity degree is at least 2: a known
+number of terms settles every degree, time needs only spectral accuracy,
+and a stored term keeps only the degrees up to the feeding cap
+``cap - k_min + 1``.  Otherwise the terms run until they are small.
+``chrono_exp_evolve`` sums the last sweep at the panel's last node only;
+``invariance_scan`` evaluates it at the trajectory coordinates only, as the
+stored sweep's derivative along the field, without its top-degree tensors.
+The rooted-tree expansion keeps the explicit simplex-quadrature semantics
+as an independent check of the same object.
 """
 
 from __future__ import annotations
@@ -77,10 +78,9 @@ __all__ = [
 
 DEFAULT_DEGREE_CAP = 5
 
-# Picard sweeps of an operator that is not nilpotent under the cap (a
-# degree-0 or degree-1 nonlinearity term) stop once the largest coefficient
-# change is at most PICARD_RTOL times the largest coefficient; a transport
-# still moving after PICARD_MAX_SWEEPS sweeps raises FloatingPointError.
+# Dyson terms of an operator that is not nilpotent under the cap (a degree-0 or degree-1
+# nonlinearity term) stop once a term's largest coefficient is at most PICARD_RTOL times the
+# largest of their sum; PICARD_MAX_SWEEPS terms that do not get there raise FloatingPointError.
 PICARD_RTOL = 1e-13
 PICARD_MAX_SWEEPS = 40
 
@@ -343,23 +343,25 @@ def _picard(
     cap: int,
     last: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
-    """Chebyshev-Picard sweeps ``G <- f + S . [vdot(t_j, G_j)]`` on one panel over [t1, t2].
+    """Dyson terms ``T_0 = f``, ``T_j = S . [vdot(t_l, T_{j-1}(t_l))]`` on one panel over [t1, t2].
 
     Returns ``(times, S, G)``: the nodes of ``_picard_nodes``, the
     integration matrix scaled to the panel (negative for a backward span)
-    and the last stored sweep, degree -> ``(len(times), n_p)`` coefficients,
-    empty when the operator leaves ``f`` fixed.  Without ``last`` the last,
-    highest-degree sweep is left to callers, which apply it to what they
-    need of it: the transported functional at node ``i`` is
-    ``f + sum_l S[i, l] vdot(t_l, G_l)``.  With ``last`` ``G`` is that
+    and the stored sweep ``G = sum_j T_j``, degree -> ``(len(times), n_p)``
+    coefficients, empty when the operator leaves ``f`` fixed.  Without
+    ``last`` the last, highest-degree sweep is left to callers, which apply
+    it to what they need of it: the transported functional at node ``i``
+    is ``f + sum_l S[i, l] vdot(t_l, G_l)``.  With ``last`` ``G`` is that
     functional at the last node only, degree -> ``(1, n_p)``; a nilpotent
     operator's last sweep is accumulated there node by node, so none of its
     coefficients is stored at any other node.
 
-    A nilpotent operator runs the known number of sweeps.  Otherwise stored
-    sweeps repeat until the largest coefficient change is at most
-    ``PICARD_RTOL`` times the largest coefficient.  ``FloatingPointError``
-    is raised after ``PICARD_MAX_SWEEPS`` sweeps without that, and on
+    A nilpotent operator's terms stop after the known number of sweeps, or
+    at an empty term, and keep the feeding cap ``cap - k_min + 1``: a degree
+    above it composes into nothing the cap keeps.  Otherwise the terms keep
+    ``cap`` until the largest coefficient of ``T_j`` is at most
+    ``PICARD_RTOL`` times the largest of ``G``; ``FloatingPointError`` is
+    raised when ``PICARD_MAX_SWEEPS`` terms do not get there, and on
     non-finite coefficients.
     """
     sweeps = _picard_sweeps(f, nonlin, cap)
@@ -367,25 +369,26 @@ def _picard(
     S = _integration_matrix(times.size) * (0.5 * (t2 - t1))
     if sweeps == 0:
         return times, S, {}
-    base = {t.degree: t.coeffs[0] for t in f.terms}
-    G = {p: np.broadcast_to(c, (times.size, c.size)) for p, c in base.items()}
+    feed = cap if sweeps is None else cap - min(nonlin.coeffs) + 1
+    T = {t.degree: np.broadcast_to(t.coeffs, (times.size, t.coeffs.shape[1])) for t in f.terms}
+    G = dict(T)
     for _ in range(PICARD_MAX_SWEEPS if sweeps is None else sweeps - 1):
-        # degree -> the operator at the nodes, filled node by node, dropped once integrated
+        # degree -> the operator on T_{j-1} at the nodes, filled node by node, dropped once integrated
         K: dict[int, np.ndarray] = {}
         for l, t in enumerate(times):
-            for term in vdot(t, _sweep_at(G, l, chart.dim), nonlin, chart, cap=cap).terms:
+            for term in vdot(t, _sweep_at(T, l, chart.dim), nonlin, chart, cap=feed).terms:
                 if term.degree not in K:
                     K[term.degree] = np.empty((times.size, term.coeffs.shape[1]))
                 K[term.degree][l] = term.coeffs[0]
-        new = dict(G)
-        for m in list(K):
-            new[m] = base.get(m, 0.0) + S @ K.pop(m)
-        update = np.max([np.max(np.abs(c - G.get(m, 0.0))) for m, c in new.items()])
-        scale = _largest(new)
-        if not np.isfinite(update + scale):
+        if not K:
+            break
+        T = {m: S @ K.pop(m) for m in list(K)}
+        for m, c in T.items():
+            G[m] = G.get(m, 0.0) + c
+        size, scale = _largest(T), _largest(G)
+        if not np.isfinite(size + scale):
             raise FloatingPointError(f"Picard sweep diverged on [{t1}, {t2}]")
-        G = new
-        if sweeps is None and update <= PICARD_RTOL * scale:
+        if sweeps is None and size <= PICARD_RTOL * scale:
             break
     else:
         if sweeps is None:
@@ -394,19 +397,16 @@ def _picard(
             )
     if not last:
         return times, S, G
-    top = {p: c[-1:] for p, c in G.items()}
     if sweeps is None:
-        return times, S, top
+        return times, S, {p: c[-1:] for p, c in G.items()}
     # the last sweep at the last node only: f + sum_l S[-1, l] vdot(t_l, G_l)
     acc: dict[int, np.ndarray] = {}
     for l, t in enumerate(times):
         for term in vdot(t, _sweep_at(G, l, chart.dim), nonlin, chart, cap=cap).terms:
-            part = S[-1, l] * term.coeffs
-            if term.degree in acc:
-                acc[term.degree] += part
-            else:
-                acc[term.degree] = part
-    top.update((m, base.get(m, 0.0) + c) for m, c in acc.items())
+            acc[term.degree] = acc.get(term.degree, 0.0) + S[-1, l] * term.coeffs
+    top = {t.degree: t.coeffs for t in f.terms}
+    for m, c in acc.items():
+        top[m] = top.get(m, 0.0) + c
     if not np.isfinite(_largest(top)):
         raise FloatingPointError(f"Picard sweep diverged on [{t1}, {t2}]")
     return times, S, top

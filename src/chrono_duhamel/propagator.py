@@ -226,11 +226,24 @@ def _sobolev_norms(grid: Grid, psi_modes, chi_modes, s: float, r_order: int, m_r
         raise ValueError("m_ref must be positive")
     w = np.sqrt(m_ref**2 + grid.xi**2)
     (w_psi,) = _weight_powers(w, 2 * s)
-    total = np.sqrt(grid.Lx * np.sum(w_psi * np.abs(psi_modes) ** 2, axis=-1))
+    total = _weighted_l2(grid, w_psi, psi_modes)
     if chi_modes is not None:
         (w_chi,) = _weight_powers(w, 2 * (s - r_order))
-        total += np.sqrt(grid.Lx * np.sum(w_chi * np.abs(chi_modes) ** 2, axis=-1))
+        total += _weighted_l2(grid, w_chi, chi_modes)
     return total
+
+
+def _weighted_l2(grid: Grid, weight: np.ndarray, modes) -> np.ndarray:
+    """``sqrt(Lx sum weight |modes|^2)`` per row, squared after scaling by a power of two.
+
+    Each row is scaled by ``2^-e`` with ``e`` the exponent of its largest
+    magnitude, so the squares neither underflow nor overflow; a power of
+    two scales exactly, and the root undoes it exactly.
+    """
+    mag = np.abs(modes)
+    _, e = np.frexp(np.max(mag, axis=-1, keepdims=True))
+    root = np.sqrt(grid.Lx * np.sum(weight * np.ldexp(mag, -e) ** 2, axis=-1))
+    return np.ldexp(root, e[..., 0])
 
 
 def cau_norm(disp: DispersionRelation, data: CauchyData, s: float, m_ref: float) -> float:

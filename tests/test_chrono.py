@@ -337,27 +337,30 @@ def test_picard_applies_the_operator_once_per_node_and_sweep(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "coeffs, t1, t2",
+    "coeffs, t1, t2, cap",
     [
-        ({3: 1.0}, 0.0, 0.5),
-        ({2: 0.3, 3: 0.8}, 0.0, 0.5),
-        ({1: 0.5, 3: 1.0}, 0.0, 0.5),
-        ({0: 0.2, 3: 1.0}, 0.0, 0.5),
-        ({3: 1.0}, 0.5, 0.0),
+        ({3: 1.0}, 0.0, 0.5, 5),
+        ({2: 0.3, 3: 0.8}, 0.0, 0.5, 5),
+        ({1: 0.5, 3: 1.0}, 0.0, 0.5, 5),
+        ({0: 0.2, 3: 1.0}, 0.0, 0.5, 5),
+        ({3: 1.0}, 0.5, 0.0, 5),
+        ({3: 1.0}, 0.0, 0.5, 6),
     ],
-    ids=["cubic-two-sweeps", "mixed", "linear", "constant", "cubic-backward"],
+    ids=["cubic-two-sweeps", "mixed", "linear", "constant", "cubic-backward", "cubic-empty-term"],
 )
-def test_matrix_free_last_sweep_matches_the_transported_functional(coeffs, t1, t2):
+def test_matrix_free_last_sweep_matches_the_transported_functional(coeffs, t1, t2, cap):
     # at density 1 the scan's panel is the transport's, so its value at t2 is the
-    # transported functional, with the last sweep composed as tensors, at the last point
+    # transported functional, with the last sweep composed as tensors, at the last point;
+    # the cubic at cap 6 sizes its panel for three sweeps, but its second stored
+    # Dyson term, degree 5, lies above the feeding cap 4 and is empty
     grid = Grid(8, 2 * np.pi)
     chart = ChartMap(grid, KG1)
     nonlin = NonlinearitySpec(coeffs)
     data = CauchyData(grid, 0.3 * np.cos(grid.x), np.zeros(grid.M), t1)
     traj = evolve(data, t1, t2, 0.05, KG1, nonlin)
     f = point_eval_functional(chart, 0.0, 0)
-    _, values, _, _ = invariance_scan(f, traj, t1, t2, chart, substeps=1, cap=5)
-    F, _ = chrono_exp_evolve(f, t1, t2, 1, KG1, nonlin, chart, cap=5)
+    _, values, _, _ = invariance_scan(f, traj, t1, t2, chart, substeps=1, cap=cap)
+    F, _ = chrono_exp_evolve(f, t1, t2, 1, KG1, nonlin, chart, cap=cap)
     expected = eval_series(F, chart.coords_of(traj[-1].current))[0]
     assert values[-1] == pytest.approx(expected, rel=1e-13)
 
@@ -378,6 +381,29 @@ def test_invariance_scan_builds_no_tensor_of_the_last_sweep(monkeypatch):
     f = point_eval_functional(CHART, 0.0, 0)
     invariance_scan(f, traj, 0.0, 0.5, CHART, substeps=2, cap=5)
     assert degrees and set(degrees) == {3}
+
+
+def test_stored_dyson_terms_compose_each_degree_once(monkeypatch):
+    # {2: 0.3, 3: 0.8} at cap 5 stores T_1, T_2, T_3 under the feeding cap 4: T_1 composes
+    # f's degree 1, T_2 composes T_1's degrees 2 and 3, and T_3 composes T_2's degree 3
+    # and drops its degree 4; the last sweep is evaluated on the path only
+    pairs = []
+    kernel = chrono.compose_rank_one
+
+    def spied(f, B, W, q):
+        pairs.append((f.degree, q))
+        return kernel(f, B, W, q)
+
+    monkeypatch.setattr(chrono, "compose_rank_one", spied)
+    mixed = NonlinearitySpec({2: 0.3, 3: 0.8})
+    data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.0)
+    traj = evolve(data, 0.0, 0.5, 0.05, KG1, mixed)
+    f = point_eval_functional(CHART, 0.0, 0)
+    invariance_scan(f, traj, 0.0, 0.5, CHART, substeps=2, cap=5)
+    sweeps = chrono._picard_sweeps(f, mixed, 5)
+    n = len(chrono._picard_nodes(0.0, 0.5, mixed, CHART, 2, sweeps))
+    per_node = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 2)]
+    assert sorted(pairs) == sorted(per_node * n)
 
 
 @pytest.mark.parametrize("t1, t2", [(0.0, 0.5), (0.5, 0.0)], ids=["forward", "backward"])
@@ -526,6 +552,23 @@ def test_tree_tensor_equivalence_backward():
     trees, evaluator = tree_expand(f, t1, t2, 2, KG1, CUBIC, CHART)
     F, _ = chrono_exp_evolve(f, t1, t2, 40, KG1, CUBIC, CHART, cap=5)
     assert evaluator(u) == pytest.approx(eval_series(F, c)[0], abs=1e-10, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "amp, t1, t2", [(0.3, 0.0, 0.25), (0.2, 0.25, 0.0)], ids=["forward", "backward"]
+)
+def test_each_dyson_term_is_one_order_of_trees(amp, t1, t2):
+    # the cubic adds two degrees per term: degree 2j + 1 of the transport is the
+    # order-j trees, not only their sum
+    f = point_eval_functional(CHART, 0.0, 0)
+    u = bench_solution(amp=amp)
+    c = CHART.coords_of(u)
+    trees, _ = tree_expand(f, t1, t2, 2, KG1, CUBIC, CHART)
+    F, _ = chrono_exp_evolve(f, t1, t2, 1, KG1, CUBIC, CHART, cap=5)
+    for order, degree in ((1, 3), (2, 5)):
+        by_trees = evaluate_trees([t for t in trees if t.order == order], f, u, t1, t2, CUBIC, CHART)
+        by_term = eval_series(SymFunctional([F.term(degree)]), c)[0]
+        assert by_term == pytest.approx(by_trees, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ SNAPSHOTS = {
     "schrodinger.csv": snapshot_text(kind="schrodinger"),
     "garbage.csv": "not a snapshot\n",
     "no_rows.csv": snapshot_text()[: snapshot_text().index("x,psi")],
+    "no_chi.csv": snapshot_text().replace(",0.0\n", ",\n"),
 }
 
 
@@ -293,6 +294,14 @@ def test_selftest_ledger(tmp_path, capsys):
         ("trees", SMALL.replace("tree_order = 1", "tree_order = -1")),
         ("evolve", SMALL + "\n[output]\nsnapshots = -3\n"),
         ("propagate", SMALL + "\n[output]\nsnapshots = 2\n"),
+        ("certify", SMALL + "\n[solver]\norder = 4\n"),
+        ("evolve", SMALL.replace("m = 8", "m = abc")),
+        ("certify", SMALL + "\n[functional]\nkind = linear_weights\nweights = a,b\n"),
+        ("propagate", SMALL + "\n[dispersion]\nkind = wave\n"),
+        ("evolve", SMALL + from_file("no_chi.csv")),
+        ("evolve", SMALL + "\n[initial]\nkind = sine\n"),
+        ("certify", SMALL + "\n[functional]\nkind = foo\n"),
+        ("certify", SMALL + "\n[tolerances]\nx_coeffs = 0,-1\n"),
     ],
     ids=[
         "invariance-zero-steps",
@@ -354,6 +363,14 @@ def test_selftest_ledger(tmp_path, capsys):
         "trees-negative-tree-order",
         "evolve-negative-snapshots",
         "propagate-snapshots-above-one",
+        "certify-unknown-section",
+        "evolve-non-numeric-grid-size",
+        "certify-unparsable-weights",
+        "propagate-unknown-dispersion-kind",
+        "evolve-klein-gordon-snapshot-without-chi",
+        "evolve-unknown-initial-kind",
+        "certify-unknown-functional-kind",
+        "certify-negative-x-coeffs",
     ],
 )
 def test_unsupported_config_is_a_config_error(tmp_path, capsys, command, body):

@@ -206,6 +206,14 @@ def test_norm_constant_field():
     assert cau_norm(KG1, data, 0.0, 1.0) == pytest.approx(c * np.sqrt(GRID.Lx), rel=1e-13)
 
 
+@pytest.mark.parametrize("a", [1e-300, 1e160], ids=["tiny", "huge"])
+def test_norm_neither_underflows_nor_overflows(a):
+    # squaring a mode of 1e-300 underflows to 0 and one of 1e160 overflows to inf
+    grid = Grid(4, 2 * np.pi)
+    data = CauchyData(grid, a * np.cos(grid.x), np.zeros(grid.M), 0.0)
+    assert cau_norm(KG1, data, 0.0, 1.0) == pytest.approx(a * np.sqrt(np.pi), rel=1e-15)
+
+
 def test_norm_zero_data():
     zero = CauchyData(GRID, np.zeros(GRID.M), np.zeros(GRID.M), 0.0)
     assert cau_norm(KG1, zero, 1.5, 1.0) == 0.0
