@@ -11,7 +11,8 @@ pointwise nonlinearity lifted through the Green structure (interaction
 picture).  ``A_t`` is diagonal per Fourier mode, so the chart state is
 kept as its modes ``c_k = fft(field) / M`` and one private kernel computes
 ``Vbar_t`` on arrays batched over times: per-mode factors of ``A_t``, one
-inverse FFT to the traces, one call to ``N``, one forward FFT back.  The
+unscaled inverse FFT to the traces, one call to ``N``, one forward FFT
+back, whose ``1/M`` rides on the factors of ``A_{-t}``.  The
 reference integrator is classical RK4 on this chart ODE, every stage one
 kernel call; an independent Strang splitting on the raw Cauchy data serves
 as the cross-check oracle.  Duhamel's identity
@@ -83,7 +84,14 @@ class NonlinearitySpec:
         return tuple(sorted(self.coeffs))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
+        """``N(u)``, a new array of ``u``'s shape and dtype.
+
+        The sum starts from ``0.0``, so a ``-0.0`` term comes out ``+0.0``
+        exactly as it would from an array of zeros.
+        """
+        if not self.coeffs:
+            return np.zeros_like(u)
+        out = 0.0
         for k, v in self.coeffs.items():
             out = out + v * u**k
         return out
@@ -110,25 +118,25 @@ class EvolutionState:
 def _chart_factors(disp: DispersionRelation, grid: Grid, times) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode factors ``(fwd, back)`` of ``A_t`` and ``A_{-t}``, ``(len(times), K, M)`` each.
 
-    Second-order kinds: ``fwd = M (cos, snc)`` and ``back = (-snc, cos) / M``
+    Second-order kinds: ``fwd = (cos, snc)`` and ``back = (-snc, cos) / M``
     with ``cos = cos(eps t)`` and ``snc = sin(eps t)/eps``; first-order kinds:
-    ``fwd = M phase`` and ``back = -i conj(phase) / M`` with ``phase =
+    ``fwd = phase`` and ``back = -i conj(phase) / M`` with ``phase =
     exp(i omega t)``.  ``back`` carries the Green restriction on the source
     slice: second-order kinds lift N(trace) as the Cauchy data (0, g) with
     unit weight, the first-order Schrodinger kernel carries
-    ``(gamma^0)^{-1} = -i``.  ``M`` is a power of two, so folding the FFT
-    scale into the factors is exact.
+    ``(gamma^0)^{-1} = -i``.  The one ``1/M`` of the round trip sits in
+    ``back``: ``_chart_field`` takes the inverse FFT unscaled, and ``M`` is
+    a power of two, so moving the FFT scale between the factors is exact.
     """
     t = np.asarray(times, dtype=float)[:, None]
     M = grid.M
     if disp.second_order:
         cos, snc = _wave_factors(disp.eps(grid.xi), t)
         fwd, back = np.stack([cos, snc], axis=-2), np.stack([-snc, cos], axis=-2)
-        fwd *= M
         back /= M
         return fwd, back
     phase = np.exp(1j * disp.phase(grid.xi) * t)
-    return (M * phase)[:, None, :], (-1j * phase.conj() / M)[:, None, :]
+    return phase[:, None, :], (-1j * phase.conj() / M)[:, None, :]
 
 
 def _chart_field(nonlin, fwd, back, c, real):
@@ -140,10 +148,15 @@ def _chart_field(nonlin, fwd, back, c, real):
     ``(K, M)`` block per time, and broadcast against ``c``.  ``real``
     projects the field trace on its real part, as the physical-space
     propagator does for real Klein-Gordon data.  One inverse FFT, one call
-    to ``N`` and one forward FFT serve all times.
+    to ``N`` and one forward FFT serve all times.  The inverse FFT runs
+    unscaled (``norm="forward"``), in place on the summed rows, since
+    ``c`` already carries the ``1/M``; ``back`` carries the ``1/M`` of the
+    forward FFT, whose output goes into one new array.
     """
-    u = np.fft.ifft((fwd * c).sum(axis=-2))
-    return back * np.fft.fft(nonlin.apply(u.real if real else u))[..., None, :]
+    u = np.add.reduce(fwd * c, axis=-2)
+    np.fft.ifft(u, norm="forward", out=u)
+    g = nonlin.apply(u.real if real else u)
+    return back * np.fft.fft(g, out=np.empty(u.shape, complex))[..., None, :]
 
 
 def _chart_modes(disp: DispersionRelation, datas: list[CauchyData]) -> tuple[np.ndarray, bool]:
@@ -192,10 +205,11 @@ def evolve(
 
     The state stays in chart modes for the whole loop: the per-mode factors
     of all ``2n + 1`` stage times ``t1 + j h/2`` are built once, every stage
-    is one call of the mode-space kernel, and the trajectory goes back to
-    physical space with one batched inverse FFT at the end.  Node ``i`` sits
-    at ``t1 + i h``; ``DivergenceError`` names the first step whose fields
-    are not finite.
+    is one call of the mode-space kernel, each step writes its node into one
+    preallocated array, and the trajectory goes back to physical space with
+    one batched inverse FFT at the end.  Node ``i`` sits at ``t1 + i h``; the
+    loop stops at the first step whose modes are not finite, and
+    ``DivergenceError`` names the first step whose fields are not finite.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -222,7 +236,7 @@ def evolve(
         # dc/dt at stage time t1 + j h/2
         return _chart_field(nonlin, *stages[j], c, real)
 
-    nodes = []
+    nodes = np.empty((n, *c.shape), complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(n):
             j = 2 * step
@@ -230,11 +244,10 @@ def evolve(
             k2 = rhs(j + 1, c + h / 2 * k1)
             k3 = rhs(j + 1, c + h / 2 * k2)
             k4 = rhs(j + 2, c + h * k3)
-            c = c + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            nodes.append(c)
-            if not np.all(np.isfinite(c)):
+            c = np.add(c, h / 6 * (k1 + 2 * k2 + 2 * k3 + k4), out=nodes[step])
+            if not np.isfinite(c).all():
+                nodes = nodes[: step + 1]
                 break
-        nodes = np.array(nodes)
         fields = _field(grid, nodes, real)
     finite = np.all(np.isfinite(nodes), axis=(1, 2)) & np.all(np.isfinite(fields), axis=(1, 2))
     if not finite.all():

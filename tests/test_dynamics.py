@@ -1,5 +1,7 @@
 """Nonlinear-layer tests: the chart ODE, its oracle, and the trajectory dump."""
 
+import re
+
 import numpy as np
 import pytest
 from oracles import rk4_chart_evolve
@@ -20,6 +22,7 @@ from chrono_duhamel.propagator import (
     Grid,
     cau_norm,
     _field,
+    _wave_factors,
     green_apply,
     make_free_solution,
     propagate,
@@ -39,6 +42,20 @@ def benchmark_data(grid, amp=0.05, t=0.0):
 
 def random_data(rng, grid=GRID, t=0.0, scale=0.1):
     return CauchyData(grid, scale * rng.standard_normal(grid.M), scale * rng.standard_normal(grid.M), t)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The leading length of ``fwd`` at every ``_chart_field`` call, in call order."""
+    calls = []
+    kernel = dyn._chart_field
+
+    def counted(nonlin, fwd, back, c, real):
+        calls.append(len(fwd))
+        return kernel(nonlin, fwd, back, c, real)
+
+    monkeypatch.setattr(dyn, "_chart_field", counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +168,23 @@ def test_evolve_requires_a_velocity_trace_for_klein_gordon():
         evolve(CauchyData(GRID, np.ones(GRID.M)), 0.0, 1.0, 0.1, KG1, CUBIC)
 
 
-def test_evolve_divergence_reported():
+def test_evolve_divergence_reported(kernel_calls):
     # focusing blow-up: huge amplitude with N(u) = -u^3 explodes quickly
     data = CauchyData(GRID, 60.0 * np.ones(GRID.M), np.zeros(GRID.M), 0.0)
-    with pytest.raises(DivergenceError):
-        evolve(data, 0.0, 4.0, 0.5, KG1, NonlinearitySpec({3: -1.0}))
+    focusing = NonlinearitySpec({3: -1.0})
+    with pytest.raises(DivergenceError, match=re.escape("diverged at step 3 (t = 1.5)")):
+        evolve(data, 0.0, 4.0, 0.5, KG1, focusing)
+
+    # 10^5 steps resolve the blow-up near t = sqrt(2)/60; the loop stops at
+    # the first step that is not finite, four kernel calls per step
+    kernel_calls.clear()
+    h = 4.0 / 10**5
+    with pytest.raises(DivergenceError) as err:
+        evolve(data, 0.0, 4.0, h, KG1, focusing)
+    step = int(re.search(r"at step (\d+) ", str(err.value)).group(1))
+    assert str(err.value).endswith(f"step {step} (t = {step * h})")
+    assert 0 < step < 1000
+    assert len(kernel_calls) == 4 * step
 
 
 # ---------------------------------------------------------------------------
@@ -284,19 +313,12 @@ def test_trajectory_csv_running_residual_matches_duhamel_residual(disp, t1, t2):
         assert cells[i] == repr(duhamel_residual(traj[: i + 1], t1, traj[i].time)[0])
 
 
-def test_trajectory_csv_one_batched_field_evaluation(monkeypatch):
+def test_trajectory_csv_one_batched_field_evaluation(kernel_calls):
     # the whole dump samples the chart field with one kernel call at every node
     traj = evolve(benchmark_data(GRID), 0.0, 0.5, 0.05, KG1, CUBIC)
-    rows = []
-    kernel = dyn._chart_field
-
-    def counted(nonlin, fwd, back, c, real):
-        rows.append(len(fwd))
-        return kernel(nonlin, fwd, back, c, real)
-
-    monkeypatch.setattr(dyn, "_chart_field", counted)
+    kernel_calls.clear()
     trajectory_csv(traj)
-    assert rows == [len(traj)]
+    assert kernel_calls == [len(traj)]
 
 
 @pytest.mark.parametrize(
@@ -342,6 +364,27 @@ def test_trajectory_csv_calls_no_scipy_simpson(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# N(u)
+# ---------------------------------------------------------------------------
+
+
+def test_apply_turns_negative_zero_into_positive_zero():
+    u = np.array([-0.0, 0.0, -1.0, 2.0])
+    got = CUBIC.apply(u)
+    assert got.tobytes() == np.array([0.0, 0.0, -1.0, 8.0]).tobytes()
+    assert not np.signbit(got[:2]).any()
+    z = CUBIC.apply(np.array([complex(-0.0, -0.0), complex(-0.0, 0.0)]))
+    assert not np.signbit(z.real).any() and not np.signbit(z.imag).any()
+
+
+@pytest.mark.parametrize("u", [np.full((2, 3), -0.0), np.full(4, complex(-0.0, -0.0)), np.ones((3, 1))])
+def test_zero_field_is_zeros_of_the_input(u):
+    got = ZERO_N.apply(u)
+    assert got.shape == u.shape and got.dtype == u.dtype
+    assert got.tobytes() == np.zeros_like(u).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # the mode-space kernel against the per-node physical-space reference
 # ---------------------------------------------------------------------------
 
@@ -384,3 +427,80 @@ def test_batched_field_equals_lagrange_duhamel_V_node_by_node(disp, t1, t2, nonl
         np.testing.assert_array_equal(fields[0], single.psi)
         if disp.second_order:
             np.testing.assert_array_equal(fields[1], single.chi)
+
+
+def textbook_rk4(data, t1, t2, steps, disp, nonlin):
+    """Chart fields at the nodes of classical RK4 on dc/dt = -Vbar_t(c), with the FFT scale in ``fwd``.
+
+    Every expression is the textbook one: ``N`` summed from an array of
+    zeros, the trace ``ifft((M fwd c).sum(axis=-2))`` and the stages
+    ``c + h/2 k1``.
+    """
+    grid = data.grid
+    M = grid.M
+    chart = make_free_solution(disp, data).chart_data
+    fields = np.array([chart.psi, chart.chi] if disp.second_order else [chart.psi])
+    real = disp.second_order and np.isrealobj(fields)
+    c = np.fft.fft(fields) / M
+    h = (t2 - t1) / steps
+    t = (t1 + h / 2 * np.arange(2 * steps + 1))[:, None]
+    if disp.second_order:
+        cos, snc = _wave_factors(disp.eps(grid.xi), t)
+        fwd, back = np.stack([cos, snc], axis=-2), np.stack([-snc, cos], axis=-2) / M
+    else:
+        phase = np.exp(1j * disp.phase(grid.xi) * t)
+        fwd, back = phase[:, None, :], (-1j * phase.conj() / M)[:, None, :]
+    back = -back
+
+    def N(u):
+        out = np.zeros_like(u)
+        for k, v in nonlin.coeffs.items():
+            out = out + v * u**k
+        return out
+
+    def rhs(j, c):
+        u = np.fft.ifft((M * fwd[j] * c).sum(axis=-2))
+        return back[j] * np.fft.fft(N(u.real if real else u))[..., None, :]
+
+    nodes = [c]
+    for step in range(steps):
+        j = 2 * step
+        k1 = rhs(j, c)
+        k2 = rhs(j + 1, c + h / 2 * k1)
+        k3 = rhs(j + 1, c + h / 2 * k2)
+        k4 = rhs(j + 2, c + h * k3)
+        c = c + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        nodes.append(c)
+    out = np.fft.ifft(np.array(nodes[1:]) * M)
+    return [fields, *(out.real if real else out)]
+
+
+@pytest.mark.parametrize(
+    "disp, M, t1, t2, nonlin",
+    [
+        (KG1, 4, 0.0, 0.5, CUBIC),
+        (KG1, 32, 0.0, 0.5, CUBIC),
+        (KG1, 256, 0.0, 0.5, CUBIC),
+        (KG1, 32, 0.3, -0.2, CUBIC),
+        (SCH, 32, 0.0, 0.5, CUBIC),
+        (KG1, 32, 0.0, 0.5, NonlinearitySpec({0: 0.2, 1: 0.5, 3: 1.0})),
+        (SCH, 16, 0.3, -0.2, NonlinearitySpec({0: 0.2, 1: 0.5, 3: 1.0})),
+        (KG1, 32, 0.0, 0.5, ZERO_N),
+    ],
+    ids=["M4", "M32", "M256", "backward", "schrodinger", "degrees-0-1-3", "schrodinger-backward-0-1-3", "zero"],
+)
+def test_evolve_is_textbook_rk4_bit_for_bit(disp, M, t1, t2, nonlin):
+    grid = Grid(M, 2 * np.pi)
+    rng = np.random.default_rng(31)
+    if disp.second_order:
+        data = random_data(rng, grid=grid, t=t1, scale=0.3)
+    else:
+        data = CauchyData(grid, 0.3 * (rng.standard_normal(M) + 1j * rng.standard_normal(M)), None, t1)
+    traj = evolve(data, t1, t2, abs(t2 - t1) / 10, disp, nonlin)
+    want = textbook_rk4(data, t1, t2, 10, disp, nonlin)
+    assert len(traj) == len(want)
+    for st, fields in zip(traj, want):
+        got = st.current.chart_data
+        assert got.psi.tobytes() == fields[0].tobytes()
+        if disp.second_order:
+            assert got.chi.tobytes() == fields[1].tobytes()
