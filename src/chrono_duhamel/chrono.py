@@ -17,14 +17,17 @@ time-ordered exponential solves dF/dt = V_t . F in coefficient space as its
 Dyson series: ``T_0 = f``, ``T_j = int_{t1}^t V . T_{j-1}``, ``F = sum_j T_j``
 (Agrachev-Gamkrelidze, Math. USSR-Sb. 35, 1979), each integral taken on one
 Chebyshev-Lobatto panel (Greengard, SIAM J. Numer. Anal. 28, 1991;
-Dutt-Greengard-Rokhlin, BIT 40, 2000).  Under the degree cap the operator
-is graded nilpotent when every nonlinearity degree is at least 2: a known
-number of terms settles every degree, time needs only spectral accuracy,
-and a stored term keeps only the degrees up to the feeding cap
-``cap - k_min + 1``.  Otherwise the terms run until they are small.
-``chrono_exp_evolve`` sums the last sweep at the panel's last node only;
-``invariance_scan`` evaluates it at the trajectory coordinates only, as the
-stored sweep's derivative along the field, without its top-degree tensors.
+Dutt-Greengard-Rokhlin, BIT 40, 2000).  One cap rule, ``_kept``, says
+which nonlinearity degrees a stored degree composes with.  Under the degree
+cap the operator is graded nilpotent when every nonlinearity degree is at
+least 2: a known number of terms settles every degree, time needs only
+spectral accuracy, and a stored term keeps only the degrees up to the
+feeding cap ``cap - k_min + 1``; the terms stop once none of their degrees
+composes under it.  Otherwise the terms run until they are small.  Every
+caller applies the last sweep itself: ``chrono_exp_evolve`` sums it at the
+panel's last node only; ``invariance_scan`` evaluates it at the trajectory
+coordinates only, as the stored sweep's derivative along the field, without
+its top-degree tensors.
 The rooted-tree expansion keeps the explicit simplex-quadrature semantics
 as an independent check of the same object.
 """
@@ -223,36 +226,40 @@ def vdot(
     """Apply the operator ``f -> delta f (V_t)`` degree by degree.
 
     Output degree ``m`` collects ``p f^(p) o (V^(m-p+1) (x) id^(p-1))``
-    over the stored degrees ``p`` and the nonlinearity degrees.  Degrees
-    above ``cap`` are dropped; ``_truncation_events`` records them.
+    over the stored degrees ``p`` and the nonlinearity degrees ``_kept``
+    under ``cap``; the vertex monomials are built only for the degrees some
+    stored degree uses.  ``_truncation_events`` records what the cap drops.
     """
     if f.terms and f.dim != chart.dim:
         raise ValueError("functional dimension does not match the chart")
     A, B = chart.rows_and_columns(t)
-    fields = {k: lam * monomials(A, k) for k, lam in nonlin.coeffs.items()}
+    kept = {term.degree: _kept(term.degree, nonlin, cap) for term in f.terms}
+    fields = {k: nonlin.coeffs[k] * monomials(A, k) for k in set().union(*kept.values())}
     out: dict[int, SymTensor] = {}
     for term in f.terms:
         p = term.degree
-        if p == 0:
-            continue
-        for k, W in fields.items():
+        for k in kept[p]:
             m = p + k - 1
-            if m > cap:
-                continue
-            comp = compose_rank_one(term, B, W, k).scaled(float(p))
+            comp = compose_rank_one(term, B, fields[k], k).scaled(float(p))
             out[m] = comp if m not in out else out[m] + comp
     return SymFunctional(out.values())
 
 
+def _kept(p: int, nonlin: NonlinearitySpec, cap: int) -> list[int]:
+    """The cap rule: the nonlinearity degrees ``k`` with ``p + k - 1 <= cap``, none for ``p < 1``."""
+    return [k for k in nonlin.degrees if p > 0 and p + k - 1 <= cap]
+
+
 def _picard_sweeps(f: SymFunctional, nonlin: NonlinearitySpec, cap: int) -> int | None:
-    """Picard sweeps after which the capped transport of ``f`` is exact in degree.
+    """Picard sweeps after which the capped transport of ``f`` is exact in degree; sizes the panel.
 
     Each application of the operator raises a degree by ``k - 1`` for a
     nonlinearity degree ``k``, so when every ``k >= 2`` the terms of ``s``
     nested applications start at degree ``p_min + s (k_min - 1)`` and every
     degree up to ``cap`` is settled after ``ceil((cap - p_min) / (k_min - 1))``
     sweeps.  ``None`` when a degree-0 or degree-1 term keeps the operator
-    from being nilpotent.
+    from being nilpotent.  ``_picard_nodes`` reads it for the panel's size
+    only; ``_picard`` stops its terms on their degrees.
     """
     positive = [t.degree for t in f.terms if t.degree > 0]
     if nonlin.is_zero or not positive:
@@ -341,38 +348,37 @@ def _picard(
     chart: ChartMap,
     substeps: int,
     cap: int,
-    last: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
     """Dyson terms ``T_0 = f``, ``T_j = S . [vdot(t_l, T_{j-1}(t_l))]`` on one panel over [t1, t2].
 
     Returns ``(times, S, G)``: the nodes of ``_picard_nodes``, the
     integration matrix scaled to the panel (negative for a backward span)
     and the stored sweep ``G = sum_j T_j``, degree -> ``(len(times), n_p)``
-    coefficients, empty when the operator leaves ``f`` fixed.  Without
-    ``last`` the last, highest-degree sweep is left to callers, which apply
-    it to what they need of it: the transported functional at node ``i``
-    is ``f + sum_l S[i, l] vdot(t_l, G_l)``.  With ``last`` ``G`` is that
-    functional at the last node only, degree -> ``(1, n_p)``; a nilpotent
-    operator's last sweep is accumulated there node by node, so none of its
-    coefficients is stored at any other node.
+    coefficients, ``f``'s own degrees included.  The last, highest-degree
+    sweep is left to callers, which apply it to what they need of it: the
+    transported functional at node ``i`` is ``f + sum_l S[i, l] vdot(t_l, G_l)``.
 
-    A nilpotent operator's terms stop after the known number of sweeps, or
-    at an empty term, and keep the feeding cap ``cap - k_min + 1``: a degree
-    above it composes into nothing the cap keeps.  Otherwise the terms keep
-    ``cap`` until the largest coefficient of ``T_j`` is at most
-    ``PICARD_RTOL`` times the largest of ``G``; ``FloatingPointError`` is
-    raised when ``PICARD_MAX_SWEEPS`` terms do not get there, and on
-    non-finite coefficients.
+    The terms keep the feeding cap ``cap - max(k_min - 1, 0)``, above which
+    a degree composes into nothing the last sweep keeps; it is ``cap`` when
+    a degree-0 or degree-1 term keeps the operator from being nilpotent.
+    They stop once no degree of ``T_j`` composes under it, which a nilpotent
+    operator reaches after a known number of terms, keeping every term
+    however small.  Any other operator's terms also stop once the largest
+    coefficient of ``T_j`` is at most ``PICARD_RTOL`` times the largest of
+    ``G``.  ``FloatingPointError`` is raised on non-finite coefficients and
+    when ``PICARD_MAX_SWEEPS`` terms do not stop, which bounds nilpotent
+    operators too: only at caps above about 40, where one degree-41 term
+    over a dimension of 8 holds C(48, 41), about 7.4e7, coefficients per node.
     """
-    sweeps = _picard_sweeps(f, nonlin, cap)
-    times = _picard_nodes(t1, t2, nonlin, chart, substeps, sweeps)
+    times = _picard_nodes(t1, t2, nonlin, chart, substeps, _picard_sweeps(f, nonlin, cap))
     S = _integration_matrix(times.size) * (0.5 * (t2 - t1))
-    if sweeps == 0:
-        return times, S, {}
-    feed = cap if sweeps is None else cap - min(nonlin.coeffs) + 1
+    k_min = min(nonlin.degrees, default=2)
+    feed = cap - max(k_min - 1, 0)
     T = {t.degree: np.broadcast_to(t.coeffs, (times.size, t.coeffs.shape[1])) for t in f.terms}
     G = dict(T)
-    for _ in range(PICARD_MAX_SWEEPS if sweeps is None else sweeps - 1):
+    for _ in range(PICARD_MAX_SWEEPS):
+        if not any(_kept(p, nonlin, feed) for p in T):
+            return times, S, G
         # degree -> the operator on T_{j-1} at the nodes, filled node by node, dropped once integrated
         K: dict[int, np.ndarray] = {}
         for l, t in enumerate(times):
@@ -380,51 +386,33 @@ def _picard(
                 if term.degree not in K:
                     K[term.degree] = np.empty((times.size, term.coeffs.shape[1]))
                 K[term.degree][l] = term.coeffs[0]
-        if not K:
-            break
         T = {m: S @ K.pop(m) for m in list(K)}
         for m, c in T.items():
             G[m] = G.get(m, 0.0) + c
         size, scale = _largest(T), _largest(G)
         if not np.isfinite(size + scale):
             raise FloatingPointError(f"Picard sweep diverged on [{t1}, {t2}]")
-        if sweeps is None and size <= PICARD_RTOL * scale:
-            break
-    else:
-        if sweeps is None:
-            raise FloatingPointError(
-                f"Picard sweeps did not settle within {PICARD_MAX_SWEEPS} on [{t1}, {t2}]"
-            )
-    if not last:
-        return times, S, G
-    if sweeps is None:
-        return times, S, {p: c[-1:] for p, c in G.items()}
-    # the last sweep at the last node only: f + sum_l S[-1, l] vdot(t_l, G_l)
-    acc: dict[int, np.ndarray] = {}
-    for l, t in enumerate(times):
-        for term in vdot(t, _sweep_at(G, l, chart.dim), nonlin, chart, cap=cap).terms:
-            acc[term.degree] = acc.get(term.degree, 0.0) + S[-1, l] * term.coeffs
-    top = {t.degree: t.coeffs for t in f.terms}
-    for m, c in acc.items():
-        top[m] = top.get(m, 0.0) + c
-    if not np.isfinite(_largest(top)):
-        raise FloatingPointError(f"Picard sweep diverged on [{t1}, {t2}]")
-    return times, S, top
+        if k_min < 2 and size <= PICARD_RTOL * scale:
+            return times, S, G
+    raise FloatingPointError(
+        f"Picard sweeps did not settle within {PICARD_MAX_SWEEPS} on [{t1}, {t2}]"
+    )
 
 
 def _largest(G: dict[int, np.ndarray]) -> float:
-    """The largest coefficient magnitude of a sweep; ``np.max``, unlike ``max``, keeps any nan."""
-    return np.max([np.max(np.abs(c)) for c in G.values()])
+    """Largest coefficient magnitude of a sweep, 0 for none; ``np.max``, unlike ``max``, keeps nan."""
+    return np.max([np.max(np.abs(c)) for c in G.values()], initial=0.0)
 
 
 def _truncation_events(
     times: np.ndarray, degrees: Iterable[int], nonlin: NonlinearitySpec, cap: int
 ) -> list[TruncationEvent]:
     """What the cap drops: at each node, one event per stored degree ``p > 0`` and
-    nonlinearity degree ``k`` with ``p + k - 1 > cap``.  Nothing is composed for them."""
-    pairs = [
-        (p, p + k - 1) for p in sorted(degrees) if p > 0 for k in nonlin.degrees if p + k - 1 > cap
-    ]
+    nonlinearity degree ``k`` that ``_kept`` leaves out.  Nothing is composed for them."""
+    pairs = []
+    for p in sorted(degrees):
+        kept = _kept(p, nonlin, cap)
+        pairs += [(p, p + k - 1) for k in nonlin.degrees if p > 0 and k not in kept]
     return [TruncationEvent(float(t), p, m) for t in times for p, m in pairs]
 
 
@@ -440,19 +428,28 @@ def chrono_exp_evolve(
 ) -> tuple[SymFunctional, list[TruncationEvent]]:
     """Transport ``f`` from t1 to t2: dF/dt = V_t . F, F(t1) = f, by Chebyshev-Picard sweeps.
 
-    ``F`` is ``_picard``'s transported functional at the last node, at
-    density 1.  ``steps`` must be at least 1 when ``t1 != t2`` but no longer
-    sets the accuracy.  ``disp`` must be the chart's.
+    ``F = f + sum_l S[-1, l] vdot(t_l, G_l)``: ``_picard``'s stored sweep
+    at density 1 under its last sweep, accumulated at the panel's last node
+    only, so none of the last sweep's coefficients is stored at any other
+    node.  ``steps`` must be at least 1 when ``t1 != t2`` but no longer sets
+    the accuracy.  ``disp`` must be the chart's.
     """
     _check_disp(disp, chart)
     if t1 == t2:
         return f, []
     if steps < 1:
         raise ValueError("chrono_exp_evolve needs steps >= 1 when t1 != t2")
-    times, _, G = _picard(f, t1, t2, nonlin, chart, 1, cap, last=True)
-    if not G:
-        return f, []
-    F = _sweep_at(G, -1, chart.dim)
+    times, S, G = _picard(f, t1, t2, nonlin, chart, 1, cap)
+    acc: dict[int, np.ndarray] = {}
+    for l, t in enumerate(times):
+        for term in vdot(t, _sweep_at(G, l, chart.dim), nonlin, chart, cap=cap).terms:
+            acc[term.degree] = acc.get(term.degree, 0.0) + S[-1, l] * term.coeffs
+    top = {t.degree: t.coeffs for t in f.terms}
+    for m, c in acc.items():
+        top[m] = top.get(m, 0.0) + c
+    if not np.isfinite(_largest(top)):
+        raise FloatingPointError(f"Picard sweep diverged on [{t1}, {t2}]")
+    F = _sweep_at(top, -1, chart.dim)
     return F, _truncation_events(times, F.degrees, nonlin, cap)
 
 
@@ -657,7 +654,7 @@ def invariance_scan(
         pn, S, G = _picard(f, t1, t2, nonlin, chart, substeps, cap)
         W = _interpolation_matrix(pn.size, 2 * (times - t1) / (t2 - t1) - 1) @ S
         # the nonlinearity degrees vdot composes with each stored degree
-        pairs = {p: [k for k in nonlin.degrees if p + k - 1 <= cap] for p in G if p > 0}
+        pairs = {p: _kept(p, nonlin, cap) for p in G}
         pairs = {p: ks for p, ks in pairs.items() if ks}
         for l, t in enumerate(pn):
             A, B = chart.rows_and_columns(t)

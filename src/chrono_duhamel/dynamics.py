@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson, trapezoid
 
 from .propagator import (
     CauchyData,
@@ -320,22 +319,23 @@ def duhamel_residual(
 ) -> tuple[float, float]:
     """Cauchy norm of c(t2) - c(t1) + Quad(integral of Vbar) over the nodes.
 
-    Quad is composite Simpson; the second return value is its own error
-    estimate.  When the node count allows a coarse (every-second-node)
-    Simpson pass the estimate is the Richardson difference / 15; otherwise
-    the conservative Simpson-vs-trapezoid gap is reported.
+    Quad is composite Simpson, the last row of ``_prefix_simpson``; the
+    second return value is its own error estimate.  When the node count
+    allows a coarse (every-second-node) Simpson pass the estimate is the
+    Richardson difference / 15; otherwise the conservative
+    Simpson-vs-trapezoid gap is reported.
     """
     nodes = _window(traj, t1, t2)
     if len(nodes) < 3:
         raise ValueError("trajectory must cover [t1, t2] with at least 3 nodes")
     disp, grid = nodes[0].disp, nodes[0].current.chart_data.grid
     times, c, v = _field_samples(nodes)
-    fine = simpson(v, x=times, axis=0)
+    fine = _prefix_simpson(times, v)[-1]
     res = c[-1] - c[0] + fine
     if (len(times) - 1) % 2 == 0 and len(times) >= 5:
-        err = (fine - simpson(v[::2], x=times[::2], axis=0)) / 15.0
+        err = (fine - _prefix_simpson(times[::2], v[::2])[-1]) / 15.0
     else:
-        err = fine - trapezoid(v, x=times, axis=0)
+        err = fine - np.trapezoid(v, x=times, axis=0)
     norms = _cau_norms(disp, grid, np.array([res, err]), s, m_ref)
     return float(norms[0]), float(norms[1])
 
@@ -359,7 +359,7 @@ def _guarded_divide(a, b):
 
 
 def _prefix_simpson(times, v):
-    """``simpson(v[:n], x=times[:n], axis=0)`` for every ``n = 3 .. len(times)``, stacked.
+    """``scipy.integrate.simpson(v[:n], x=times[:n], axis=0)`` for every ``n = 3 .. len(times)``, stacked.
 
     SciPy's composite Simpson sum over ``n`` nodes adds one term per node
     pair ``(2j, 2j + 1, 2j + 2)`` that does not depend on ``n``; an even

@@ -111,9 +111,9 @@ def eval_series(series: MajorantSeries, z: float) -> float:
     return _polyval(series.coeffs, float(z))
 
 
-def _polyval(coeffs: np.ndarray, z: complex) -> complex:
-    # Horner on the raw coefficient array; accepts complex arguments for
-    # internal flow use.
+def _polyval(coeffs: np.ndarray | list[float], z: complex) -> complex:
+    # Horner on the raw coefficient array or list; accepts complex arguments
+    # for internal flow use.
     acc = 0.0
     for c in coeffs[::-1]:
         acc = acc * z + c
@@ -223,7 +223,7 @@ def flow_time(X: MajorantSeries, r: float, R: float) -> float:
         raise ValueError("flow_time requires 0 < r <= R")
     if X.is_zero:
         return math.inf
-    coeffs = X.coeffs
+    coeffs = X.coeffs.tolist()  # Horner on Python floats: the array's bits, no NumPy scalars
     value, err = quad(
         lambda u: math.exp(u) / _polyval(coeffs, math.exp(u)),
         math.log(r),

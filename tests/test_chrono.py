@@ -320,8 +320,14 @@ def _cubic_nodes(f, substeps, cap):
     return chrono._picard_nodes(0.0, 0.5, CUBIC, CHART, substeps, sweeps)
 
 
-def test_picard_applies_the_operator_once_per_node_and_sweep(monkeypatch):
-    # the cubic at cap 5 is exact after two sweeps from a linear functional
+@pytest.mark.parametrize(
+    "cap, panel_sweeps, sweeps", [(4, 2, 1), (5, 2, 2), (6, 3, 2)], ids=["cap4", "cap5", "cap6"]
+)
+def test_picard_applies_the_operator_once_per_node_and_sweep(cap, panel_sweeps, sweeps, monkeypatch):
+    # from a linear functional the cubic needs the last sweep alone at cap 4 (degree 3)
+    # and one stored sweep under it at caps 5 and 6; the panel of caps 4 and 6 is sized
+    # for one sweep more, which composes nothing and is not run.  The scan evaluates
+    # the last sweep on the path, so at cap 4 it calls vdot nowhere
     calls = []
 
     def counted(t, *args, **kwargs):
@@ -330,10 +336,15 @@ def test_picard_applies_the_operator_once_per_node_and_sweep(monkeypatch):
 
     monkeypatch.setattr(chrono, "vdot", counted)
     f = point_eval_functional(CHART, 0.0, 0)
-    chrono_exp_evolve(f, 0.0, 0.5, 1, KG1, CUBIC, CHART, cap=5)
-    nodes = _cubic_nodes(f, 1, 5)
-    assert len(nodes) == math.ceil(2 * 4 * math.sqrt(17) * 0.5 / 2) + 8
-    assert calls == list(nodes) * 2
+    chrono_exp_evolve(f, 0.0, 0.5, 1, KG1, CUBIC, CHART, cap=cap)
+    nodes = _cubic_nodes(f, 1, cap)
+    assert len(nodes) == math.ceil(panel_sweeps * 4 * math.sqrt(17) * 0.5 / 2) + 8
+    assert calls == list(nodes) * sweeps
+    calls.clear()
+    data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.0)
+    traj = evolve(data, 0.0, 0.5, 0.05, KG1, CUBIC)
+    invariance_scan(f, traj, 0.0, 0.5, CHART, substeps=1, cap=cap)
+    assert calls == list(nodes) * (sweeps - 1)
 
 
 @pytest.mark.parametrize(
@@ -351,8 +362,8 @@ def test_picard_applies_the_operator_once_per_node_and_sweep(monkeypatch):
 def test_matrix_free_last_sweep_matches_the_transported_functional(coeffs, t1, t2, cap):
     # at density 1 the scan's panel is the transport's, so its value at t2 is the
     # transported functional, with the last sweep composed as tensors, at the last point;
-    # the cubic at cap 6 sizes its panel for three sweeps, but its second stored
-    # Dyson term, degree 5, lies above the feeding cap 4 and is empty
+    # the cubic at cap 6 sizes its panel for three sweeps, but stores one Dyson term:
+    # the second, degree 5, would lie above the feeding cap 4
     grid = Grid(8, 2 * np.pi)
     chart = ChartMap(grid, KG1)
     nonlin = NonlinearitySpec(coeffs)
@@ -406,19 +417,39 @@ def test_stored_dyson_terms_compose_each_degree_once(monkeypatch):
     assert sorted(pairs) == sorted(per_node * n)
 
 
-@pytest.mark.parametrize("t1, t2", [(0.0, 0.5), (0.5, 0.0)], ids=["forward", "backward"])
-def test_last_sweep_is_kept_at_the_last_node_only(t1, t2):
-    # the cubic at cap 5 from a linear f: the last sweep gives degrees 3 and 5 as
-    # sum_l S[-1, l] vdot(t_l, G_l) over the stored sweep G, and degree 1 stays f's
+@pytest.mark.parametrize(
+    "coeffs, t1, t2",
+    [({3: 1.0}, 0.0, 0.5), ({3: 1.0}, 0.5, 0.0), ({1: 0.5, 3: 1.0}, 0.0, 0.5)],
+    ids=["forward", "backward", "linear"],
+)
+def test_last_sweep_is_kept_at_the_last_node_only(coeffs, t1, t2):
+    # chrono_exp_evolve applies the last sweep at the last node: F^(m) is
+    # sum_l S[-1, l] vdot(t_l, G_l)^(m) over the stored sweep G, plus f's own degrees;
+    # the cubic's degree 1 stays f's, the linear term moves it
+    nonlin = NonlinearitySpec(coeffs)
     f = point_eval_functional(CHART, 0.0, 0)
-    times, S, G = chrono._picard(f, t1, t2, CUBIC, CHART, 1, 5)
-    _, _, top = chrono._picard(f, t1, t2, CUBIC, CHART, 1, 5, last=True)
-    assert {p: c.shape[0] for p, c in top.items()} == {1: 1, 3: 1, 5: 1}
-    np.testing.assert_array_equal(top[1][0], f.term(1).coeffs[0])
-    K = [vdot(t, chrono._sweep_at(G, l, CHART.dim), CUBIC, CHART, cap=5) for l, t in enumerate(times)]
-    for m in (3, 5):
-        expected = S[-1] @ np.array([k.term(m).coeffs[0] for k in K])
-        np.testing.assert_allclose(top[m][0], expected, rtol=0, atol=1e-14 * np.max(np.abs(expected)))
+    F, _ = chrono_exp_evolve(f, t1, t2, 1, KG1, nonlin, CHART, cap=5)
+    times, S, G = chrono._picard(f, t1, t2, nonlin, CHART, 1, 5)
+    K = [vdot(t, chrono._sweep_at(G, l, CHART.dim), nonlin, CHART, cap=5) for l, t in enumerate(times)]
+    swept = {m: S[-1] @ np.array([k.term(m).coeffs[0] for k in K]) for m in K[0].degrees}
+    assert F.degrees == (1, 3, 5)
+    assert {t.coeffs.shape[0] for t in F.terms} == {1}
+    if 1 not in swept:
+        np.testing.assert_array_equal(F.term(1).coeffs[0], f.term(1).coeffs[0])
+    for m, c in swept.items():
+        expected = c + (f.term(m).coeffs[0] if m in f.degrees else 0.0)
+        np.testing.assert_allclose(F.term(m).coeffs[0], expected, rtol=0, atol=1e-14 * np.max(np.abs(expected)))
+
+
+def test_a_nilpotent_transport_keeps_its_small_terms_on_a_short_span():
+    # over 1e-3 the degree-5 and degree-6 terms of {2: 1} lie far below PICARD_RTOL
+    # times the degree-1 term, but a nilpotent operator stops on degrees alone, so
+    # the transported functional keeps them and the cap drops only degree 6's
+    f = point_eval_functional(CHART, 0.0, 0)
+    F, events = chrono_exp_evolve(f, 0.0, 1e-3, 1, KG1, NonlinearitySpec({2: 1.0}), CHART, cap=6)
+    assert F.degrees == (1, 2, 3, 4, 5, 6)
+    assert np.max(np.abs(F.term(6).coeffs)) < chrono.PICARD_RTOL * np.max(np.abs(F.term(1).coeffs))
+    assert events and {(ev.in_degree, ev.out_degree) for ev in events} == {(6, 7)}
 
 
 @pytest.mark.parametrize("cap", [3, 5])

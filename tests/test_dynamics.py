@@ -1,10 +1,12 @@
 """Nonlinear-layer tests: the chart ODE, its oracle, and the trajectory dump."""
 
 import re
+import types
 
 import numpy as np
 import pytest
 from oracles import rk4_chart_evolve
+from scipy.integrate import simpson, trapezoid
 
 import chrono_duhamel.dynamics as dyn
 from chrono_duhamel.dynamics import (
@@ -344,23 +346,24 @@ def test_prefix_simpson_is_scipy_simpson_on_every_prefix(disp, t1, t2, steps, no
     times, _, v = dyn._field_samples(traj)
     sums = dyn._prefix_simpson(times, v)
     assert len(sums) == len(traj) - 2
+    # raw bytes, so that the sign of a zero counts
     for n, got in enumerate(sums, 3):
-        # raw bytes, so that the sign of a zero counts
-        assert got.tobytes() == dyn.simpson(v[:n], x=times[:n], axis=0).tobytes()
+        assert got.tobytes() == simpson(v[:n], x=times[:n], axis=0).tobytes()
+    # duhamel_residual's coarse (every-second-node) Simpson sum and its trapezoid sum
+    for n in range(2, len(times) + 1):
+        if len(times[:n:2]) >= 3:
+            coarse = dyn._prefix_simpson(times[:n:2], v[:n:2])[-1]
+            assert coarse.tobytes() == simpson(v[:n:2], x=times[:n:2], axis=0).tobytes()
+        trap = np.trapezoid(v[:n], x=times[:n], axis=0)
+        assert trap.tobytes() == trapezoid(v[:n], x=times[:n], axis=0).tobytes()
 
 
-def test_trajectory_csv_calls_no_scipy_simpson(monkeypatch):
-    traj = evolve(benchmark_data(GRID), 0.0, 0.5, 0.05, KG1, CUBIC)
-    calls = []
-    quad = dyn.simpson
+def test_dynamics_takes_nothing_from_scipy():
+    # its Simpson sums are _prefix_simpson's and its trapezoid sum NumPy's
+    def origin(obj):
+        return obj.__name__ if isinstance(obj, types.ModuleType) else str(getattr(obj, "__module__", ""))
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return quad(*args, **kwargs)
-
-    monkeypatch.setattr(dyn, "simpson", counted)
-    trajectory_csv(traj)
-    assert calls == []
+    assert [name for name, obj in vars(dyn).items() if origin(obj).split(".")[0] == "scipy"] == []
 
 
 # ---------------------------------------------------------------------------
