@@ -11,21 +11,28 @@ The first-order operator action is
     (V.f)^(m) = sym[ sum_p p f^(p) o (V^(q) (x) id^{p-1}) ],  q = m - p + 1,
 
 with each vertex ``V_t^(k) = lam_k sum_x B_t[:, x] (x) A_t[x]^{(x) k}`` kept
-as its factors, the sampling rows ``A_t`` and Green-lift columns ``B_t``, on
-which ``compose_rank_one`` composes without forming the tensor.  The
+as its factors, the sampling rows ``A_t`` and Green-lift columns ``B_t``.
+Both are fixed matrices times per-time diagonals, ``A_t = A_0 diag(a_t)``
+and ``B_t = diag(b_t) B_0``, so the vertex monomials are
+``monomials(A_0, k)`` scaled per time by the degree-k products of ``a_t``.
+One kernel, ``_applied``, composes a stored sweep with the vertices at every
+node of a panel at once and contracts the nodes with a weight matrix,
+without forming any vertex tensor; ``vdot`` is its one-node case.  The
 time-ordered exponential solves dF/dt = V_t . F in coefficient space as its
 Dyson series: ``T_0 = f``, ``T_j = int_{t1}^t V . T_{j-1}``, ``F = sum_j T_j``
 (Agrachev-Gamkrelidze, Math. USSR-Sb. 35, 1979), each integral taken on one
 Chebyshev-Lobatto panel (Greengard, SIAM J. Numer. Anal. 28, 1991;
-Dutt-Greengard-Rokhlin, BIT 40, 2000).  One cap rule, ``_kept``, says
-which nonlinearity degrees a stored degree composes with.  Under the degree
-cap the operator is graded nilpotent when every nonlinearity degree is at
-least 2: a known number of terms settles every degree, time needs only
+Dutt-Greengard-Rokhlin, BIT 40, 2000), so each term is one call of the
+kernel with the panel's integration matrix as weights.  One cap rule,
+``_kept``, says which nonlinearity degrees a stored degree composes with.
+Under the degree cap the operator is graded nilpotent when every
+nonlinearity degree is at least 2: a known number of terms settles every
+degree, time needs only
 spectral accuracy, and a stored term keeps only the degrees up to the
 feeding cap ``cap - k_min + 1``; the terms stop once none of their degrees
 composes under it.  Otherwise the terms run until they are small.  Every
-caller applies the last sweep itself: ``chrono_exp_evolve`` sums it at the
-panel's last node only; ``invariance_scan`` evaluates it at the trajectory
+caller applies the last sweep itself: ``chrono_exp_evolve`` weights it with
+the panel's last row only; ``invariance_scan`` evaluates it at the trajectory
 coordinates only, as the stored sweep's derivative along the field, without
 its top-degree tensors.
 The rooted-tree expansion keeps the explicit simplex-quadrature semantics
@@ -36,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -58,9 +66,11 @@ from .symfun import (
     SymFunctional,
     SymTensor,
     VectorNorm,
-    compose_rank_one,
+    _compose_factored,
+    _products,
     extend_table,
     monomials,
+    num_canonical,
 )
 
 __all__ = [
@@ -86,6 +96,11 @@ DEFAULT_DEGREE_CAP = 5
 # largest of their sum; PICARD_MAX_SWEEPS terms that do not get there raise FloatingPointError.
 PICARD_RTOL = 1e-13
 PICARD_MAX_SWEEPS = 40
+
+# A batched sweep takes its panel nodes in chunks whose products hold at most this many
+# floats (2 MB), and at least one node each, so a chunk's arrays stay within what a single
+# node needs when composed alone (3.2e6 floats for the cubic's degree-5 sweep at M=16)
+_CHUNK_FLOATS = 1 << 18
 
 # brentq tolerances in log r' for the certified radius (rtol at brentq's floor)
 _RADIUS_XTOL, _RADIUS_RTOL = 1e-14, 4 * np.finfo(float).eps
@@ -124,7 +139,12 @@ class ChartMap:
 
     The free propagator is diagonal on each real-Fourier row: per mode it
     is the pair ``(cos(eps t), sin(eps t)/eps)``, so every per-time block
-    is the weight matrices scaled row by row or column by column.
+    is a fixed matrix times a per-time diagonal.  The sampling rows are
+    ``A_t = A_0 diag(a_t)`` with ``A_0 = [W^-1_psi | W^-1_chi]`` and the
+    Green-lift columns ``B_t = diag(b_t) B_0`` with ``B_0 = [W_psi; W_chi]``;
+    ``_factors`` gives ``a_t = (c_t, snc_t)`` and ``b_t = (-snc_t, c_t)``
+    for a whole vector of times.  ``A_0``, ``B_0`` and the vertex monomials
+    ``monomials(A_0, k)`` are built once, on first use.
     """
 
     def __init__(self, grid: Grid, disp: DispersionRelation, s: float = 0.0, m_ref: float = 1.0):
@@ -147,6 +167,7 @@ class ChartMap:
         self._Winv_psi = O.T * winv_psi[None, :] / sq
         self._Winv_chi = O.T * winv_chi[None, :] / sq
         self.norm_spec = VectorNorm.two_block(self.dim, M)
+        self._monomials: dict[int, np.ndarray] = {}
 
     # -- coordinate maps ----------------------------------------------------
 
@@ -160,18 +181,33 @@ class ChartMap:
 
     # -- per-time linear blocks ----------------------------------------------
 
+    @cached_property
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(A_0, B_0)``: the sampling rows and Green-lift columns without their time factors."""
+        return np.hstack([self._Winv_psi, self._Winv_chi]), np.vstack([self._W_psi, self._W_chi])
+
+    def _factors(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(a, b)``, each ``(len(times), dim)``: the scales of ``A_0``'s columns and ``B_0``'s rows."""
+        c, snc = _wave_factors(self._eps, np.asarray(times, dtype=float)[:, None])
+        return np.hstack([c, snc]), np.hstack([-snc, c])
+
+    def _vertex_monomials(self, k: int) -> np.ndarray:
+        """``monomials(A_0, k)``: the degree-k vertex monomials before their time factors."""
+        if k not in self._monomials:
+            self._monomials[k] = monomials(self._blocks[0], k)
+        return self._monomials[k]
+
     def rows_and_columns(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """The blocks at time t, from the per-mode factors.
+        """The blocks at time t: ``A_0 diag(a_t)`` and ``diag(b_t) B_0``.
 
         The sampling rows ``(M, dim)`` take normalized coords to the field
         trace values at t; the Green-lift columns ``(dim, M)`` take a source
-        field on the slice t to the coords of its Green lift.
+        field on the slice t to the coords of its Green lift (the chart of
+        the lift of ``(0, e_x)`` at t is ``psi0 = -S e_x``, ``chi0 = C e_x``).
         """
-        c, snc = _wave_factors(self._eps, t)
-        rows = np.hstack([self._Winv_psi * c, self._Winv_chi * snc])
-        # chart of the lift of (0, e_x) at t: psi0 = -S e_x, chi0 = C e_x
-        columns = np.vstack([-snc[:, None] * self._W_psi, c[:, None] * self._W_chi])
-        return rows, columns
+        (a,), (b,) = self._factors([t])
+        A0, B0 = self._blocks
+        return A0 * a, b[:, None] * B0
 
     def _block_norm_sups(self, t_max: float) -> tuple[float, float]:
         """Sups of the 2-norms of both ``rows_and_columns(t)`` blocks over ``|t| <= t_max``.
@@ -227,22 +263,75 @@ def vdot(
 
     Output degree ``m`` collects ``p f^(p) o (V^(m-p+1) (x) id^(p-1))``
     over the stored degrees ``p`` and the nonlinearity degrees ``_kept``
-    under ``cap``; the vertex monomials are built only for the degrees some
-    stored degree uses.  ``_truncation_events`` records what the cap drops.
+    under ``cap``.  This is the one-node case of ``_applied``, the kernel
+    every sweep runs.  ``_truncation_events`` records what the cap drops.
     """
+    _check_functional(f, chart)
+    G = {term.degree: term.coeffs for term in f.terms}
+    out = _applied(G, np.array([t], dtype=float), np.ones((1, 1)), nonlin, chart, cap)
+    return _sweep_at(out, 0, chart.dim)
+
+
+def _check_functional(f: SymFunctional, chart: ChartMap) -> None:
     if f.terms and f.dim != chart.dim:
         raise ValueError("functional dimension does not match the chart")
-    A, B = chart.rows_and_columns(t)
-    kept = {term.degree: _kept(term.degree, nonlin, cap) for term in f.terms}
-    fields = {k: nonlin.coeffs[k] * monomials(A, k) for k in set().union(*kept.values())}
-    out: dict[int, SymTensor] = {}
-    for term in f.terms:
-        p = term.degree
-        for k in kept[p]:
-            m = p + k - 1
-            comp = compose_rank_one(term, B, fields[k], k).scaled(float(p))
-            out[m] = comp if m not in out else out[m] + comp
-    return SymFunctional(out.values())
+    if f.codomain_dim != 1:
+        raise ValueError("composition expects a scalar-valued functional")
+
+
+def _applied(
+    G: dict[int, np.ndarray],
+    times: np.ndarray,
+    weights: np.ndarray,
+    nonlin: NonlinearitySpec,
+    chart: ChartMap,
+    cap: int,
+) -> dict[int, np.ndarray]:
+    """``sum_l weights[:, l] vdot(t_l, G_l)`` over the nodes ``t_l = times[l]``.
+
+    ``G`` maps each stored degree to its per-node coefficients
+    ``(len(times), n_p)``; the result maps each output degree to
+    ``(len(weights), n_m)`` coefficients.  With ``A_t = A_0 diag(a_t)``,
+    ``B_t = diag(b_t) B_0`` and ``monomials(A_t, k) = monomials(A_0, k) o pi_k(a_t)``,
+    ``pi_k`` the raw degree-k products of the factors, a pair ``(p, k)``
+    composes ``((open-slot o p lam_k b_t) @ B_0 @ monomials(A_0, k)) o pi_k(a_t)``
+    (``symfun._compose_factored``).  The nodes go in chunks of at most
+    ``_CHUNK_FLOATS`` floats of products.  Each node's output sums its pairs
+    and waits for the contraction with the weights only while the waiting
+    outputs are no larger than the result: a panel's integration matrix
+    takes every node's output in one product, its last row takes each
+    chunk's as the chunk ends.
+    """
+    d, n = chart.dim, len(times)
+    pairs = [(p, k) for p in sorted(G) for k in _kept(p, nonlin, cap)]
+    out: dict[int, np.ndarray] = {}
+    if not pairs:
+        return out
+    B0 = chart._blocks[1]
+    size = max(num_canonical(d, p - 1) * num_canonical(d, k) for p, k in pairs)
+    step = max(1, _CHUNK_FLOATS // size)
+    # node outputs wait for one contraction with their weights in blocks of at most as many
+    # nodes as the result has rows, so they never take more room than the result
+    held = max(step, len(weights))
+    for lo in range(0, n, held):
+        block = slice(lo, min(lo + held, n))
+        K: dict[int, np.ndarray] = {}
+        for start in range(block.start, block.stop, step):
+            sl = slice(start, min(start + step, block.stop))
+            a, b = chart._factors(times[sl])
+            pi = {k: _products(a, k) for k in {k for _, k in pairs}}
+            for p, k in pairs:
+                comp = _compose_factored(
+                    G[p][sl], p, (p * nonlin.coeffs[k]) * b, B0, chart._vertex_monomials(k), pi[k], k
+                )
+                m = p + k - 1
+                if m not in K:
+                    K[m] = np.zeros((block.stop - lo, comp.shape[1]))
+                K[m][sl.start - lo : sl.stop - lo] += comp
+        for m, c in K.items():
+            part = weights[:, block] @ c
+            out[m] = out[m] + part if m in out else part
+    return out
 
 
 def _kept(p: int, nonlin: NonlinearitySpec, cap: int) -> list[int]:
@@ -320,13 +409,15 @@ def _lobatto_solve(n: int, basis: np.ndarray) -> np.ndarray:
     return np.linalg.solve(cheb.chebvander(_lobatto(n), n - 1).T, basis.T).T
 
 
+@lru_cache(maxsize=16)
 def _integration_matrix(n: int) -> np.ndarray:
     """``S[i, l]``: weights of ``int_{-1}^{x_i} p`` on the values of ``p`` at the Lobatto points.
 
-    Exact for polynomials of degree below ``n``.
+    Exact for polynomials of degree below ``n``.  Built once per ``n`` and read-only.
     """
     S = _lobatto_solve(n, cheb.chebvander(_lobatto(n), n) @ cheb.chebint(np.eye(n), lbnd=-1))
     S[0] = 0.0  # the integral from t1 to t1
+    S.setflags(write=False)
     return S
 
 
@@ -354,9 +445,11 @@ def _picard(
     Returns ``(times, S, G)``: the nodes of ``_picard_nodes``, the
     integration matrix scaled to the panel (negative for a backward span)
     and the stored sweep ``G = sum_j T_j``, degree -> ``(len(times), n_p)``
-    coefficients, ``f``'s own degrees included.  The last, highest-degree
-    sweep is left to callers, which apply it to what they need of it: the
-    transported functional at node ``i`` is ``f + sum_l S[i, l] vdot(t_l, G_l)``.
+    coefficients, ``f``'s own degrees included.  Each term is one batched
+    composition over every node, ``T_j = _applied(T_{j-1}, times, S, ...)``.
+    The last, highest-degree sweep is left to callers, which apply it to
+    what they need of it: the transported functional at node ``i`` is
+    ``f + sum_l S[i, l] vdot(t_l, G_l)``.
 
     The terms keep the feeding cap ``cap - max(k_min - 1, 0)``, above which
     a degree composes into nothing the last sweep keeps; it is ``cap`` when
@@ -370,6 +463,7 @@ def _picard(
     operators too: only at caps above about 40, where one degree-41 term
     over a dimension of 8 holds C(48, 41), about 7.4e7, coefficients per node.
     """
+    _check_functional(f, chart)
     times = _picard_nodes(t1, t2, nonlin, chart, substeps, _picard_sweeps(f, nonlin, cap))
     S = _integration_matrix(times.size) * (0.5 * (t2 - t1))
     k_min = min(nonlin.degrees, default=2)
@@ -379,16 +473,9 @@ def _picard(
     for _ in range(PICARD_MAX_SWEEPS):
         if not any(_kept(p, nonlin, feed) for p in T):
             return times, S, G
-        # degree -> the operator on T_{j-1} at the nodes, filled node by node, dropped once integrated
-        K: dict[int, np.ndarray] = {}
-        for l, t in enumerate(times):
-            for term in vdot(t, _sweep_at(T, l, chart.dim), nonlin, chart, cap=feed).terms:
-                if term.degree not in K:
-                    K[term.degree] = np.empty((times.size, term.coeffs.shape[1]))
-                K[term.degree][l] = term.coeffs[0]
-        T = {m: S @ K.pop(m) for m in list(K)}
+        T = _applied(T, times, S, nonlin, chart, feed)
         for m, c in T.items():
-            G[m] = G.get(m, 0.0) + c
+            G[m] = G[m] + c if m in G else c
         size, scale = _largest(T), _largest(G)
         if not np.isfinite(size + scale):
             raise FloatingPointError(f"Picard sweep diverged on [{t1}, {t2}]")
@@ -429,10 +516,10 @@ def chrono_exp_evolve(
     """Transport ``f`` from t1 to t2: dF/dt = V_t . F, F(t1) = f, by Chebyshev-Picard sweeps.
 
     ``F = f + sum_l S[-1, l] vdot(t_l, G_l)``: ``_picard``'s stored sweep
-    at density 1 under its last sweep, accumulated at the panel's last node
-    only, so none of the last sweep's coefficients is stored at any other
-    node.  ``steps`` must be at least 1 when ``t1 != t2`` but no longer sets
-    the accuracy.  ``disp`` must be the chart's.
+    at density 1 under its last sweep, one batched composition with the
+    panel's last row of weights, so none of the last sweep's coefficients
+    is stored at any node.  ``steps`` must be at least 1 when ``t1 != t2``
+    but no longer sets the accuracy.  ``disp`` must be the chart's.
     """
     _check_disp(disp, chart)
     if t1 == t2:
@@ -440,12 +527,8 @@ def chrono_exp_evolve(
     if steps < 1:
         raise ValueError("chrono_exp_evolve needs steps >= 1 when t1 != t2")
     times, S, G = _picard(f, t1, t2, nonlin, chart, 1, cap)
-    acc: dict[int, np.ndarray] = {}
-    for l, t in enumerate(times):
-        for term in vdot(t, _sweep_at(G, l, chart.dim), nonlin, chart, cap=cap).terms:
-            acc[term.degree] = acc.get(term.degree, 0.0) + S[-1, l] * term.coeffs
     top = {t.degree: t.coeffs for t in f.terms}
-    for m, c in acc.items():
+    for m, c in _applied(G, times, S[-1:], nonlin, chart, cap).items():
         top[m] = top.get(m, 0.0) + c
     if not np.isfinite(_largest(top)):
         raise FloatingPointError(f"Picard sweep diverged on [{t1}, {t2}]")
@@ -632,14 +715,18 @@ def invariance_scan(
     with ``V^(k)(c) = lam_k B (A c)^k`` from the sampling rows ``A`` and
     Green-lift columns ``B`` at ``t_l`` and ``grad G^(p)(c)`` the degree
     ``p - 1`` monomials of ``c`` times ``G^(p)`` gathered through
-    ``extend_table``.  No tensor of the last sweep's degrees is built.
-    The trajectory's dispersion must be the chart's.
+    ``extend_table``.  Every panel node is taken at once from the chart's
+    factors, ``A c = A_0 (a_l o c)`` and ``B v = b_l o (B_0 v)``, in chunks
+    of at most ``_CHUNK_FLOATS`` floats.  No tensor of the last sweep's
+    degrees is built.  The trajectory's dispersion must be the chart's.
     """
     nodes = _window(traj, t1, t2)
     _check_disp(nodes[0].disp, chart)
     times = np.array([st.time for st in nodes])
     nonlin = nodes[0].nonlin
-    coords = np.array([chart.coords_of(st.current) for st in nodes])
+    data = [st.current.chart_data for st in nodes]
+    psi, chi = np.array([x.psi.real for x in data]), np.array([x.chi.real for x in data])
+    coords = np.hstack([psi @ chart._W_psi.T, chi @ chart._W_chi.T])
     powers: dict[int, np.ndarray] = {}
 
     def monomials_of(degree: int) -> np.ndarray:
@@ -656,13 +743,19 @@ def invariance_scan(
         # the nonlinearity degrees vdot composes with each stored degree
         pairs = {p: _kept(p, nonlin, cap) for p in G}
         pairs = {p: ks for p, ks in pairs.items() if ks}
-        for l, t in enumerate(pn):
-            A, B = chart.rows_and_columns(t)
-            U = coords @ A.T
-            fields = {k: lam * (U**k) @ B.T for k, lam in nonlin.coeffs.items()}
+        A0, B0 = chart._blocks
+        d = chart.dim
+        size = max([len(nodes) * d] + [num_canonical(d, p - 1) * d for p in pairs])
+        step = max(1, _CHUNK_FLOATS // size)
+        for lo in range(0, pn.size, step):
+            sl = slice(lo, lo + step)
+            a, b = chart._factors(pn[sl])
+            U = (coords * a[:, None, :]) @ A0.T  # (nodes, path, M): A_t c
+            fields = {k: ((lam * U**k) @ B0.T) * b[:, None, :] for k, lam in nonlin.coeffs.items()}
             for p, ks in pairs.items():
-                grad = monomials_of(p - 1) @ G[p][l][extend_table(chart.dim, p - 1)]
-                values += (p * W[:, l]) * np.einsum("ij,ij->i", grad, sum(fields[k] for k in ks))
+                grad = monomials_of(p - 1) @ G[p][sl][:, extend_table(d, p - 1)]
+                rate = np.einsum("lij,lij->li", grad, sum(fields[k] for k in ks))
+                values += p * np.einsum("il,li->i", W[:, sl], rate)
         degrees.update(p + k - 1 for p, ks in pairs.items() for k in ks)
         events = _truncation_events(pn, degrees, nonlin, cap)
     if not np.all(np.isfinite(values)):

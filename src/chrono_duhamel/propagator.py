@@ -277,29 +277,34 @@ def energy(disp: DispersionRelation, data: CauchyData) -> float:
 
 
 def save_snapshot(disp: DispersionRelation, data: CauchyData, path: str) -> None:
-    """CSV with columns (x, psi, chi) behind a JSON header comment line."""
+    """CSV behind a JSON header comment line: columns (x, psi, chi) for a second-order kind,
+    (x, psi_re, psi_im) for a first-order one, every cell a float."""
     grid = data.grid
     header = {"M": grid.M, "Lx": grid.Lx, "kind": disp.kind, "m": disp.m, "t": data.t}
+    if data.chi is None:
+        names, cols = "x,psi_re,psi_im", (data.psi.real, data.psi.imag)
+    else:
+        names, cols = "x,psi,chi", (data.psi.real, data.chi.real)
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(header) + "\n")
-        fh.write("x,psi,chi\n")
-        for j in range(grid.M):
-            psi = data.psi[j]
-            psi_txt = repr(complex(psi)) if np.iscomplexobj(data.psi) else repr(float(psi))
-            chi_txt = "" if data.chi is None else repr(float(data.chi[j].real))
-            fh.write(f"{float(grid.x[j])!r},{psi_txt},{chi_txt}\n")
+        fh.write(names + "\n")
+        for x, a, b in zip(grid.x.tolist(), *(c.tolist() for c in cols)):
+            fh.write(f"{x!r},{a!r},{b!r}\n")
 
 
 def load_snapshot(path: str) -> tuple[DispersionRelation, CauchyData]:
     with open(path) as fh:
         header = json.loads(fh.readline().lstrip("# "))
-        fh.readline()  # column names
+        first_order = fh.readline().rstrip("\n") == "x,psi_re,psi_im"
         psi, chi = [], []
         for line in fh:
             _, p, c = line.rstrip("\n").split(",")
-            psi.append(complex(p.strip("()")) if "j" in p else float(p))
-            chi.append(float(c) if c else None)
+            if first_order:
+                psi.append(complex(float(p), float(c)))
+            else:
+                psi.append(float(p))
+                chi.append(float(c) if c else None)
     grid = Grid(header["M"], header["Lx"])
     disp = DispersionRelation(header["kind"], header["m"])
-    chi_arr = None if chi[0] is None else np.array(chi)
+    chi_arr = None if first_order or chi[0] is None else np.array(chi)
     return disp, CauchyData(grid, np.array(psi), chi_arr, header["t"])

@@ -217,20 +217,27 @@ def flow_time(X: MajorantSeries, r: float, R: float) -> float:
     integrand ``e^u / X(e^u)`` stays tame down to tiny ``r``), shrunk by
     ``FLOW_TIME_SLACK`` so it never exceeds the exact time.  Returns
     ``math.inf`` for the zero field, whose flow stands still.  Raises
-    ``FloatingPointError`` when the quadrature cannot vouch for the slack.
+    ``FloatingPointError`` when the quadrature cannot vouch for the slack,
+    and when ``X(z)`` underflows to 0 for some ``z`` in [r, R], which a
+    floor far below the field's scale brings about.
     """
     if not 0 < r <= R:
         raise ValueError("flow_time requires 0 < r <= R")
     if X.is_zero:
         return math.inf
     coeffs = X.coeffs.tolist()  # Horner on Python floats: the array's bits, no NumPy scalars
-    value, err = quad(
-        lambda u: math.exp(u) / _polyval(coeffs, math.exp(u)),
-        math.log(r),
-        math.log(R),
-        epsabs=0.0,
-        epsrel=1e-13,
-    )
+    try:
+        value, err = quad(
+            lambda u: math.exp(u) / _polyval(coeffs, math.exp(u)),
+            math.log(r),
+            math.log(R),
+            epsabs=0.0,
+            epsrel=1e-13,
+        )
+    except ZeroDivisionError:
+        raise FloatingPointError(
+            f"the field underflows to 0 between the floor {r!r} and {R!r}: no flow time to the floor"
+        ) from None
     if not err <= FLOW_TIME_SLACK * value:
         raise FloatingPointError(
             f"flow time quadrature error {err:.3e} exceeds the slack on {value:.17g}"

@@ -14,11 +14,16 @@ diagonal evaluation recovers ``mult((0,1)) * 1/2 * x1 x2 = x1 x2``.
 In general the polarized coefficient at K times ``multiplicities(K)`` is
 the monomial coefficient of ``x^K`` in the diagonal map.  The operator
 kernel rests on this: it multiplies monomial coefficients in one matmul,
-finds the rank of each product monomial by chained ``extend_table``
-gathers, sums them with one ``bincount`` and divides by the output
-multiplicities.  :func:`compose_rank_one` takes the field as two factors
-and never forms it.  ``canonical_indices``, ``multiplicities`` and
-``extend_table`` are the only index structures.
+sums the products by the rank of each product monomial with one
+``bincount`` and divides by the output multiplicities.  The ranks of a
+degree pair ``(p, q)`` are chained ``extend_table`` gathers, built once
+as a read-only int32 map (``_rank_map``, a bounded cache).
+:func:`compose_rank_one` takes the field as two factors and never forms
+it; ``_compose_factored`` does the same for a stack of nodes whose
+factors are two fixed matrices scaled by per-node diagonals, with one
+matmul pair and one ``bincount`` for the whole stack.
+``canonical_indices``, ``multiplicities`` and ``extend_table`` are the
+only index structures.
 
 The one tensor norm is :func:`coefficient_l1`, the coefficient l1 mass
 over the full index expansion (polarized coefficient times multiplicity).
@@ -245,15 +250,21 @@ def eval_homogeneous(f: SymTensor, args: Sequence[np.ndarray]) -> np.ndarray:
 def monomials(X: np.ndarray, degree: int) -> np.ndarray:
     """``(len(X), n_canonical)``: multiplicity times each canonical monomial of each row of ``X``.
 
+    :func:`_products` times the multiplicities.  The result is C-ordered."""
+    return _products(X, degree) * multiplicities(X.shape[-1], degree)
+
+
+def _products(X: np.ndarray, degree: int) -> np.ndarray:
+    """``(..., n_canonical)``: each canonical monomial of each row of ``X``, without multiplicity.
+
     Built degree by degree on the growth rule: a monomial is its parent's
     times the appended letter, one gather and one multiply per degree, in the
-    letters' order.  The result is C-ordered."""
-    d = X.shape[1]
-    out = np.ones((X.shape[0], 1))
+    letters' order."""
+    d = X.shape[-1]
+    out = np.ones((*X.shape[:-1], 1))
     for q in range(1, degree + 1):
         parent, last = _growth(d, q)
-        out = np.multiply(out.take(parent, axis=1), X.take(last, axis=1), order="C")
-    out *= multiplicities(d, degree)
+        out = np.multiply(out.take(parent, axis=-1), X.take(last, axis=-1), order="C")
     return out
 
 
@@ -348,20 +359,55 @@ def _open_slot(f: SymTensor) -> np.ndarray:
         raise ValueError("composition expects a scalar-valued tensor")
     if f.degree < 1:
         raise ValueError("f must have degree >= 1")
-    ext = extend_table(f.dim, f.degree - 1)  # (n_{p-1}, d) -> rank in degree p
-    return f.coeffs[0][ext] * multiplicities(f.dim, f.degree - 1)[:, None]
+    return _open(f.coeffs[0], f.dim, f.degree)
 
 
-def _collect(prod: np.ndarray, d: int, p: int, q: int) -> SymTensor:
-    """Degree-``p + q - 1`` tensor from the monomial products ``prod[K, S]`` at ``x^K x^S``:
-    ``extend_table`` gathers rank ``K + S``, one ``bincount`` sums by rank,
-    and dividing by the multiplicities returns polarized coefficients."""
-    m = p + q - 1
-    rank = np.broadcast_to(np.arange(prod.shape[0])[:, None], prod.shape)
+def _open(coeffs: np.ndarray, d: int, p: int) -> np.ndarray:
+    """:func:`_open_slot` of every row of the degree-p coefficients ``coeffs``: ``(..., n_{p-1}, d)``."""
+    ext = extend_table(d, p - 1)  # (n_{p-1}, d) -> rank in degree p
+    return coeffs[..., ext] * multiplicities(d, p - 1)[:, None]
+
+
+# rank maps kept by _rank_map; each is as large as one node's product of its degrees
+_RANK_MAPS = 8
+
+
+@lru_cache(maxsize=_RANK_MAPS)
+def _rank_map(d: int, p: int, q: int) -> np.ndarray:
+    """``(n_{p-1}, n_q)`` int32: the degree-``p + q - 1`` rank of ``x^K x^S``, read-only.
+
+    ``extend_table`` gathers the letters of S onto K one at a time.
+    ``OverflowError`` is raised when the ranks do not fit int32."""
+    if num_canonical(d, p + q - 1) >= 2**31:
+        raise OverflowError(
+            f"degree {p + q - 1} over dimension {d} has more canonical indices than int32 ranks"
+        )
+    shape = (num_canonical(d, p - 1), num_canonical(d, q))
+    rank = np.broadcast_to(np.arange(shape[0])[:, None], shape)
     for i, letters in enumerate(canonical_indices(d, q).T):
         rank = extend_table(d, p - 1 + i)[rank, letters]
-    out = np.bincount(rank.ravel(), weights=prod.ravel(), minlength=num_canonical(d, m))
-    return SymTensor(m, d, out / multiplicities(d, m))
+    rank = rank.astype(np.int32)
+    rank.setflags(write=False)
+    return rank
+
+
+def _collect(prod: np.ndarray, d: int, p: int, q: int) -> np.ndarray:
+    """Degree-``p + q - 1`` coefficients from the monomial products ``prod[..., K, S]`` at ``x^K x^S``.
+
+    A stack of products ``(c, n_{p-1}, n_q)`` gives ``(c, n_m)``: one
+    ``bincount`` sums every product by :func:`_rank_map`, offset by its
+    place in the stack, and dividing by the multiplicities returns
+    polarized coefficients."""
+    m = p + q - 1
+    n_m = num_canonical(d, m)
+    rank = _rank_map(d, p, q)
+    c = prod.size // rank.size
+    if c > 1:
+        rank = rank + (np.arange(c) * n_m)[:, None, None]
+    out = np.bincount(rank.ravel(), weights=prod.ravel(), minlength=c * n_m)
+    out = out.reshape(*prod.shape[:-2], n_m)
+    out /= multiplicities(d, m)
+    return out
 
 
 def compose_first_slot(f: SymTensor, V: SymTensor) -> SymTensor:
@@ -380,7 +426,7 @@ def compose_first_slot(f: SymTensor, V: SymTensor) -> SymTensor:
     if V.dim != f.dim or V.codomain_dim != f.dim:
         raise ValueError("V must be a vector field on the same space")
     prod = _open_slot(f) @ (V.coeffs * multiplicities(V.dim, V.degree))
-    return _collect(prod, f.dim, f.degree, V.degree)
+    return SymTensor(f.degree + V.degree - 1, f.dim, _collect(prod, f.dim, f.degree, V.degree))
 
 
 def compose_rank_one(f: SymTensor, B: np.ndarray, W: np.ndarray, q: int) -> SymTensor:
@@ -390,7 +436,39 @@ def compose_rank_one(f: SymTensor, B: np.ndarray, W: np.ndarray, q: int) -> SymT
     degree-q scalar map, e.g. ``W = lam * monomials(A, q)`` for
     ``V = lam sum_x B[:, x] (x) A[x]^{(x) q}``.
     """
-    return _collect((_open_slot(f) @ B) @ W, f.dim, f.degree, q)
+    return SymTensor(f.degree + q - 1, f.dim, _collect((_open_slot(f) @ B) @ W, f.dim, f.degree, q))
+
+
+def _compose_factored(
+    coeffs: np.ndarray, p: int, b: np.ndarray, B0: np.ndarray, W0: np.ndarray, pi: np.ndarray, q: int
+) -> np.ndarray:
+    """:func:`compose_rank_one` at a stack of nodes whose fields share two fixed factors: ``(c, n_m)``.
+
+    Node ``l`` composes its degree-p coefficients ``coeffs[l]`` with
+    ``B = diag(b[l]) B0`` and ``W = W0 diag(pi[l])``.  The diagonals stay
+    outside the fixed factors: the products are
+    ``((open-slot o b) @ B0 @ W0) o pi``, one matmul pair for the stack,
+    and :func:`_collect` sums them with one ``bincount``.
+    """
+    d = B0.shape[0]
+    u = (_open(coeffs, d, p) * b[:, None, :]).reshape(-1, d)
+    prod = _gemm(_gemm(u, B0), W0).reshape(len(b), -1, W0.shape[1])
+    prod *= pi[:, None, :]
+    return _collect(prod, d, p, q)
+
+
+def _gemm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` by gemm whatever the shapes.
+
+    NumPy hands a one-row or one-column product to gemv, which rounds
+    unlike gemm and rounds a row by where it sits among the others; gemm's
+    rows do not depend on how many share the call.  A repeated row or
+    column keeps the product on gemm, so a node's bits do not depend on the
+    nodes composed with it."""
+    r, c = x.shape[0], y.shape[1]
+    x = np.vstack([x, x]) if r == 1 else x
+    y = np.hstack([y, y]) if c == 1 else y
+    return (x @ y)[:r, :c]
 
 
 # ---------------------------------------------------------------------------

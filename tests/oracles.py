@@ -6,7 +6,15 @@ import numpy as np
 
 from chrono_duhamel.chrono import DEFAULT_DEGREE_CAP, vdot
 from chrono_duhamel.propagator import CauchyData, FreeSolution, green_apply, make_free_solution, sample_at
-from chrono_duhamel.symfun import SymFunctional, SymTensor, canonical_indices, contract_slot, eval_diagonal
+from chrono_duhamel.symfun import (
+    SymFunctional,
+    SymTensor,
+    canonical_indices,
+    compose_rank_one,
+    contract_slot,
+    eval_diagonal,
+    monomials,
+)
 
 
 def polarize(f_diag, degree, args):
@@ -49,6 +57,26 @@ def vertex_tensors(chart, nonlin, t):
         idx = canonical_indices(chart.dim, k)
         out[k] = SymTensor(k, chart.dim, lam * (B @ A[:, idx].prod(axis=2)))
     return out
+
+
+def vdot_reference(t, f, nonlin, chart, cap):
+    """The operator ``f -> delta f (V_t)`` at one time, from the blocks at that time.
+
+    ``A, B = chart.rows_and_columns(t)``, then ``lam_k monomials(A, k)`` and
+    ``compose_rank_one`` of each stored degree ``p >= 1`` with each ``k`` that
+    keeps ``p + k - 1 <= cap``, scaled by ``p``: one node at a time, with no
+    time factor split off the blocks.
+    """
+    A, B = chart.rows_and_columns(t)
+    out = {}
+    for term in f.terms:
+        p = term.degree
+        for k, lam in nonlin.coeffs.items():
+            if p < 1 or p + k - 1 > cap:
+                continue
+            comp = compose_rank_one(term, B, lam * monomials(A, k), k).scaled(float(p))
+            out[p + k - 1] = comp if p + k - 1 not in out else out[p + k - 1] + comp
+    return SymFunctional(out.values())
 
 
 def functional_add(f, g, scale=1.0):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chrono_duhamel import chrono
+from chrono_duhamel import chrono, symfun
 from chrono_duhamel.chrono import (
     ChartMap,
     TruncationEvent,
@@ -38,7 +38,7 @@ from chrono_duhamel.symfun import (
     num_canonical,
 )
 
-from oracles import directional_derivative, rk4_transport, vertex_tensors
+from oracles import directional_derivative, rk4_transport, vdot_reference, vertex_tensors
 
 GRID = Grid(8, 2 * np.pi)
 KG1 = DispersionRelation("klein_gordon", 1.0)
@@ -320,31 +320,57 @@ def _cubic_nodes(f, substeps, cap):
     return chrono._picard_nodes(0.0, 0.5, CUBIC, CHART, substeps, sweeps)
 
 
+@pytest.fixture
+def composed(monkeypatch):
+    """Every batched sweep the transport runs: its node times and the (p, k) pairs it composes.
+
+    Each entry is ``(times, pairs)``; ``pairs`` counts, per stored degree ``p`` and
+    nonlinearity degree ``k``, the nodes that ``_compose_factored`` composed them at.
+    """
+    record = []
+    applied, compose = chrono._applied, chrono._compose_factored
+
+    def spied_applied(G, times, *args, **kwargs):
+        record.append((list(times), {}))
+        return applied(G, times, *args, **kwargs)
+
+    def spied_compose(coeffs, p, b, B0, W0, pi, q):
+        pairs = record[-1][1]
+        pairs[p, q] = pairs.get((p, q), 0) + len(b)
+        return compose(coeffs, p, b, B0, W0, pi, q)
+
+    monkeypatch.setattr(chrono, "_applied", spied_applied)
+    monkeypatch.setattr(chrono, "_compose_factored", spied_compose)
+    return record
+
+
 @pytest.mark.parametrize(
-    "cap, panel_sweeps, sweeps", [(4, 2, 1), (5, 2, 2), (6, 3, 2)], ids=["cap4", "cap5", "cap6"]
+    "cap, panel_sweeps, pairs",
+    [
+        (4, 2, [{(1, 3)}]),
+        (5, 2, [{(1, 3)}, {(1, 3), (3, 3)}]),
+        (6, 3, [{(1, 3)}, {(1, 3), (3, 3)}]),
+    ],
+    ids=["cap4", "cap5", "cap6"],
 )
-def test_picard_applies_the_operator_once_per_node_and_sweep(cap, panel_sweeps, sweeps, monkeypatch):
+def test_picard_applies_the_operator_once_per_node_and_sweep(cap, panel_sweeps, pairs, composed):
     # from a linear functional the cubic needs the last sweep alone at cap 4 (degree 3)
     # and one stored sweep under it at caps 5 and 6; the panel of caps 4 and 6 is sized
-    # for one sweep more, which composes nothing and is not run.  The scan evaluates
-    # the last sweep on the path, so at cap 4 it calls vdot nowhere
-    calls = []
-
-    def counted(t, *args, **kwargs):
-        calls.append(t)
-        return vdot(t, *args, **kwargs)
-
-    monkeypatch.setattr(chrono, "vdot", counted)
+    # for one sweep more, which composes nothing and is not run.  Each sweep is one batched
+    # composition over every node, and composes each of its (p, k) pairs once per node.
+    # The scan evaluates the last sweep on the path, so at cap 4 it composes nothing
     f = point_eval_functional(CHART, 0.0, 0)
     chrono_exp_evolve(f, 0.0, 0.5, 1, KG1, CUBIC, CHART, cap=cap)
-    nodes = _cubic_nodes(f, 1, cap)
+    nodes = list(_cubic_nodes(f, 1, cap))
     assert len(nodes) == math.ceil(panel_sweeps * 4 * math.sqrt(17) * 0.5 / 2) + 8
-    assert calls == list(nodes) * sweeps
-    calls.clear()
+    assert [times for times, _ in composed] == [nodes] * len(pairs)
+    assert [done for _, done in composed] == [dict.fromkeys(ps, len(nodes)) for ps in pairs]
+    composed.clear()
     data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.0)
     traj = evolve(data, 0.0, 0.5, 0.05, KG1, CUBIC)
     invariance_scan(f, traj, 0.0, 0.5, CHART, substeps=1, cap=cap)
-    assert calls == list(nodes) * (sweeps - 1)
+    assert [times for times, _ in composed] == [nodes] * (len(pairs) - 1)
+    assert [done for _, done in composed] == [dict.fromkeys(ps, len(nodes)) for ps in pairs[:-1]]
 
 
 @pytest.mark.parametrize(
@@ -376,45 +402,112 @@ def test_matrix_free_last_sweep_matches_the_transported_functional(coeffs, t1, t
     assert values[-1] == pytest.approx(expected, rel=1e-13)
 
 
-def test_invariance_scan_builds_no_tensor_of_the_last_sweep(monkeypatch):
-    # the cubic at cap 5 takes two sweeps: the stored one composes degree 3, and
-    # the last one, which would compose degree 5, is evaluated on the path only
-    degrees = []
-    kernel = chrono.compose_rank_one
-
-    def spied(f, B, W, q):
-        degrees.append(f.degree + q - 1)
-        return kernel(f, B, W, q)
-
-    monkeypatch.setattr(chrono, "compose_rank_one", spied)
+def test_invariance_scan_builds_no_tensor_of_the_last_sweep(composed):
+    # the cubic at cap 5 takes two sweeps: the stored one composes degree 3 at every
+    # node, and the last one, which would compose degree 5, is evaluated on the path
+    # only: no composition leaves the feeding cap 3
     data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.0)
     traj = evolve(data, 0.0, 0.5, 0.05, KG1, CUBIC)
     f = point_eval_functional(CHART, 0.0, 0)
     invariance_scan(f, traj, 0.0, 0.5, CHART, substeps=2, cap=5)
-    assert degrees and set(degrees) == {3}
+    nodes = list(_cubic_nodes(f, 2, 5))
+    assert composed == [(nodes, {(1, 3): len(nodes)})]
 
 
-def test_stored_dyson_terms_compose_each_degree_once(monkeypatch):
+def test_stored_dyson_terms_compose_each_degree_once(composed):
     # {2: 0.3, 3: 0.8} at cap 5 stores T_1, T_2, T_3 under the feeding cap 4: T_1 composes
     # f's degree 1, T_2 composes T_1's degrees 2 and 3, and T_3 composes T_2's degree 3
-    # and drops its degree 4; the last sweep is evaluated on the path only
-    pairs = []
-    kernel = chrono.compose_rank_one
-
-    def spied(f, B, W, q):
-        pairs.append((f.degree, q))
-        return kernel(f, B, W, q)
-
-    monkeypatch.setattr(chrono, "compose_rank_one", spied)
+    # and drops its degree 4; each at every node once, and the last sweep is evaluated
+    # on the path only
     mixed = NonlinearitySpec({2: 0.3, 3: 0.8})
     data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.0)
     traj = evolve(data, 0.0, 0.5, 0.05, KG1, mixed)
     f = point_eval_functional(CHART, 0.0, 0)
     invariance_scan(f, traj, 0.0, 0.5, CHART, substeps=2, cap=5)
     sweeps = chrono._picard_sweeps(f, mixed, 5)
-    n = len(chrono._picard_nodes(0.0, 0.5, mixed, CHART, 2, sweeps))
-    per_node = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 2)]
-    assert sorted(pairs) == sorted(per_node * n)
+    nodes = list(chrono._picard_nodes(0.0, 0.5, mixed, CHART, 2, sweeps))
+    pairs = [{(1, 2), (1, 3)}, {(2, 2), (2, 3), (3, 2)}, {(3, 2)}]
+    assert [times for times, _ in composed] == [nodes] * 3
+    assert [done for _, done in composed] == [dict.fromkeys(ps, len(nodes)) for ps in pairs]
+    assert all(p + k - 1 <= 4 for _, done in composed for p, k in done)
+
+
+@pytest.mark.parametrize("M", [4, 8])
+@pytest.mark.parametrize(
+    "coeffs",
+    [{3: 1.0}, {2: 0.3, 3: 0.8}, {1: 0.5, 3: 1.0}, {0: 0.2, 3: 1.0}],
+    ids=["cubic", "mixed", "linear", "constant"],
+)
+def test_batched_sweep_matches_the_per_node_operator(coeffs, M, monkeypatch):
+    # the batched kernel, with the identity as node weights, gives vdot at every panel node
+    # of the stored sweep; the reference builds the blocks at each node and composes
+    # lam * monomials(A_t, k) with B_t rank by rank, as one node at a time
+    _, chart, _ = _cosine_problem(M)
+    nonlin = NonlinearitySpec(coeffs)
+    f = point_eval_functional(chart, 0.0, 0)
+    times, S, G = chrono._picard(f, 0.0, 0.5, nonlin, chart, 1, 5)
+    n = len(times)
+    batched = chrono._applied(G, times, np.eye(n), nonlin, chart, 5)
+    reference = [
+        vdot_reference(t, chrono._sweep_at(G, l, chart.dim), nonlin, chart, 5) for l, t in enumerate(times)
+    ]
+    swept = chrono._applied(G, times, S, nonlin, chart, 5)
+    assert set(batched) == set(swept) == set(reference[0].degrees)
+    for m, c in batched.items():
+        expected = np.array([ref.term(m).coeffs[0] for ref in reference])
+        np.testing.assert_allclose(c, expected, rtol=0, atol=1e-14 * np.max(np.abs(expected)))
+        integral = S @ expected
+        np.testing.assert_allclose(swept[m], integral, rtol=0, atol=1e-14 * np.max(np.abs(integral)))
+    # chunk boundaries: one node per chunk gives every node, and the panel's integral of
+    # them, the bits of one chunk holding all nodes
+    chunks = []
+    compose = chrono._compose_factored
+    monkeypatch.setattr(chrono, "_compose_factored", lambda *args: chunks.append(len(args[2])) or compose(*args))
+    for weights in (np.eye(n), S):
+        chunks.clear()
+        monkeypatch.setattr(chrono, "_CHUNK_FLOATS", 1)
+        one_by_one = chrono._applied(G, times, weights, nonlin, chart, 5)
+        assert set(chunks) == {1}
+        chunks.clear()
+        monkeypatch.setattr(chrono, "_CHUNK_FLOATS", 1 << 40)
+        all_at_once = chrono._applied(G, times, weights, nonlin, chart, 5)
+        assert set(chunks) == {n}
+        assert set(one_by_one) == set(all_at_once) == set(batched)
+        for m in batched:
+            np.testing.assert_array_equal(one_by_one[m], all_at_once[m])
+
+
+def test_vdot_is_the_one_node_case_of_the_batched_kernel(composed):
+    # one call of the kernel at the one time, each pair composed at that node once
+    rng = np.random.default_rng(5)
+    d = CHART.dim
+    f = SymFunctional([SymTensor(p, d, rng.standard_normal(num_canonical(d, p))) for p in (1, 2, 3)])
+    mixed = NonlinearitySpec({2: 0.3, 3: 0.8})
+    out = vdot(0.3, f, mixed, CHART, cap=4)
+    assert composed == [([0.3], {(1, 2): 1, (1, 3): 1, (2, 2): 1, (2, 3): 1, (3, 2): 1})]
+    ref = vdot_reference(0.3, f, mixed, CHART, 4)
+    assert out.degrees == ref.degrees == (2, 3, 4)
+    for a, b in zip(out.terms, ref.terms):
+        np.testing.assert_allclose(a.coeffs, b.coeffs, rtol=0, atol=1e-14 * np.max(np.abs(b.coeffs)))
+
+
+def test_panel_matrices_and_rank_maps_are_bounded_read_only_caches():
+    S = chrono._integration_matrix(17)
+    assert chrono._integration_matrix(17) is S and not S.flags.writeable
+    for n in range(9, 9 + 2 * chrono._integration_matrix.cache_info().maxsize):
+        chrono._integration_matrix(n)
+    info = chrono._integration_matrix.cache_info()
+    assert info.currsize == info.maxsize
+    rank = symfun._rank_map(8, 2, 3)
+    assert rank.dtype == np.int32 and not rank.flags.writeable
+    assert symfun._rank_map(8, 2, 3) is rank
+    for d in range(2, 4 + symfun._RANK_MAPS):
+        symfun._rank_map(d, 2, 2)
+    assert symfun._rank_map.cache_info().currsize == symfun._RANK_MAPS
+    # a degree with 2**31 canonical indices or more cannot be ranked in int32; nothing is built
+    assert num_canonical(3000, 3) >= 2**31
+    with pytest.raises(OverflowError):
+        symfun._rank_map(3000, 1, 3)
 
 
 @pytest.mark.parametrize(

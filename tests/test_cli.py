@@ -537,6 +537,25 @@ def test_float_overflow_is_a_numerical_failure(tmp_path, capsys, command, body):
     assert not (tmp_path / "o" / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, floor",
+    [
+        ("certify", "certify_floor = 1e-110"),
+        ("certify", "flow_floor = 1e-200"),
+        ("invariance", "flow_floor = 1e-200"),
+    ],
+    ids=["certify-floor", "certify-flow-floor", "invariance-flow-floor"],
+)
+def test_a_floor_below_the_field_s_underflow_is_a_numerical_failure(tmp_path, capsys, command, floor):
+    # both floors pass the config checks, but the cubic field X(z) underflows to 0 above
+    # them, so the flow time down to the floor cannot be taken
+    cfg = write_config(tmp_path / "c.ini", SMALL + f"\n[tolerances]\n{floor}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure in {command}:") and err.count("\n") == 1
+    assert "floor" in err and "Traceback" not in err
+
+
 def test_unsettled_picard_sweeps_are_a_numerical_failure(tmp_path, capsys, monkeypatch):
     # a linear term keeps the operator from being nilpotent; one sweep cannot settle it
     monkeypatch.setattr(chrono, "PICARD_MAX_SWEEPS", 1)
@@ -576,22 +595,31 @@ def test_every_csv_cell_parses_as_a_number(tmp_path):
         "propagate.csv", "trajectory.csv", "final_field.csv", "invariance.csv", "certify.csv", "trees.csv",
     }
     for path in csvs:
-        schrodinger_snapshot = path.parent.name.endswith("sch.ini") and path.name not in (
-            "propagate.csv",
-            "trajectory.csv",
-        )
         for row in _data_rows(path):
             for name, cell in row.items():
                 if path.name == "trees.csv" and name == "parents":
                     assert cell == "" or all(p.isdigit() for p in cell.split("-"))
                 elif path.name == "trees.csv" and row["order"] == "total" and name != "value":
                     assert cell in ("total", "")
-                elif schrodinger_snapshot and name == "chi":
-                    assert cell == ""
-                elif schrodinger_snapshot and name == "psi":
-                    complex(cell)
                 else:
                     float(cell)
+    # a first-order snapshot splits psi into its real and imaginary parts
+    for path in tmp_path.glob("*sch.ini/*.csv"):
+        if path.name not in ("propagate.csv", "trajectory.csv"):
+            assert path.read_text().splitlines()[1] == "x,psi_re,psi_im"
+
+
+def test_a_first_order_final_field_restarts_a_run(tmp_path):
+    # a Schrodinger snapshot written as float cells is read back as initial data
+    sch = SMALL + "\n[dispersion]\nkind = schrodinger\n[output]\nsnapshots = 1\n"
+    first = write_config(tmp_path / "a.ini", sch)
+    assert main(["evolve", "--config", first, "--out", str(tmp_path / "a")]) == 0
+    snap = tmp_path / "a" / "final_field.csv"
+    body = sch.replace("t1 = 0.0\nt2 = 0.25", "t1 = 0.25\nt2 = 0.5")
+    body += f"\n[initial]\nkind = file\nfile = {snap}\n"
+    second = write_config(tmp_path / "b.ini", body)
+    assert main(["evolve", "--config", second, "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "b" / "final_field.csv").read_text().splitlines()[1] == "x,psi_re,psi_im"
 
 
 def _final_field(out):

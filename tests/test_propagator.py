@@ -267,3 +267,19 @@ def test_snapshot_roundtrip(tmp_path):
     assert data2.t == 0.25
     np.testing.assert_allclose(data2.psi, data.psi, rtol=0, atol=0)
     np.testing.assert_allclose(data2.chi, data.chi, rtol=0, atol=0)
+
+
+def test_first_order_snapshot_roundtrip_in_float_cells(tmp_path):
+    # Schrodinger data is complex: each row holds x, Re psi and Im psi, every cell a float
+    rng = np.random.default_rng(12)
+    data = random_data(rng, disp=SCH, t=0.5)
+    assert np.iscomplexobj(data.psi) and data.chi is None
+    path = tmp_path / "snap.csv"
+    save_snapshot(SCH, data, str(path))
+    lines = path.read_text().splitlines()
+    assert lines[1] == "x,psi_re,psi_im"
+    cells = [[float(c) for c in line.split(",")] for line in lines[2:]]
+    assert np.array_equal(np.array(cells)[:, 1] + 1j * np.array(cells)[:, 2], data.psi)
+    disp2, data2 = load_snapshot(str(path))
+    assert disp2 == SCH and data2.t == 0.5 and data2.chi is None
+    np.testing.assert_array_equal(data2.psi, data.psi)
