@@ -48,7 +48,6 @@ from typing import Iterable
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
-from scipy.optimize import brentq
 
 from .dynamics import EvolutionState, NonlinearitySpec, _window
 from .propagator import (
@@ -61,7 +60,14 @@ from .propagator import (
     _weight_powers,
     sample_at,
 )
-from .series import DEFAULT_FLOOR, MajorantSeries, eval_series as series_eval, flow_time
+from .series import (
+    DEFAULT_FLOOR,
+    MajorantSeries,
+    _single_term,
+    _single_term_radius,
+    eval_series as series_eval,
+    flow_time,
+)
 from .symfun import (
     SymFunctional,
     SymTensor,
@@ -817,10 +823,13 @@ def certify_window(
     The window holds when the backward flow from ``R`` stays above ``floor``
     over the span, that is when ``flow_time(X, floor, R) > |T|``; otherwise
     ``measured_window`` is that flow time (0 when ``floor >= R``).  The
-    certified radius ``r' = e^{-|T| X}(R)`` solves
-    ``flow_time(X, r', R) = |T|`` by ``brentq`` in ``log r'``.  When a
-    concretely transported functional's majorant is supplied, additionally
-    checks the norm contraction ``[[U f]](r') <= [[f]](R)``.
+    certified radius ``r' = e^{-|T| X}(R)`` is taken in closed form when
+    ``X = c z^k`` has one nonzero coefficient; for any other ``X`` it solves
+    ``flow_time(X, r', R) = |T|`` by SciPy's ``brentq`` in ``log r'``,
+    imported on first use.  Either way ``r'`` lies below the exact
+    endpoint.  When a concretely transported functional's majorant is
+    supplied, additionally checks the norm contraction
+    ``[[U f]](r') <= [[f]](R)``.
     """
     T = abs(T)
     f_at_R = series_eval(f_majorant, R)
@@ -832,7 +841,11 @@ def certify_window(
         )
     if T == 0.0 or X.is_zero:
         r_prime = R
+    elif (term := _single_term(X)) is not None:
+        r_prime = _single_term_radius(*term, R, T)
     else:
+        from scipy.optimize import brentq
+
         u = brentq(
             lambda u: flow_time(X, min(math.exp(u), R), R) - T,
             math.log(floor),

@@ -13,10 +13,14 @@ series acts in two ways:
 
 On the positive axis ``X`` is positive, so the backward flow from ``R``
 reaches ``r`` after ``T(r) = int_r^R dz / X(z)``: ``flow_time`` turns ``X``
-into every flow time the certificate uses.  ``flow`` integrates the ODE
-itself with SciPy's DOP853, forward or along complex time rays; the
-program certifies with ``flow_time`` alone, and ``flow`` is the tests'
-independent check of it.
+into every flow time the certificate uses.  For a single power
+``X = c z^k`` (the cubic Klein-Gordon majorant, for one) ``T`` and its
+inverse have closed forms; any other ``X`` is integrated by SciPy's
+``quad``.  ``flow`` integrates the ODE itself with SciPy's DOP853, forward
+or along complex time rays; the program certifies with ``flow_time``
+alone, and ``flow`` is the tests' independent check of it.  SciPy is
+imported only inside ``flow`` and ``quad``, so a one-term majorant never
+loads it.
 
 All series here are treated as exact polynomials: every stored
 coefficient is meaningful and no tail is implied.
@@ -25,11 +29,11 @@ coefficient is meaningful and no tail is implied.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import ode, quad
 
 __all__ = [
     "MajorantSeries",
@@ -50,7 +54,8 @@ DEFAULT_FLOOR = 1e-12
 #: Relative slack taken off every flow time, which keeps each time and the
 #: radius solved from it on the safe side of the exact flow.  The quadrature's
 #: own error estimate must stay below it (the largest seen on 804 random and
-#: shipped fields was 9.5e-14 relative).
+#: shipped fields was 9.5e-14 relative), and so must the rounding of the
+#: closed forms for a one-term field (under 1e-13 relative).
 FLOW_TIME_SLACK = 1e-12
 
 # ``flow``: absolute step tolerance, blow-up magnitude and step budget.
@@ -191,6 +196,8 @@ def flow(
     if total == 0.0 or X.is_zero:
         return FlowResult(value=z, time_reached=total, status="completed")
 
+    from scipy.integrate import ode
+
     coeffs = X.coeffs
 
     def rhs(s, y):
@@ -210,22 +217,103 @@ def flow(
     return FlowResult(value=value, time_reached=total, status="completed")
 
 
+def quad(func, a, b, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, **kwargs)
+
+
+def _single_term(X: MajorantSeries) -> tuple[int, float] | None:
+    """``(k, c)`` when ``X = c z^k`` has exactly one nonzero coefficient, else ``None``."""
+    (nonzero,) = np.nonzero(X.coeffs)
+    if nonzero.size != 1:
+        return None
+    k = int(nonzero[0])
+    return k, float(X.coeffs[k])
+
+
+def _log_ratio(r: float, R: float) -> float:
+    """``log(r / R)`` for ``0 < r <= R``, to a few ulp both near ``r = R`` and far below it."""
+    if r >= 0.5 * R:
+        return math.log1p((r - R) / R)  # r - R is exact here
+    ratio = r / R
+    if ratio >= sys.float_info.min:
+        return math.log(ratio)
+    return math.log(r) - math.log(R)  # a subnormal ratio has lost digits
+
+
+def _single_term_time(k: int, c: float, r: float, R: float) -> float:
+    """``int_r^R dz / (c z^k)`` in closed form, free of cancellation: ``log(R/r) / c``
+    for ``k = 1``, else ``(1 - (r/R)^|k-1|) s^(1-k) / (|k-1| c)``, with ``s = R`` for
+    ``k = 0`` and ``s = r`` for ``k >= 2``."""
+    log_ratio = _log_ratio(r, R)
+    if k == 1:
+        return -log_ratio / c
+    p = abs(k - 1)
+    return -math.expm1(p * log_ratio) * (R if k == 0 else r ** (1 - k)) / (p * c)
+
+
+def _single_term_radius(k: int, c: float, R: float, T: float) -> float:
+    """Radius the backward flow of ``X = c z^k`` reaches from ``R``, in closed form.
+
+    Like the root of ``flow_time(X, r', R) = T``, it is the exact endpoint of
+    the longer time ``t = T / (1 - FLOW_TIME_SLACK)``: ``R e^{-ct}`` for
+    ``k = 1``, else ``(R^(1-k) + (k-1) c t)^(1/(1-k))`` (``ct < R`` for
+    ``k = 0``).  The factor ``1 - FLOW_TIME_SLACK`` then keeps it below the
+    exact endpoint of ``T`` through rounding: the closed form is off by under
+    1e-13 relative, or for ``k = 0`` by a few ulp of ``R``, which the two
+    slacks together cover with ``FLOW_TIME_SLACK R``.
+    """
+    t = T / (1.0 - FLOW_TIME_SLACK)
+    try:
+        if k == 1:
+            radius = R * math.exp(-c * t)
+        else:
+            radius = (R ** (1 - k) + (k - 1) * c * t) ** (1 / (1 - k))
+    except OverflowError:
+        raise FloatingPointError(f"the flow of {c!r} z^{k} from {R!r} overflows over {T!r}") from None
+    return radius * (1.0 - FLOW_TIME_SLACK)
+
+
+def _underflow(r: float, R: float) -> FloatingPointError:
+    return FloatingPointError(
+        f"the field underflows to 0 between the floor {r!r} and {R!r}: no flow time to the floor"
+    )
+
+
 def flow_time(X: MajorantSeries, r: float, R: float) -> float:
     """Time the backward flow ``e^{-TX}`` takes from ``R`` down to ``r``.
 
-    ``T(r) = int_r^R dz / X(z)``, by quadrature in ``u = log z`` (the
-    integrand ``e^u / X(e^u)`` stays tame down to tiny ``r``), shrunk by
-    ``FLOW_TIME_SLACK`` so it never exceeds the exact time.  Returns
-    ``math.inf`` for the zero field, whose flow stands still.  Raises
-    ``FloatingPointError`` when the quadrature cannot vouch for the slack,
-    and when ``X(z)`` underflows to 0 for some ``z`` in [r, R], which a
-    floor far below the field's scale brings about.
+    ``T(r) = int_r^R dz / X(z)``, shrunk by ``FLOW_TIME_SLACK`` so it never
+    exceeds the exact time.  A field with one nonzero coefficient,
+    ``X = c z^k``, takes the antiderivative in closed form; any other is
+    integrated by ``quad`` (SciPy, imported on first use) in ``u = log z``,
+    where the integrand ``e^u / X(e^u)`` stays tame down to tiny ``r``.
+    Returns ``math.inf`` for the zero field, whose flow stands still.
+    Raises ``FloatingPointError`` when ``X(z)`` underflows to 0 for some
+    ``z`` in [r, R], which a floor far below the field's scale brings
+    about, when the time is not a finite float, and when the quadrature
+    cannot vouch for the slack.
     """
     if not 0 < r <= R:
         raise ValueError("flow_time requires 0 < r <= R")
     if X.is_zero:
         return math.inf
+    if r == R:
+        return 0.0
     coeffs = X.coeffs.tolist()  # Horner on Python floats: the array's bits, no NumPy scalars
+    term = _single_term(X)
+    if term is not None:
+        if _polyval(coeffs, r) == 0.0:  # c z^k is least at z = r
+            raise _underflow(r, R)
+        try:
+            value = _single_term_time(*term, r, R)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise FloatingPointError(f"the flow time from {R!r} down to {r!r} overflows")
+        return value * (1.0 - FLOW_TIME_SLACK)
     try:
         value, err = quad(
             lambda u: math.exp(u) / _polyval(coeffs, math.exp(u)),
@@ -235,9 +323,7 @@ def flow_time(X: MajorantSeries, r: float, R: float) -> float:
             epsrel=1e-13,
         )
     except ZeroDivisionError:
-        raise FloatingPointError(
-            f"the field underflows to 0 between the floor {r!r} and {R!r}: no flow time to the floor"
-        ) from None
+        raise _underflow(r, R) from None
     if not err <= FLOW_TIME_SLACK * value:
         raise FloatingPointError(
             f"flow time quadrature error {err:.3e} exceeds the slack on {value:.17g}"

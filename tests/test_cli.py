@@ -438,6 +438,44 @@ def test_module_entry_point_keeps_the_exit_code_contract(tmp_path):
     assert proc.stderr.count("config error:") == 1 and "Traceback" not in proc.stderr
 
 
+# runs one command in a fresh interpreter and reports its exit code and whether SciPy got loaded
+SCIPY_PROBE = """
+import sys
+from chrono_duhamel.cli import main
+assert "scipy" not in sys.modules, "importing the CLI loaded SciPy"
+code = main(sys.argv[1:])
+print(code, "scipy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "command, nonlinearity, loads_scipy",
+    [
+        ("evolve", "3 = 1.0", False),
+        ("certify", "3 = 1.0", False),
+        ("invariance", "3 = 1.0", False),
+        ("certify", "1 = 0.5\n3 = 1.0", True),
+    ],
+    ids=["evolve", "certify", "invariance", "certify-two-term"],
+)
+def test_scipy_is_loaded_only_by_a_command_that_needs_it(tmp_path, command, nonlinearity, loads_scipy):
+    # a one-term majorant's flow times are closed forms; a two-term one needs quad and brentq
+    shipped = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.ini")
+    with open(shipped) as fh:
+        body = fh.read()
+    assert "[nonlinearity]\n3 = 1.0\n" in body
+    body = body.replace("[nonlinearity]\n3 = 1.0\n", f"[nonlinearity]\n{nonlinearity}\n")
+    cfg = write_config(tmp_path / "c.ini", body)
+    src = os.path.dirname(os.path.dirname(chrono_duhamel.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", SCIPY_PROBE, command, "--config", cfg, "--out", str(tmp_path / "o")]
+    proc = subprocess.run(
+        argv, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {loads_scipy}"
+
+
 def _data_lines(path):
     return [l for l in path.read_text().splitlines() if not l.startswith("#")]
 
@@ -468,8 +506,9 @@ def test_random_initial_data_follows_the_seed(tmp_path):
 
 
 def test_unvouched_flow_time_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # a two-term field: a one-term field's flow time is a closed form and takes no quadrature
     monkeypatch.setattr(series, "quad", lambda f, a, b, **kw: (1.0, 1e-6))
-    cfg = write_config(tmp_path / "c.ini", SMALL)
+    cfg = write_config(tmp_path / "c.ini", SMALL + "\n[nonlinearity]\n1 = 0.5\n3 = 1.0\n")
     assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("numerical failure in certify:") and "Traceback" not in err

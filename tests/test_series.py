@@ -2,6 +2,8 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -279,9 +281,10 @@ def test_flow_time_down_to_the_default_floor():
 
 
 def test_flow_time_refuses_an_unvouched_quadrature(monkeypatch):
+    # a two-term field: a one-term field's flow time is a closed form and takes no quadrature
     monkeypatch.setattr(series, "quad", lambda f, a, b, **kw: (1.0, 1e-6))
     with pytest.raises(FloatingPointError):
-        flow_time(MajorantSeries([1.0]), 0.5, 1.0)
+        flow_time(MajorantSeries([0, 1.0, 0, 1.0]), 0.5, 1.0)
 
 
 def test_guaranteed_time_constant_field():
@@ -330,6 +333,74 @@ def test_cubic_preset_stays_on_the_safe_side():
     r = certify_window(MajorantSeries([0, 1.0]), X, 1.0, 0.25).certified_radius
     assert 0.75 * (1 - 1e-11) <= t_bar <= 0.75
     assert (1 - 1e-11) / math.sqrt(2) <= r <= 1 / math.sqrt(2)
+
+
+# ---------------------------------------------------------------------------
+# the closed form for a one-term field X = c z^k
+# ---------------------------------------------------------------------------
+
+SLACK = Fraction(series.FLOW_TIME_SLACK)
+RATIOS = (1 - 1e-12, 0.5, 1e-12)
+
+
+def one_term_cases(k, ratio):
+    """Four (c, R, r) with c in [1e-3, 1e3], R in [0.1, 10] and r = ratio * R, seeded by k and ratio."""
+    rng = np.random.default_rng([k, RATIOS.index(ratio)])
+    for _ in range(4):
+        c, R = 10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-1, 1)
+        yield float(c), float(R), float(R * ratio)
+
+
+def exact_time(k, c, r, R):
+    """int_r^R dz / (c z^k) for the floats given: exact for k != 1, to 60 digits for k = 1."""
+    if k == 1:
+        with localcontext() as ctx:
+            ctx.prec = 60
+            return Fraction((Decimal(R).ln() - Decimal(r).ln()) / Decimal(c))
+    return (Fraction(R) ** (1 - k) - Fraction(r) ** (1 - k)) / ((1 - k) * Fraction(c))
+
+
+def one_term(k, c):
+    return MajorantSeries([0.0] * k + [c])
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
+def test_one_term_flow_time_is_exact_on_the_safe_side(k, ratio):
+    for c, R, r in one_term_cases(k, ratio):
+        exact = exact_time(k, c, r, R)
+        assert exact * (1 - 2 * SLACK) <= Fraction(flow_time(one_term(k, c), r, R)) <= exact
+
+
+@pytest.mark.parametrize("r", [5e-324, 1e-320])
+def test_one_term_flow_time_below_the_normal_range(r):
+    # r / R is subnormal (or 0): log(r / R) would lose digits, or raise
+    exact = exact_time(1, 1.0, r, 3.0)
+    assert exact * (1 - 2 * SLACK) <= Fraction(flow_time(MajorantSeries([0, 1.0]), r, 3.0)) <= exact
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
+def test_one_term_certified_radius_stays_below_the_exact_flow(k, ratio):
+    for c, R, r in one_term_cases(k, ratio):
+        X = one_term(k, c)
+        for T in (flow_time(X, r, R), 0.37 * flow_time(X, r, R)):
+            rec = certify_window(MajorantSeries([]), X, R, T, floor=r / 2)
+            assert rec.window_ok
+            # the exact flow time down to r' is at least T: r' is at or below e^{-TX}(R)
+            assert exact_time(k, c, rec.certified_radius, R) >= Fraction(T)
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1e-12])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
+def test_one_term_closed_form_agrees_with_the_quadrature(monkeypatch, k, ratio):
+    # at r = R (1 - 1e-12) the quadrature's endpoints log r and log R each round by about
+    # 1e-16, about 1e-4 of the interval between them, so only the closed form is exact there
+    for c, R, r in one_term_cases(k, ratio):
+        closed = flow_time(one_term(k, c), r, R)
+        with monkeypatch.context() as patch:
+            patch.setattr(series, "_single_term", lambda X: None)
+            assert flow_time(one_term(k, c), r, R) == pytest.approx(closed, rel=1e-13, abs=0)
 
 
 # ---------------------------------------------------------------------------
