@@ -56,6 +56,8 @@ from .propagator import (
     DispersionRelation,
     FreeSolution,
     Grid,
+    _fft,
+    _ifft,
     _wave_factors,
     _weight_powers,
     sample_at,
@@ -650,7 +652,7 @@ def evaluate_trees(
 
     def green_shift(field: np.ndarray, dt_: float) -> np.ndarray:
         # convolution with the Green kernel: per-mode sin(eps dt)/eps
-        return np.fft.ifft(_wave_factors(eps, dt_)[1] * np.fft.fft(field)).real
+        return _ifft(_wave_factors(eps, dt_)[1] * _fft(field), 1 / chart.grid.M).real
 
     def tree_integrand(tree: FeynmanTree, taus: np.ndarray) -> float:
         ch = tree.children()

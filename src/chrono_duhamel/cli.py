@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -65,7 +66,8 @@ class RunConfig:
     def load(path: str | None) -> "RunConfig":
         merged = {sec: dict(vals) for sec, vals in DEFAULTS.items()}
         if path:
-            parser = configparser.ConfigParser()
+            # values are literal: a "%" is a character, not an interpolation
+            parser = configparser.ConfigParser(interpolation=None)
             try:
                 with open(path) as fh:
                     parser.read_file(fh)
@@ -458,13 +460,19 @@ COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and reused by later ones."""
     parser = argparse.ArgumentParser(prog="chrono-duhamel", description=__doc__)
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", default=None, help="INI configuration file")
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument("--seed", type=int, default=None, help="rng seed override")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _arg_parser().parse_args(argv)
 
     try:
         cfg = RunConfig.load(args.config)

@@ -12,7 +12,9 @@ picture).  ``A_t`` is diagonal per Fourier mode, so the chart state is
 kept as its modes ``c_k = fft(field) / M`` and one private kernel computes
 ``Vbar_t`` on arrays batched over times: per-mode factors of ``A_t``, one
 unscaled inverse FFT to the traces, one call to ``N``, one forward FFT
-back, whose ``1/M`` rides on the factors of ``A_{-t}``.  The
+back, whose ``1/M`` rides on the factors of ``A_{-t}``.  Both transforms
+are the propagator's ``_ifft`` and ``_fft``, which skip ``numpy.fft``'s
+argument handling, the larger part of a transform's cost at these sizes.  The
 reference integrator is classical RK4 on this chart ODE, every stage one
 kernel call; an independent Strang splitting on the raw Cauchy data serves
 as the cross-check oracle.  Duhamel's identity
@@ -38,7 +40,9 @@ from .propagator import (
     FreeSolution,
     Grid,
     _energies,
+    _fft,
     _field,
+    _ifft,
     _modes,
     _sobolev_norms,
     _wave_factors,
@@ -148,14 +152,14 @@ def _chart_field(nonlin, fwd, back, c, real):
     projects the field trace on its real part, as the physical-space
     propagator does for real Klein-Gordon data.  One inverse FFT, one call
     to ``N`` and one forward FFT serve all times.  The inverse FFT runs
-    unscaled (``norm="forward"``), in place on the summed rows, since
+    unscaled (``_ifft`` with scale 1), in place on the summed rows, since
     ``c`` already carries the ``1/M``; ``back`` carries the ``1/M`` of the
     forward FFT, whose output goes into one new array.
     """
     u = np.add.reduce(fwd * c, axis=-2)
-    np.fft.ifft(u, norm="forward", out=u)
+    _ifft(u, 1.0, out=u)
     g = nonlin.apply(u.real if real else u)
-    return back * np.fft.fft(g, out=np.empty(u.shape, complex))[..., None, :]
+    return back * _fft(g)[..., None, :]
 
 
 def _chart_modes(disp: DispersionRelation, datas: list[CauchyData]) -> tuple[np.ndarray, bool]:

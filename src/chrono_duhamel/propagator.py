@@ -8,6 +8,11 @@ forward unnormalised, inverse ``1/M``; the mode amplitudes used below are
 exactly at the nodes, and the discrete Parseval identity reads
 ``sum_j |f_j|^2 dx = Lx sum_k |c_k|^2``.
 
+Every transform of the package goes through one private pair, ``_fft`` and
+``_ifft``, which call NumPy's pocketfft gufuncs directly and give the bits
+of ``numpy.fft.fft`` and ``numpy.fft.ifft``: at these grid sizes the
+argument handling of ``numpy.fft`` costs more than the transform.
+
 Dispersion kinds:
 
 * ``klein_gordon``: second order, per-mode frequency
@@ -20,10 +25,12 @@ Dispersion kinds:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 
 __all__ = [
     "Grid",
@@ -56,6 +63,12 @@ class Grid:
             raise ValueError("M must be a power of two >= 4")
         if not self.Lx > 0:
             raise ValueError("Lx must be positive")
+        # the largest |xi| as ``xi`` forms it: ``eps`` and the Sobolev weights square it
+        xi_max = 2.0 * math.pi * (self.M // 2 * (1.0 / (self.M * self.dx))) if self.dx > 0 else math.inf
+        if not math.isfinite(xi_max * xi_max):
+            raise ValueError(
+                f"Lx = {self.Lx!r} is too small for M = {self.M}: the largest frequency squared overflows"
+            )
 
     @property
     def dx(self) -> float:
@@ -141,12 +154,37 @@ class FreeSolution:
             raise ValueError("chart data must be anchored at the reference time 0")
 
 
+def _fft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unscaled forward DFT of float64 or complex128 ``a`` along its last axis.
+
+    Bit for bit what ``numpy.fft.fft(a, out=out)`` returns: it calls the
+    pocketfft gufunc that function ends in, with the same factor 1, and
+    skips the argument handling in Python that costs more than the
+    transform itself at the grid sizes here.
+    """
+    if out is None:
+        out = np.empty(a.shape, complex)
+    return _pocketfft_umath.fft(a, 1.0, out=out)
+
+
+def _ifft(a: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse DFT of float64 or complex128 ``a`` along its last axis, times ``scale``.
+
+    Bit for bit what ``numpy.fft.ifft(a, out=out)`` returns for ``scale =
+    1 / n`` and ``numpy.fft.ifft(a, norm="forward", out=out)`` for ``scale =
+    1``; like ``_fft`` it calls the pocketfft gufunc directly.
+    """
+    if out is None:
+        out = np.empty(a.shape, complex)
+    return _pocketfft_umath.ifft(a, scale, out=out)
+
+
 def _modes(grid: Grid, field: np.ndarray) -> np.ndarray:
-    return np.fft.fft(field) / grid.M
+    return _fft(field) / grid.M
 
 
 def _field(grid: Grid, modes: np.ndarray, real: bool) -> np.ndarray:
-    out = np.fft.ifft(modes * grid.M)
+    out = _ifft(modes * grid.M, 1 / grid.M)
     return out.real if real else out
 
 

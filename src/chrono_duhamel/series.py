@@ -218,10 +218,13 @@ def flow(
 
 
 def quad(func, a, b, **kwargs):
-    """``scipy.integrate.quad``, imported on the first call."""
-    from scipy.integrate import quad as scipy_quad
+    """``scipy.integrate.quad``, imported on the first call, with its ``IntegrationWarning``
+    silenced: ``flow_time`` checks the returned error estimate against its slack itself."""
+    from scipy.integrate import IntegrationWarning, quad as scipy_quad
 
-    return scipy_quad(func, a, b, **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return scipy_quad(func, a, b, **kwargs)
 
 
 def _single_term(X: MajorantSeries) -> tuple[int, float] | None:
@@ -288,8 +291,10 @@ def flow_time(X: MajorantSeries, r: float, R: float) -> float:
     ``T(r) = int_r^R dz / X(z)``, shrunk by ``FLOW_TIME_SLACK`` so it never
     exceeds the exact time.  A field with one nonzero coefficient,
     ``X = c z^k``, takes the antiderivative in closed form; any other is
-    integrated by ``quad`` (SciPy, imported on first use) in ``u = log z``,
-    where the integrand ``e^u / X(e^u)`` stays tame down to tiny ``r``.
+    integrated by ``quad`` (SciPy, imported on first use) in ``u = log(z/R)``
+    from ``log(r/R)`` to 0, where the integrand ``R e^u / X(R e^u)`` stays
+    tame down to tiny ``r`` and the interval keeps its digits next to
+    ``r = R``.
     Returns ``math.inf`` for the zero field, whose flow stands still.
     Raises ``FloatingPointError`` when ``X(z)`` underflows to 0 for some
     ``z`` in [r, R], which a floor far below the field's scale brings
@@ -316,9 +321,9 @@ def flow_time(X: MajorantSeries, r: float, R: float) -> float:
         return value * (1.0 - FLOW_TIME_SLACK)
     try:
         value, err = quad(
-            lambda u: math.exp(u) / _polyval(coeffs, math.exp(u)),
-            math.log(r),
-            math.log(R),
+            lambda u: (z := R * math.exp(u)) / _polyval(coeffs, z),
+            _log_ratio(r, R),
+            0.0,
             epsabs=0.0,
             epsrel=1e-13,
         )

@@ -302,6 +302,12 @@ def test_selftest_ledger(tmp_path, capsys):
         ("evolve", SMALL + "\n[initial]\nkind = sine\n"),
         ("certify", SMALL + "\n[functional]\nkind = foo\n"),
         ("certify", SMALL + "\n[tolerances]\nx_coeffs = 0,-1\n"),
+        ("evolve", SMALL + from_file("a%b.csv")),
+        ("certify", SMALL + "\n[tolerances]\ncertify_radius = 20%\n"),
+        ("evolve", SMALL.replace("m = 8", "m = 8\nlx = 1e-300")),
+        ("trees", SMALL.replace("m = 8", "m = 8\nlx = 1e-300")),
+        ("invariance", SMALL.replace("m = 8", "m = 8\nlx = 1e-300")),
+        ("certify", SMALL.replace("m = 8", "m = 8\nlx = 1e-300")),
     ],
     ids=[
         "invariance-zero-steps",
@@ -371,6 +377,12 @@ def test_selftest_ledger(tmp_path, capsys):
         "evolve-unknown-initial-kind",
         "certify-unknown-functional-kind",
         "certify-negative-x-coeffs",
+        "evolve-percent-in-a-missing-file-name",
+        "certify-percent-in-a-number",
+        "evolve-lx-whose-frequencies-overflow",
+        "trees-lx-whose-frequencies-overflow",
+        "invariance-lx-whose-frequencies-overflow",
+        "certify-lx-whose-frequencies-overflow",
     ],
 )
 def test_unsupported_config_is_a_config_error(tmp_path, capsys, command, body):
@@ -382,7 +394,32 @@ def test_unsupported_config_is_a_config_error(tmp_path, capsys, command, body):
     cfg = write_config(tmp_path / "c.ini", body.replace("{tmp}", str(tmp_path)))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "Traceback" not in err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_percent_signs_in_values_are_literal(tmp_path, capsys):
+    # no interpolation: "%d" and "%%" are written into the output directory's name as they stand
+    for name in ("out%d", "a%%b"):
+        cfg = write_config(tmp_path / "c.ini", SMALL + f"\n[output]\ndirectory = {tmp_path / name}\n")
+        assert main(["evolve", "--config", cfg]) == 0
+        assert (tmp_path / name / "trajectory.csv").exists()
+    assert capsys.readouterr().err == ""
+
+
+def test_repeated_main_calls_are_independent(tmp_path, capsys):
+    # the argument parser is built once per process; each call still parses its own argv
+    cfg = write_config(tmp_path / "c.ini", SMALL + "\n[initial]\nkind = random\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "a"), "--seed", "3"]) == 0
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--config", cfg])
+    assert exc.value.code == 2
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "d"), "--seed", "3"]) == 0
+    assert sorted(os.listdir(tmp_path / "b")) == ["certify.csv"]
+    trajectories = [(tmp_path / name / "trajectory.csv").read_bytes() for name in "acd"]
+    assert trajectories[0] == trajectories[2] != trajectories[1]
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_propagate_snapshot_names_must_differ(tmp_path, capsys):
@@ -474,6 +511,25 @@ def test_scipy_is_loaded_only_by_a_command_that_needs_it(tmp_path, command, nonl
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"0 {loads_scipy}"
+
+
+def test_a_quadrature_that_cannot_vouch_for_its_time_prints_one_line(tmp_path):
+    # SciPy warns that quad ran out of subdivisions; the slack check alone reports it
+    shipped = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.ini")
+    with open(shipped) as fh:
+        body = fh.read()
+    for old, new in (("3 = 1.0\n", "3 = 1.0\n5 = 1.0\n"), ("certify_floor = 0.05\n", "certify_floor = 1e-107\n")):
+        assert body.count(old) == 1
+        body = body.replace(old, new)
+    cfg = write_config(tmp_path / "c.ini", body)
+    src = os.path.dirname(os.path.dirname(chrono_duhamel.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "chrono_duhamel.cli", "certify", "--config", cfg, "--out", str(tmp_path / "o")]
+    proc = subprocess.run(
+        argv, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("numerical failure in certify:") and proc.stderr.count("\n") == 1
 
 
 def _data_lines(path):

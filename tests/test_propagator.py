@@ -8,6 +8,8 @@ from chrono_duhamel.propagator import (
     DispersionRelation,
     FreeSolution,
     Grid,
+    _fft,
+    _ifft,
     energy,
     green_apply,
     load_snapshot,
@@ -39,6 +41,39 @@ def mode_data(grid, k_index, amp_psi=1.0, amp_chi=0.0, t=0.0):
 
 
 # ---------------------------------------------------------------------------
+# the DFT pair
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("M", [4, 8, 32, 256])
+@pytest.mark.parametrize("shape", [(), (3, 2)], ids=["1d", "batched"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_dft_pair_is_numpy_fft_bit_for_bit(M, shape, dtype):
+    # the pair calls numpy.fft's pocketfft gufuncs directly: a NumPy whose gufuncs
+    # change arguments or results fails here instead of moving the program's numbers
+    rng = np.random.default_rng(M)
+    a = rng.standard_normal((*shape, M)).astype(dtype)
+    if dtype is complex:
+        a += 1j * rng.standard_normal(a.shape)
+
+    def same(x, y):
+        assert x.dtype == y.dtype == complex and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    same(_fft(a), np.fft.fft(a))
+    same(_ifft(a, 1 / M), np.fft.ifft(a))
+    same(_ifft(a, 1.0), np.fft.ifft(a, norm="forward"))
+    # in place, as the chart kernel runs its inverse transform
+    for transform, reference in (
+        (lambda b: _fft(b, out=b), np.fft.fft(a)),
+        (lambda b: _ifft(b, 1 / M, out=b), np.fft.ifft(a)),
+        (lambda b: _ifft(b, 1.0, out=b), np.fft.ifft(a, norm="forward")),
+    ):
+        b = a.astype(complex)
+        assert transform(b) is b
+        same(b, reference)
+
+
+# ---------------------------------------------------------------------------
 # propagate
 # ---------------------------------------------------------------------------
 
@@ -49,6 +84,11 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(2, 1.0)
     assert Grid(8, 4.0).dx * 8 == 4.0
+    # the largest xi, pi M / Lx, squared overflows
+    for Lx in (1e-300, 5e-324):
+        with pytest.raises(ValueError, match="overflows"):
+            Grid(8, Lx)
+    assert np.all(np.isfinite(Grid(8, 1e-150).xi ** 2))
 
 
 def test_grid_arrays_are_built_once_and_read_only():

@@ -391,16 +391,33 @@ def test_one_term_certified_radius_stays_below_the_exact_flow(k, ratio):
             assert exact_time(k, c, rec.certified_radius, R) >= Fraction(T)
 
 
-@pytest.mark.parametrize("ratio", [0.5, 1e-12])
+@pytest.mark.parametrize("ratio", RATIOS)
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
 def test_one_term_closed_form_agrees_with_the_quadrature(monkeypatch, k, ratio):
-    # at r = R (1 - 1e-12) the quadrature's endpoints log r and log R each round by about
-    # 1e-16, about 1e-4 of the interval between them, so only the closed form is exact there
     for c, R, r in one_term_cases(k, ratio):
         closed = flow_time(one_term(k, c), r, R)
         with monkeypatch.context() as patch:
             patch.setattr(series, "_single_term", lambda X: None)
             assert flow_time(one_term(k, c), r, R) == pytest.approx(closed, rel=1e-13, abs=0)
+
+
+def exact_two_term_time(r, R):
+    """int_r^R dz / (z + z^3) = log(R/r) - log((1 + R^2) / (1 + r^2)) / 2 for the floats given, to 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        r, R = Decimal(r), Decimal(R)
+        return Fraction(R.ln() - r.ln() - ((1 + R * R).ln() - (1 + r * r).ln()) / 2)
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+def test_two_term_flow_time_is_exact_on_the_safe_side(ratio):
+    # next to r = R the interval of the quadrature is about 1e-12 wide: taken between
+    # log r and log R, whose roundings are each about 1e-4 of it, the time overshoots
+    X = MajorantSeries([0, 1.0, 0, 1.0])
+    for R in np.linspace(0.1, 3.0, 60).tolist():
+        r = R * ratio
+        exact = exact_two_term_time(r, R)
+        assert exact * (1 - 2 * SLACK) <= Fraction(flow_time(X, r, R)) <= exact
 
 
 # ---------------------------------------------------------------------------
