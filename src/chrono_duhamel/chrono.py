@@ -225,7 +225,10 @@ class ChartMap:
         1 + (w^{2r} - eps^2) snc^2`` and ``|snc| <= min(t_max, 1/eps)``.
         """
         w, s, r, dx = self._w, self.s, self.disp.r_order, self.grid.dx
-        sigma2 = t_max**2 / np.maximum(1.0, (self._eps * t_max) ** 2)  # min(t_max, 1/eps)^2
+        with np.errstate(over="ignore", divide="ignore"):
+            # min(t_max, 1/eps)^2 with no t_max^2 to overflow, and 1/eps where eps t_max does
+            et = self._eps * t_max
+            sigma2 = np.where(np.isinf(et), 1.0 / self._eps, t_max / np.maximum(1.0, et)) ** 2
         g = 1.0 + sigma2 * np.maximum(w ** (2 * r) - self._eps**2, 0.0)
         rows = math.sqrt(float(np.max(w ** (-2 * s) * g)) / dx)
         columns = math.sqrt(float(np.max(w ** (2 * (s - r)) * g)) * dx)

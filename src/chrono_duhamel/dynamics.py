@@ -16,8 +16,11 @@ back, whose ``1/M`` rides on the factors of ``A_{-t}``.  Both transforms
 are the propagator's ``_ifft`` and ``_fft``, which skip ``numpy.fft``'s
 argument handling, the larger part of a transform's cost at these sizes.  The
 reference integrator is classical RK4 on this chart ODE, every stage one
-kernel call; an independent Strang splitting on the raw Cauchy data serves
-as the cross-check oracle.  Duhamel's identity
+kernel call.  At these sizes NumPy's per-call overhead is most of a step,
+so the loop allocates its arrays once and every ufunc writes into them,
+with 0-d arrays in place of Python scalars: the textbook step's arithmetic
+in its order, and so its bits.  An independent Strang splitting on the raw
+Cauchy data serves as the cross-check oracle.  Duhamel's identity
 
     c(t2) - c(t1) + integral_{t1}^{t2} Vbar_t(c(t)) dt = 0
 
@@ -62,6 +65,10 @@ __all__ = [
 ]
 
 
+# the complex 0.0 that starts the sum over the K rows of a chart block
+_ZERO = np.zeros((), complex)
+
+
 class DivergenceError(RuntimeError):
     """Raised when field values overflow during time stepping."""
 
@@ -77,6 +84,7 @@ class NonlinearitySpec:
         if any(k < 0 for k in clean):
             raise ValueError("degrees must be nonnegative")
         object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "_operands_by_dtype", {})
 
     @property
     def is_zero(self) -> bool:
@@ -86,17 +94,47 @@ class NonlinearitySpec:
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self.coeffs))
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        """``N(u)``, a new array of ``u``'s shape and dtype.
+    def _operands(self, dtype: np.dtype):
+        """The 0-d ``0.0`` that starts the sum and ``((power, args), N_k)`` per term, in ``dtype``.
 
-        The sum starts from ``0.0``, so a ``-0.0`` term comes out ``+0.0``
-        exactly as it would from an array of zeros.
+        Built once per dtype.  ``u**k`` goes where ``ndarray.__pow__`` sends
+        it: ``np.square`` for k = 2 (for complex ``u`` not ``np.power(u,
+        2)``'s bits), ``np.power`` otherwise.
         """
-        if not self.coeffs:
-            return np.zeros_like(u)
-        out = 0.0
-        for k, v in self.coeffs.items():
-            out = out + v * u**k
+        ops = self._operands_by_dtype.get(dtype)
+        if ops is None:
+            terms = [
+                ((np.square, ()) if k == 2 else (np.power, (np.array(k, dtype),)), np.array(v, dtype))
+                for k, v in self.coeffs.items()
+            ]
+            ops = self._operands_by_dtype[dtype] = (np.zeros((), dtype), terms)
+        return ops
+
+    def apply(
+        self, u: np.ndarray, out: np.ndarray | None = None, term: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``N(u)`` of float or complex ``u``, written into ``out`` and returned.
+
+        ``out`` and ``term`` are arrays of ``u``'s shape and dtype, new ones
+        when None; ``term`` holds each term after the first.  The bits are
+        those of ``0.0 + N_k u**k + ...`` in the order of ``coeffs``: every
+        operand is a 0-d array of ``u``'s dtype, which gives a Python
+        scalar's bits without its conversion on every call.  The sum starts
+        from ``0.0``, so a ``-0.0`` term comes out ``+0.0``.
+        """
+        zero, terms = self._operands(u.dtype)
+        if out is None:
+            out = np.empty(u.shape, u.dtype)
+        if not terms:
+            out.fill(0)
+            return out
+        if term is None and len(terms) > 1:
+            term = np.empty(u.shape, u.dtype)
+        for i, ((power, args), v) in enumerate(terms):
+            t = term if i else out
+            power(u, *args, out=t)
+            np.multiply(v, t, out=t)
+            np.add(out if i else zero, t, out=out)
         return out
 
     @staticmethod
@@ -142,7 +180,7 @@ def _chart_factors(disp: DispersionRelation, grid: Grid, times) -> tuple[np.ndar
     return phase[:, None, :], (-1j * phase.conj() / M)[:, None, :]
 
 
-def _chart_field(nonlin, fwd, back, c, real):
+def _chart_field(nonlin, fwd, back, c, real, out=None):
     """Chart modes of ``Vbar_t(c) = A_{-t} o script-N o A_t (c)`` at every time of the factors.
 
     ``c`` holds chart modes ``fft(field) / M`` stacked as ``(..., K, M)``
@@ -152,14 +190,35 @@ def _chart_field(nonlin, fwd, back, c, real):
     projects the field trace on its real part, as the physical-space
     propagator does for real Klein-Gordon data.  One inverse FFT, one call
     to ``N`` and one forward FFT serve all times.  The inverse FFT runs
-    unscaled (``_ifft`` with scale 1), in place on the summed rows, since
-    ``c`` already carries the ``1/M``; ``back`` carries the ``1/M`` of the
-    forward FFT, whose output goes into one new array.
+    unscaled (``_ifft`` with scale 1) since ``c`` already carries the
+    ``1/M``; ``back`` carries the ``1/M`` of the forward FFT.
+
+    ``out``, when given, is ``(v, trace, n_out, n_term)`` and the kernel
+    allocates nothing: ``v`` (complex, the result's ``(..., K, M)``) first
+    holds the products ``fwd * c`` and last the result, which is returned;
+    ``trace`` (complex ``(..., M)``) holds the field trace and then the
+    forward FFT of ``N``; ``n_out`` and ``n_term`` are ``N.apply``'s
+    ``out`` and ``term`` for the (real part of the) trace.  Without it the
+    three arrays are new and ``N`` makes its own.
     """
-    u = np.add.reduce(fwd * c, axis=-2)
+    if out is None:
+        v = np.empty(np.broadcast_shapes(fwd.shape, c.shape), complex)
+        out = (v, np.empty(v.shape[:-2] + v.shape[-1:], complex), None, None)
+    v, u, n_out, n_term = out
+    np.multiply(fwd, c, out=v)
+    # the sum of the K rows from +0 as NumPy's sum forms it, (0 + psi row) +
+    # chi row: the 0 + turns a -0 into +0, a sign that cpow (a complex power
+    # of degree >= 100) reads.  A real trace skips it: the inverse FFT passes
+    # the sign of a zero on only to zeros, and N(-0) has the bits of N(+0).
+    if real:
+        np.add(v[..., 0, :], v[..., 1, :], out=u)
+    else:
+        np.add(_ZERO, v[..., 0, :], out=u)
+        if v.shape[-2] == 2:
+            np.add(u, v[..., 1, :], out=u)
     _ifft(u, 1.0, out=u)
-    g = nonlin.apply(u.real if real else u)
-    return back * _fft(g)[..., None, :]
+    g = nonlin.apply(u.real if real else u, n_out, n_term)
+    return np.multiply(back, _fft(g, out=u)[..., None, :], out=v)
 
 
 def _chart_modes(disp: DispersionRelation, datas: list[CauchyData]) -> tuple[np.ndarray, bool]:
@@ -208,10 +267,15 @@ def evolve(
 
     The state stays in chart modes for the whole loop: the per-mode factors
     of all ``2n + 1`` stage times ``t1 + j h/2`` are built once, every stage
-    is one call of the mode-space kernel, each step writes its node into one
-    preallocated array, and the trajectory goes back to physical space with
-    one batched inverse FFT at the end.  Node ``i`` sits at ``t1 + i h``; the
-    loop stops at the first step whose modes are not finite, and
+    is one call of the mode-space kernel, and the trajectory goes back to
+    physical space with one batched inverse FFT at the end.  The loop
+    allocates nothing: the kernel writes each slope into one of four arrays
+    through its ``out``, the stage inputs and the update are ufuncs with
+    ``out=`` on 0-d operands, and each step writes its node into one
+    preallocated array.  Every expression is the textbook ``k2 = f(c + h/2
+    k1)``, ``c + h/6 (k1 + 2 k2 + 2 k3 + k4)`` evaluated in Python's order,
+    so the nodes have its bits.  Node ``i`` sits at ``t1 + i h``; the loop
+    stops at the first step whose modes are not finite, and
     ``DivergenceError`` names the first step whose fields are not finite.
     """
     if dt <= 0:
@@ -233,22 +297,41 @@ def evolve(
     fwd, back = _chart_factors(disp, grid, t1 + h / 2 * np.arange(2 * n + 1))
     # dc/dt = -Vbar_t(c): the sign rides on the factors of A_{-t}
     np.negative(back, out=back)
-    stages = list(zip(fwd, back))
-
-    def rhs(j, c):
-        # dc/dt at stage time t1 + j h/2
-        return _chart_field(nonlin, *stages[j], c, real)
-
+    # every array of the loop, allocated once: the step's three forward
+    # factors as complex (a float one would be cast in each product), the
+    # four slopes, the stage input, the kernel's scratch (trace, N's sum and
+    # term), the finite mask and the nodes
+    step_fwd = np.empty((3, *c.shape), complex)
+    f0, f1, f2 = step_fwd
+    backs = list(back)
+    slopes = np.empty((4, *c.shape), complex)
+    y = np.empty(c.shape, complex)
+    scratch = (np.empty(grid.M, complex), *np.empty((2, grid.M), float if real else complex))
+    o1, o2, o3, o4 = ((k, *scratch) for k in slopes)
+    k1, k2, k3, k4 = slopes
+    is_finite = np.empty(c.shape, bool)
     nodes = np.empty((n, *c.shape), complex)
+    # the Python scalars of the textbook step as 0-d arrays of the operand dtype
+    half, whole, sixth, two = (np.array(x, complex) for x in (h / 2, h, h / 6, 2))
+
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(n):
+            # stage times t1 + j h/2, t1 + (j + 1) h/2 and t1 + (j + 2) h/2
             j = 2 * step
-            k1 = rhs(j, c)
-            k2 = rhs(j + 1, c + h / 2 * k1)
-            k3 = rhs(j + 1, c + h / 2 * k2)
-            k4 = rhs(j + 2, c + h * k3)
-            c = np.add(c, h / 6 * (k1 + 2 * k2 + 2 * k3 + k4), out=nodes[step])
-            if not np.isfinite(c).all():
+            np.copyto(step_fwd, fwd[j : j + 3])
+            _chart_field(nonlin, f0, backs[j], c, real, o1)
+            np.add(c, np.multiply(half, k1, out=y), out=y)
+            _chart_field(nonlin, f1, backs[j + 1], y, real, o2)
+            np.add(c, np.multiply(half, k2, out=y), out=y)
+            _chart_field(nonlin, f1, backs[j + 1], y, real, o3)
+            np.add(c, np.multiply(whole, k3, out=y), out=y)
+            _chart_field(nonlin, f2, backs[j + 2], y, real, o4)
+            # c + h/6 (k1 + 2 k2 + 2 k3 + k4), left to right
+            np.add(k1, np.multiply(two, k2, out=k2), out=k1)
+            np.add(k1, np.multiply(two, k3, out=k3), out=k1)
+            np.add(k1, k4, out=k1)
+            c = np.add(c, np.multiply(sixth, k1, out=k1), out=nodes[step])
+            if not np.isfinite(c, out=is_finite).all():
                 nodes = nodes[: step + 1]
                 break
         fields = _field(grid, nodes, real)

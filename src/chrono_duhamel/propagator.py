@@ -99,6 +99,9 @@ class DispersionRelation:
             raise ValueError(f"unknown dispersion kind {self.kind!r}")
         if self.m < 0:
             raise ValueError("mass must be nonnegative")
+        # ``eps`` squares the mass
+        if not math.isfinite(float(self.m) * float(self.m)):
+            raise ValueError(f"mass = {self.m!r} has no finite square")
 
     @property
     def second_order(self) -> bool:

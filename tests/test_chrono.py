@@ -769,6 +769,22 @@ def test_transport_majorant_dominates_multilinear_components(chart):
 
 
 @pytest.mark.parametrize("chart", MAJORANT_CHARTS, ids=CHART_IDS)
+def test_block_norm_sups_grow_with_the_span_without_overflow(chart):
+    # min(t_max, 1/eps)^2 is formed without t_max^2, so spans past 1.3e154
+    # give finite sups for a massive chart, the limit 1/eps for every mode
+    spans = [0.5, 2.0, 1e10, 1e154, 1e200, 1e300, 1.7e308]
+    with np.errstate(all="raise"):
+        sups = [chart._block_norm_sups(t) for t in spans[:4]]
+    with np.errstate(all="ignore"):
+        sups += [chart._block_norm_sups(t) for t in spans[4:]]
+    for a, b in zip(sups, sups[1:]):
+        assert a[0] <= b[0] * (1 + 1e-15) and a[1] <= b[1] * (1 + 1e-15)
+    if chart.disp.m > 0:
+        assert all(map(math.isfinite, sups[-1]))
+        np.testing.assert_allclose(sups[-1], sups[3], rtol=1e-14)
+
+
+@pytest.mark.parametrize("chart", MAJORANT_CHARTS, ids=CHART_IDS)
 def test_transport_majorant_dominates_field_norm(chart):
     # ||coords(V_t(phi))|| <= X(||c||) for the Lagrange-Duhamel field itself
     rng = np.random.default_rng(8)

@@ -135,6 +135,18 @@ flow_floor = 0.8
     assert float(vals[2]) == 0.0 and vals[3] == "0"
 
 
+def test_certify_over_a_span_past_any_window_certifies_nothing(tmp_path, capsys):
+    # t_max^2 would overflow: the block sups still form min(t_max, 1/eps)^2
+    for t2 in ("1e300", "1.7e308"):
+        cfg = write_config(tmp_path / "c.ini", SMALL.replace("t2 = 0.25", f"t2 = {t2}"))
+        out = tmp_path / "out"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        rows = [l for l in (out / "certify.csv").read_text().splitlines() if not l.startswith("#")]
+        vals = rows[1].split(",")
+        assert float(vals[2]) == 0.0 and vals[3] == "0"
+    assert capsys.readouterr().err == ""
+
+
 def test_byte_identical_reruns(tmp_path):
     cfg = write_config(tmp_path / "c.ini", SMALL)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -308,6 +320,11 @@ def test_selftest_ledger(tmp_path, capsys):
         ("trees", SMALL.replace("m = 8", "m = 8\nlx = 1e-300")),
         ("invariance", SMALL.replace("m = 8", "m = 8\nlx = 1e-300")),
         ("certify", SMALL.replace("m = 8", "m = 8\nlx = 1e-300")),
+        ("propagate", SMALL + "\n[dispersion]\nmass = 1e160\n"),
+        ("evolve", SMALL + "\n[dispersion]\nmass = 1e160\n"),
+        ("trees", SMALL + "\n[dispersion]\nmass = 1e160\n"),
+        ("invariance", SMALL + "\n[dispersion]\nmass = 1e160\n"),
+        ("certify", SMALL + "\n[dispersion]\nmass = 1e160\n"),
     ],
     ids=[
         "invariance-zero-steps",
@@ -383,6 +400,11 @@ def test_selftest_ledger(tmp_path, capsys):
         "trees-lx-whose-frequencies-overflow",
         "invariance-lx-whose-frequencies-overflow",
         "certify-lx-whose-frequencies-overflow",
+        "propagate-mass-whose-square-overflows",
+        "evolve-mass-whose-square-overflows",
+        "trees-mass-whose-square-overflows",
+        "invariance-mass-whose-square-overflows",
+        "certify-mass-whose-square-overflows",
     ],
 )
 def test_unsupported_config_is_a_config_error(tmp_path, capsys, command, body):
@@ -594,7 +616,6 @@ HUGE_SPAN = "[grid]\nm = 4\n[initial]\namplitude = 1e-300\n[times]\nt2 = 1e300\n
         ("evolve", SMALL + "\n[tolerances]\nm_ref = 1e300\n"),
         ("invariance", SMALL + "\n[tolerances]\nm_ref = 1e300\n"),
         ("certify", SMALL + "\n[tolerances]\nm_ref = 1e300\n"),
-        ("certify", SMALL.replace("t2 = 0.25", "t2 = 1e300")),
         ("propagate", SMALL + "\n[initial]\namplitude = 1e300\n"),
         ("trees", SMALL + "\n[initial]\namplitude = 1e300\n"),
         ("propagate", SMALL + "\n[tolerances]\nm_ref = 1e-300\n"),
@@ -609,7 +630,6 @@ HUGE_SPAN = "[grid]\nm = 4\n[initial]\namplitude = 1e-300\n[times]\nt2 = 1e300\n
         "evolve-m-ref",
         "invariance-m-ref",
         "certify-m-ref",
-        "certify-t2",
         "propagate-huge-amplitude",
         "trees-huge-amplitude",
         "propagate-tiny-m-ref",

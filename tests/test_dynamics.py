@@ -48,13 +48,13 @@ def random_data(rng, grid=GRID, t=0.0, scale=0.1):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The leading length of ``fwd`` at every ``_chart_field`` call, in call order."""
+    """``(len(fwd), out)`` of every ``_chart_field`` call, in call order."""
     calls = []
     kernel = dyn._chart_field
 
-    def counted(nonlin, fwd, back, c, real):
-        calls.append(len(fwd))
-        return kernel(nonlin, fwd, back, c, real)
+    def counted(nonlin, fwd, back, c, real, out=None):
+        calls.append((len(fwd), out))
+        return kernel(nonlin, fwd, back, c, real, out)
 
     monkeypatch.setattr(dyn, "_chart_field", counted)
     return calls
@@ -320,7 +320,7 @@ def test_trajectory_csv_one_batched_field_evaluation(kernel_calls):
     traj = evolve(benchmark_data(GRID), 0.0, 0.5, 0.05, KG1, CUBIC)
     kernel_calls.clear()
     trajectory_csv(traj)
-    assert kernel_calls == [len(traj)]
+    assert kernel_calls == [(len(traj), None)]
 
 
 @pytest.mark.parametrize(
@@ -489,8 +489,25 @@ def textbook_rk4(data, t1, t2, steps, disp, nonlin):
         (KG1, 32, 0.0, 0.5, NonlinearitySpec({0: 0.2, 1: 0.5, 3: 1.0})),
         (SCH, 16, 0.3, -0.2, NonlinearitySpec({0: 0.2, 1: 0.5, 3: 1.0})),
         (KG1, 32, 0.0, 0.5, ZERO_N),
+        (SCH, 32, 0.0, 0.5, NonlinearitySpec({2: 1.0})),
+        (KG1, 32, 0.0, 0.5, NonlinearitySpec({1: 0.7, 2: 0.4})),
+        (DispersionRelation("klein_gordon", 0.0), 32, 0.0, 0.5, CUBIC),
+        (KG1, 32, 0.0, 0.5, NonlinearitySpec({4: 0.7})),
     ],
-    ids=["M4", "M32", "M256", "backward", "schrodinger", "degrees-0-1-3", "schrodinger-backward-0-1-3", "zero"],
+    ids=[
+        "M4",
+        "M32",
+        "M256",
+        "backward",
+        "schrodinger",
+        "degrees-0-1-3",
+        "schrodinger-backward-0-1-3",
+        "zero",
+        "schrodinger-complex-square",
+        "degrees-1-2",
+        "massless",
+        "quartic",
+    ],
 )
 def test_evolve_is_textbook_rk4_bit_for_bit(disp, M, t1, t2, nonlin):
     grid = Grid(M, 2 * np.pi)
@@ -507,3 +524,60 @@ def test_evolve_is_textbook_rk4_bit_for_bit(disp, M, t1, t2, nonlin):
         assert got.psi.tobytes() == fields[0].tobytes()
         if disp.second_order:
             assert got.chi.tobytes() == fields[1].tobytes()
+
+
+def reduce_kernel(nonlin, fwd, back, c, real):
+    """The chart field with ``np.add.reduce`` over the rows and ``N`` on Python scalars."""
+    u = np.fft.ifft(np.add.reduce(fwd * c, axis=-2), norm="forward")
+    u = u.real if real else u
+    g = 0.0
+    for k, v in nonlin.coeffs.items():
+        g = g + v * u**k
+    return back * np.fft.fft(g)[..., None, :]
+
+
+@pytest.mark.parametrize(
+    "nonlin", [CUBIC, MIXED, NonlinearitySpec({101: 0.5})], ids=["cubic", "mixed", "degree-101"]
+)
+@pytest.mark.parametrize("kind", ["real", "complex", "schrodinger"])
+def test_chart_field_into_buffers_is_the_reduce_formula_bit_for_bit(kind, nonlin):
+    # every mode but the zero mode is +-0 in both parts, at random: the row
+    # products then hold -0s that np.add.reduce's +0 start turns into +0,
+    # and the trace holds exact zeros whose sign a complex power of degree
+    # >= 100 (cpow, through atan2) reads
+    disp = SCH if kind == "schrodinger" else KG1
+    K, M, T = (1 if kind == "schrodinger" else 2), GRID.M, 40
+    rng = np.random.default_rng(4)
+    fwd, back = dyn._chart_factors(disp, GRID, rng.uniform(-3.0, 3.0, T))
+    c = np.zeros((T, K, M), complex)
+    c.real, c.imag = np.where(rng.integers(0, 2, (2, T, K, M)), -0.0, 0.0)
+    c.real[..., 0] = -rng.uniform(0.5, 1.0, (T, K))
+    real = kind == "real"
+    with np.errstate(all="ignore"):
+        want = reduce_kernel(nonlin, fwd, back, c, real)
+        assert dyn._chart_field(nonlin, fwd, back, c, real).tobytes() == want.tobytes()
+        n_scratch = np.empty((2, M), float if real else complex)
+        out = (np.empty((K, M), complex), np.empty(M, complex), *n_scratch)
+        for i in range(T):
+            got = dyn._chart_field(nonlin, fwd[i], back[i], c[i], real, out)
+            assert got is out[0] and got.tobytes() == want[i].tobytes()
+
+
+@pytest.mark.parametrize("disp", [KG1, SCH], ids=["klein_gordon", "schrodinger"])
+def test_evolve_stages_write_into_arrays_allocated_once(kernel_calls, disp):
+    # four kernel calls per step, each writing its slope into one of four
+    # fixed arrays with the same trace and N scratch: the arrays and their
+    # sizes are the same for 5 steps and for 40
+    data = reference_data(disp, 0.0)
+    footprints = []
+    for n in (5, 40):
+        kernel_calls.clear()
+        evolve(data, 0.0, 0.5, 0.5 / n, disp, MIXED)
+        assert len(kernel_calls) == 4 * n
+        outs = [out for _, out in kernel_calls]
+        slopes = {id(out[0]) for out in outs}
+        scratch = {tuple(map(id, out[1:])) for out in outs}
+        assert len(slopes) == 4 and len(scratch) == 1
+        assert [id(out[0]) for out in outs[:4]] * n == [id(out[0]) for out in outs]
+        footprints.append([a.nbytes for a in outs[0][1:]] + [out[0].nbytes for out in outs[:4]])
+    assert footprints[0] == footprints[1]

@@ -91,6 +91,14 @@ def test_grid_validation():
     assert np.all(np.isfinite(Grid(8, 1e-150).xi ** 2))
 
 
+def test_dispersion_mass_must_have_a_finite_square():
+    # eps forms m**2: a mass past ~1.3e154 is refused where it is given
+    for m in (1e160, 1.4e154, np.inf, np.nan):
+        with pytest.raises(ValueError, match="no finite square"):
+            DispersionRelation("klein_gordon", m)
+    assert np.all(np.isfinite(DispersionRelation("klein_gordon", 1.3e154).eps(Grid(8, 4.0).xi)))
+
+
 def test_grid_arrays_are_built_once_and_read_only():
     grid = Grid(8, 4.0)
     assert grid.xi is grid.xi and grid.x is grid.x
