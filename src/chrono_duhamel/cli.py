@@ -115,11 +115,18 @@ class RunConfig:
     @property
     def disp(self) -> propagator.DispersionRelation:
         try:
-            return propagator.DispersionRelation(
+            disp = propagator.DispersionRelation(
                 self.raw["dispersion"]["kind"], self._get("dispersion", "mass", float)
             )
         except ValueError as exc:
             raise ConfigError(f"bad dispersion: {exc}") from exc
+        # eps = sqrt(m^2 + xi^2) must be finite on the grid
+        xi = self.grid.xi_max
+        if disp.second_order and not math.isfinite(disp.m * disp.m + xi * xi):
+            raise ConfigError(
+                f"bad dispersion: m^2 + xi^2 overflows for mass {disp.m!r} and largest frequency {xi!r}"
+            )
+        return disp
 
     @property
     def nonlin(self) -> dynamics.NonlinearitySpec:
@@ -329,9 +336,7 @@ def cmd_invariance(cfg: RunConfig, out: str) -> float:
         f, traj, t1, t2, chart, substeps=substeps, cap=cap
     )
     X = chrono.transport_majorant(cfg.nonlin, chart, np.array([t1, t2]))
-    rec = chrono.certify_window(
-        symfun.majorant_of(f, chart.norm_spec), X, R, abs(t2 - t1), floor=floor
-    )
+    rec = chrono.certify_window(symfun.majorant_of(f), X, R, abs(t2 - t1), floor=floor)
     _write_csv(
         os.path.join(out, "invariance.csv"),
         *chrono.invariance_csv(times, values, rec.certified_radius, events),
@@ -354,7 +359,7 @@ def cmd_certify(cfg: RunConfig, out: str) -> chrono.CertificationRecord:
         X = chrono.transport_majorant(cfg.nonlin, chart, np.array([t1, t2]))
     t_bar = series.guaranteed_time(X, R, cfg.tol("certify_floor"))
     span = abs(t2 - t1)
-    rec = chrono.certify_window(symfun.majorant_of(f, chart.norm_spec), X, R, span, floor=floor)
+    rec = chrono.certify_window(symfun.majorant_of(f), X, R, span, floor=floor)
     lines = [
         f"{R!r},{span!r},{rec.certified_radius!r},{int(rec.window_ok)},"
         f"{float(rec.f_majorant_at_R)!r},{t_bar!r}"

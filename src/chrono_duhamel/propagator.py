@@ -63,9 +63,8 @@ class Grid:
             raise ValueError("M must be a power of two >= 4")
         if not self.Lx > 0:
             raise ValueError("Lx must be positive")
-        # the largest |xi| as ``xi`` forms it: ``eps`` and the Sobolev weights square it
-        xi_max = 2.0 * math.pi * (self.M // 2 * (1.0 / (self.M * self.dx))) if self.dx > 0 else math.inf
-        if not math.isfinite(xi_max * xi_max):
+        # ``eps`` and the Sobolev weights square the frequencies
+        if not math.isfinite(self.xi_max * self.xi_max):
             raise ValueError(
                 f"Lx = {self.Lx!r} is too small for M = {self.M}: the largest frequency squared overflows"
             )
@@ -73,6 +72,11 @@ class Grid:
     @property
     def dx(self) -> float:
         return self.Lx / self.M
+
+    @property
+    def xi_max(self) -> float:
+        """The largest ``|xi|``, as ``xi`` forms it."""
+        return 2.0 * math.pi * (self.M // 2 * (1.0 / (self.M * self.dx))) if self.dx > 0 else math.inf
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -144,6 +148,13 @@ class CauchyData:
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "t", float(t))
+
+    @classmethod
+    def _frozen(cls, grid: Grid, psi: np.ndarray, chi: np.ndarray | None = None, t: float = 0.0):
+        """Cauchy data on read-only rows of read-only memory, taken as they are: no check, no copy."""
+        data = object.__new__(cls)
+        data.__dict__.update(grid=grid, psi=psi, chi=chi, t=t)
+        return data
 
 
 @dataclass(frozen=True)

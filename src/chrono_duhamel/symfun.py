@@ -340,12 +340,12 @@ def eval_series(f: SymFunctional, phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def majorant_of(f: SymFunctional, norm_spec: VectorNorm) -> MajorantSeries:
+def majorant_of(f: SymFunctional) -> MajorantSeries:
     """One-variable majorant collecting the per-degree tensor norms.
 
-    Each degree's entry is :func:`coefficient_l1` of that degree's term;
-    it holds for every ``norm_spec`` (each dominates the coordinate
-    sup-norm).
+    Each degree's entry is :func:`coefficient_l1` of that degree's term, so
+    the majorant holds for every ambient norm that dominates the coordinate
+    sup-norm (every :class:`VectorNorm` does).
     """
     coeffs = np.zeros(f.max_degree + 1 if f.terms else 1)
     for t in f.terms:

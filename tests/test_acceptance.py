@@ -242,7 +242,7 @@ def test_criterion_6_majorant_suite():
         degrees = sorted(set(int(x) for x in rng.integers(0, 5, size=3)))
         f = SymFunctional([rand_tensor(d, p) for p in degrees])
         norm = VectorNorm.euclidean(d) if rng.random() < 0.5 else VectorNorm.two_block(d, max(d // 2, 1))
-        maj = majorant_of(f, norm)
+        maj = majorant_of(f)
         phi = rng.standard_normal(d) * rng.uniform(0, 1.5)
         assert abs(eval_series(f, phi)[0]) <= sev(maj, norm.norm(phi)) * (1 + 1e-12)
 
@@ -323,12 +323,12 @@ def test_criterion_8_certified_window():
     X = MajorantSeries(np.maximum(X1.coeffs, X2.coeffs))
     F, _ = chrono_exp_evolve(f, 0.0, T, steps, KG, CUBIC, chart, cap=5)
     rec = certify_window(
-        majorant_of(f, chart.norm_spec),
+        majorant_of(f),
         X,
         R,
         T,
         floor=1e-9,
-        uf_majorant=majorant_of(F, chart.norm_spec),
+        uf_majorant=majorant_of(F),
     )
     assert rec.window_ok and rec.certified_radius > 0
     assert rec.transport_ok, (

@@ -838,12 +838,12 @@ def test_certified_transport_contraction():
 
     R = 0.2
     rec = certify_window(
-        majorant_of(f, CHART.norm_spec),
+        majorant_of(f),
         X,
         R,
         t2 - t1,
         floor=1e-6,
-        uf_majorant=majorant_of(F, CHART.norm_spec),
+        uf_majorant=majorant_of(F),
     )
     assert rec.window_ok
     assert rec.transport_ok

@@ -325,6 +325,11 @@ def test_selftest_ledger(tmp_path, capsys):
         ("trees", SMALL + "\n[dispersion]\nmass = 1e160\n"),
         ("invariance", SMALL + "\n[dispersion]\nmass = 1e160\n"),
         ("certify", SMALL + "\n[dispersion]\nmass = 1e160\n"),
+        ("propagate", SMALL.replace("m = 8", "m = 8\nlx = 2.5e-153") + "\n[dispersion]\nmass = 1.3e154\n"),
+        ("evolve", SMALL.replace("m = 8", "m = 8\nlx = 2.5e-153") + "\n[dispersion]\nmass = 1.3e154\n"),
+        ("trees", SMALL.replace("m = 8", "m = 8\nlx = 2.5e-153") + "\n[dispersion]\nmass = 1.3e154\n"),
+        ("invariance", SMALL.replace("m = 8", "m = 8\nlx = 2.5e-153") + "\n[dispersion]\nmass = 1.3e154\n"),
+        ("certify", SMALL.replace("m = 8", "m = 8\nlx = 2.5e-153") + "\n[dispersion]\nmass = 1.3e154\n"),
     ],
     ids=[
         "invariance-zero-steps",
@@ -405,6 +410,11 @@ def test_selftest_ledger(tmp_path, capsys):
         "trees-mass-whose-square-overflows",
         "invariance-mass-whose-square-overflows",
         "certify-mass-whose-square-overflows",
+        "propagate-mass-and-frequency-whose-squares-sum-past-overflow",
+        "evolve-mass-and-frequency-whose-squares-sum-past-overflow",
+        "trees-mass-and-frequency-whose-squares-sum-past-overflow",
+        "invariance-mass-and-frequency-whose-squares-sum-past-overflow",
+        "certify-mass-and-frequency-whose-squares-sum-past-overflow",
     ],
 )
 def test_unsupported_config_is_a_config_error(tmp_path, capsys, command, body):

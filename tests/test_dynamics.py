@@ -48,16 +48,31 @@ def random_data(rng, grid=GRID, t=0.0, scale=0.1):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """``(len(fwd), out)`` of every ``_chart_field`` call, in call order."""
+    """``(len(trace), out, scratch)`` of every ``_source`` call, in call order."""
     calls = []
-    kernel = dyn._chart_field
+    kernel = dyn._source
 
-    def counted(nonlin, fwd, back, c, real, out=None):
-        calls.append((len(fwd), out))
-        return kernel(nonlin, fwd, back, c, real, out)
+    def counted(nonlin, trace, real, out=None, scratch=(None, None, None)):
+        calls.append((len(trace), out, scratch))
+        return kernel(nonlin, trace, real, out, scratch)
 
-    monkeypatch.setattr(dyn, "_chart_field", counted)
+    monkeypatch.setattr(dyn, "_source", counted)
     return calls
+
+
+def power_by_products(u, k):
+    """``u**k``, ``k >= 2``, by binary powering: per digit of ``k`` after the first a square, then ``* u`` if it is 1."""
+    p = u
+    for bit in bin(k)[3:]:
+        p = p * p
+        if bit == "1":
+            p = p * u
+    return p
+
+
+def power(u, k):
+    """``u**k`` as ``NonlinearitySpec.apply`` forms it: by products for float ``u`` and ``k >= 3``."""
+    return power_by_products(u, k) if k >= 3 and np.isrealobj(u) else u**k
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +193,7 @@ def test_evolve_divergence_reported(kernel_calls):
         evolve(data, 0.0, 4.0, 0.5, KG1, focusing)
 
     # 10^5 steps resolve the blow-up near t = sqrt(2)/60; the loop stops at
-    # the first step that is not finite, four kernel calls per step
+    # the first step that is not finite, two source rounds per step
     kernel_calls.clear()
     h = 4.0 / 10**5
     with pytest.raises(DivergenceError) as err:
@@ -186,7 +201,7 @@ def test_evolve_divergence_reported(kernel_calls):
     step = int(re.search(r"at step (\d+) ", str(err.value)).group(1))
     assert str(err.value).endswith(f"step {step} (t = {step * h})")
     assert 0 < step < 1000
-    assert len(kernel_calls) == 4 * step
+    assert len(kernel_calls) == 2 * step
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +331,11 @@ def test_trajectory_csv_running_residual_matches_duhamel_residual(disp, t1, t2):
 
 
 def test_trajectory_csv_one_batched_field_evaluation(kernel_calls):
-    # the whole dump samples the chart field with one kernel call at every node
+    # the whole dump samples the chart field with one source call at every node
     traj = evolve(benchmark_data(GRID), 0.0, 0.5, 0.05, KG1, CUBIC)
     kernel_calls.clear()
     trajectory_csv(traj)
-    assert kernel_calls == [(len(traj), None)]
+    assert [(width, out) for width, out, _ in kernel_calls] == [(len(traj), None)]
 
 
 @pytest.mark.parametrize(
@@ -432,6 +447,32 @@ def test_batched_field_equals_lagrange_duhamel_V_node_by_node(disp, t1, t2, nonl
             np.testing.assert_array_equal(fields[1], single.chi)
 
 
+def chart_factors(disp, grid, t):
+    """Per-mode factors ``(fwd, back)`` of ``A_t`` and ``A_{-t}`` at the times ``t``, ``(len(t), K, M)``."""
+    t = np.asarray(t, dtype=float)[:, None]
+    if disp.second_order:
+        cos, snc = _wave_factors(disp.eps(grid.xi), t)
+        return np.stack([cos, snc], axis=-2), np.stack([-snc, cos], axis=-2) / grid.M
+    phase = np.exp(1j * disp.phase(grid.xi) * t)
+    return phase[:, None, :], (-1j * phase.conj() / grid.M)[:, None, :]
+
+
+def N_of(nonlin):
+    def N(u):
+        out = np.zeros_like(u)
+        for k, v in nonlin.coeffs.items():
+            out = out + v * power(u, k)
+        return out
+
+    return N
+
+
+def chart_start(data, disp):
+    chart = make_free_solution(disp, data).chart_data
+    fields = np.array([chart.psi, chart.chi] if disp.second_order else [chart.psi])
+    return fields, disp.second_order and np.isrealobj(fields), np.fft.fft(fields) / data.grid.M
+
+
 def textbook_rk4(data, t1, t2, steps, disp, nonlin):
     """Chart fields at the nodes of classical RK4 on dc/dt = -Vbar_t(c), with the FFT scale in ``fwd``.
 
@@ -439,27 +480,12 @@ def textbook_rk4(data, t1, t2, steps, disp, nonlin):
     zeros, the trace ``ifft((M fwd c).sum(axis=-2))`` and the stages
     ``c + h/2 k1``.
     """
-    grid = data.grid
-    M = grid.M
-    chart = make_free_solution(disp, data).chart_data
-    fields = np.array([chart.psi, chart.chi] if disp.second_order else [chart.psi])
-    real = disp.second_order and np.isrealobj(fields)
-    c = np.fft.fft(fields) / M
+    M = data.grid.M
+    fields, real, c = chart_start(data, disp)
     h = (t2 - t1) / steps
-    t = (t1 + h / 2 * np.arange(2 * steps + 1))[:, None]
-    if disp.second_order:
-        cos, snc = _wave_factors(disp.eps(grid.xi), t)
-        fwd, back = np.stack([cos, snc], axis=-2), np.stack([-snc, cos], axis=-2) / M
-    else:
-        phase = np.exp(1j * disp.phase(grid.xi) * t)
-        fwd, back = phase[:, None, :], (-1j * phase.conj() / M)[:, None, :]
+    fwd, back = chart_factors(disp, data.grid, t1 + h / 2 * np.arange(2 * steps + 1))
     back = -back
-
-    def N(u):
-        out = np.zeros_like(u)
-        for k, v in nonlin.coeffs.items():
-            out = out + v * u**k
-        return out
+    N = N_of(nonlin)
 
     def rhs(j, c):
         u = np.fft.ifft((M * fwd[j] * c).sum(axis=-2))
@@ -473,6 +499,46 @@ def textbook_rk4(data, t1, t2, steps, disp, nonlin):
         k3 = rhs(j + 1, c + h / 2 * k2)
         k4 = rhs(j + 2, c + h * k3)
         c = c + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        nodes.append(c)
+    out = np.fft.ifft(np.array(nodes[1:]) * M)
+    return [fields, *(out.real if real else out)]
+
+
+def trace_form_rk4(data, t1, t2, steps, disp, nonlin):
+    """Chart fields at the nodes of the same RK4 in trace form, one stage at a time.
+
+    ``T[i]`` is the trace of ``c`` at stage time ``j + i``, ``kappa`` the lag
+    kernel ``-(fwd_tau back_0).sum(axis=-2)`` at ``tau = 0, h/2`` and ``B``
+    the factors ``-back`` times ``h/6`` at the nodes and ``h/3`` at the
+    midpoints.  Where ``kappa(0)`` is zero, stage 3's trace is ``T[1]``, so
+    stages 1 and 3 come first and then 2 and 4, as in two batched rounds.
+    """
+    M = data.grid.M
+    fields, real, c = chart_start(data, disp)
+    h = (t2 - t1) / steps
+    fwd, back = chart_factors(disp, data.grid, t1 + h / 2 * np.arange(2 * steps + 1))
+    B = back * np.where(np.arange(2 * steps + 1) % 2 == 0, -h / 6, -h / 3)[:, None, None]
+    lag_fwd, lag_back = chart_factors(disp, data.grid, [0.0, h / 2])
+    kappa0, kappa1 = -(lag_fwd * lag_back[0]).sum(axis=-2)
+    N = N_of(nonlin)
+
+    def source(sigma):
+        u = np.fft.ifft(M * sigma)
+        return np.fft.fft(N(u.real if real else u))
+
+    nodes = [c]
+    for step in range(steps):
+        j = 2 * step
+        T = (fwd[j : j + 3] * c).sum(axis=-2)
+        if not kappa0.any():
+            g1, g3 = source(T[0]), source(T[1])
+            g2, g4 = source(T[1] + (h / 2 * kappa1) * g1), source(T[2] + (h * kappa1) * g3)
+        else:
+            g1 = source(T[0])
+            g2 = source(T[1] + (h / 2 * kappa1) * g1)
+            g3 = source(T[1] + (h / 2 * kappa0) * g2)
+            g4 = source(T[2] + (h * kappa1) * g3)
+        c = c + ((B[j] * g1 + B[j + 1] * (g2 + g3)) + B[j + 2] * g4)
         nodes.append(c)
     out = np.fft.ifft(np.array(nodes[1:]) * M)
     return [fields, *(out.real if real else out)]
@@ -510,6 +576,8 @@ def textbook_rk4(data, t1, t2, steps, disp, nonlin):
     ],
 )
 def test_evolve_is_textbook_rk4_bit_for_bit(disp, M, t1, t2, nonlin):
+    # bit for bit the trace-form step written out stage by stage, and within
+    # 1e-14 of the textbook step ``c + h/2 k1``, which rounds differently
     grid = Grid(M, 2 * np.pi)
     rng = np.random.default_rng(31)
     if disp.second_order:
@@ -517,13 +585,14 @@ def test_evolve_is_textbook_rk4_bit_for_bit(disp, M, t1, t2, nonlin):
     else:
         data = CauchyData(grid, 0.3 * (rng.standard_normal(M) + 1j * rng.standard_normal(M)), None, t1)
     traj = evolve(data, t1, t2, abs(t2 - t1) / 10, disp, nonlin)
-    want = textbook_rk4(data, t1, t2, 10, disp, nonlin)
-    assert len(traj) == len(want)
-    for st, fields in zip(traj, want):
+    want = trace_form_rk4(data, t1, t2, 10, disp, nonlin)
+    textbook = textbook_rk4(data, t1, t2, 10, disp, nonlin)
+    assert len(traj) == len(want) == len(textbook)
+    for st, fields, near in zip(traj, want, textbook):
         got = st.current.chart_data
-        assert got.psi.tobytes() == fields[0].tobytes()
-        if disp.second_order:
-            assert got.chi.tobytes() == fields[1].tobytes()
+        for i, row in enumerate([got.psi] if got.chi is None else [got.psi, got.chi]):
+            assert row.tobytes() == fields[i].tobytes()
+            assert np.max(np.abs(row - near[i])) <= 1e-14 * np.max(np.abs(near[i]))
 
 
 def reduce_kernel(nonlin, fwd, back, c, real):
@@ -532,7 +601,7 @@ def reduce_kernel(nonlin, fwd, back, c, real):
     u = u.real if real else u
     g = 0.0
     for k, v in nonlin.coeffs.items():
-        g = g + v * u**k
+        g = g + v * power(u, k)
     return back * np.fft.fft(g)[..., None, :]
 
 
@@ -556,28 +625,59 @@ def test_chart_field_into_buffers_is_the_reduce_formula_bit_for_bit(kind, nonlin
     with np.errstate(all="ignore"):
         want = reduce_kernel(nonlin, fwd, back, c, real)
         assert dyn._chart_field(nonlin, fwd, back, c, real).tobytes() == want.tobytes()
-        n_scratch = np.empty((2, M), float if real else complex)
-        out = (np.empty((K, M), complex), np.empty(M, complex), *n_scratch)
-        for i in range(T):
-            got = dyn._chart_field(nonlin, fwd[i], back[i], c[i], real, out)
-            assert got is out[0] and got.tobytes() == want[i].tobytes()
+        # the loop's path: the trace and the source into given arrays, two times at a time
+        prod, trace, g = np.empty((2, K, M), complex), np.empty((2, M), complex), np.empty((2, M), complex)
+        scratch = (np.empty((2, M), complex), *np.empty((2, 2, M), float if real else complex))
+        for i in range(0, T, 2):
+            assert dyn._trace(fwd[i : i + 2], c[i : i + 2], real, prod, trace) is trace
+            assert dyn._source(nonlin, trace, real, g, scratch) is g
+            assert (back[i : i + 2] * g[:, None, :]).tobytes() == want[i : i + 2].tobytes()
 
 
 @pytest.mark.parametrize("disp", [KG1, SCH], ids=["klein_gordon", "schrodinger"])
 def test_evolve_stages_write_into_arrays_allocated_once(kernel_calls, disp):
-    # four kernel calls per step, each writing its slope into one of four
-    # fixed arrays with the same trace and N scratch: the arrays and their
-    # sizes are the same for 5 steps and for 40
+    # Klein-Gordon: kappa(0) = 0, two source rounds of two stages per step
+    # (1 and 3, then 2 and 4); Schrodinger: four rounds of one.  Each round
+    # writes into fixed rows of one source array with one set of scratch
+    # arrays, and the arrays and their sizes are the same for 5 steps and for 40
+    rounds = 2 if disp.second_order else 4
     data = reference_data(disp, 0.0)
     footprints = []
     for n in (5, 40):
         kernel_calls.clear()
         evolve(data, 0.0, 0.5, 0.5 / n, disp, MIXED)
-        assert len(kernel_calls) == 4 * n
-        outs = [out for _, out in kernel_calls]
-        slopes = {id(out[0]) for out in outs}
-        scratch = {tuple(map(id, out[1:])) for out in outs}
-        assert len(slopes) == 4 and len(scratch) == 1
-        assert [id(out[0]) for out in outs[:4]] * n == [id(out[0]) for out in outs]
-        footprints.append([a.nbytes for a in outs[0][1:]] + [out[0].nbytes for out in outs[:4]])
+        assert len(kernel_calls) == rounds * n
+        assert [width for width, _, _ in kernel_calls] == [4 // rounds] * (rounds * n)
+        dests = [out for _, out, _ in kernel_calls]
+        assert [id(d) for d in dests[:rounds]] * n == [id(d) for d in dests]
+        assert len({id(d) for d in dests}) == rounds and len({id(d.base) for d in dests}) == 1
+        assert len({tuple(map(id, scratch)) for _, _, scratch in kernel_calls}) == 1
+        footprints.append([d.base.nbytes for d in dests[:1]] + [a.nbytes for a in kernel_calls[0][2]])
     assert footprints[0] == footprints[1]
+
+
+@pytest.mark.parametrize("disp", [KG1, SCH], ids=["klein_gordon", "schrodinger"])
+def test_evolve_nodes_are_read_only_rows_of_one_array(disp):
+    # node 0 is the frozen copy of the initial data; every later node's
+    # rows are views of one read-only array, which cannot be made writable
+    traj = evolve(reference_data(disp, 0.0), 0.0, 0.5, 0.05, disp, CUBIC)
+    rows = [[d.psi] if d.chi is None else [d.psi, d.chi] for d in (st.current.chart_data for st in traj)]
+    assert len({id(row.base) for node in rows[1:] for row in node}) == 1
+    for i, node in enumerate(rows):
+        for row in node:
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 1.0
+            if i:
+                with pytest.raises(ValueError):
+                    row.setflags(write=True)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 11, 101])
+def test_real_powers_are_products_in_binary_powering_order(k):
+    rng = np.random.default_rng(k)
+    u = rng.uniform(-1.5, 1.5, 64)
+    spec = NonlinearitySpec({k: 0.7})
+    assert spec.apply(u).tobytes() == (0.0 + 0.7 * power_by_products(u, k)).tobytes()
+    # complex traces keep np.power
+    z = u + 1j * rng.uniform(-1.5, 1.5, 64)
+    assert spec.apply(z).tobytes() == (0.0 + 0.7 * np.power(z, k)).tobytes()

@@ -248,7 +248,7 @@ def test_majorant_bound_property():
         degrees = sorted(rng.choice(np.arange(0, 5), size=rng.integers(1, 4), replace=False))
         f = random_functional(rng, d, degrees)
         norm = VectorNorm.euclidean(d)
-        maj = majorant_of(f, norm)
+        maj = majorant_of(f)
         phi = rng.standard_normal(d) * rng.uniform(0, 2)
         val = np.linalg.norm(eval_series(f, phi))
         assert val <= series_eval(maj, norm.norm(phi)) * (1 + 1e-10)
@@ -260,7 +260,7 @@ def test_lipschitz_bound_property():
         d = int(rng.integers(1, 5))
         f = random_functional(rng, d, [0, 1, 2, 3])
         norm = VectorNorm.euclidean(d)
-        maj = majorant_of(f, norm)
+        maj = majorant_of(f)
         phi = rng.standard_normal(d)
         psi = rng.standard_normal(d)
         h = rng.uniform(-0.5, 0.5)
