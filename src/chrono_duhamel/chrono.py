@@ -15,9 +15,9 @@ as its factors, the sampling rows ``A_t`` and Green-lift columns ``B_t``.
 Both are fixed matrices times per-time diagonals, ``A_t = A_0 diag(a_t)``
 and ``B_t = diag(b_t) B_0``, so the vertex monomials are
 ``monomials(A_0, k)`` scaled per time by the degree-k products of ``a_t``.
-One kernel, ``_applied``, composes a stored sweep with the vertices at every
-node of a panel at once and contracts the nodes with a weight matrix,
-without forming any vertex tensor; ``vdot`` is its one-node case.  The
+One kernel, ``_applied``, applies the operator ``V_t . G_l = delta G_l (V_t)``
+to a stored sweep at every node ``t_l`` of a panel at once and contracts the
+nodes with a weight matrix, without forming any vertex tensor.  The
 time-ordered exponential solves dF/dt = V_t . F in coefficient space as its
 Dyson series: ``T_0 = f``, ``T_j = int_{t1}^t V . T_{j-1}``, ``F = sum_j T_j``
 (Agrachev-Gamkrelidze, Math. USSR-Sb. 35, 1979), each integral taken on one
@@ -73,7 +73,6 @@ from .series import (
 from .symfun import (
     SymFunctional,
     SymTensor,
-    VectorNorm,
     _compose_factored,
     _products,
     extend_table,
@@ -87,7 +86,6 @@ __all__ = [
     "TruncationEvent",
     "CertificationRecord",
     "point_eval_functional",
-    "vdot",
     "chrono_exp_evolve",
     "tree_expand",
     "evaluate_trees",
@@ -174,7 +172,6 @@ class ChartMap:
         self._W_chi = sq * w_chi[:, None] * O
         self._Winv_psi = O.T * winv_psi[None, :] / sq
         self._Winv_chi = O.T * winv_chi[None, :] / sq
-        self.norm_spec = VectorNorm.two_block(self.dim, M)
         self._monomials: dict[int, np.ndarray] = {}
 
     # -- coordinate maps ----------------------------------------------------
@@ -229,9 +226,10 @@ class ChartMap:
             # min(t_max, 1/eps)^2 with no t_max^2 to overflow, and 1/eps where eps t_max does
             et = self._eps * t_max
             sigma2 = np.where(np.isinf(et), 1.0 / self._eps, t_max / np.maximum(1.0, et)) ** 2
+        w_rows, w_columns = _weight_powers(w, -2 * s, 2 * (s - r))
         g = 1.0 + sigma2 * np.maximum(w ** (2 * r) - self._eps**2, 0.0)
-        rows = math.sqrt(float(np.max(w ** (-2 * s) * g)) / dx)
-        columns = math.sqrt(float(np.max(w ** (2 * (s - r)) * g)) * dx)
+        rows = math.sqrt(float(np.max(w_rows * g)) / dx)
+        columns = math.sqrt(float(np.max(w_columns * g)) * dx)
         return rows, columns
 
 
@@ -263,26 +261,6 @@ def _check_disp(disp: DispersionRelation, chart: ChartMap) -> None:
         raise ValueError(f"dispersion {disp} differs from the chart's {chart.disp}")
 
 
-def vdot(
-    t: float,
-    f: SymFunctional,
-    nonlin: NonlinearitySpec,
-    chart: ChartMap,
-    cap: int = DEFAULT_DEGREE_CAP,
-) -> SymFunctional:
-    """Apply the operator ``f -> delta f (V_t)`` degree by degree.
-
-    Output degree ``m`` collects ``p f^(p) o (V^(m-p+1) (x) id^(p-1))``
-    over the stored degrees ``p`` and the nonlinearity degrees ``_kept``
-    under ``cap``.  This is the one-node case of ``_applied``, the kernel
-    every sweep runs.  ``_truncation_events`` records what the cap drops.
-    """
-    _check_functional(f, chart)
-    G = {term.degree: term.coeffs for term in f.terms}
-    out = _applied(G, np.array([t], dtype=float), np.ones((1, 1)), nonlin, chart, cap)
-    return _sweep_at(out, 0, chart.dim)
-
-
 def _check_functional(f: SymFunctional, chart: ChartMap) -> None:
     if f.terms and f.dim != chart.dim:
         raise ValueError("functional dimension does not match the chart")
@@ -298,13 +276,16 @@ def _applied(
     chart: ChartMap,
     cap: int,
 ) -> dict[int, np.ndarray]:
-    """``sum_l weights[:, l] vdot(t_l, G_l)`` over the nodes ``t_l = times[l]``.
+    """``sum_l weights[:, l] V_{t_l} . G_l`` over the nodes ``t_l = times[l]``.
 
-    ``G`` maps each stored degree to its per-node coefficients
-    ``(len(times), n_p)``; the result maps each output degree to
-    ``(len(weights), n_m)`` coefficients.  With ``A_t = A_0 diag(a_t)``,
-    ``B_t = diag(b_t) B_0`` and ``monomials(A_t, k) = monomials(A_0, k) o pi_k(a_t)``,
-    ``pi_k`` the raw degree-k products of the factors, a pair ``(p, k)``
+    The operator ``V_t . G = delta G (V_t)`` collects, in output degree
+    ``m``, ``p G^(p) o (V_t^(m-p+1) (x) id^(p-1))`` over the stored degrees
+    ``p`` and the nonlinearity degrees ``_kept`` under ``cap``;
+    ``_truncation_events`` records what the cap drops.  ``G`` maps each
+    stored degree to its per-node coefficients ``(len(times), n_p)``; the
+    result maps each output degree to ``(len(weights), n_m)`` coefficients.
+    With ``A_t = A_0 diag(a_t)``, ``B_t = diag(b_t) B_0`` and
+    ``monomials(A_t, k) = monomials(A_0, k) o pi_k(a_t)``, ``pi_k`` the raw degree-k products of the factors, a pair ``(p, k)``
     composes ``((open-slot o p lam_k b_t) @ B_0 @ monomials(A_0, k)) o pi_k(a_t)``
     (``symfun._compose_factored``).  The nodes go in chunks of at most
     ``_CHUNK_FLOATS`` floats of products.  Each node's output sums its pairs
@@ -451,7 +432,7 @@ def _picard(
     substeps: int,
     cap: int,
 ) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
-    """Dyson terms ``T_0 = f``, ``T_j = S . [vdot(t_l, T_{j-1}(t_l))]`` on one panel over [t1, t2].
+    """Dyson terms ``T_0 = f``, ``T_j = S . [V_{t_l} . T_{j-1}(t_l)]`` on one panel over [t1, t2].
 
     Returns ``(times, S, G)``: the nodes of ``_picard_nodes``, the
     integration matrix scaled to the panel (negative for a backward span)
@@ -460,7 +441,7 @@ def _picard(
     composition over every node, ``T_j = _applied(T_{j-1}, times, S, ...)``.
     The last, highest-degree sweep is left to callers, which apply it to
     what they need of it: the transported functional at node ``i`` is
-    ``f + sum_l S[i, l] vdot(t_l, G_l)``.
+    ``f + sum_l S[i, l] V_{t_l} . G_l``.
 
     The terms keep the feeding cap ``cap - max(k_min - 1, 0)``, above which
     a degree composes into nothing the last sweep keeps; it is ``cap`` when
@@ -514,6 +495,8 @@ def _truncation_events(
     return [TruncationEvent(float(t), p, m) for t in times for p, m in pairs]
 
 
+# an overflowing transport is reported by its finiteness checks, not by NumPy's warnings
+@np.errstate(over="ignore", invalid="ignore")
 def chrono_exp_evolve(
     f: SymFunctional,
     t1: float,
@@ -526,7 +509,7 @@ def chrono_exp_evolve(
 ) -> tuple[SymFunctional, list[TruncationEvent]]:
     """Transport ``f`` from t1 to t2: dF/dt = V_t . F, F(t1) = f, by Chebyshev-Picard sweeps.
 
-    ``F = f + sum_l S[-1, l] vdot(t_l, G_l)``: ``_picard``'s stored sweep
+    ``F = f + sum_l S[-1, l] V_{t_l} . G_l``: ``_picard``'s stored sweep
     at density 1 under its last sweep, one batched composition with the
     panel's last row of weights, so none of the last sweep's coefficients
     is stored at any node.  ``steps`` must be at least 1 when ``t1 != t2``
@@ -699,6 +682,7 @@ def evaluate_trees(
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def invariance_scan(
     f: SymFunctional,
     traj: list[EvolutionState],
@@ -718,7 +702,7 @@ def invariance_scan(
     the trajectory times by polynomial interpolation ``L`` through the
     panel's Chebyshev coefficients.  With ``W = L . S`` the value at node ``i`` is
     ``f(c_i) + sum_l W[i, l] K_l(c_i)`` on the trajectory coordinates
-    ``c_i``.  The last sweep ``K_l = vdot(t_l, G_l)`` is only needed at the
+    ``c_i``.  The last sweep ``K_l = V_{t_l} . G_l`` is only needed at the
     ``c_i``, where it is the derivative of the stored sweep along the field,
 
         K_l(c) = sum_{p, k: p + k - 1 <= cap} p <grad G_l^(p)(c), V_{t_l}^(k)(c)>,
@@ -751,7 +735,7 @@ def invariance_scan(
     if t1 != t2:
         pn, S, G = _picard(f, t1, t2, nonlin, chart, substeps, cap)
         W = _interpolation_matrix(pn.size, 2 * (times - t1) / (t2 - t1) - 1) @ S
-        # the nonlinearity degrees vdot composes with each stored degree
+        # the nonlinearity degrees the operator composes with each stored degree
         pairs = {p: _kept(p, nonlin, cap) for p in G}
         pairs = {p: ks for p, ks in pairs.items() if ks}
         A0, B0 = chart._blocks
@@ -804,14 +788,22 @@ def transport_majorant(
     grid nodes.  The chart norm lies between the Euclidean norm and
     ``sqrt(2)`` times it, so ``X_k = |lam_k| sqrt(2) ||B||_2 ||A||_2^k`` bounds
     the multilinear norm of ``V_t^(k)``, with the two operator norms taken
-    as their sups over the window.
+    as their sups over the window.  ``FloatingPointError`` names an ``X_k``
+    that overflows.
     """
     if nonlin.is_zero:
         return MajorantSeries([])
     a, b = chart._block_norm_sups(float(np.max(np.abs(times))))
     out = np.zeros(max(nonlin.coeffs) + 1)
     for k, lam in nonlin.coeffs.items():
-        out[k] = abs(lam) * math.sqrt(2.0) * b * a**k
+        try:
+            out[k] = abs(lam) * math.sqrt(2.0) * b * a**k
+        except OverflowError:
+            out[k] = math.inf
+        if not math.isfinite(out[k]):
+            raise FloatingPointError(
+                f"vertex majorant coefficient X_{k} overflows: sup ||A_t||_2 = {a!r}"
+            )
     return MajorantSeries(out)
 
 

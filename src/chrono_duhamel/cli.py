@@ -286,12 +286,17 @@ def cmd_propagate(cfg: RunConfig, out: str) -> None:
     _write_csv(os.path.join(out, "propagate.csv"), "t,cau_norm,energy", lines, cfg)
 
 
+def _trajectory(cfg: RunConfig, t1: float, t2: float, steps: int) -> list[dynamics.EvolutionState]:
+    """``evolve`` over [t1, t2] in ``steps`` equal steps; phases that overflow are its DivergenceError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return dynamics.evolve(cfg.initial_data(), t1, t2, abs(t2 - t1) / steps, cfg.disp, cfg.nonlin)
+
+
 def cmd_evolve(cfg: RunConfig, out: str) -> list[dynamics.EvolutionState]:
     t1, t2, steps = _time_grid(cfg, "evolve")
     s, m_ref = cfg.norm_weights
     snapshot = cfg.snapshots
-    dt = abs(t2 - t1) / steps
-    traj = dynamics.evolve(cfg.initial_data(), t1, t2, dt, cfg.disp, cfg.nonlin)
+    traj = _trajectory(cfg, t1, t2, steps)
     _write_csv(os.path.join(out, "trajectory.csv"), *dynamics.trajectory_csv(traj, s, m_ref), cfg)
     if snapshot:
         last = traj[-1]
@@ -329,9 +334,7 @@ def cmd_invariance(cfg: RunConfig, out: str) -> float:
     cap = cfg._get("caps", "degree_cap", int)
     if cap < f.max_degree:
         raise ConfigError(f"invariance needs [caps] degree_cap >= {f.max_degree}, the functional's degree")
-    traj = dynamics.evolve(
-        cfg.initial_data(), t1, t2, abs(t2 - t1) / steps, cfg.disp, cfg.nonlin
-    )
+    traj = _trajectory(cfg, t1, t2, steps)
     times, values, drift, events = chrono.invariance_scan(
         f, traj, t1, t2, chart, substeps=substeps, cap=cap
     )

@@ -211,6 +211,8 @@ def _wave_factors(eps: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(eps * s), s * np.sinc(eps * s / np.pi)
 
 
+# a span whose phases overflow gives non-finite data, which every caller checks
+@np.errstate(over="ignore", invalid="ignore")
 def propagate(disp: DispersionRelation, data: CauchyData, tau: float) -> CauchyData:
     """Exact per-mode propagation of Cauchy data from ``data.t`` to ``tau``."""
     grid = data.grid

@@ -18,10 +18,10 @@ sums the products by the rank of each product monomial with one
 ``bincount`` and divides by the output multiplicities.  The ranks of a
 degree pair ``(p, q)`` are chained ``extend_table`` gathers, built once
 as a read-only int32 map (``_rank_map``, a bounded cache).
-:func:`compose_rank_one` takes the field as two factors and never forms
-it; ``_compose_factored`` does the same for a stack of nodes whose
-factors are two fixed matrices scaled by per-node diagonals, with one
-matmul pair and one ``bincount`` for the whole stack.
+``_compose_factored`` takes the field as two factors and never forms it,
+for a stack of nodes whose factors are two fixed matrices scaled by
+per-node diagonals, with one matmul pair and one ``bincount`` for the
+whole stack.
 ``canonical_indices``, ``multiplicities`` and ``extend_table`` are the
 only index structures.
 
@@ -55,7 +55,6 @@ __all__ = [
     "eval_series",
     "majorant_of",
     "compose_first_slot",
-    "compose_rank_one",
     "monomials",
     "save_tensor",
     "load_tensor",
@@ -353,17 +352,9 @@ def majorant_of(f: SymFunctional) -> MajorantSeries:
     return MajorantSeries(coeffs)
 
 
-def _open_slot(f: SymTensor) -> np.ndarray:
-    """Monomial coefficients of scalar ``f`` with the first slot open: ``(n_{p-1}, d)``."""
-    if f.codomain_dim != 1:
-        raise ValueError("composition expects a scalar-valued tensor")
-    if f.degree < 1:
-        raise ValueError("f must have degree >= 1")
-    return _open(f.coeffs[0], f.dim, f.degree)
-
-
 def _open(coeffs: np.ndarray, d: int, p: int) -> np.ndarray:
-    """:func:`_open_slot` of every row of the degree-p coefficients ``coeffs``: ``(..., n_{p-1}, d)``."""
+    """``(..., n_{p-1}, d)``: each row of the degree-p ``coeffs`` as monomial coefficients with
+    the first slot open."""
     ext = extend_table(d, p - 1)  # (n_{p-1}, d) -> rank in degree p
     return coeffs[..., ext] * multiplicities(d, p - 1)[:, None]
 
@@ -423,29 +414,25 @@ def compose_first_slot(f: SymTensor, V: SymTensor) -> SymTensor:
     degree p-1 and S of degree q, one matmul of the open-slot coefficients
     of ``f`` with those of ``V``; :func:`_collect` sums them by output index.
     """
+    if f.codomain_dim != 1:
+        raise ValueError("composition expects a scalar-valued tensor")
+    if f.degree < 1:
+        raise ValueError("f must have degree >= 1")
     if V.dim != f.dim or V.codomain_dim != f.dim:
         raise ValueError("V must be a vector field on the same space")
-    prod = _open_slot(f) @ (V.coeffs * multiplicities(V.dim, V.degree))
+    prod = _open(f.coeffs[0], f.dim, f.degree) @ (V.coeffs * multiplicities(V.dim, V.degree))
     return SymTensor(f.degree + V.degree - 1, f.dim, _collect(prod, f.dim, f.degree, V.degree))
-
-
-def compose_rank_one(f: SymTensor, B: np.ndarray, W: np.ndarray, q: int) -> SymTensor:
-    """:func:`compose_first_slot` of ``f`` with ``V = sum_x B[:, x] (x) W[x]``, never formed.
-
-    ``B`` is (d, n); row ``x`` of ``W`` holds the monomial coefficients of a
-    degree-q scalar map, e.g. ``W = lam * monomials(A, q)`` for
-    ``V = lam sum_x B[:, x] (x) A[x]^{(x) q}``.
-    """
-    return SymTensor(f.degree + q - 1, f.dim, _collect((_open_slot(f) @ B) @ W, f.dim, f.degree, q))
 
 
 def _compose_factored(
     coeffs: np.ndarray, p: int, b: np.ndarray, B0: np.ndarray, W0: np.ndarray, pi: np.ndarray, q: int
 ) -> np.ndarray:
-    """:func:`compose_rank_one` at a stack of nodes whose fields share two fixed factors: ``(c, n_m)``.
+    """:func:`compose_first_slot` at a stack of nodes whose fields share two fixed factors: ``(c, n_m)``.
 
-    Node ``l`` composes its degree-p coefficients ``coeffs[l]`` with
-    ``B = diag(b[l]) B0`` and ``W = W0 diag(pi[l])``.  The diagonals stay
+    Node ``l`` composes its degree-p coefficients ``coeffs[l]`` with the
+    field ``V = sum_x B[:, x] (x) W[x]``, never formed, where
+    ``B = diag(b[l]) B0`` and row ``x`` of ``W = W0 diag(pi[l])`` holds the
+    monomial coefficients of a degree-q scalar map.  The diagonals stay
     outside the fixed factors: the products are
     ``((open-slot o b) @ B0 @ W0) o pi``, one matmul pair for the stack,
     and :func:`_collect` sums them with one ``bincount``.

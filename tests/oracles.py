@@ -4,16 +4,15 @@ import math
 
 import numpy as np
 
-from chrono_duhamel.chrono import DEFAULT_DEGREE_CAP, vdot
+from chrono_duhamel.chrono import DEFAULT_DEGREE_CAP
 from chrono_duhamel.propagator import CauchyData, FreeSolution, green_apply, make_free_solution, sample_at
 from chrono_duhamel.symfun import (
     SymFunctional,
     SymTensor,
     canonical_indices,
-    compose_rank_one,
+    compose_first_slot,
     contract_slot,
     eval_diagonal,
-    monomials,
 )
 
 
@@ -60,21 +59,21 @@ def vertex_tensors(chart, nonlin, t):
 
 
 def vdot_reference(t, f, nonlin, chart, cap):
-    """The operator ``f -> delta f (V_t)`` at one time, from the blocks at that time.
+    """The operator ``f -> delta f (V_t)`` at one time, from the vertex tensors at that time.
 
-    ``A, B = chart.rows_and_columns(t)``, then ``lam_k monomials(A, k)`` and
-    ``compose_rank_one`` of each stored degree ``p >= 1`` with each ``k`` that
-    keeps ``p + k - 1 <= cap``, scaled by ``p``: one node at a time, with no
-    time factor split off the blocks.
+    ``vertex_tensors(chart, nonlin, t)`` forms each ``V_t^(k)`` in full, and
+    ``compose_first_slot`` composes each stored degree ``p >= 1`` with each
+    ``k`` that keeps ``p + k - 1 <= cap``, scaled by ``p``: one node at a
+    time, with no time factor split off the blocks and no rank-one factoring.
     """
-    A, B = chart.rows_and_columns(t)
+    V = vertex_tensors(chart, nonlin, t)
     out = {}
     for term in f.terms:
         p = term.degree
-        for k, lam in nonlin.coeffs.items():
+        for k in nonlin.coeffs:
             if p < 1 or p + k - 1 > cap:
                 continue
-            comp = compose_rank_one(term, B, lam * monomials(A, k), k).scaled(float(p))
+            comp = compose_first_slot(term, V[k]).scaled(float(p))
             out[p + k - 1] = comp if p + k - 1 not in out else out[p + k - 1] + comp
     return SymFunctional(out.values())
 
@@ -93,11 +92,12 @@ def functional_add(f, g, scale=1.0):
 def rk4_transport(f, times, nonlin, chart, substeps=1, cap=DEFAULT_DEGREE_CAP):
     """Classical RK4 on dF/dt = V_t . F: the transported functional at each node of ``times``.
 
-    ``substeps`` equal RK4 steps per interval of the monotone grid ``times``.
+    ``substeps`` equal RK4 steps per interval of the monotone grid ``times``;
+    each stage applies the operator through ``vdot_reference``.
     """
 
     def rhs(tau, F):
-        return vdot(tau, F, nonlin, chart, cap=cap)
+        return vdot_reference(tau, F, nonlin, chart, cap)
 
     path = [f]
     F = f

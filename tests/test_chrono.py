@@ -17,7 +17,6 @@ from chrono_duhamel.chrono import (
     point_eval_functional,
     transport_majorant,
     tree_expand,
-    vdot,
 )
 from chrono_duhamel.dynamics import NonlinearitySpec, evolve, lagrange_duhamel_V
 from chrono_duhamel.propagator import (
@@ -32,6 +31,7 @@ from chrono_duhamel.series import MajorantSeries, eval_series as series_eval
 from chrono_duhamel.symfun import (
     SymFunctional,
     SymTensor,
+    VectorNorm,
     coefficient_l1,
     eval_homogeneous,
     eval_series,
@@ -63,7 +63,7 @@ def test_chart_norm_matches_cauchy_norm():
         for _ in range(10):
             data = CauchyData(GRID, rng.standard_normal(GRID.M), rng.standard_normal(GRID.M), 0.0)
             coords = chart.coords_of(FreeSolution(data))
-            assert chart.norm_spec.norm(coords) == pytest.approx(
+            assert VectorNorm.two_block(chart.dim, GRID.M).norm(coords) == pytest.approx(
                 cau_norm(KG1, data, s, 1.0), rel=1e-12
             )
 
@@ -91,6 +91,13 @@ def test_point_eval_functional_samples_the_field():
 # ---------------------------------------------------------------------------
 # the first-order operator
 # ---------------------------------------------------------------------------
+
+
+def vdot(t, f, nonlin, chart, cap=chrono.DEFAULT_DEGREE_CAP):
+    """The operator ``f -> delta f (V_t)`` at one time: the program's kernel at one node, weight 1."""
+    G = {term.degree: term.coeffs for term in f.terms}
+    out = chrono._applied(G, np.array([t]), np.ones((1, 1)), nonlin, chart, cap)
+    return chrono._sweep_at(out, 0, chart.dim)
 
 
 def test_vdot_of_constant_vanishes():
@@ -294,10 +301,11 @@ def test_picard_sweep_cap_is_a_numerical_failure(monkeypatch):
 
 
 def test_non_finite_coefficients_of_a_higher_degree_are_a_numerical_failure():
-    # degrees 1 and 3 stay finite; the last sweep's degree 5 overflows to inf and nan
+    # degrees 1 and 3 stay finite; the last sweep's degree 5 overflows to inf and nan,
+    # which the transport reports itself, with no NumPy warning
     f = point_eval_functional(CHART, 0.0, 0)
     f = SymFunctional([f.term(1).scaled(1e10)])
-    with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+    with pytest.raises(FloatingPointError):
         chrono_exp_evolve(f, 0.0, 0.5, 1, KG1, NonlinearitySpec({3: 1e150}), CHART)
 
 
@@ -439,42 +447,50 @@ def test_stored_dyson_terms_compose_each_degree_once(composed):
     ids=["cubic", "mixed", "linear", "constant"],
 )
 def test_batched_sweep_matches_the_per_node_operator(coeffs, M, monkeypatch):
-    # the batched kernel, with the identity as node weights, gives vdot at every panel node
-    # of the stored sweep; the reference builds the blocks at each node and composes
-    # lam * monomials(A_t, k) with B_t rank by rank, as one node at a time
+    # the batched kernel, with the identity as node weights, gives the operator at every panel
+    # node of a stored sweep: the Picard sweep of a point evaluation, and random coefficients
+    # of degrees 1, 2 and 3 that differ from node to node; the reference forms the vertex
+    # tensors at each node and composes them with compose_first_slot, one node at a time
     _, chart, _ = _cosine_problem(M)
     nonlin = NonlinearitySpec(coeffs)
     f = point_eval_functional(chart, 0.0, 0)
-    times, S, G = chrono._picard(f, 0.0, 0.5, nonlin, chart, 1, 5)
+    times, S, picard = chrono._picard(f, 0.0, 0.5, nonlin, chart, 1, 5)
     n = len(times)
-    batched = chrono._applied(G, times, np.eye(n), nonlin, chart, 5)
-    reference = [
-        vdot_reference(t, chrono._sweep_at(G, l, chart.dim), nonlin, chart, 5) for l, t in enumerate(times)
-    ]
-    swept = chrono._applied(G, times, S, nonlin, chart, 5)
-    assert set(batched) == set(swept) == set(reference[0].degrees)
-    for m, c in batched.items():
-        expected = np.array([ref.term(m).coeffs[0] for ref in reference])
-        np.testing.assert_allclose(c, expected, rtol=0, atol=1e-14 * np.max(np.abs(expected)))
-        integral = S @ expected
-        np.testing.assert_allclose(swept[m], integral, rtol=0, atol=1e-14 * np.max(np.abs(integral)))
-    # chunk boundaries: one node per chunk gives every node, and the panel's integral of
-    # them, the bits of one chunk holding all nodes
-    chunks = []
-    compose = chrono._compose_factored
-    monkeypatch.setattr(chrono, "_compose_factored", lambda *args: chunks.append(len(args[2])) or compose(*args))
-    for weights in (np.eye(n), S):
-        chunks.clear()
-        monkeypatch.setattr(chrono, "_CHUNK_FLOATS", 1)
-        one_by_one = chrono._applied(G, times, weights, nonlin, chart, 5)
-        assert set(chunks) == {1}
-        chunks.clear()
-        monkeypatch.setattr(chrono, "_CHUNK_FLOATS", 1 << 40)
-        all_at_once = chrono._applied(G, times, weights, nonlin, chart, 5)
-        assert set(chunks) == {n}
-        assert set(one_by_one) == set(all_at_once) == set(batched)
-        for m in batched:
-            np.testing.assert_array_equal(one_by_one[m], all_at_once[m])
+    rng = np.random.default_rng(5)
+    random = {p: rng.standard_normal((n, num_canonical(chart.dim, p))) for p in (1, 2, 3)}
+    for G in (picard, random):
+        batched = chrono._applied(G, times, np.eye(n), nonlin, chart, 5)
+        reference = [
+            vdot_reference(t, chrono._sweep_at(G, l, chart.dim), nonlin, chart, 5)
+            for l, t in enumerate(times)
+        ]
+        swept = chrono._applied(G, times, S, nonlin, chart, 5)
+        assert set(batched) == set(swept) == set(reference[0].degrees)
+        for m, c in batched.items():
+            expected = np.array([ref.term(m).coeffs[0] for ref in reference])
+            np.testing.assert_allclose(c, expected, rtol=0, atol=1e-14 * np.max(np.abs(expected)))
+            integral = S @ expected
+            np.testing.assert_allclose(swept[m], integral, rtol=0, atol=1e-14 * np.max(np.abs(integral)))
+        # chunk boundaries: one node per chunk gives every node, and the panel's integral of
+        # them, the bits of one chunk holding all nodes
+        chunks = []
+        compose = chrono._compose_factored
+        monkeypatch.setattr(
+            chrono, "_compose_factored", lambda *args: chunks.append(len(args[2])) or compose(*args)
+        )
+        for weights in (np.eye(n), S):
+            chunks.clear()
+            monkeypatch.setattr(chrono, "_CHUNK_FLOATS", 1)
+            one_by_one = chrono._applied(G, times, weights, nonlin, chart, 5)
+            assert set(chunks) == {1}
+            chunks.clear()
+            monkeypatch.setattr(chrono, "_CHUNK_FLOATS", 1 << 40)
+            all_at_once = chrono._applied(G, times, weights, nonlin, chart, 5)
+            assert set(chunks) == {n}
+            assert set(one_by_one) == set(all_at_once) == set(batched)
+            for m in batched:
+                np.testing.assert_array_equal(one_by_one[m], all_at_once[m])
+        monkeypatch.undo()
 
 
 def test_vdot_is_the_one_node_case_of_the_batched_kernel(composed):
@@ -517,7 +533,7 @@ def test_panel_matrices_and_rank_maps_are_bounded_read_only_caches():
 )
 def test_last_sweep_is_kept_at_the_last_node_only(coeffs, t1, t2):
     # chrono_exp_evolve applies the last sweep at the last node: F^(m) is
-    # sum_l S[-1, l] vdot(t_l, G_l)^(m) over the stored sweep G, plus f's own degrees;
+    # sum_l S[-1, l] (V_{t_l} . G_l)^(m) over the stored sweep G, plus f's own degrees;
     # the cubic's degree 1 stays f's, the linear term moves it
     nonlin = NonlinearitySpec(coeffs)
     f = point_eval_functional(CHART, 0.0, 0)
@@ -759,7 +775,7 @@ def test_transport_majorant_dominates_multilinear_components(chart):
         a, b = np.linalg.norm(A, 2), np.linalg.norm(B, 2)
         for k, lam in MIXED.coeffs.items():
             assert abs(lam) * math.sqrt(2) * b * a**k <= X.coeffs[k] * (1 + 1e-12)
-    norm = chart.norm_spec.norm
+    norm = VectorNorm.two_block(chart.dim, chart.grid.M).norm
     for t in np.linspace(*WINDOW, 201):
         for k, Vk in vertex_tensors(chart, MIXED, float(t)).items():
             for _ in range(5):
@@ -789,7 +805,7 @@ def test_transport_majorant_dominates_field_norm(chart):
     # ||coords(V_t(phi))|| <= X(||c||) for the Lagrange-Duhamel field itself
     rng = np.random.default_rng(8)
     X = transport_majorant(MIXED, chart, WINDOW)
-    norm = chart.norm_spec.norm
+    norm = VectorNorm.two_block(chart.dim, chart.grid.M).norm
     for t in np.linspace(*WINDOW, 201):
         for _ in range(5):
             c = rng.uniform(0.05, 2.0) * rng.standard_normal(chart.dim)

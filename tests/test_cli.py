@@ -617,6 +617,14 @@ def test_memory_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
 
 # the running Duhamel residual's Simpson sums overflow, and the Picard panel has ~1e301 nodes
 HUGE_SPAN = "[grid]\nm = 4\n[initial]\namplitude = 1e-300\n[times]\nt2 = 1e300\nsteps = 4\n"
+# the certificate's Sobolev weight <xi>^{2(s-r)} = m_ref^-2 overflows at xi = 0
+TINY_WEIGHT = SMALL + "\n[tolerances]\nm_ref = 1e-160\n"
+# the vertex majorant's ||A||_2^3 overflows, and so do the transport's monomials of the path
+HUGE_M_REF = "[grid]\nm = 4\n[tolerances]\nm_ref = 1e154\n"
+# ||A||_2^3 is finite, but X_3 = |lam| sqrt(2) ||B||_2 ||A||_2^3 overflows
+HUGE_VERTEX = "[grid]\nm = 4\n[nonlinearity]\n3 = 1e40\n[tolerances]\nm_ref = 5e92\n"
+# the free propagator's phases eps * t overflow from t1 back to the chart's time 0
+HUGE_PHASE = "[grid]\nm = 4\nlx = 1e-110\n[times]\nt1 = -1e300\n[dispersion]\nmass = 0.5\n"
 
 
 @pytest.mark.parametrize(
@@ -634,6 +642,14 @@ HUGE_SPAN = "[grid]\nm = 4\n[initial]\namplitude = 1e-300\n[times]\nt2 = 1e300\n
         ("certify", SMALL + "\n[tolerances]\nm_ref = 1e-300\n"),
         ("evolve", HUGE_SPAN),
         ("invariance", HUGE_SPAN),
+        ("certify", TINY_WEIGHT),
+        ("invariance", TINY_WEIGHT),
+        ("certify", HUGE_M_REF),
+        ("invariance", HUGE_M_REF),
+        ("certify", HUGE_VERTEX),
+        ("evolve", HUGE_PHASE),
+        ("invariance", HUGE_PHASE),
+        ("trees", HUGE_PHASE),
     ],
     ids=[
         "propagate-m-ref",
@@ -648,17 +664,28 @@ HUGE_SPAN = "[grid]\nm = 4\n[initial]\namplitude = 1e-300\n[times]\nt2 = 1e300\n
         "certify-tiny-m-ref",
         "evolve-huge-span",
         "invariance-huge-span",
+        "certify-sobolev-weight",
+        "invariance-sobolev-weight",
+        "certify-vertex-majorant",
+        "invariance-transport",
+        "certify-vertex-majorant-product",
+        "evolve-free-phase",
+        "invariance-free-phase",
+        "trees-free-phase",
     ],
 )
 def test_float_overflow_is_a_numerical_failure(tmp_path, capsys, command, body):
     # a finite config float whose square overflows raises OverflowError from Python's **;
     # one that makes a norm, a Sobolev weight, a tree value or a running Duhamel residual
     # non-finite raises FloatingPointError, so no inf or nan cell is written; a Picard
-    # panel too large for any array raises OverflowError before it is built
+    # panel too large for any array raises OverflowError before it is built; no row warns,
+    # and the vertex majorant names its coefficient, not the errno text of Python's **
     cfg = write_config(tmp_path / "c.ini", body)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"numerical failure in {command}:") and err.count("\n") == 1
+    if command == "certify" and body in (HUGE_M_REF, HUGE_VERTEX):
+        assert "X_3" in err and "(34," not in err
     assert not (tmp_path / "o" / "trajectory.csv").exists()
 
 

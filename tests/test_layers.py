@@ -41,7 +41,6 @@ PUBLIC = {
         "eval_series",
         "majorant_of",
         "compose_first_slot",
-        "compose_rank_one",
         "monomials",
         "save_tensor",
         "load_tensor",
@@ -63,7 +62,6 @@ PUBLIC = {
         "TruncationEvent",
         "CertificationRecord",
         "point_eval_functional",
-        "vdot",
         "chrono_exp_evolve",
         "tree_expand",
         "evaluate_trees",

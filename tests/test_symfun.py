@@ -13,10 +13,11 @@ from chrono_duhamel.symfun import (
     SymFunctional,
     SymTensor,
     VectorNorm,
+    _compose_factored,
+    _products,
     canonical_indices,
     coefficient_l1,
     compose_first_slot,
-    compose_rank_one,
     contract_slot,
     eval_diagonal,
     eval_homogeneous,
@@ -334,7 +335,8 @@ def test_compose_first_slot_against_polarization():
 def test_compose_first_slot_full_polarized_oracle(d, p, q):
     # the composed tensor's polarized values must equal the explicit
     # symmetrization over argument subsets, for a field given as a tensor
-    # (compose_first_slot) and as rank-one factors (compose_rank_one)
+    # (compose_first_slot) and as rank-one factors scaled by per-node
+    # diagonals (_compose_factored at one node)
     from itertools import combinations
 
     rng = np.random.default_rng(8)
@@ -342,19 +344,21 @@ def test_compose_first_slot_full_polarized_oracle(d, p, q):
     V = random_tensor(rng, d, q, codomain_dim=d)
     A = rng.standard_normal((3, d))
     B = rng.standard_normal((d, 3))
+    a, b = rng.standard_normal((1, d)), rng.standard_normal((1, d))
 
     def rank_one_field(v_args):
-        # sum_x B[:, x] prod_j (A v_j)[x]
+        # sum_x diag(b) B[:, x] prod_j (A diag(a) v_j)[x]
         u = np.ones(A.shape[0])
         for v in v_args:
-            u = u * (A @ v)
-        return B @ u
+            u = u * (A @ (a[0] * v))
+        return b[0] * (B @ u)
 
     m = p + q - 1
     args = [rng.standard_normal(d) for _ in range(m)]
+    factored = _compose_factored(f.coeffs, p, b, B, 0.7 * monomials(A, q), _products(a, q), q)
     subjects = [
         (compose_first_slot(f, V), lambda v_args: eval_homogeneous(V, v_args)),
-        (compose_rank_one(f, B, 0.7 * monomials(A, q), q), lambda v_args: 0.7 * rank_one_field(v_args)),
+        (SymTensor(m, d, factored), lambda v_args: 0.7 * rank_one_field(v_args)),
     ]
     for comp, field in subjects:
         assert comp.degree == m
