@@ -36,7 +36,8 @@ the panel's last row only; ``invariance_scan`` evaluates it at the trajectory
 coordinates only, as the stored sweep's derivative along the field, without
 its top-degree tensors.
 The rooted-tree expansion keeps the explicit simplex-quadrature semantics
-as an independent check of the same object.
+as an independent check of the same object: each tree is one Gauss-Legendre
+product rule over the nested time simplex, evaluated on all points at once.
 """
 
 from __future__ import annotations
@@ -56,11 +57,13 @@ from .propagator import (
     DispersionRelation,
     FreeSolution,
     Grid,
+    _bracket,
     _fft,
+    _field,
     _ifft,
+    _modes,
     _wave_factors,
     _weight_powers,
-    sample_at,
 )
 from .series import (
     DEFAULT_FLOOR,
@@ -163,11 +166,10 @@ class ChartMap:
         self.dim = 2 * M
         O, freq_idx = _orthonormal_real_dft(M)
         xi_abs = 2 * np.pi * freq_idx / grid.Lx
-        w = np.sqrt(m_ref**2 + xi_abs**2)
-        self._w, self._eps = w, disp.eps(xi_abs)
+        self._w, self._eps = _bracket(xi_abs, m_ref), disp.eps(xi_abs)
         sq = math.sqrt(grid.dx)
         r = disp.r_order
-        w_psi, w_chi, winv_psi, winv_chi = _weight_powers(w, s, s - r, -s, r - s)
+        w_psi, w_chi, winv_psi, winv_chi = _weight_powers(self._w, s, s - r, -s, r - s)
         self._W_psi = sq * w_psi[:, None] * O
         self._W_chi = sq * w_chi[:, None] * O
         self._Winv_psi = O.T * winv_psi[None, :] / sq
@@ -622,58 +624,44 @@ def evaluate_trees(
     nonlin: NonlinearitySpec,
     chart: ChartMap,
 ) -> float:
-    """Sum of the tree contributions applied to the free solution ``u``."""
-    (k, lam), = nonlin.coeffs.items()
-    disp = chart.disp
-    eps = disp.eps(chart.grid.xi)
+    """Sum of the tree contributions applied to the free solution ``u``.
+
+    A tree of order j is one Gauss-Legendre product rule (Stroud, 1971): ``tau_j``
+    over [t1, t2], each ``tau_a`` over [t1, tau_{a+1}], ``_QUAD_ORDER`` nodes per
+    level and weights the products of ``w half``.  Its ``8^j`` points are taken at
+    once, by FFTs along the point axis, and the root pairs ``f`` with ``b_t o (B_0 field)``.
+    """
+    (lam,) = nonlin.coeffs.values()
+    grid, M = chart.grid, chart.grid.M
+    eps = chart.disp.eps(grid.xi)
+    ph, ch = _modes(grid, u.chart_data.psi), _modes(grid, u.chart_data.chi)
     f_row = f_linear.term(1).coeffs[0]
     nodes, weights = np.polynomial.legendre.leggauss(_QUAD_ORDER)
-
-    trace_cache: dict[float, np.ndarray] = {}
-
-    def trace(tau: float) -> np.ndarray:
-        if tau not in trace_cache:
-            trace_cache[tau] = sample_at(disp, u, tau).psi
-        return trace_cache[tau]
-
-    def green_shift(field: np.ndarray, dt_: float) -> np.ndarray:
-        # convolution with the Green kernel: per-mode sin(eps dt)/eps
-        return _ifft(_wave_factors(eps, dt_)[1] * _fft(field), 1 / chart.grid.M).real
-
-    def tree_integrand(tree: FeynmanTree, taus: np.ndarray) -> float:
-        ch = tree.children()
-        legs = tree.legs()
-        fields: dict[int, np.ndarray] = {}
-        for a in range(tree.order, 0, -1):
-            F = trace(float(taus[a - 1])) ** legs[a - 1]
-            for c in ch[a]:
-                F = F * green_shift(fields.pop(c), float(taus[a - 1] - taus[c - 1]))
-            fields[a] = lam * F
-        # pair the root: f applied to the Green lift of the order-1 field
-        coords = chart.rows_and_columns(float(taus[0]))[1] @ fields[1]
-        return float(f_row @ coords)
-
-    def nested(tree: FeynmanTree, level: int, taus: list[float], upper: float) -> float:
-        # integrate tau_level over [t1, upper]; levels run from order down to 1
-        half = 0.5 * (upper - t1)
-        mid = 0.5 * (upper + t1)
-        total = 0.0
-        for x, w in zip(nodes, weights):
-            tau = mid + half * x
-            taus[level - 1] = tau
-            if level == 1:
-                total += w * tree_integrand(tree, np.asarray(taus))
-            else:
-                total += w * nested(tree, level - 1, taus, tau)
-        return total * half
-
     total = 0.0
     for tree in trees:
         if tree.order == 0:
             total += float(f_row @ chart.coords_of(u))
-        else:
-            taus = [0.0] * tree.order
-            total += tree.multiplicity * nested(tree, tree.order, taus, t2)
+            continue
+        # columns tau_a, ..., tau_j, t2: each level prepends its nodes on [t1, tau_{a+1}]
+        taus, W = np.array([[t2]]), np.ones(1)
+        for _ in range(tree.order):
+            half = 0.5 * (taus[:, :1] - t1)
+            level = 0.5 * (taus[:, :1] + t1) + half * nodes
+            taus = np.hstack([level.reshape(-1, 1), np.repeat(taus, _QUAD_ORDER, axis=0)])
+            W = (W[:, None] * (weights * half)).ravel()
+        c, snc = _wave_factors(eps, taus[:, :-1].reshape(-1, 1))
+        traces = _field(grid, c * ph + snc * ch, real=True).reshape(len(W), tree.order, M)
+        children, legs, fields = tree.children(), tree.legs(), {}
+        for a in range(tree.order, 0, -1):
+            F = traces[:, a - 1] ** legs[a - 1]
+            for child in children[a]:
+                # convolution with the Green kernel: per-mode sin(eps dt)/eps
+                dt = (taus[:, a - 1] - taus[:, child - 1])[:, None]
+                F = F * _ifft(_wave_factors(eps, dt)[1] * _fft(fields.pop(child)), 1 / M).real
+            fields[a] = lam * F
+        # pair the root: f applied to the Green lift of the order-1 field
+        b = chart._factors(taus[:, 0])[1]
+        total += tree.multiplicity * float(W @ ((b * (fields[1] @ chart._blocks[1].T)) @ f_row))
     return total
 
 

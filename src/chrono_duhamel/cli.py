@@ -213,19 +213,6 @@ class RunConfig:
 
     def functional(self, chart: chrono.ChartMap) -> symfun.SymFunctional:
         kind = self.raw["functional"]["kind"]
-        if kind == "point_eval":
-            x_index = self._get("functional", "x_index", int)
-            if not 0 <= x_index < chart.grid.M:
-                raise ConfigError(f"[functional] x_index must lie in [0, {chart.grid.M})")
-            t_pt = self._get("functional", "t_point", float)
-            return chrono.point_eval_functional(chart, t_pt, x_index)
-        if kind == "linear_weights":
-            w = self._floats("functional", "weights")
-            if w.size != chart.grid.M:
-                raise ConfigError("functional weights length must equal the grid size")
-            t_pt = self._get("functional", "t_point", float)
-            row = (w * chart.grid.dx) @ chart.rows_and_columns(t_pt)[0]
-            return symfun.SymFunctional([symfun.SymTensor(1, chart.dim, row)])
         if kind == "tensor_file":
             path = self.raw["functional"]["tensor_file"]
             try:
@@ -237,7 +224,23 @@ class RunConfig:
             if not np.all(np.isfinite(tensor.coeffs)):
                 raise ConfigError(f"functional tensor file {path!r} has non-finite coefficients")
             return symfun.SymFunctional([tensor])
-        raise ConfigError(f"unknown functional kind {kind!r}")
+        if kind == "point_eval":
+            x_index = self._get("functional", "x_index", int)
+            if not 0 <= x_index < chart.grid.M:
+                raise ConfigError(f"[functional] x_index must lie in [0, {chart.grid.M})")
+        elif kind == "linear_weights":
+            w = self._floats("functional", "weights")
+            if w.size != chart.grid.M:
+                raise ConfigError("functional weights length must equal the grid size")
+        else:
+            raise ConfigError(f"unknown functional kind {kind!r}")
+        t_pt = self._get("functional", "t_point", float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = chart.rows_and_columns(t_pt)[0]
+        if not np.all(np.isfinite(rows)):
+            raise FloatingPointError(f"the sampling rows at [functional] t_point = {t_pt!r} overflow")
+        row = rows[x_index] if kind == "point_eval" else (w * chart.grid.dx) @ rows
+        return symfun.SymFunctional([symfun.SymTensor(1, chart.dim, row)])
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +290,8 @@ def cmd_propagate(cfg: RunConfig, out: str) -> None:
 
 
 def _trajectory(cfg: RunConfig, t1: float, t2: float, steps: int) -> list[dynamics.EvolutionState]:
-    """``evolve`` over [t1, t2] in ``steps`` equal steps; phases that overflow are its DivergenceError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return dynamics.evolve(cfg.initial_data(), t1, t2, abs(t2 - t1) / steps, cfg.disp, cfg.nonlin)
+    """``evolve`` over [t1, t2] in ``steps`` equal steps."""
+    return dynamics.evolve(cfg.initial_data(), t1, t2, abs(t2 - t1) / steps, cfg.disp, cfg.nonlin)
 
 
 def cmd_evolve(cfg: RunConfig, out: str) -> list[dynamics.EvolutionState]:
@@ -379,17 +381,16 @@ def cmd_certify(cfg: RunConfig, out: str) -> chrono.CertificationRecord:
 def cmd_trees(cfg: RunConfig, out: str) -> float:
     t1, t2, _ = cfg.times
     nonlin = cfg.nonlin
-    if len(nonlin.coeffs) != 1 or min(nonlin.coeffs) < 1:
-        raise ConfigError("trees needs a single-monomial [nonlinearity] of degree >= 1")
     chart = _chart(cfg)
     f = cfg.functional(chart)
-    if f.degrees != (1,):
-        raise ConfigError("trees needs a linear functional")
     K = cfg._get("caps", "tree_order", int)
     if K < 0:
         raise ConfigError("trees needs [caps] tree_order >= 0")
+    try:
+        trees, _ = chrono.tree_expand(f, t1, t2, K, cfg.disp, nonlin, chart)
+    except ValueError as exc:
+        raise ConfigError(f"trees: {exc}") from exc
     u = propagator.make_free_solution(cfg.disp, cfg.initial_data())
-    trees, _ = chrono.tree_expand(f, t1, t2, K, cfg.disp, nonlin, chart)
     lines = []
     total = 0.0
     for tree in trees:

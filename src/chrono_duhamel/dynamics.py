@@ -313,9 +313,9 @@ def evolve(
         return out
     modes, real = _chart_modes(disp, [chart])
     c = modes[0]
-    fwd, back = _chart_factors(disp, grid, t1 + h / 2 * np.arange(2 * n + 1))
     # a huge span overflows the factors and nodes, which DivergenceError reports
     with np.errstate(over="ignore", invalid="ignore"):
+        fwd, back = _chart_factors(disp, grid, t1 + h / 2 * np.arange(2 * n + 1))
         # dc/dt = -Vbar_t(c): the sign and the RK4 weights ride on the factors of A_{-t}
         back[0::2] *= -h / 6
         back[1::2] *= -h / 3

@@ -261,6 +261,16 @@ def green_apply(disp: DispersionRelation, grid: Grid, t: float, f: np.ndarray) -
     return make_free_solution(disp, data)
 
 
+def _bracket(xi: np.ndarray, m_ref: float) -> np.ndarray:
+    """``<xi> = sqrt(m_ref^2 + xi^2)``; ``FloatingPointError`` names an ``m_ref`` for which it overflows."""
+    # a NumPy square overflows to inf where Python's ** raises OverflowError
+    with np.errstate(over="ignore"):
+        w = np.sqrt(np.float64(m_ref) ** 2 + xi**2)
+    if not np.all(np.isfinite(w)):
+        raise FloatingPointError(f"<xi> = sqrt(m_ref^2 + xi^2) overflows for m_ref = {m_ref!r}")
+    return w
+
+
 def _weight_powers(w: np.ndarray, *exponents: float) -> list[np.ndarray]:
     """``w ** e`` for each exponent; ``FloatingPointError`` when one overflows.
 
@@ -278,7 +288,7 @@ def _sobolev_norms(grid: Grid, psi_modes, chi_modes, s: float, r_order: int, m_r
     """``cau_norm`` of mode arrays: one norm per row of ``(..., M)`` modes."""
     if not m_ref > 0:
         raise ValueError("m_ref must be positive")
-    w = np.sqrt(m_ref**2 + grid.xi**2)
+    w = _bracket(grid.xi, m_ref)
     (w_psi,) = _weight_powers(w, 2 * s)
     total = _weighted_l2(grid, w_psi, psi_modes)
     if chi_modes is not None:

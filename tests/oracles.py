@@ -151,3 +151,45 @@ def rk4_chart_evolve(initial, t1, t2, steps, disp, nonlin):
             chi = chi + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         out.append(CauchyData(grid, psi, chi, 0.0))
     return out
+
+
+def nested_trees_reference(trees, f_linear, u, t1, t2, nonlin, chart, order=8):
+    """Tree sum by the nested Gauss-Legendre rule, one point at a time.
+
+    ``tau_j`` runs over [t1, t2] and each ``tau_a`` over [t1, tau_{a+1}] with
+    ``order`` nodes per level, recursing from the outermost level inward; at
+    each point vertex ``a`` carries ``lam trace(tau_a)^legs`` times the Green
+    shifts ``sin(eps dt)/eps`` of its children's fields, and the root pairs
+    ``f`` with the Green lift of vertex 1's field.
+    """
+    (lam,) = nonlin.coeffs.values()
+    eps = chart.disp.eps(chart.grid.xi)
+    f_row = f_linear.term(1).coeffs[0]
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+
+    def integrand(tree, taus):
+        children, legs, fields = tree.children(), tree.legs(), {}
+        for a in range(tree.order, 0, -1):
+            F = sample_at(chart.disp, u, taus[a - 1]).psi ** legs[a - 1]
+            for c in children[a]:
+                dt = taus[a - 1] - taus[c - 1]
+                F = F * np.fft.ifft(dt * np.sinc(eps * dt / np.pi) * np.fft.fft(fields.pop(c))).real
+            fields[a] = lam * F
+        return f_row @ (chart.rows_and_columns(taus[0])[1] @ fields[1])
+
+    def nested(tree, level, taus, upper):
+        half, mid = 0.5 * (upper - t1), 0.5 * (upper + t1)
+        total = 0.0
+        for x, w in zip(nodes, weights):
+            taus[level - 1] = mid + half * x
+            inner = integrand(tree, taus) if level == 1 else nested(tree, level - 1, taus, taus[level - 1])
+            total += w * inner
+        return total * half
+
+    total = 0.0
+    for tree in trees:
+        if tree.order == 0:
+            total += float(f_row @ chart.coords_of(u))
+        else:
+            total += tree.multiplicity * nested(tree, tree.order, [0.0] * tree.order, t2)
+    return total

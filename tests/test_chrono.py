@@ -38,7 +38,13 @@ from chrono_duhamel.symfun import (
     num_canonical,
 )
 
-from oracles import directional_derivative, rk4_transport, vdot_reference, vertex_tensors
+from oracles import (
+    directional_derivative,
+    nested_trees_reference,
+    rk4_transport,
+    vdot_reference,
+    vertex_tensors,
+)
 
 GRID = Grid(8, 2 * np.pi)
 KG1 = DispersionRelation("klein_gordon", 1.0)
@@ -699,16 +705,33 @@ def test_tree_tensor_equivalence_backward():
 )
 def test_each_dyson_term_is_one_order_of_trees(amp, t1, t2):
     # the cubic adds two degrees per term: degree 2j + 1 of the transport is the
-    # order-j trees, not only their sum
+    # order-j trees, not only their sum; order 3 is the first with two shapes
     f = point_eval_functional(CHART, 0.0, 0)
     u = bench_solution(amp=amp)
     c = CHART.coords_of(u)
-    trees, _ = tree_expand(f, t1, t2, 2, KG1, CUBIC, CHART)
-    F, _ = chrono_exp_evolve(f, t1, t2, 1, KG1, CUBIC, CHART, cap=5)
-    for order, degree in ((1, 3), (2, 5)):
+    trees, _ = tree_expand(f, t1, t2, 3, KG1, CUBIC, CHART)
+    F, _ = chrono_exp_evolve(f, t1, t2, 1, KG1, CUBIC, CHART, cap=7)
+    for order, degree in ((1, 3), (2, 5), (3, 7)):
         by_trees = evaluate_trees([t for t in trees if t.order == order], f, u, t1, t2, CUBIC, CHART)
         by_term = eval_series(SymFunctional([F.term(degree)]), c)[0]
         assert by_term == pytest.approx(by_trees, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("t1, t2", [(0.0, 0.25), (0.25, -0.05)], ids=["forward", "backward"])
+def test_product_rule_is_the_nested_rule_point_by_point(t1, t2):
+    # the batched rule sums the recursion's points and weights in another order and
+    # pairs the root as b_t o (B_0 field), so each tree of every shape up to order 3
+    # agrees with it to rounding; the root pairings of this random data cancel by up
+    # to 4e4 times their result, which makes rounding reach about 4e4 eps = 1e-11
+    rng = np.random.default_rng(11)
+    data = CauchyData(GRID, 0.3 * rng.standard_normal(GRID.M), 0.3 * rng.standard_normal(GRID.M), 0.0)
+    u = make_free_solution(KG1, data)
+    f = point_eval_functional(CHART, 0.1, 3)
+    trees, _ = tree_expand(f, t1, t2, 3, KG1, CUBIC, CHART)
+    for tree in trees:
+        batched = evaluate_trees([tree], f, u, t1, t2, CUBIC, CHART)
+        reference = nested_trees_reference([tree], f, u, t1, t2, CUBIC, CHART)
+        assert batched == pytest.approx(reference, rel=1e-11, abs=0)
 
 
 # ---------------------------------------------------------------------------

@@ -625,6 +625,8 @@ HUGE_M_REF = "[grid]\nm = 4\n[tolerances]\nm_ref = 1e154\n"
 HUGE_VERTEX = "[grid]\nm = 4\n[nonlinearity]\n3 = 1e40\n[tolerances]\nm_ref = 5e92\n"
 # the free propagator's phases eps * t overflow from t1 back to the chart's time 0
 HUGE_PHASE = "[grid]\nm = 4\nlx = 1e-110\n[times]\nt1 = -1e300\n[dispersion]\nmass = 0.5\n"
+# the functional's sampling rows overflow: the phases eps t_point of its free propagator
+HUGE_T_POINT = "[grid]\nm = 4\nlx = 1e-110\n[functional]\nt_point = 1e300\n"
 
 
 @pytest.mark.parametrize(
@@ -650,6 +652,9 @@ HUGE_PHASE = "[grid]\nm = 4\nlx = 1e-110\n[times]\nt1 = -1e300\n[dispersion]\nma
         ("evolve", HUGE_PHASE),
         ("invariance", HUGE_PHASE),
         ("trees", HUGE_PHASE),
+        ("certify", HUGE_T_POINT),
+        ("invariance", HUGE_T_POINT),
+        ("trees", HUGE_T_POINT),
     ],
     ids=[
         "propagate-m-ref",
@@ -672,20 +677,24 @@ HUGE_PHASE = "[grid]\nm = 4\nlx = 1e-110\n[times]\nt1 = -1e300\n[dispersion]\nma
         "evolve-free-phase",
         "invariance-free-phase",
         "trees-free-phase",
+        "certify-functional-time",
+        "invariance-functional-time",
+        "trees-functional-time",
     ],
 )
 def test_float_overflow_is_a_numerical_failure(tmp_path, capsys, command, body):
-    # a finite config float whose square overflows raises OverflowError from Python's **;
-    # one that makes a norm, a Sobolev weight, a tree value or a running Duhamel residual
-    # non-finite raises FloatingPointError, so no inf or nan cell is written; a Picard
-    # panel too large for any array raises OverflowError before it is built; no row warns,
-    # and the vertex majorant names its coefficient, not the errno text of Python's **
+    # a finite config float that makes the Sobolev bracket, a norm, a Sobolev weight, the
+    # functional's sampling rows, a tree value or a running Duhamel residual non-finite
+    # raises FloatingPointError, so no inf or nan cell is written; a Picard panel too large
+    # for any array raises OverflowError before it is built; no row warns, none prints the
+    # errno text of Python's **, and the vertex majorant names its coefficient
     cfg = write_config(tmp_path / "c.ini", body)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"numerical failure in {command}:") and err.count("\n") == 1
+    assert "(34," not in err
     if command == "certify" and body in (HUGE_M_REF, HUGE_VERTEX):
-        assert "X_3" in err and "(34," not in err
+        assert "X_3" in err
     assert not (tmp_path / "o" / "trajectory.csv").exists()
 
 

@@ -204,6 +204,14 @@ def test_evolve_divergence_reported(kernel_calls):
     assert len(kernel_calls) == 2 * step
 
 
+def test_evolve_reports_overflowing_free_phases_without_a_warning():
+    # the phases eps t overflow from t1 = -1e300 back to the chart's time 0; pyproject turns
+    # any RuntimeWarning into an error, so only the DivergenceError may reach the caller
+    grid, disp = Grid(4, 1e-110), DispersionRelation("klein_gordon", 0.5)
+    with pytest.raises(DivergenceError):
+        evolve(benchmark_data(grid, t=-1e300), -1e300, 1.0, 1e298, disp, CUBIC)
+
+
 # ---------------------------------------------------------------------------
 # Duhamel residual
 # ---------------------------------------------------------------------------
