@@ -124,18 +124,13 @@ _QUAD_ORDER = 8
 
 
 def _orthonormal_real_dft(M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal real Fourier basis (rows) and the |frequency index| per row."""
-    j = np.arange(M)
-    rows = [np.full(M, 1.0 / math.sqrt(M))]
-    freqs = [0]
-    for k in range(1, M // 2):
-        rows.append(np.sqrt(2.0 / M) * np.cos(2 * np.pi * k * j / M))
-        freqs.append(k)
-        rows.append(np.sqrt(2.0 / M) * np.sin(2 * np.pi * k * j / M))
-        freqs.append(k)
-    rows.append(np.cos(np.pi * j) / math.sqrt(M))  # Nyquist
-    freqs.append(M // 2)
-    return np.vstack(rows), np.asarray(freqs)
+    """Orthonormal real Fourier basis (rows: constant, cos k and sin k for each k, Nyquist) and each row's |k|."""
+    j, k = np.arange(M), np.arange(1, M // 2)[:, None]
+    rows = np.full((M, M), 1.0 / math.sqrt(M))
+    rows[1:-1:2] = np.sqrt(2.0 / M) * np.cos(2 * np.pi * k * j / M)
+    rows[2:-1:2] = np.sqrt(2.0 / M) * np.sin(2 * np.pi * k * j / M)
+    rows[-1] = np.cos(np.pi * j) / math.sqrt(M)  # Nyquist
+    return rows, (j + 1) // 2
 
 
 class ChartMap:
@@ -624,12 +619,21 @@ def evaluate_trees(
     nonlin: NonlinearitySpec,
     chart: ChartMap,
 ) -> float:
-    """Sum of the tree contributions applied to the free solution ``u``.
+    """Sum of the tree contributions applied to the free solution ``u``."""
+    total = 0.0
+    for value in _tree_values(trees, f_linear, u, t1, t2, nonlin, chart):
+        total += value
+    return total
+
+
+def _tree_values(trees, f_linear, u, t1, t2, nonlin, chart):
+    """The contribution of each tree, in the order of ``trees``.
 
     A tree of order j is one Gauss-Legendre product rule (Stroud, 1971): ``tau_j``
     over [t1, t2], each ``tau_a`` over [t1, tau_{a+1}], ``_QUAD_ORDER`` nodes per
-    level and weights the products of ``w half``.  Its ``8^j`` points are taken at
-    once, by FFTs along the point axis, and the root pairs ``f`` with ``b_t o (B_0 field)``.
+    level and weights the products of ``w half``.  Its ``8^j`` points, and the traces
+    of ``u`` there, are built once per order; the Green shifts are FFTs along the
+    point axis, and the root pairs ``f`` with ``b_t o (B_0 field)``.
     """
     (lam,) = nonlin.coeffs.values()
     grid, M = chart.grid, chart.grid.M
@@ -637,20 +641,23 @@ def evaluate_trees(
     ph, ch = _modes(grid, u.chart_data.psi), _modes(grid, u.chart_data.chi)
     f_row = f_linear.term(1).coeffs[0]
     nodes, weights = np.polynomial.legendre.leggauss(_QUAD_ORDER)
-    total = 0.0
+    rules: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for tree in trees:
         if tree.order == 0:
-            total += float(f_row @ chart.coords_of(u))
+            yield float(f_row @ chart.coords_of(u))
             continue
-        # columns tau_a, ..., tau_j, t2: each level prepends its nodes on [t1, tau_{a+1}]
-        taus, W = np.array([[t2]]), np.ones(1)
-        for _ in range(tree.order):
-            half = 0.5 * (taus[:, :1] - t1)
-            level = 0.5 * (taus[:, :1] + t1) + half * nodes
-            taus = np.hstack([level.reshape(-1, 1), np.repeat(taus, _QUAD_ORDER, axis=0)])
-            W = (W[:, None] * (weights * half)).ravel()
-        c, snc = _wave_factors(eps, taus[:, :-1].reshape(-1, 1))
-        traces = _field(grid, c * ph + snc * ch, real=True).reshape(len(W), tree.order, M)
+        if tree.order not in rules:
+            # columns tau_a, ..., tau_j, t2: each level prepends its nodes on [t1, tau_{a+1}]
+            taus, W = np.array([[t2]]), np.ones(1)
+            for _ in range(tree.order):
+                half = 0.5 * (taus[:, :1] - t1)
+                level = 0.5 * (taus[:, :1] + t1) + half * nodes
+                taus = np.hstack([level.reshape(-1, 1), np.repeat(taus, _QUAD_ORDER, axis=0)])
+                W = (W[:, None] * (weights * half)).ravel()
+            c, snc = _wave_factors(eps, taus[:, :-1].reshape(-1, 1))
+            traces = _field(grid, c * ph + snc * ch, real=True).reshape(len(W), tree.order, M)
+            rules[tree.order] = taus, W, traces
+        taus, W, traces = rules[tree.order]
         children, legs, fields = tree.children(), tree.legs(), {}
         for a in range(tree.order, 0, -1):
             F = traces[:, a - 1] ** legs[a - 1]
@@ -661,8 +668,7 @@ def evaluate_trees(
             fields[a] = lam * F
         # pair the root: f applied to the Green lift of the order-1 field
         b = chart._factors(taus[:, 0])[1]
-        total += tree.multiplicity * float(W @ ((b * (fields[1] @ chart._blocks[1].T)) @ f_row))
-    return total
+        yield tree.multiplicity * float(W @ ((b * (fields[1] @ chart._blocks[1].T)) @ f_row))
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,17 @@
-"""Batch driver.
+"""Batch driver: ``chrono-duhamel <command> [--config PATH] [--out DIR] [--seed N]``.
 
-``chrono-duhamel <command> --config <path> [--out <dir>] [--seed <u64>]``
-
-Commands: propagate, evolve, invariance, certify, trees, selftest.
-Configuration is a plain-text INI file with sections; every field has a
-default (see DEFAULTS).  Outputs are deterministic for a fixed
-config+seed, and every CSV carries the fully resolved configuration in
-its header comment.  Exit status: 0 success, 1 numerical failure,
-2 configuration error, which includes an input path that cannot be read
-and an output path that cannot be written.
+Commands: propagate, evolve, invariance, certify, trees, selftest.  Options go before or after the
+command as ``--flag value`` or ``--flag=value``, unabbreviated; the last of a repeated flag wins.
+The INI config (defaults in DEFAULTS) is read by stripped lines: blank ones and ``#`` or ``;``
+comments are skipped, ``[name]`` opens a section, and ``key = value`` or ``key: value`` splits at
+the first ``=`` or ``:`` into a lowercased key and a literal value; no section, nor key within one,
+repeats.  Outputs are deterministic for a fixed config+seed, and every CSV carries the resolved
+config in its header.  Exit status: 0 success, 1 numerical failure, 2 configuration error (a bad
+command line or config, an unreadable input or unwritable output path); each prints one line.
 """
 
 from __future__ import annotations
 
-import argparse
-import configparser
-import functools
 import json
 import math
 import os
@@ -64,24 +60,37 @@ class RunConfig:
 
     @staticmethod
     def load(path: str | None) -> "RunConfig":
+        """DEFAULTS updated by the config file at ``path``, read in the grammar of the module docstring."""
         merged = {sec: dict(vals) for sec, vals in DEFAULTS.items()}
-        if path:
-            # values are literal: a "%" is a character, not an interpolation
-            parser = configparser.ConfigParser(interpolation=None)
-            try:
-                with open(path) as fh:
-                    parser.read_file(fh)
-            except (configparser.Error, UnicodeDecodeError) as exc:
-                raise ConfigError(f"config parse error: {exc}") from exc
-            for sec in parser.sections():
-                if sec not in merged:
-                    raise ConfigError(f"unknown config section [{sec}]")
-                for key, val in parser.items(sec):
-                    if sec != "nonlinearity" and key not in merged[sec]:
-                        raise ConfigError(f"unknown field {key!r} in section [{sec}]")
-                    merged[sec][key] = val
-            if parser.has_section("nonlinearity"):
-                merged["nonlinearity"] = dict(parser.items("nonlinearity"))
+        if not path:
+            return RunConfig(merged)
+        try:
+            with open(path) as fh:
+                lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config parse error: {path}: {exc}") from exc
+        seen, sec = set(), None  # section names and (section, key) pairs read so far
+        for n, line in enumerate(map(str.strip, lines), 1):
+            if not line or line[0] in "#;":
+                continue
+            header = line[0] == "[" and line[-1] == "]"
+            cut = len(line.split("=", 1)[0].split(":", 1)[0])  # at the first "=" or ":", if any
+            name = line[1:-1] if header else (sec, line[:cut].strip().lower())  # a section, or (section, key)
+            if name in seen or not header and (sec is None or cut == len(line) or not name[1]):
+                fault = "repeated" if name in seen else "a key before any [section]" if sec is None else (
+                    "no '=' or ':'" if cut == len(line) else "an empty key")
+                raise ConfigError(f"config parse error: {path} line {n}: {fault} in {line!r}")
+            seen.add(name)
+            if header:
+                if name not in merged:
+                    raise ConfigError(f"unknown config section [{name}]")
+                sec = name
+                if sec == "nonlinearity":  # replaces the default polynomial; other sections update theirs
+                    merged[sec] = {}
+            elif sec != "nonlinearity" and name[1] not in merged[sec]:
+                raise ConfigError(f"unknown field {name[1]!r} in section [{sec}]")
+            else:
+                merged[sec][name[1]] = line[cut + 1 :].strip()
         return RunConfig(merged)
 
     # -- typed accessors ----------------------------------------------------
@@ -391,18 +400,16 @@ def cmd_trees(cfg: RunConfig, out: str) -> float:
     except ValueError as exc:
         raise ConfigError(f"trees: {exc}") from exc
     u = propagator.make_free_solution(cfg.disp, cfg.initial_data())
-    lines = []
-    total = 0.0
-    for tree in trees:
-        parents = "-".join(map(str, tree.parents))
-        with np.errstate(all="ignore"):
-            contrib = float(chrono.evaluate_trees([tree], f, u, t1, t2, nonlin, chart))
-        total += contrib
-        if not math.isfinite(total):
-            raise FloatingPointError(
-                f"order-{tree.order} tree ({parents}) contributes {contrib!r}, total {total!r}"
-            )
-        lines.append(f"{tree.order},{parents},{tree.multiplicity},{contrib!r}")
+    lines, total = [], 0.0
+    with np.errstate(all="ignore"):
+        for tree, contrib in zip(trees, chrono._tree_values(trees, f, u, t1, t2, nonlin, chart)):
+            parents = "-".join(map(str, tree.parents))
+            total += contrib
+            if not math.isfinite(total):
+                raise FloatingPointError(
+                    f"order-{tree.order} tree ({parents}) contributes {contrib!r}, total {total!r}"
+                )
+            lines.append(f"{tree.order},{parents},{tree.multiplicity},{contrib!r}")
     lines.append(f"total,,,{total!r}")
     _write_csv(os.path.join(out, "trees.csv"), "order,parents,multiplicity,value", lines, cfg)
     return total
@@ -469,38 +476,57 @@ COMMANDS = {
 }
 
 
-@functools.cache
-def _arg_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first ``main`` call and reused by later ones."""
-    parser = argparse.ArgumentParser(prog="chrono-duhamel", description=__doc__)
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--config", default=None, help="INI configuration file")
-    parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument("--seed", type=int, default=None, help="rng seed override")
-    return parser
+def _parse_argv(argv: list[str]) -> tuple[str, dict[str, str]]:
+    """(command, {flag: value}) of argv in the grammar of the module docstring; ValueError names a fault."""
+    words, opts, rest = [], {}, list(argv)
+    while rest:
+        arg = rest.pop(0)
+        flag, eq, value = arg.partition("=")
+        if arg in ("-h", "--help"):
+            print("usage: chrono-duhamel <command> [--config PATH] [--out DIR] [--seed N]")
+            print(f"commands: {', '.join(COMMANDS)}")
+            raise SystemExit(0)
+        if flag in ("--config", "--out", "--seed"):
+            if not (eq or rest and not rest[0].startswith("--")):
+                raise ValueError(f"argument {flag}: expected one argument")
+            opts[flag] = value if eq else rest.pop(0)
+        elif arg.startswith("-"):
+            raise ValueError(f"unrecognized argument {arg!r}")
+        else:
+            words.append(arg)
+    if len(words) != 1 or words[0] not in COMMANDS:
+        raise ValueError(f"invalid choice: {' '.join(words)!r} (give one command of {', '.join(COMMANDS)})")
+    if "--seed" in opts:
+        try:
+            opts["--seed"] = str(int(opts["--seed"]))
+        except ValueError:
+            raise ValueError(f"argument --seed: invalid int value: {opts['--seed']!r}") from None
+    return words[0], opts
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _arg_parser().parse_args(argv)
-
     try:
-        cfg = RunConfig.load(args.config)
-        if args.seed is not None:
-            cfg.raw["output"]["seed"] = str(args.seed)
-        out = args.out or cfg.out_dir
+        command, opts = _parse_argv(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:
+        print(f"chrono-duhamel: error: {exc} (see --help)", file=sys.stderr)
+        raise SystemExit(2) from None
+    try:
+        cfg = RunConfig.load(opts.get("--config"))
+        cfg.raw["output"]["seed"] = opts.get("--seed", cfg.raw["output"]["seed"])
+        out = opts.get("--out") or cfg.out_dir
         os.makedirs(out, exist_ok=True)
-        result = COMMANDS[args.command](cfg, out)
+        result = COMMANDS[command](cfg, out)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (dynamics.DivergenceError, FloatingPointError, MemoryError, OverflowError) as exc:
         # a MemoryError usually carries no message: name the exception instead
         detail = str(exc) or type(exc).__name__
-        print(f"numerical failure in {args.command}: {detail}", file=sys.stderr)
+        print(f"numerical failure in {command}: {detail}", file=sys.stderr)
         return 1
-    if args.command == "selftest" and not result:
+    if command == "selftest" and not result:
         return 1
-    if args.command == "invariance":
+    if command == "invariance":
         print(f"invariance drift: {result!r}")
     return 0
 

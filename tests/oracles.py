@@ -193,3 +193,19 @@ def nested_trees_reference(trees, f_linear, u, t1, t2, nonlin, chart, order=8):
         else:
             total += tree.multiplicity * nested(tree, tree.order, [0.0] * tree.order, t2)
     return total
+
+
+def real_dft_reference(M):
+    """Orthonormal real Fourier basis built row by row, and each row's |frequency index|.
+
+    Rows: the constant, then cos k and sin k for k = 1 .. M/2 - 1, then Nyquist.
+    """
+    j = np.arange(M)
+    rows, freqs = [np.full(M, 1.0 / math.sqrt(M))], [0]
+    for k in range(1, M // 2):
+        rows.append(np.sqrt(2.0 / M) * np.cos(2 * np.pi * k * j / M))
+        rows.append(np.sqrt(2.0 / M) * np.sin(2 * np.pi * k * j / M))
+        freqs += [k, k]
+    rows.append(np.cos(np.pi * j) / math.sqrt(M))
+    freqs.append(M // 2)
+    return np.vstack(rows), np.asarray(freqs)

@@ -41,6 +41,7 @@ from chrono_duhamel.symfun import (
 from oracles import (
     directional_derivative,
     nested_trees_reference,
+    real_dft_reference,
     rk4_transport,
     vdot_reference,
     vertex_tensors,
@@ -72,6 +73,14 @@ def test_chart_norm_matches_cauchy_norm():
             assert VectorNorm.two_block(chart.dim, GRID.M).norm(coords) == pytest.approx(
                 cau_norm(KG1, data, s, 1.0), rel=1e-12
             )
+
+
+@pytest.mark.parametrize("M", [4, 8, 32, 256])
+def test_real_dft_basis_has_the_bits_of_the_row_by_row_construction(M):
+    rows, freqs = chrono._orthonormal_real_dft(M)
+    ref_rows, ref_freqs = real_dft_reference(M)
+    assert rows.shape == ref_rows.shape and rows.tobytes() == ref_rows.tobytes()
+    assert freqs.dtype == ref_freqs.dtype and np.array_equal(freqs, ref_freqs)
 
 
 def test_chart_round_trip():
@@ -732,6 +741,21 @@ def test_product_rule_is_the_nested_rule_point_by_point(t1, t2):
         batched = evaluate_trees([tree], f, u, t1, t2, CUBIC, CHART)
         reference = nested_trees_reference([tree], f, u, t1, t2, CUBIC, CHART)
         assert batched == pytest.approx(reference, rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("t1, t2", [(0.0, 0.25), (0.25, -0.05)], ids=["forward", "backward"])
+def test_one_rule_per_order_gives_each_tree_its_own_bits(t1, t2):
+    # the trees of one order share their points and traces; each value and the sum
+    # keep the bits of evaluating that tree alone and of adding in the trees' order
+    u = bench_solution(amp=0.3)
+    f = point_eval_functional(CHART, 0.1, 3)
+    trees, _ = tree_expand(f, t1, t2, 3, KG1, CUBIC, CHART)
+    values = list(chrono._tree_values(trees, f, u, t1, t2, CUBIC, CHART))
+    assert values == [evaluate_trees([tree], f, u, t1, t2, CUBIC, CHART) for tree in trees]
+    total = 0.0
+    for value in values:
+        total += value
+    assert evaluate_trees(trees, f, u, t1, t2, CUBIC, CHART) == total
 
 
 # ---------------------------------------------------------------------------

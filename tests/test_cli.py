@@ -454,6 +454,115 @@ def test_repeated_main_calls_are_independent(tmp_path, capsys):
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+def _exit_code(argv):
+    """main's return value, or the code of the SystemExit it raised, and which of the two."""
+    try:
+        return main(argv), "returned"
+    except SystemExit as exc:
+        return exc.code, "raised"
+
+
+# config bodies that the config reader rejects, and argv that the argv reader rejects;
+# {cfg} is a valid config file
+MALFORMED_CONFIGS = {
+    "no-delimiter": "[grid]\nm 8\n",
+    "key-before-any-section": "m = 8\n[grid]\n",
+    "repeated-section": "[grid]\nm = 8\n[grid]\nlx = 1.0\n",
+    "repeated-key": "[grid]\nm = 8\nM = 16\n",
+    "empty-key": "[grid]\n= 8\n",
+    "continuation-line": "[grid]\nm = 8\n    16\n",
+    "default-section": "[DEFAULT]\nm = 8\n",
+    "text-after-a-header": "[grid] ; the grid\nm = 8\n",
+}
+MALFORMED_ARGV = {
+    "unknown-command": ["bogus", "--config", "{cfg}"],
+    "unknown-flag": ["certify", "--config", "{cfg}", "--bogus", "1"],
+    "abbreviated-flag": ["certify", "--conf", "{cfg}"],
+    "flag-without-a-value": ["certify", "--config"],
+    "flag-followed-by-a-flag": ["certify", "--config", "{cfg}", "--out", "--seed=3"],
+    "non-integer-seed": ["certify", "--config", "{cfg}", "--seed", "x"],
+    "two-commands": ["certify", "evolve", "--config", "{cfg}"],
+    "no-command": ["--config", "{cfg}"],
+}
+
+
+@pytest.mark.parametrize("row", sorted(MALFORMED_CONFIGS) + sorted(MALFORMED_ARGV))
+def test_malformed_input_exits_2_with_one_stderr_line(tmp_path, capsys, row):
+    cfg = write_config(tmp_path / "c.ini", SMALL)
+    if row in MALFORMED_CONFIGS:
+        argv = ["certify", "--config", write_config(tmp_path / "bad.ini", MALFORMED_CONFIGS[row])]
+    else:
+        argv = [arg.replace("{cfg}", cfg) for arg in MALFORMED_ARGV[row]]
+    argv += ["--out", str(tmp_path / "o")]
+    # a config fault is returned from main; an argv fault raises SystemExit
+    expected = (2, "returned") if row in MALFORMED_CONFIGS else (2, "raised")
+    assert _exit_code(argv) == expected
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert "Traceback" not in captured.err
+
+
+def test_help_prints_the_usage_and_the_commands_to_stdout(capsys):
+    for argv in (["-h"], ["certify", "--help"]):
+        assert _exit_code(argv) == (0, "raised")
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: chrono-duhamel <command>") and captured.err == ""
+        for command in ("propagate", "evolve", "invariance", "certify", "trees", "selftest"):
+            assert command in captured.out
+
+
+def test_every_option_form_writes_the_same_csv(tmp_path):
+    cfg = write_config(tmp_path / "c.ini", SMALL + "\n[initial]\nkind = random\n")
+    out = {name: str(tmp_path / name) for name in ("spaced", "joined", "first", "repeated", "unused")}
+    runs = {
+        "spaced": ["evolve", "--config", cfg, "--out", out["spaced"], "--seed", "3"],
+        "joined": ["evolve", f"--config={cfg}", f"--out={out['joined']}", "--seed=3"],
+        "first": ["--seed", "3", "--out", out["first"], "--config", cfg, "evolve"],
+        # the last of a repeated flag wins
+        "repeated": ["evolve", "--out", out["unused"], "--seed", "4", "--config", cfg]
+        + ["--seed", "3", "--out", out["repeated"]],
+    }
+    for argv in runs.values():
+        assert main(argv) == 0
+    assert not os.path.exists(out["unused"])
+    csvs = {name: (tmp_path / name / "trajectory.csv").read_bytes() for name in runs}
+    assert len(set(csvs.values())) == 1
+
+
+def test_every_accepted_config_line_form_reads_the_same(tmp_path):
+    # ":" or "=", any case of key, spaces, comments and blank lines give the same resolved config
+    plain = write_config(tmp_path / "plain.ini", SMALL + "\n[output]\ndirectory = %d\n")
+    other = SMALL.replace("m = 8", "  M:8  ").replace("t2 = 0.25", "; a comment\n\n\tT2=0.25")
+    other = other.replace("steps = 10", "# another\nsteps :10") + "[output]\ndirectory=%d"
+    other = write_config(tmp_path / "other.ini", other)
+    for name, cfg in (("a", plain), ("b", other)):
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "a" / "certify.csv").read_bytes() == (tmp_path / "b" / "certify.csv").read_bytes()
+
+
+# a fresh interpreter that imports the CLI names any stdlib parser module that got loaded
+PARSER_PROBE = """
+import sys
+import chrono_duhamel.cli
+print(sorted({"argparse", "configparser"} & set(sys.modules)))
+"""
+
+
+def test_importing_the_cli_loads_no_stdlib_parser():
+    src = os.path.dirname(os.path.dirname(chrono_duhamel.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PARSER_PROBE],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_propagate_snapshot_names_must_differ(tmp_path, capsys):
     # times 1e-7 apart would all write field_0.000000.csv and the like
     body = SMALL.replace("t2 = 0.25", "t2 = 1e-5").replace("steps = 10", "steps = 100")
