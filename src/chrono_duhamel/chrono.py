@@ -38,13 +38,15 @@ its top-degree tensors.
 The rooted-tree expansion keeps the explicit simplex-quadrature semantics
 as an independent check of the same object: each tree is one Gauss-Legendre
 product rule over the nested time simplex, evaluated on all points at once.
+``evaluate_trees`` returns each tree's value and builds what the trees of one
+order share once for that order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -147,8 +149,9 @@ class ChartMap:
     ``A_t = A_0 diag(a_t)`` with ``A_0 = [W^-1_psi | W^-1_chi]`` and the
     Green-lift columns ``B_t = diag(b_t) B_0`` with ``B_0 = [W_psi; W_chi]``;
     ``_factors`` gives ``a_t = (c_t, snc_t)`` and ``b_t = (-snc_t, c_t)``
-    for a whole vector of times.  ``A_0``, ``B_0`` and the vertex monomials
-    ``monomials(A_0, k)`` are built once, on first use.
+    for a whole vector of times.  ``_blocks = (A_0, B_0)`` is the chart's
+    only copy of the weighted bases, built in ``__init__``; the vertex
+    monomials ``monomials(A_0, k)`` are built once, on first use.
     """
 
     def __init__(self, grid: Grid, disp: DispersionRelation, s: float = 0.0, m_ref: float = 1.0):
@@ -165,28 +168,23 @@ class ChartMap:
         sq = math.sqrt(grid.dx)
         r = disp.r_order
         w_psi, w_chi, winv_psi, winv_chi = _weight_powers(self._w, s, s - r, -s, r - s)
-        self._W_psi = sq * w_psi[:, None] * O
-        self._W_chi = sq * w_chi[:, None] * O
-        self._Winv_psi = O.T * winv_psi[None, :] / sq
-        self._Winv_chi = O.T * winv_chi[None, :] / sq
+        self._blocks = (
+            np.hstack([O.T * winv_psi[None, :] / sq, O.T * winv_chi[None, :] / sq]),
+            np.vstack([sq * w_psi[:, None] * O, sq * w_chi[:, None] * O]),
+        )
         self._monomials: dict[int, np.ndarray] = {}
 
     # -- coordinate maps ----------------------------------------------------
 
     def from_coords(self, vec: np.ndarray) -> CauchyData:
-        M = self.grid.M
-        return CauchyData(self.grid, self._Winv_psi @ vec[:M], self._Winv_chi @ vec[M:], 0.0)
+        M, A0 = self.grid.M, self._blocks[0]
+        return CauchyData(self.grid, A0[:, :M] @ vec[:M], A0[:, M:] @ vec[M:], 0.0)
 
     def coords_of(self, phi: FreeSolution) -> np.ndarray:
-        data = phi.chart_data
-        return np.concatenate([self._W_psi @ data.psi.real, self._W_chi @ data.chi.real])
+        M, B0, data = self.grid.M, self._blocks[1], phi.chart_data
+        return np.concatenate([B0[:M] @ data.psi.real, B0[M:] @ data.chi.real])
 
     # -- per-time linear blocks ----------------------------------------------
-
-    @cached_property
-    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(A_0, B_0)``: the sampling rows and Green-lift columns without their time factors."""
-        return np.hstack([self._Winv_psi, self._Winv_chi]), np.vstack([self._W_psi, self._W_chi])
 
     def _factors(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(a, b)``, each ``(len(times), dim)``: the scales of ``A_0``'s columns and ``B_0``'s rows."""
@@ -605,7 +603,10 @@ def tree_expand(
         trees.extend(FeynmanTree(parents, mult, k) for parents, mult in frontier)
 
     def evaluator(u: FreeSolution) -> float:
-        return evaluate_trees(trees, f_linear, u, t1, t2, nonlin, chart)
+        total = 0.0
+        for value in evaluate_trees(trees, f_linear, u, t1, t2, nonlin, chart):
+            total += value
+        return total
 
     return trees, evaluator
 
@@ -618,57 +619,63 @@ def evaluate_trees(
     t2: float,
     nonlin: NonlinearitySpec,
     chart: ChartMap,
-) -> float:
-    """Sum of the tree contributions applied to the free solution ``u``."""
-    total = 0.0
-    for value in _tree_values(trees, f_linear, u, t1, t2, nonlin, chart):
-        total += value
-    return total
-
-
-def _tree_values(trees, f_linear, u, t1, t2, nonlin, chart):
-    """The contribution of each tree, in the order of ``trees``.
+) -> list[float]:
+    """The contribution of each tree applied to the free solution ``u``, in the order of ``trees``.
 
     A tree of order j is one Gauss-Legendre product rule (Stroud, 1971): ``tau_j``
     over [t1, t2], each ``tau_a`` over [t1, tau_{a+1}], ``_QUAD_ORDER`` nodes per
-    level and weights the products of ``w half``.  Its ``8^j`` points, and the traces
-    of ``u`` there, are built once per order; the Green shifts are FFTs along the
-    point axis, and the root pairs ``f`` with ``b_t o (B_0 field)``.
+    level and weights the products of ``w half``.  What the trees of one order share
+    is built once for that order: its ``8^j`` points, the traces of ``u`` there and
+    their powers per (vertex, legs), the Green-shift factors per (vertex, child) and
+    the root's ``b_t``.  The Green shifts are FFTs along the point axis, and the root
+    pairs ``f`` with ``b_t o (B_0 field)``.
     """
     (lam,) = nonlin.coeffs.values()
     grid, M = chart.grid, chart.grid.M
     eps = chart.disp.eps(grid.xi)
     ph, ch = _modes(grid, u.chart_data.psi), _modes(grid, u.chart_data.chi)
     f_row = f_linear.term(1).coeffs[0]
+    B0 = chart._blocks[1]
     nodes, weights = np.polynomial.legendre.leggauss(_QUAD_ORDER)
-    rules: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for tree in trees:
-        if tree.order == 0:
-            yield float(f_row @ chart.coords_of(u))
+    values = [0.0] * len(trees)
+    for order in sorted({tree.order for tree in trees}):
+        group = [i for i, tree in enumerate(trees) if tree.order == order]
+        if order == 0:
+            for i in group:
+                values[i] = float(f_row @ chart.coords_of(u))
             continue
-        if tree.order not in rules:
-            # columns tau_a, ..., tau_j, t2: each level prepends its nodes on [t1, tau_{a+1}]
-            taus, W = np.array([[t2]]), np.ones(1)
-            for _ in range(tree.order):
-                half = 0.5 * (taus[:, :1] - t1)
-                level = 0.5 * (taus[:, :1] + t1) + half * nodes
-                taus = np.hstack([level.reshape(-1, 1), np.repeat(taus, _QUAD_ORDER, axis=0)])
-                W = (W[:, None] * (weights * half)).ravel()
-            c, snc = _wave_factors(eps, taus[:, :-1].reshape(-1, 1))
-            traces = _field(grid, c * ph + snc * ch, real=True).reshape(len(W), tree.order, M)
-            rules[tree.order] = taus, W, traces
-        taus, W, traces = rules[tree.order]
-        children, legs, fields = tree.children(), tree.legs(), {}
-        for a in range(tree.order, 0, -1):
-            F = traces[:, a - 1] ** legs[a - 1]
-            for child in children[a]:
-                # convolution with the Green kernel: per-mode sin(eps dt)/eps
-                dt = (taus[:, a - 1] - taus[:, child - 1])[:, None]
-                F = F * _ifft(_wave_factors(eps, dt)[1] * _fft(fields.pop(child)), 1 / M).real
-            fields[a] = lam * F
-        # pair the root: f applied to the Green lift of the order-1 field
+        # columns tau_a, ..., tau_j, t2: each level prepends its nodes on [t1, tau_{a+1}]
+        taus, W = np.array([[t2]]), np.ones(1)
+        for _ in range(order):
+            half = 0.5 * (taus[:, :1] - t1)
+            level = 0.5 * (taus[:, :1] + t1) + half * nodes
+            taus = np.hstack([level.reshape(-1, 1), np.repeat(taus, _QUAD_ORDER, axis=0)])
+            W = (W[:, None] * (weights * half)).ravel()
+        c, snc = _wave_factors(eps, taus[:, :-1].reshape(-1, 1))
+        # a real copy, and no phases kept: at order 5 the complex transform behind _field's
+        # real view (21 MB) and the phases (10 MB each) would stay alive while the trees run
+        traces = np.ascontiguousarray(_field(grid, c * ph + snc * ch, real=True)).reshape(len(W), order, M)
+        del c, snc
         b = chart._factors(taus[:, 0])[1]
-        yield tree.multiplicity * float(W @ ((b * (fields[1] @ chart._blocks[1].T)) @ f_row))
+        powers: dict[tuple[int, int], np.ndarray] = {}
+        shifts: dict[tuple[int, int], np.ndarray] = {}
+        for i in group:
+            children, legs, fields = trees[i].children(), trees[i].legs(), {}
+            for a in range(order, 0, -1):
+                key = (a, legs[a - 1])
+                if key not in powers:
+                    powers[key] = traces[:, a - 1] ** legs[a - 1]
+                F = powers[key]
+                for child in children[a]:
+                    # convolution with the Green kernel: per-mode sin(eps dt)/eps
+                    if (a, child) not in shifts:
+                        dt = (taus[:, a - 1] - taus[:, child - 1])[:, None]
+                        shifts[a, child] = _wave_factors(eps, dt)[1]
+                    F = F * _ifft(shifts[a, child] * _fft(fields.pop(child)), 1 / M).real
+                fields[a] = lam * F
+            # pair the root: f applied to the Green lift of the order-1 field
+            values[i] = trees[i].multiplicity * float(W @ ((b * (fields[1] @ B0.T)) @ f_row))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +722,8 @@ def invariance_scan(
     nonlin = nodes[0].nonlin
     data = [st.current.chart_data for st in nodes]
     psi, chi = np.array([x.psi.real for x in data]), np.array([x.chi.real for x in data])
-    coords = np.hstack([psi @ chart._W_psi.T, chi @ chart._W_chi.T])
+    (A0, B0), M = chart._blocks, chart.grid.M
+    coords = np.hstack([psi @ B0[:M].T, chi @ B0[M:].T])
     powers: dict[int, np.ndarray] = {}
 
     def monomials_of(degree: int) -> np.ndarray:
@@ -732,7 +740,6 @@ def invariance_scan(
         # the nonlinearity degrees the operator composes with each stored degree
         pairs = {p: _kept(p, nonlin, cap) for p in G}
         pairs = {p: ks for p, ks in pairs.items() if ks}
-        A0, B0 = chart._blocks
         d = chart.dim
         size = max([len(nodes) * d] + [num_canonical(d, p - 1) * d for p in pairs])
         step = max(1, _CHUNK_FLOATS // size)

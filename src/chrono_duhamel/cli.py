@@ -402,7 +402,7 @@ def cmd_trees(cfg: RunConfig, out: str) -> float:
     u = propagator.make_free_solution(cfg.disp, cfg.initial_data())
     lines, total = [], 0.0
     with np.errstate(all="ignore"):
-        for tree, contrib in zip(trees, chrono._tree_values(trees, f, u, t1, t2, nonlin, chart)):
+        for tree, contrib in zip(trees, chrono.evaluate_trees(trees, f, u, t1, t2, nonlin, chart)):
             parents = "-".join(map(str, tree.parents))
             total += contrib
             if not math.isfinite(total):

@@ -22,8 +22,10 @@ as a read-only int32 map (``_rank_map``, a bounded cache).
 for a stack of nodes whose factors are two fixed matrices scaled by
 per-node diagonals, with one matmul pair and one ``bincount`` for the
 whole stack.
-``canonical_indices``, ``multiplicities`` and ``extend_table`` are the
-only index structures.
+``_growth``, the ``(parent, last)`` pair that grows each canonical
+index from one of degree one less, and ``extend_table`` are the only
+index structures; the multiplicities, the monomials and the rank maps are
+built along them.
 
 The one tensor norm is :func:`coefficient_l1`, the coefficient l1 mass
 over the full index expansion (polarized coefficient times multiplicity).
@@ -92,30 +94,18 @@ def _growth(d: int, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def canonical_indices(d: int, p: int) -> np.ndarray:
-    """All nondecreasing multi-indices of length p over {0..d-1}, lexicographic."""
-    rows = np.zeros((1, 0), dtype=np.int64)
-    for q in range(1, p + 1):
-        parent, last = _growth(d, q)
-        rows = np.column_stack((rows[parent], last))
-    rows.setflags(write=False)
-    return rows
-
-
-@lru_cache(maxsize=None)
 def multiplicities(d: int, p: int) -> np.ndarray:
     """Multinomial weight p!/prod(counts!) of each canonical multi-index.
 
-    Along a sorted row the run counter climbs 1, 2, ..., c over a run of
-    c equal letters, so the product of the counters is prod(counts!).
+    Built along :func:`_growth`: appending a letter that ends a run of
+    ``run`` equal letters to a degree-(q-1) row multiplies its weight by
+    ``q / run``.  Every weight is an exact integer.
     """
-    rows = canonical_indices(d, p)
-    run = np.ones(rows.shape[0], dtype=np.int64)
-    denom = np.ones(rows.shape[0], dtype=np.int64)
-    for a in range(1, p):
-        run = np.where(rows[:, a] == rows[:, a - 1], run + 1, 1)
-        denom *= run
-    out = float(math.factorial(p)) / denom
+    out, run, last = np.ones(1), np.zeros(1, dtype=np.int64), np.full(1, -1)
+    for q in range(1, p + 1):
+        parent, grown = _growth(d, q)
+        run = np.where(grown == last[parent], run[parent] + 1, 1)
+        out, last = out[parent] * q / run, grown
     out.setflags(write=False)
     return out
 
@@ -126,7 +116,7 @@ def extend_table(d: int, p: int) -> np.ndarray:
 
     ``extend_table(d, p)[K, j]`` is the canonical rank of ``sorted(K + (j,))``.
     Built from the degree-(p-1) table by the growth rule of
-    :func:`canonical_indices`.  With ``l = last(K)``, ``K + (l,)`` is K's
+    :func:`_growth`.  With ``l = last(K)``, ``K + (l,)`` is K's
     first child, so a letter ``j >= l`` lands ``j - l`` rows after it.  A
     smaller letter goes inside: the previous table ranks K's prefix
     extended by j, and l, still the largest letter, is appended to that.
@@ -367,17 +357,19 @@ _RANK_MAPS = 8
 def _rank_map(d: int, p: int, q: int) -> np.ndarray:
     """``(n_{p-1}, n_q)`` int32: the degree-``p + q - 1`` rank of ``x^K x^S``, read-only.
 
-    ``extend_table`` gathers the letters of S onto K one at a time.
-    ``OverflowError`` is raised when the ranks do not fit int32."""
+    ``extend_table`` gathers the letters of S onto K one at a time, along
+    :func:`_growth`: the rank of ``x^K x^S`` extends that of S's parent by
+    S's last letter.  ``OverflowError`` is raised when the ranks do not fit
+    int32.  The map is C-ordered, so ``_collect`` ravels it without a copy."""
     if num_canonical(d, p + q - 1) >= 2**31:
         raise OverflowError(
             f"degree {p + q - 1} over dimension {d} has more canonical indices than int32 ranks"
         )
-    shape = (num_canonical(d, p - 1), num_canonical(d, q))
-    rank = np.broadcast_to(np.arange(shape[0])[:, None], shape)
-    for i, letters in enumerate(canonical_indices(d, q).T):
-        rank = extend_table(d, p - 1 + i)[rank, letters]
-    rank = rank.astype(np.int32)
+    rank = np.arange(num_canonical(d, p - 1))[:, None]
+    for i in range(1, q + 1):
+        parent, last = _growth(d, i)
+        rank = extend_table(d, p - 2 + i)[rank[:, parent], last]
+    rank = rank.astype(np.int32, order="C")
     rank.setflags(write=False)
     return rank
 

@@ -1,6 +1,7 @@
 """Independent oracles that the tests compare the program against."""
 
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -9,11 +10,16 @@ from chrono_duhamel.propagator import CauchyData, FreeSolution, green_apply, mak
 from chrono_duhamel.symfun import (
     SymFunctional,
     SymTensor,
-    canonical_indices,
     compose_first_slot,
     contract_slot,
     eval_diagonal,
 )
+
+
+def canonical_indices(d, p):
+    """``(n_p, p)`` int64: all nondecreasing multi-indices of length p over {0..d-1}, lexicographic."""
+    rows = list(combinations_with_replacement(range(d), p))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), p)
 
 
 def polarize(f_diag, degree, args):

@@ -654,7 +654,7 @@ def test_tree_order1_matches_direct_quadrature():
     t1, t2 = 0.0, 0.3
     trees, _ = tree_expand(f, t1, t2, 1, KG1, CUBIC, CHART)
     first_order = [tr for tr in trees if tr.order == 1]
-    val = evaluate_trees(first_order, f, u, t1, t2, CUBIC, CHART)
+    (val,) = evaluate_trees(first_order, f, u, t1, t2, CUBIC, CHART)
     taus = np.linspace(t1, t2, 4001)
     row = f.term(1).coeffs[0]
     samples = []
@@ -675,7 +675,7 @@ def test_tree_order1_backward_orientation_sign():
     t1, t2 = 0.3, 0.0
     trees, _ = tree_expand(f, t1, t2, 1, KG1, CUBIC, CHART)
     first_order = [tr for tr in trees if tr.order == 1]
-    val = evaluate_trees(first_order, f, u, t1, t2, CUBIC, CHART)
+    (val,) = evaluate_trees(first_order, f, u, t1, t2, CUBIC, CHART)
     taus = np.linspace(t2, t1, 4001)
     row = f.term(1).coeffs[0]
     samples = [
@@ -721,7 +721,7 @@ def test_each_dyson_term_is_one_order_of_trees(amp, t1, t2):
     trees, _ = tree_expand(f, t1, t2, 3, KG1, CUBIC, CHART)
     F, _ = chrono_exp_evolve(f, t1, t2, 1, KG1, CUBIC, CHART, cap=7)
     for order, degree in ((1, 3), (2, 5), (3, 7)):
-        by_trees = evaluate_trees([t for t in trees if t.order == order], f, u, t1, t2, CUBIC, CHART)
+        by_trees = sum(evaluate_trees([t for t in trees if t.order == order], f, u, t1, t2, CUBIC, CHART))
         by_term = eval_series(SymFunctional([F.term(degree)]), c)[0]
         assert by_term == pytest.approx(by_trees, rel=1e-12, abs=0)
 
@@ -738,7 +738,7 @@ def test_product_rule_is_the_nested_rule_point_by_point(t1, t2):
     f = point_eval_functional(CHART, 0.1, 3)
     trees, _ = tree_expand(f, t1, t2, 3, KG1, CUBIC, CHART)
     for tree in trees:
-        batched = evaluate_trees([tree], f, u, t1, t2, CUBIC, CHART)
+        (batched,) = evaluate_trees([tree], f, u, t1, t2, CUBIC, CHART)
         reference = nested_trees_reference([tree], f, u, t1, t2, CUBIC, CHART)
         assert batched == pytest.approx(reference, rel=1e-11, abs=0)
 
@@ -749,13 +749,47 @@ def test_one_rule_per_order_gives_each_tree_its_own_bits(t1, t2):
     # keep the bits of evaluating that tree alone and of adding in the trees' order
     u = bench_solution(amp=0.3)
     f = point_eval_functional(CHART, 0.1, 3)
-    trees, _ = tree_expand(f, t1, t2, 3, KG1, CUBIC, CHART)
-    values = list(chrono._tree_values(trees, f, u, t1, t2, CUBIC, CHART))
-    assert values == [evaluate_trees([tree], f, u, t1, t2, CUBIC, CHART) for tree in trees]
+    trees, evaluator = tree_expand(f, t1, t2, 3, KG1, CUBIC, CHART)
+    values = evaluate_trees(trees, f, u, t1, t2, CUBIC, CHART)
+    assert values == [evaluate_trees([tree], f, u, t1, t2, CUBIC, CHART)[0] for tree in trees]
     total = 0.0
     for value in values:
         total += value
-    assert evaluate_trees(trees, f, u, t1, t2, CUBIC, CHART) == total
+    assert evaluator(u) == total
+
+
+def test_each_order_builds_what_its_trees_share_once(monkeypatch):
+    # the traces of one order take one _wave_factors call, each (vertex, child) Green
+    # shift one, and the root's factors one _factors call, however many trees share them
+    u = bench_solution(amp=0.3)
+    f = point_eval_functional(CHART, 0.1, 3)
+    trees, _ = tree_expand(f, 0.0, 0.25, 4, KG1, CUBIC, CHART)
+    calls = {"wave": 0, "factors": 0}
+    wave_factors, factors = chrono._wave_factors, ChartMap._factors
+
+    def counted_wave_factors(eps, s):
+        calls["wave"] += 1
+        return wave_factors(eps, s)
+
+    def counted_factors(chart, times):
+        calls["factors"] += 1
+        return factors(chart, times)
+
+    monkeypatch.setattr(chrono, "_wave_factors", counted_wave_factors)
+    monkeypatch.setattr(ChartMap, "_factors", counted_factors)
+    evaluate_trees(trees, f, u, 0.0, 0.25, CUBIC, CHART)
+    orders = {tree.order for tree in trees if tree.order > 0}
+    pairs = {
+        (tree.order, a, child)
+        for tree in trees
+        for a, children in enumerate(tree.children())
+        for child in children
+        if a > 0
+    }
+    assert len(trees) > 2 * len(orders)
+    assert calls["factors"] == len(orders)
+    # each _factors call takes its phases through one _wave_factors call of its own
+    assert calls["wave"] - calls["factors"] <= len(orders) + len(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 A new public name, or one that leaves, has to edit this list.
 """
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -80,3 +82,24 @@ def test_public_names_are_pinned_and_resolve(layer):
     assert set(module.__all__) == PUBLIC[layer]
     for name in module.__all__:
         assert hasattr(module, name), f"{layer}.{name}"
+
+
+def test_the_cli_reads_no_private_name_of_another_layer():
+    cli = importlib.import_module("chrono_duhamel.cli")
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in PUBLIC
+        and node.attr.startswith("_")
+    ]
+    private += [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in PUBLIC
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -14,8 +14,9 @@ from chrono_duhamel.symfun import (
     SymTensor,
     VectorNorm,
     _compose_factored,
+    _growth,
     _products,
-    canonical_indices,
+    _rank_map,
     coefficient_l1,
     compose_first_slot,
     contract_slot,
@@ -31,7 +32,7 @@ from chrono_duhamel.symfun import (
     save_tensor,
 )
 
-from oracles import directional_derivative, polarize
+from oracles import canonical_indices, directional_derivative, polarize
 
 
 def random_tensor(rng, d, p, codomain_dim=1, scale=1.0):
@@ -48,10 +49,14 @@ def random_functional(rng, d, degrees, scale=1.0):
 
 
 def test_canonical_indices_match_itertools():
+    # the rows that _growth encodes, grown one letter at a time from its (parent, last)
     for d in range(1, 7):
         for p in range(0, 6):
             expected = list(combinations_with_replacement(range(d), p))
-            idx = canonical_indices(d, p)
+            idx = np.zeros((1, 0), dtype=np.int64)
+            for q in range(1, p + 1):
+                parent, last = _growth(d, q)
+                idx = np.column_stack((idx[parent], last))
             assert idx.dtype == np.int64 and idx.shape == (len(expected), p)
             assert list(map(tuple, idx.tolist())) == expected
 
@@ -78,6 +83,22 @@ def test_index_counts_exact_at_large_dim():
     ext = extend_table(d, 3)
     assert ext.shape == (n3, d)
     np.testing.assert_array_equal(ext[[0, n3 - 1, n3 - 1], [0, 62, 63]], [0, n4 - 2, n4 - 1])
+
+
+def test_rank_maps_rank_each_product_and_are_c_ordered():
+    # _collect ravels the map on every call, so one that is not C-ordered would be
+    # copied each time
+    for d, p, q in [(1, 2, 2), (3, 1, 2), (3, 3, 0), (4, 2, 3), (5, 3, 2), (16, 3, 3)]:
+        rank = _rank_map(d, p, q)
+        assert rank.dtype == np.int32 and rank.flags.c_contiguous and not rank.flags.writeable
+        if d > 5:
+            continue
+        ranks = {K: r for r, K in enumerate(combinations_with_replacement(range(d), p + q - 1))}
+        expected = [
+            [ranks[tuple(sorted(K + S))] for S in combinations_with_replacement(range(d), q)]
+            for K in combinations_with_replacement(range(d), p - 1)
+        ]
+        np.testing.assert_array_equal(rank, expected)
 
 
 def test_multiplicities_sum_to_full_count():
