@@ -26,11 +26,11 @@ Dutt-Greengard-Rokhlin, BIT 40, 2000), so each term is one call of the
 kernel with the panel's integration matrix as weights.  One cap rule,
 ``_kept``, says which nonlinearity degrees a stored degree composes with.
 Under the degree cap the operator is graded nilpotent when every
-nonlinearity degree is at least 2: a known number of terms settles every
-degree, time needs only
-spectral accuracy, and a stored term keeps only the degrees up to the
-feeding cap ``cap - k_min + 1``; the terms stop once none of their degrees
-composes under it.  Otherwise the terms run until they are small.  Every
+nonlinearity degree is at least 2: ``floor((cap - p_min) / (k_min - 1))``
+sweeps compose anything, the last one included, and that one count both
+sizes the panel and ends the stored terms.  Time needs only spectral
+accuracy, and a stored term keeps only the degrees up to the feeding cap
+``cap - k_min + 1``.  Otherwise the terms run until they are small.  Every
 caller applies the last sweep itself: ``chrono_exp_evolve`` weights it with
 the panel's last row only; ``invariance_scan`` evaluates it at the trajectory
 coordinates only, as the stored sweep's derivative along the field, without
@@ -327,15 +327,15 @@ def _kept(p: int, nonlin: NonlinearitySpec, cap: int) -> list[int]:
 
 
 def _picard_sweeps(f: SymFunctional, nonlin: NonlinearitySpec, cap: int) -> int | None:
-    """Picard sweeps after which the capped transport of ``f`` is exact in degree; sizes the panel.
+    """The Picard sweeps of the capped transport of ``f`` that compose anything, the last one included.
 
     Each application of the operator raises a degree by ``k - 1`` for a
     nonlinearity degree ``k``, so when every ``k >= 2`` the terms of ``s``
-    nested applications start at degree ``p_min + s (k_min - 1)`` and every
-    degree up to ``cap`` is settled after ``ceil((cap - p_min) / (k_min - 1))``
-    sweeps.  ``None`` when a degree-0 or degree-1 term keeps the operator
-    from being nilpotent.  ``_picard_nodes`` reads it for the panel's size
-    only; ``_picard`` stops its terms on their degrees.
+    nested applications start at degree ``p_min + s (k_min - 1)``, and the
+    ``s``-th sweep composes a pair under ``cap`` exactly while ``s <=
+    floor((cap - p_min) / (k_min - 1))``.  ``None`` when a degree-0 or
+    degree-1 term keeps the operator from being nilpotent.  The count sizes
+    ``_picard_nodes``'s panel and ends ``_picard``'s stored terms.
     """
     positive = [t.degree for t in f.terms if t.degree > 0]
     if nonlin.is_zero or not positive:
@@ -343,7 +343,7 @@ def _picard_sweeps(f: SymFunctional, nonlin: NonlinearitySpec, cap: int) -> int 
     k_min = min(nonlin.coeffs)
     if k_min < 2:
         return None
-    return max(math.ceil((cap - min(positive)) / (k_min - 1)), 0)
+    return max((cap - min(positive)) // (k_min - 1), 0)
 
 
 def _picard_nodes(
@@ -441,24 +441,25 @@ def _picard(
     The terms keep the feeding cap ``cap - max(k_min - 1, 0)``, above which
     a degree composes into nothing the last sweep keeps; it is ``cap`` when
     a degree-0 or degree-1 term keeps the operator from being nilpotent.
-    They stop once no degree of ``T_j`` composes under it, which a nilpotent
-    operator reaches after a known number of terms, keeping every term
-    however small.  Any other operator's terms also stop once the largest
-    coefficient of ``T_j`` is at most ``PICARD_RTOL`` times the largest of
-    ``G``.  ``FloatingPointError`` is raised on non-finite coefficients and
+    A nilpotent operator stores the ``sweeps - 1`` terms before the last
+    sweep, however small, ``sweeps`` being the ``_picard_sweeps`` count that
+    sized the panel: ``T_j`` starts at degree ``p_min + j (k_min - 1)``,
+    which composes under the feeding cap exactly while ``j <= sweeps - 2``.
+    Any other operator's terms stop once the largest coefficient of ``T_j``
+    is at most ``PICARD_RTOL`` times the largest of ``G``.  ``FloatingPointError`` is raised on non-finite coefficients and
     when ``PICARD_MAX_SWEEPS`` terms do not stop, which bounds nilpotent
     operators too: only at caps above about 40, where one degree-41 term
     over a dimension of 8 holds C(48, 41), about 7.4e7, coefficients per node.
     """
     _check_functional(f, chart)
-    times = _picard_nodes(t1, t2, nonlin, chart, substeps, _picard_sweeps(f, nonlin, cap))
+    sweeps = _picard_sweeps(f, nonlin, cap)
+    times = _picard_nodes(t1, t2, nonlin, chart, substeps, sweeps)
     S = _integration_matrix(times.size) * (0.5 * (t2 - t1))
-    k_min = min(nonlin.degrees, default=2)
-    feed = cap - max(k_min - 1, 0)
+    feed = cap - max(min(nonlin.degrees, default=2) - 1, 0)
     T = {t.degree: np.broadcast_to(t.coeffs, (times.size, t.coeffs.shape[1])) for t in f.terms}
     G = dict(T)
-    for _ in range(PICARD_MAX_SWEEPS):
-        if not any(_kept(p, nonlin, feed) for p in T):
+    for j in range(PICARD_MAX_SWEEPS):
+        if sweeps is not None and j + 1 >= sweeps:
             return times, S, G
         T = _applied(T, times, S, nonlin, chart, feed)
         for m, c in T.items():
@@ -466,7 +467,7 @@ def _picard(
         size, scale = _largest(T), _largest(G)
         if not np.isfinite(size + scale):
             raise FloatingPointError(f"Picard sweep diverged on [{t1}, {t2}]")
-        if k_min < 2 and size <= PICARD_RTOL * scale:
+        if sweeps is None and size <= PICARD_RTOL * scale:
             return times, S, G
     raise FloatingPointError(
         f"Picard sweeps did not settle within {PICARD_MAX_SWEEPS} on [{t1}, {t2}]"
@@ -479,10 +480,13 @@ def _largest(G: dict[int, np.ndarray]) -> float:
 
 
 def _truncation_events(
-    times: np.ndarray, degrees: Iterable[int], nonlin: NonlinearitySpec, cap: int
+    times: np.ndarray, stored: Iterable[int], nonlin: NonlinearitySpec, cap: int
 ) -> list[TruncationEvent]:
-    """What the cap drops: at each node, one event per stored degree ``p > 0`` and
-    nonlinearity degree ``k`` that ``_kept`` leaves out.  Nothing is composed for them."""
+    """What the cap drops: at each node, one event per nonlinearity degree ``k`` that ``_kept`` leaves
+    out of a degree ``p > 0`` of the stored sweep or of what the last sweep composes from it.
+    Nothing is composed for them."""
+    degrees = set(stored)
+    degrees.update(p + k - 1 for p in stored for k in _kept(p, nonlin, cap))
     pairs = []
     for p in sorted(degrees):
         kept = _kept(p, nonlin, cap)
@@ -521,8 +525,7 @@ def chrono_exp_evolve(
         top[m] = top.get(m, 0.0) + c
     if not np.isfinite(_largest(top)):
         raise FloatingPointError(f"Picard sweep diverged on [{t1}, {t2}]")
-    F = _sweep_at(top, -1, chart.dim)
-    return F, _truncation_events(times, F.degrees, nonlin, cap)
+    return _sweep_at(top, -1, chart.dim), _truncation_events(times, G, nonlin, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +735,6 @@ def invariance_scan(
         return powers[degree]
 
     values = sum((monomials_of(t.degree) @ t.coeffs[0] for t in f.terms), np.zeros(len(nodes)))
-    degrees = set(f.degrees)
     events: list[TruncationEvent] = []
     if t1 != t2:
         pn, S, G = _picard(f, t1, t2, nonlin, chart, substeps, cap)
@@ -752,8 +754,7 @@ def invariance_scan(
                 grad = monomials_of(p - 1) @ G[p][sl][:, extend_table(d, p - 1)]
                 rate = np.einsum("lij,lij->li", grad, sum(fields[k] for k in ks))
                 values += p * np.einsum("il,li->i", W[:, sl], rate)
-        degrees.update(p + k - 1 for p, ks in pairs.items() for k in ks)
-        events = _truncation_events(pn, degrees, nonlin, cap)
+        events = _truncation_events(pn, G, nonlin, cap)
     if not np.all(np.isfinite(values)):
         raise FloatingPointError(f"transported values diverged on [{t1}, {t2}]")
     drift = float(np.max(np.abs(values - values[0])))

@@ -6,8 +6,10 @@ The INI config (defaults in DEFAULTS) is read by stripped lines: blank ones and 
 comments are skipped, ``[name]`` opens a section, and ``key = value`` or ``key: value`` splits at
 the first ``=`` or ``:`` into a lowercased key and a literal value; no section, nor key within one,
 repeats.  Outputs are deterministic for a fixed config+seed, and every CSV carries the resolved
-config in its header.  Exit status: 0 success, 1 numerical failure, 2 configuration error (a bad
-command line or config, an unreadable input or unwritable output path); each prints one line.
+config in its header.  The ``cau_norm`` of ``trajectory.csv`` is the chart norm, the Cauchy norm of
+the data pulled back to t = 0 that the certificate's radii bound; ``propagate.csv``'s is the norm at t.
+Exit status: 0 success, 1 numerical failure, 2 configuration error (a bad command line or config,
+an unreadable input or unwritable output path); each prints one line.
 """
 
 from __future__ import annotations
@@ -303,7 +305,7 @@ def _trajectory(cfg: RunConfig, t1: float, t2: float, steps: int) -> list[dynami
     return dynamics.evolve(cfg.initial_data(), t1, t2, abs(t2 - t1) / steps, cfg.disp, cfg.nonlin)
 
 
-def cmd_evolve(cfg: RunConfig, out: str) -> list[dynamics.EvolutionState]:
+def cmd_evolve(cfg: RunConfig, out: str) -> None:
     t1, t2, steps = _time_grid(cfg, "evolve")
     s, m_ref = cfg.norm_weights
     snapshot = cfg.snapshots
@@ -313,7 +315,6 @@ def cmd_evolve(cfg: RunConfig, out: str) -> list[dynamics.EvolutionState]:
         last = traj[-1]
         snap = propagator.sample_at(last.disp, last.current, last.time)
         propagator.save_snapshot(last.disp, snap, os.path.join(out, "final_field.csv"))
-    return traj
 
 
 def _window_tolerances(cfg: RunConfig, command: str) -> tuple[float, float]:
@@ -323,8 +324,6 @@ def _window_tolerances(cfg: RunConfig, command: str) -> tuple[float, float]:
         raise ConfigError(f"{command} needs [tolerances] certify_radius > 0")
     if not floor > 0:
         raise ConfigError(f"{command} needs [tolerances] flow_floor > 0")
-    if command == "certify" and not 0 < cfg.tol("certify_floor") < R:
-        raise ConfigError("certify needs 0 < [tolerances] certify_floor < certify_radius")
     return R, floor
 
 
@@ -334,7 +333,7 @@ def _chart(cfg: RunConfig) -> chrono.ChartMap:
     return chrono.ChartMap(cfg.grid, cfg.disp, *cfg.norm_weights)
 
 
-def cmd_invariance(cfg: RunConfig, out: str) -> float:
+def cmd_invariance(cfg: RunConfig, out: str) -> None:
     t1, t2, steps = _time_grid(cfg, "invariance")
     R, floor = _window_tolerances(cfg, "invariance")
     substeps = cfg.tol("substeps", int)
@@ -356,12 +355,14 @@ def cmd_invariance(cfg: RunConfig, out: str) -> float:
         *chrono.invariance_csv(times, values, rec.certified_radius, events),
         cfg,
     )
-    return drift
+    print(f"invariance drift: {drift!r}")
 
 
-def cmd_certify(cfg: RunConfig, out: str) -> chrono.CertificationRecord:
+def cmd_certify(cfg: RunConfig, out: str) -> None:
     t1, t2, _ = cfg.times
     R, floor = _window_tolerances(cfg, "certify")
+    if not 0 < cfg.tol("certify_floor") < R:
+        raise ConfigError("certify needs 0 < [tolerances] certify_floor < certify_radius")
     chart = _chart(cfg)
     f = cfg.functional(chart)
     if cfg.raw["tolerances"]["x_coeffs"]:
@@ -384,10 +385,9 @@ def cmd_certify(cfg: RunConfig, out: str) -> chrono.CertificationRecord:
         lines,
         cfg,
     )
-    return rec
 
 
-def cmd_trees(cfg: RunConfig, out: str) -> float:
+def cmd_trees(cfg: RunConfig, out: str) -> None:
     t1, t2, _ = cfg.times
     nonlin = cfg.nonlin
     chart = _chart(cfg)
@@ -412,11 +412,10 @@ def cmd_trees(cfg: RunConfig, out: str) -> float:
             lines.append(f"{tree.order},{parents},{tree.multiplicity},{contrib!r}")
     lines.append(f"total,,,{total!r}")
     _write_csv(os.path.join(out, "trees.csv"), "order,parents,multiplicity,value", lines, cfg)
-    return total
 
 
-def cmd_selftest(cfg: RunConfig, out: str) -> bool:
-    """Quick pass/fail ledger over the package invariants."""
+def cmd_selftest(cfg: RunConfig, out: str) -> int:
+    """Quick pass/fail ledger over the package invariants; exit status 1 when a check fails."""
     rng = np.random.default_rng(cfg.seed)
     grid = propagator.Grid(8, 2 * math.pi)
     disp = propagator.DispersionRelation("klein_gordon", 1.0)
@@ -459,11 +458,9 @@ def cmd_selftest(cfg: RunConfig, out: str) -> bool:
     tbar = series.guaranteed_time(X, 1.0, 0.5)
     checks.append(("guaranteed_time_closed_form", abs(tbar - 0.75) < 1e-6))
 
-    ok = True
     for name, passed in checks:
         print(f"{name}: {'PASS' if passed else 'FAIL'}")
-        ok &= passed
-    return ok
+    return 0 if all(passed for _, passed in checks) else 1
 
 
 COMMANDS = {
@@ -515,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg.raw["output"]["seed"] = opts.get("--seed", cfg.raw["output"]["seed"])
         out = opts.get("--out") or cfg.out_dir
         os.makedirs(out, exist_ok=True)
-        result = COMMANDS[command](cfg, out)
+        status = COMMANDS[command](cfg, out)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -524,11 +521,7 @@ def main(argv: list[str] | None = None) -> int:
         detail = str(exc) or type(exc).__name__
         print(f"numerical failure in {command}: {detail}", file=sys.stderr)
         return 1
-    if command == "selftest" and not result:
-        return 1
-    if command == "invariance":
-        print(f"invariance drift: {result!r}")
-    return 0
+    return status or 0
 
 
 if __name__ == "__main__":

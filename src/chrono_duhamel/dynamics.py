@@ -514,7 +514,10 @@ def trajectory_csv(
 ) -> tuple[str, list[str]]:
     """Header and rows of the trajectory dump, one row per node.
 
-    Columns: (t, cau_norm, energy, duhamel_residual_running).
+    Columns: (t, cau_norm, energy, duhamel_residual_running).  ``cau_norm``
+    is the chart norm: the Cauchy norm of the node's data pulled back to
+    t = 0 by the free flow, the norm the certificate's radii bound, where
+    ``propagate.csv`` reports the norm of the data at t under that name.
 
     The running residual of row i is ``duhamel_residual(traj[:i+1], t_0, t_i)``.
     One batched kernel call samples the chart field at every node, one

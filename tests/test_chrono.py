@@ -370,16 +370,16 @@ def composed(monkeypatch):
 @pytest.mark.parametrize(
     "cap, panel_sweeps, pairs",
     [
-        (4, 2, [{(1, 3)}]),
+        (4, 1, [{(1, 3)}]),
         (5, 2, [{(1, 3)}, {(1, 3), (3, 3)}]),
-        (6, 3, [{(1, 3)}, {(1, 3), (3, 3)}]),
+        (6, 2, [{(1, 3)}, {(1, 3), (3, 3)}]),
     ],
     ids=["cap4", "cap5", "cap6"],
 )
 def test_picard_applies_the_operator_once_per_node_and_sweep(cap, panel_sweeps, pairs, composed):
     # from a linear functional the cubic needs the last sweep alone at cap 4 (degree 3)
-    # and one stored sweep under it at caps 5 and 6; the panel of caps 4 and 6 is sized
-    # for one sweep more, which composes nothing and is not run.  Each sweep is one batched
+    # and one stored sweep under it at caps 5 and 6, and the panel is sized for those
+    # sweeps: one at cap 4, two at caps 5 and 6.  Each sweep is one batched
     # composition over every node, and composes each of its (p, k) pairs once per node.
     # The scan evaluates the last sweep on the path, so at cap 4 it composes nothing
     f = point_eval_functional(CHART, 0.0, 0)
@@ -394,6 +394,20 @@ def test_picard_applies_the_operator_once_per_node_and_sweep(cap, panel_sweeps, 
     invariance_scan(f, traj, 0.0, 0.5, CHART, substeps=1, cap=cap)
     assert [times for times, _ in composed] == [nodes] * (len(pairs) - 1)
     assert [done for _, done in composed] == [dict.fromkeys(ps, len(nodes)) for ps in pairs[:-1]]
+
+
+@pytest.mark.parametrize("cap", [4, 5, 6, 7])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("coeffs", [{3: 1.0}, {5: 1.0}, {2: 0.3, 3: 0.8}], ids=["cubic", "quintic", "mixed"])
+def test_the_panel_is_sized_for_the_sweeps_that_compose(coeffs, degree, cap, composed):
+    # _picard_sweeps sizes the panel; it counts the stored sweeps that _picard runs, plus
+    # the caller's last sweep when that composes any pair of the stored degrees under the cap
+    nonlin = NonlinearitySpec(coeffs)
+    rng = np.random.default_rng(degree)
+    f = SymFunctional([SymTensor(degree, CHART.dim, rng.standard_normal(num_canonical(CHART.dim, degree)))])
+    _, _, G = chrono._picard(f, 0.0, 0.5, nonlin, CHART, 1, cap)
+    last = any(chrono._kept(p, nonlin, cap) for p in G)
+    assert len(composed) + last == chrono._picard_sweeps(f, nonlin, cap)
 
 
 @pytest.mark.parametrize(
@@ -411,7 +425,7 @@ def test_picard_applies_the_operator_once_per_node_and_sweep(cap, panel_sweeps, 
 def test_matrix_free_last_sweep_matches_the_transported_functional(coeffs, t1, t2, cap):
     # at density 1 the scan's panel is the transport's, so its value at t2 is the
     # transported functional, with the last sweep composed as tensors, at the last point;
-    # the cubic at cap 6 sizes its panel for three sweeps, but stores one Dyson term:
+    # the cubic at cap 6 sizes its panel for two sweeps and stores one Dyson term:
     # the second, degree 5, would lie above the feeding cap 4
     grid = Grid(8, 2 * np.pi)
     chart = ChartMap(grid, KG1)

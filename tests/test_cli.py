@@ -244,6 +244,14 @@ def test_selftest_ledger(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+def test_a_failed_selftest_check_exits_1_after_the_whole_ledger(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(series, "guaranteed_time", lambda *args: 0.0)
+    assert main(["selftest", "--out", str(tmp_path / "o")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 6 and out[-1] == "guaranteed_time_closed_form: FAIL"
+    assert all(line.endswith(": PASS") for line in out[:-1])
+
+
 @pytest.mark.parametrize(
     "command, body",
     [
@@ -700,6 +708,22 @@ def test_random_initial_data_follows_the_seed(tmp_path):
     a, b, c = (tmp_path / name / "trajectory.csv" for name in "abc")
     assert a.read_bytes() == b.read_bytes()
     assert _data_lines(a) != _data_lines(c)
+
+
+def test_trajectory_cau_norm_is_the_chart_norm_and_propagate_s_the_norm_at_t(tmp_path):
+    # with no nonlinearity the chart data stays the data at t = 0: trajectory.csv's cau_norm
+    # is the norm of that pull-back on every row, propagate.csv's the norm of the data at t
+    body = "[grid]\nm = 8\n[nonlinearity]\n[initial]\nkind = random\namplitude = 0.3\n[times]\nt2 = 1\nsteps = 4\n"
+    cfg = write_config(tmp_path / "c.ini", body)
+    for command in ("evolve", "propagate"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    chart = _data_rows(tmp_path / "o" / "trajectory.csv")
+    at_t = _data_rows(tmp_path / "o" / "propagate.csv")
+    norm = 0.4952199667224945
+    assert len(chart) == 5 and all(abs(float(r["cau_norm"]) - norm) <= math.ulp(norm) for r in chart)
+    assert [round(float(r["cau_norm"]), 4) for r in at_t] == [0.4952, 0.6597, 0.6994, 0.6716, 0.6821]
+    for row in chart + at_t:
+        assert float(row["energy"]) == pytest.approx(0.39707061509596, rel=1e-13)
 
 
 def test_unvouched_flow_time_is_a_numerical_failure(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ A new public name, or one that leaves, has to edit this list.
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -103,3 +104,28 @@ def test_the_cli_reads_no_private_name_of_another_layer():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def _referenced_names(node):
+    """Every name that ``node`` reads, as a bare name or as an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_private_function_and_class_has_a_caller_in_src():
+    # a module-level _name that a refactor leaves without a caller is dead code: its name
+    # must be read somewhere in src/ outside its own definition
+    package = Path(importlib.import_module("chrono_duhamel").__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    everywhere = Counter(ref for tree in trees.values() for ref in _referenced_names(tree))
+    uncalled = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or not node.name.startswith("_"):
+                continue
+            if everywhere[node.name] == sum(ref == node.name for ref in _referenced_names(node)):
+                uncalled.append(f"{name}:{node.name}")
+    assert uncalled == []
