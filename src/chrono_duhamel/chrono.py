@@ -357,17 +357,18 @@ def _picard_nodes(
     """Chebyshev-Lobatto nodes of a transport over [t1, t2] in ``sweeps`` sweeps, t1 first.
 
     The panel has ``n = ceil(substeps * s * (k_max + 1) * eps_max * |t2 - t1| / 2) + 8``
-    nodes.  ``s`` is the sweep count of ``_picard_sweeps`` (2 when it is
-    ``None``), ``k_max`` the top nonlinearity degree and ``eps_max`` the
-    chart's largest frequency; a degree-k vertex carries ``k + 1`` factors
-    oscillating at most at ``eps_max``, so ``s (k_max + 1) eps_max`` bounds
-    the angular frequency of the last sweep's integrand.  ``substeps`` is
-    the node density over that oscillation.  The transport applies the
-    operator at these times and nowhere else.  ``OverflowError`` is raised
-    when the panel's ``(n, n)`` float64 integration matrix is too large for
-    any NumPy array.
+    nodes.  ``s`` is the sweep count of ``_picard_sweeps``, ``k_max`` the
+    top nonlinearity degree and ``eps_max`` the chart's largest frequency;
+    a degree-k vertex carries ``k + 1`` factors oscillating at most at
+    ``eps_max``, so ``s (k_max + 1) eps_max`` bounds the angular frequency
+    of the last sweep's integrand.  ``substeps`` is the node density over
+    that oscillation.  ``s`` is 2 for one sweep, as for ``None``: the ``+ 8``
+    alone leaves a one-sweep tensor 1.6e-11 of its size off at M=16.  The
+    transport applies the operator at these times and nowhere else.
+    ``OverflowError`` is raised when the panel's ``(n, n)`` float64
+    integration matrix is too large for any NumPy array.
     """
-    s = 2 if sweeps is None else sweeps
+    s = 2 if sweeps in (None, 1) else sweeps
     eps_max = float(np.max(chart.disp.eps(chart.grid.xi)))
     k_max = max(nonlin.coeffs, default=0)
     n = math.ceil(substeps * s * (k_max + 1) * eps_max * abs(t2 - t1) / 2) + 8
@@ -441,12 +442,12 @@ def _picard(
     The terms keep the feeding cap ``cap - max(k_min - 1, 0)``, above which
     a degree composes into nothing the last sweep keeps; it is ``cap`` when
     a degree-0 or degree-1 term keeps the operator from being nilpotent.
-    A nilpotent operator stores the ``sweeps - 1`` terms before the last
-    sweep, however small, ``sweeps`` being the ``_picard_sweeps`` count that
-    sized the panel: ``T_j`` starts at degree ``p_min + j (k_min - 1)``,
-    which composes under the feeding cap exactly while ``j <= sweeps - 2``.
-    Any other operator's terms stop once the largest coefficient of ``T_j``
-    is at most ``PICARD_RTOL`` times the largest of ``G``.  ``FloatingPointError`` is raised on non-finite coefficients and
+    A nilpotent operator keeps every term, however small, before the last
+    of its ``_picard_sweeps`` sweeps: ``T_j`` starts at degree
+    ``p_min + j (k_min - 1)``, which composes under the feeding cap exactly
+    while ``j <= sweeps - 2``.  Other operators' terms stop once the largest
+    coefficient of ``T_j`` is at most ``PICARD_RTOL`` times the largest of
+    ``G``.  ``FloatingPointError`` is raised on non-finite coefficients and
     when ``PICARD_MAX_SWEEPS`` terms do not stop, which bounds nilpotent
     operators too: only at caps above about 40, where one degree-41 term
     over a dimension of 8 holds C(48, 41), about 7.4e7, coefficients per node.
@@ -486,7 +487,7 @@ def _truncation_events(
     out of a degree ``p > 0`` of the stored sweep or of what the last sweep composes from it.
     Nothing is composed for them."""
     degrees = set(stored)
-    degrees.update(p + k - 1 for p in stored for k in _kept(p, nonlin, cap))
+    degrees |= {p + k - 1 for p in degrees for k in _kept(p, nonlin, cap)}
     pairs = []
     for p in sorted(degrees):
         kept = _kept(p, nonlin, cap)

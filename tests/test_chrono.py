@@ -370,7 +370,7 @@ def composed(monkeypatch):
 @pytest.mark.parametrize(
     "cap, panel_sweeps, pairs",
     [
-        (4, 1, [{(1, 3)}]),
+        (4, 2, [{(1, 3)}]),
         (5, 2, [{(1, 3)}, {(1, 3), (3, 3)}]),
         (6, 2, [{(1, 3)}, {(1, 3), (3, 3)}]),
     ],
@@ -379,7 +379,7 @@ def composed(monkeypatch):
 def test_picard_applies_the_operator_once_per_node_and_sweep(cap, panel_sweeps, pairs, composed):
     # from a linear functional the cubic needs the last sweep alone at cap 4 (degree 3)
     # and one stored sweep under it at caps 5 and 6, and the panel is sized for those
-    # sweeps: one at cap 4, two at caps 5 and 6.  Each sweep is one batched
+    # sweeps, a lone sweep at the density of two: two at every cap.  Each sweep is one batched
     # composition over every node, and composes each of its (p, k) pairs once per node.
     # The scan evaluates the last sweep on the path, so at cap 4 it composes nothing
     f = point_eval_functional(CHART, 0.0, 0)
@@ -408,6 +408,36 @@ def test_the_panel_is_sized_for_the_sweeps_that_compose(coeffs, degree, cap, com
     _, _, G = chrono._picard(f, 0.0, 0.5, nonlin, CHART, 1, cap)
     last = any(chrono._kept(p, nonlin, cap) for p in G)
     assert len(composed) + last == chrono._picard_sweeps(f, nonlin, cap)
+
+
+@pytest.mark.parametrize(
+    "M, coeffs, cap", [(8, {3: 1.0}, 4), (16, {3: 1.0}, 4), (8, {5: 1.0}, 6)], ids=["cubic-M8", "cubic-M16", "quintic"]
+)
+def test_a_one_sweep_transport_is_exact_to_rounding(M, coeffs, cap):
+    # from a linear functional these caps keep the last sweep alone: F = f + int V_t . f dt,
+    # whose one nonlinear term a 48-point Gauss-Legendre rule over the oracle's operator
+    # gives to rounding; a panel resting on the node rule's + 8 alone is 3e-12 to 2e-11 of F's size off
+    chart = ChartMap(Grid(M, 2 * np.pi), KG1)
+    nonlin = NonlinearitySpec(coeffs)
+    f = point_eval_functional(chart, 0.0, 0)
+    F, _ = chrono_exp_evolve(f, 0.0, 0.5, 1, KG1, nonlin, chart, cap=cap)
+    x, w = np.polynomial.legendre.leggauss(48)
+    (m,) = set(F.degrees) - {1}
+    ref = sum(wq / 4 * vdot_reference((xq + 1) / 4, f, nonlin, chart, cap).term(m).coeffs[0] for xq, wq in zip(x, w))
+    scale = max(np.max(np.abs(t.coeffs)) for t in F.terms)
+    np.testing.assert_array_equal(F.term(1).coeffs, f.term(1).coeffs)
+    np.testing.assert_allclose(F.term(m).coeffs[0], ref, rtol=0, atol=1e-14 * scale)
+
+
+@pytest.mark.parametrize("caps", [(5, 6), (7, 8)])
+def test_caps_that_keep_the_same_dyson_terms_give_the_same_tensor(caps):
+    # from a linear functional the cubic keeps degrees 1, 3, 5 at caps 5 and 6, and up to 7
+    # at caps 7 and 8: the same sweeps compose, so the panel and every bit are the same
+    f = point_eval_functional(CHART, 0.0, 0)
+    low, high = (chrono_exp_evolve(f, 0.0, 0.5, 1, KG1, CUBIC, CHART, cap=cap)[0] for cap in caps)
+    assert low.degrees == high.degrees
+    for m in low.degrees:
+        np.testing.assert_array_equal(low.term(m).coeffs, high.term(m).coeffs)
 
 
 @pytest.mark.parametrize(
@@ -602,6 +632,15 @@ def test_truncation_events_mean_what_the_cap_drops(cap):
     assert {(ev.in_degree, ev.out_degree) for ev in events} == {(cap, cap + 2)}
     _, events = chrono_exp_evolve(f, 0.0, 0.5, 1, KG1, CUBIC, CHART, cap=cap)
     assert len(events) == len(_cubic_nodes(f, 1, cap))
+
+
+def test_truncation_events_read_the_stored_degrees_once():
+    # a one-shot iterator of the stored degrees gives the events of the degrees themselves:
+    # the cubic at cap 4 drops (3, 5) from the degree 3 that the last sweep composes from 1
+    times = np.array([0.0, 0.5])
+    events = chrono._truncation_events(times, iter([1]), CUBIC, 4)
+    assert events == chrono._truncation_events(times, [1], CUBIC, 4)
+    assert [(ev.time, ev.in_degree, ev.out_degree) for ev in events] == [(0.0, 3, 5), (0.5, 3, 5)]
 
 
 def test_truncation_events_column_follows_a_backward_span():

@@ -5,7 +5,6 @@ A new public name, or one that leaves, has to edit this list.
 
 import ast
 import importlib
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -106,26 +105,46 @@ def test_the_cli_reads_no_private_name_of_another_layer():
     assert private == []
 
 
-def _referenced_names(node):
-    """Every name that ``node`` reads, as a bare name or as an attribute."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
+def _reads(tree, skip=None):
+    """The bare names and the ``name.attr`` pairs that a module reads outside its node ``skip``."""
+    for top in tree.body:
+        if top is skip:
+            continue
+        for sub in ast.walk(top):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                yield f"{sub.value.id}.{sub.attr}"
+
+
+def _imported_reads(tree, module, name):
+    """How ``tree`` reads ``module``'s ``name``: as a name bound by ``from .module import name``,
+    or as ``module.name`` through ``from . import module``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or node.level != 1:
+            continue
+        for alias in node.names:
+            if node.module == module and alias.name == name:
+                yield alias.asname or name
+            elif node.module is None and alias.name == module:
+                yield f"{alias.asname or module}.{name}"
 
 
 def test_every_private_function_and_class_has_a_caller_in_src():
-    # a module-level _name that a refactor leaves without a caller is dead code: its name
-    # must be read somewhere in src/ outside its own definition
+    # a module-level _name that a refactor leaves without a caller is dead code: it must be
+    # read in its own module outside its definition, or by a module that imports it from there
     package = Path(importlib.import_module("chrono_duhamel").__file__).parent
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
-    everywhere = Counter(ref for tree in trees.values() for ref in _referenced_names(tree))
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     uncalled = []
-    for name, tree in trees.items():
+    for module, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or not node.name.startswith("_"):
                 continue
-            if everywhere[node.name] == sum(ref == node.name for ref in _referenced_names(node)):
-                uncalled.append(f"{name}:{node.name}")
+            read = node.name in set(_reads(tree, skip=node)) or any(
+                set(_imported_reads(other, module, node.name)) & set(_reads(other))
+                for name, other in trees.items()
+                if name != module
+            )
+            if not read:
+                uncalled.append(f"{module}.{node.name}")
     assert uncalled == []
