@@ -8,8 +8,11 @@ the first ``=`` or ``:`` into a lowercased key and a literal value; no section, 
 repeats.  Outputs are deterministic for a fixed config+seed, and every CSV carries the resolved
 config in its header.  The ``cau_norm`` of ``trajectory.csv`` is the chart norm, the Cauchy norm of
 the data pulled back to t = 0 that the certificate's radii bound; ``propagate.csv``'s is the norm at t.
-Exit status: 0 success, 1 numerical failure, 2 configuration error (a bad command line or config,
-an unreadable input or unwritable output path); each prints one line.
+Two cells are non-finite by design: ``energy`` is ``nan`` on every row of ``propagate.csv`` and
+``trajectory.csv`` for the Schrodinger kind, whose energy is defined for Klein-Gordon only, and
+``certify.csv``'s ``guaranteed_time`` is ``inf`` for a zero nonlinearity, whose field never moves
+the radius.  Exit status: 0 success, 1 numerical failure, 2 configuration error (a bad command
+line or config, an unreadable input or unwritable output path); each prints one line.
 """
 
 from __future__ import annotations

@@ -14,17 +14,15 @@ over the K rows: ``Vbar_t(c) = back_t * g``, ``g = fft(N(ifft(sigma)))``
 the source of the trace ``sigma = sum_K fwd_t * c``, with ``fwd_t`` and
 ``back_t`` the per-mode factors of ``A_t`` and ``A_{-t}``.  One private
 kernel, ``_source``, applies ``N`` in mode space through the propagator's
-``_ifft`` and ``_fft``, which skip ``numpy.fft``'s argument handling.  The
-reference integrator is classical RK4 on this chart ODE in trace form: by
+``_ifft`` and ``_fft``, which skip ``numpy.fft``'s argument handling.
+``evolve`` integrates this chart ODE by classical RK4 in trace form: by
 linearity the trace of a stage input ``c + a back_s * g`` is ``T_t + a
 kappa(t - s) * g``, with ``T_t = sum_K fwd_t * c`` and the lag kernel
 ``kappa(tau) = sum_K fwd_{s + tau} * back_s``, which depends on the lag
 only.  For second-order kinds ``kappa(0) = (snc cos - cos snc) / M`` is
 exactly 0, so stage 3 does not wait for stage 2 and a step is two batched
 source rounds, stages (1, 3) and then (2, 4); Schrodinger's ``kappa(0) =
--i/M`` is not, and its steps run four rounds of one.  An independent
-Strang splitting on the raw Cauchy data serves as the cross-check oracle.
-Duhamel's identity
+-i/M`` is not, and its steps run four rounds of one.  Duhamel's identity
 
     c(t2) - c(t1) + integral_{t1}^{t2} Vbar_t(c(t)) dt = 0
 
@@ -54,16 +52,13 @@ from .propagator import (
     _sobolev_norms,
     _wave_factors,
     make_free_solution,
-    propagate,
 )
 
 __all__ = [
     "NonlinearitySpec",
     "EvolutionState",
     "DivergenceError",
-    "lagrange_duhamel_V",
     "evolve",
-    "strang_evolve",
     "duhamel_residual",
     "trajectory_csv",
 ]
@@ -257,20 +252,6 @@ def _chart_modes(disp: DispersionRelation, datas: list[CauchyData]) -> tuple[np.
     return _modes(grid, fields), np.isrealobj(fields)
 
 
-def lagrange_duhamel_V(
-    t: float, phi: FreeSolution, disp: DispersionRelation, nonlin: NonlinearitySpec
-) -> FreeSolution:
-    """Vector field on free solutions: Green lift of N(trace) on the slice t.
-
-    The single-time case of the batched chart kernel.
-    """
-    chart = phi.chart_data
-    c, real = _chart_modes(disp, [chart])
-    v = _chart_field(nonlin, *_chart_factors(disp, chart.grid, [t]), c, real)
-    v = _field(chart.grid, v[0], real)
-    return FreeSolution(CauchyData(chart.grid, *v))
-
-
 def _steps(initial, t1, t2, dt):
     """Step count and signed step of ``[t1, t2]`` at step size ``dt``, for data anchored at ``t1``."""
     if dt <= 0:
@@ -363,47 +344,6 @@ def evolve(
         data = FreeSolution(CauchyData._frozen(grid, *f))
         out.append(EvolutionState(data, t1 + step * h, disp, nonlin))
     return out
-
-
-def strang_evolve(
-    initial: CauchyData,
-    t1: float,
-    t2: float,
-    dt: float,
-    disp: DispersionRelation,
-    nonlin: NonlinearitySpec,
-) -> list[CauchyData]:
-    """Independent oracle: Strang splitting on raw Cauchy data.
-
-    Half-step exact linear propagation, full pointwise nonlinear substep,
-    half-step linear.  The Klein-Gordon nonlinear substep is the exact
-    kick ``chi -= h N(psi)``; the Schrodinger substep integrates the
-    pointwise ODE with one RK4 stage.
-    """
-    n, h = _steps(initial, t1, t2, dt)
-    data = initial
-    out = [data]
-    for step in range(n):
-        data = propagate(disp, data, data.t + h / 2)
-        if disp.second_order:
-            data = CauchyData(data.grid, data.psi, data.chi - h * nonlin.apply(data.psi), data.t)
-        else:
-            data = CauchyData(data.grid, _kick_rk4(data.psi, h, nonlin), None, data.t)
-        data = propagate(disp, data, t1 + (step + 1) * h)
-        if not np.all(np.isfinite(data.psi)):
-            raise DivergenceError(f"field values diverged at step {step + 1}")
-        out.append(data)
-    return out
-
-
-def _kick_rk4(u, h, nonlin):
-    # pointwise ODE du/dt = i N(u) over one step
-    f = lambda w: 1j * nonlin.apply(w)
-    k1 = f(u)
-    k2 = f(u + h / 2 * k1)
-    k3 = f(u + h / 2 * k2)
-    k4 = f(u + h * k3)
-    return u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _window(traj: list[EvolutionState], t1: float, t2: float) -> list[EvolutionState]:

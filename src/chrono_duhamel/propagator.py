@@ -1,8 +1,8 @@
 """Exact spectral solutions of the linear equation on a periodic 1-D grid.
 
 The spatial domain is a torus of circumference ``Lx`` sampled at ``M``
-equispaced nodes; this replaces the real line so that propagation, Green
-lifts and Sobolev norms are all exact per Fourier mode.  DFT convention:
+equispaced nodes; this replaces the real line so that propagation and
+Sobolev norms are exact per Fourier mode.  DFT convention:
 forward unnormalised, inverse ``1/M``; the mode amplitudes used below are
 ``c_k = fft(field)[k] / M`` so that ``field(x_j) = sum_k c_k e^{i xi_k x_j}``
 exactly at the nodes, and the discrete Parseval identity reads
@@ -40,7 +40,6 @@ __all__ = [
     "propagate",
     "make_free_solution",
     "sample_at",
-    "green_apply",
     "cau_norm",
     "energy",
     "save_snapshot",
@@ -243,22 +242,6 @@ def make_free_solution(disp: DispersionRelation, data: CauchyData) -> FreeSoluti
 
 def sample_at(disp: DispersionRelation, phi: FreeSolution, tau: float) -> CauchyData:
     return propagate(disp, phi.chart_data, tau)
-
-
-def green_apply(disp: DispersionRelation, grid: Grid, t: float, f: np.ndarray) -> FreeSolution:
-    """Green lift of a source field concentrated on the slice ``x^0 = t``.
-
-    For second-order kinds the homogeneous Green kernel vanishes on its
-    source slice with unit velocity, so the lifted solution has Cauchy
-    data ``(0, f)`` at ``t``; for first-order kinds the kernel restricts
-    to the identity and the data is ``(f,)``.
-    """
-    f = np.asarray(f)
-    if disp.second_order:
-        data = CauchyData(grid, np.zeros(grid.M, dtype=f.dtype), f, t)
-    else:
-        data = CauchyData(grid, f, None, t)
-    return make_free_solution(disp, data)
 
 
 def _bracket(xi: np.ndarray, m_ref: float) -> np.ndarray:

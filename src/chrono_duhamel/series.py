@@ -16,11 +16,8 @@ reaches ``r`` after ``T(r) = int_r^R dz / X(z)``: ``flow_time`` turns ``X``
 into every flow time the certificate uses.  For a single power
 ``X = c z^k`` (the cubic Klein-Gordon majorant, for one) ``T`` and its
 inverse have closed forms; any other ``X`` is integrated by SciPy's
-``quad``.  ``flow`` integrates the ODE itself with SciPy's DOP853, forward
-or along complex time rays; the program certifies with ``flow_time``
-alone, and ``flow`` is the tests' independent check of it.  SciPy is
-imported only inside ``flow`` and ``quad``, so a one-term majorant never
-loads it.
+``quad``.  SciPy is imported only inside ``quad``, so a one-term majorant
+never loads it.
 
 All series here are treated as exact polynomials: every stored
 coefficient is meaningful and no tail is implied.
@@ -37,11 +34,9 @@ import numpy as np
 
 __all__ = [
     "MajorantSeries",
-    "FlowResult",
     "eval_series",
     "derivative",
     "gamma_constant",
-    "flow",
     "flow_time",
     "guaranteed_time",
     "apply_majorant_operator",
@@ -57,11 +52,6 @@ DEFAULT_FLOOR = 1e-12
 #: shipped fields was 9.5e-14 relative), and so must the rounding of the
 #: closed forms for a one-term field (under 1e-13 relative).
 FLOW_TIME_SLACK = 1e-12
-
-# ``flow``: absolute step tolerance, blow-up magnitude and step budget.
-_FLOW_ATOL = 1e-14
-_FLOW_CAP = 1e12
-_FLOW_MAX_STEPS = 200_000
 
 
 @dataclass(frozen=True)
@@ -86,24 +76,6 @@ class MajorantSeries:
         return self.coeffs.size == 0 or not self.coeffs.any()
 
 
-@dataclass(frozen=True)
-class FlowResult:
-    """Outcome of integrating ``dz/ds = (+/-) X(z)``.
-
-    ``status`` is ``"completed"`` or ``"blew_up"``.  ``time_reached`` is the
-    (unsigned) arc length actually covered; for a completed flow it equals
-    ``|t|``.
-    """
-
-    value: complex
-    time_reached: float
-    status: str
-
-    @property
-    def completed(self) -> bool:
-        return self.status == "completed"
-
-
 def eval_series(series: MajorantSeries, z: float) -> float:
     """Evaluate the finite sum ``sum_p coeffs[p] z^p`` at ``z >= 0``.
 
@@ -116,9 +88,8 @@ def eval_series(series: MajorantSeries, z: float) -> float:
     return _polyval(series.coeffs, float(z))
 
 
-def _polyval(coeffs: np.ndarray | list[float], z: complex) -> complex:
-    # Horner on the raw coefficient array or list; accepts complex arguments
-    # for internal flow use.
+def _polyval(coeffs: np.ndarray | list[float], z: float) -> float:
+    # Horner on the raw coefficient array or list
     acc = 0.0
     for c in coeffs[::-1]:
         acc = acc * z + c
@@ -161,60 +132,8 @@ def gamma_constant(r: float, R: float, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Flows of X(z) d/dz
+# Flow times of X(z) d/dz
 # ---------------------------------------------------------------------------
-
-
-def flow(
-    X: MajorantSeries,
-    t: float,
-    z0: complex,
-    *,
-    rtol: float = 1e-10,
-    direction: complex | None = None,
-) -> FlowResult:
-    """Integrate ``dz/ds = lambda X(z)`` for ``s`` in ``[0, |t|]``.
-
-    For real ``t`` the direction ``lambda`` is ``sign(t)``; a complex unit
-    ``direction`` together with ``t = |tau|`` realises the flow along a
-    complex time ray.  SciPy's DOP853 (Hairer, Norsett & Wanner, *Solving
-    Ordinary Differential Equations I*, II.10) integrates ``(Re z, Im z)``
-    with relative tolerance ``rtol``.  The flow stops with status
-    ``blew_up`` once ``|z|`` exceeds ``_FLOW_CAP``, and also when DOP853
-    gives up (step size too small or step budget spent), which a finite-time
-    blow-up can cause before ``|z|`` reaches the cap.
-    """
-    if direction is None:
-        lam: complex = 1.0 if t >= 0 else -1.0
-    else:
-        lam = direction / abs(direction)
-        if isinstance(lam, complex) and lam.imag == 0.0:
-            lam = lam.real
-    total = abs(t)
-    complex_mode = isinstance(z0, complex) or isinstance(lam, complex)
-    z = complex(z0) if complex_mode else float(z0)
-    if total == 0.0 or X.is_zero:
-        return FlowResult(value=z, time_reached=total, status="completed")
-
-    from scipy.integrate import ode
-
-    coeffs = X.coeffs
-
-    def rhs(s, y):
-        v = lam * _polyval(coeffs, complex(y[0], y[1]))
-        return [v.real, v.imag]
-
-    solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=_FLOW_ATOL, nsteps=_FLOW_MAX_STEPS)
-    solver.set_solout(lambda s, y: -1 if math.hypot(y[0], y[1]) > _FLOW_CAP else 0)
-    solver.set_initial_value([z.real, z.imag], 0.0)
-    with warnings.catch_warnings():
-        # a give-up is reported through the status below
-        warnings.filterwarnings("ignore", "dop853: ", UserWarning)
-        y = solver.integrate(total)
-    value = complex(y[0], y[1]) if complex_mode else float(y[0])
-    if solver.get_return_code() != 1:
-        return FlowResult(value=value, time_reached=float(solver.t), status="blew_up")
-    return FlowResult(value=value, time_reached=total, status="completed")
 
 
 def quad(func, a, b, **kwargs):

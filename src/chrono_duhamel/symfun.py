@@ -42,7 +42,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -52,7 +52,6 @@ __all__ = [
     "VectorNorm",
     "SymTensor",
     "SymFunctional",
-    "eval_homogeneous",
     "coefficient_l1",
     "eval_series",
     "majorant_of",
@@ -212,28 +211,6 @@ class SymTensor:
         if (self.degree, self.dim, self.codomain_dim) != (other.degree, other.dim, other.codomain_dim):
             raise ValueError("tensor shape mismatch")
         return SymTensor(self.degree, self.dim, self.coeffs + other.coeffs)
-
-
-def contract_slot(f: SymTensor, vec: np.ndarray) -> SymTensor:
-    """Polarized evaluation with one argument fixed: a degree-(p-1) tensor."""
-    if f.degree == 0:
-        raise ValueError("cannot contract a degree-0 tensor")
-    vec = np.asarray(vec, dtype=float)
-    ext = extend_table(f.dim, f.degree - 1)  # (n_{p-1}, d) ranks into degree p
-    return SymTensor(f.degree - 1, f.dim, f.coeffs[:, ext] @ vec)
-
-
-def eval_homogeneous(f: SymTensor, args: Sequence[np.ndarray]) -> np.ndarray:
-    """Fully symmetric multilinear evaluation on ``degree`` argument vectors."""
-    if len(args) != f.degree:
-        raise ValueError(f"expected {f.degree} arguments, got {len(args)}")
-    for v in args:
-        if np.asarray(v).shape != (f.dim,):
-            raise ValueError("argument dimension mismatch")
-    g = f
-    for v in args:
-        g = contract_slot(g, v)
-    return g.coeffs[:, 0].copy()
 
 
 def monomials(X: np.ndarray, degree: int) -> np.ndarray:

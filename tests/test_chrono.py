@@ -18,7 +18,7 @@ from chrono_duhamel.chrono import (
     transport_majorant,
     tree_expand,
 )
-from chrono_duhamel.dynamics import NonlinearitySpec, evolve, lagrange_duhamel_V
+from chrono_duhamel.dynamics import NonlinearitySpec, evolve
 from chrono_duhamel.propagator import (
     CauchyData,
     DispersionRelation,
@@ -33,13 +33,14 @@ from chrono_duhamel.symfun import (
     SymTensor,
     VectorNorm,
     coefficient_l1,
-    eval_homogeneous,
     eval_series,
     num_canonical,
 )
 
 from oracles import (
+    chart_field,
     directional_derivative,
+    eval_homogeneous,
     nested_trees_reference,
     real_dft_reference,
     rk4_transport,
@@ -154,7 +155,7 @@ def test_vdot_pointwise_consistency(nonlin):
         for _ in range(5):
             c = 0.3 * rng.standard_normal(CHART.dim)
             phi = FreeSolution(CHART.from_coords(c))
-            v = lagrange_duhamel_V(t, phi, KG1, nonlin)
+            v = chart_field(t, phi, KG1, nonlin)
             v_coords = CHART.coords_of(v)
             lhs = eval_series(out, c)[0]
             rhs = directional_derivative(f, c, v_coords)[0]
@@ -170,7 +171,7 @@ def test_vertex_tensor_matches_field_on_diagonal():
     V3 = vertex_tensors(CHART, CUBIC, t)[3]
     c = 0.4 * rng.standard_normal(CHART.dim)
     phi = FreeSolution(CHART.from_coords(c))
-    expected = CHART.coords_of(lagrange_duhamel_V(t, phi, KG1, CUBIC))
+    expected = CHART.coords_of(chart_field(t, phi, KG1, CUBIC))
     np.testing.assert_allclose(eval_diagonal(V3, c), expected, rtol=1e-10, atol=1e-13)
 
 
@@ -944,7 +945,7 @@ def test_transport_majorant_dominates_field_norm(chart):
         for _ in range(5):
             c = rng.uniform(0.05, 2.0) * rng.standard_normal(chart.dim)
             phi = FreeSolution(chart.from_coords(c))
-            v = lagrange_duhamel_V(float(t), phi, chart.disp, MIXED)
+            v = chart_field(float(t), phi, chart.disp, MIXED)
             assert norm(chart.coords_of(v)) <= series_eval(X, norm(c)) * (1 + 1e-10)
 
 

@@ -5,17 +5,16 @@ import types
 
 import numpy as np
 import pytest
-from oracles import rk4_chart_evolve
+from oracles import green_apply, rk4_chart_evolve, strang_evolve
 from scipy.integrate import simpson, trapezoid
 
 import chrono_duhamel.dynamics as dyn
 from chrono_duhamel.dynamics import (
     DivergenceError,
+    EvolutionState,
     NonlinearitySpec,
     duhamel_residual,
     evolve,
-    lagrange_duhamel_V,
-    strang_evolve,
     trajectory_csv,
 )
 from chrono_duhamel.propagator import (
@@ -25,7 +24,6 @@ from chrono_duhamel.propagator import (
     cau_norm,
     _field,
     _wave_factors,
-    green_apply,
     make_free_solution,
     propagate,
     sample_at,
@@ -116,11 +114,22 @@ def test_trace_identity():
 # ---------------------------------------------------------------------------
 
 
+def field_at(t, phi, disp, nonlin):
+    """The program's chart field at the free solution ``phi`` at time ``t``, as Cauchy data.
+
+    ``dyn._field_samples`` on the one-node trajectory ``phi`` at ``t``, its
+    modes taken back to fields (real ones for the second-order kind).
+    """
+    _, _, v = dyn._field_samples([EvolutionState(phi, t, disp, nonlin)])
+    grid = phi.chart_data.grid
+    return CauchyData(grid, *_field(grid, v[0], disp.second_order), 0.0)
+
+
 def test_field_vanishes_without_nonlinearity():
     rng = np.random.default_rng(3)
     phi = make_free_solution(KG1, random_data(rng))
-    v = lagrange_duhamel_V(0.7, phi, KG1, ZERO_N)
-    assert not v.chart_data.psi.any() and not v.chart_data.chi.any()
+    v = field_at(0.7, phi, KG1, ZERO_N)
+    assert not v.psi.any() and not v.chi.any()
 
 
 def test_field_linear_nonlinearity_single_mode():
@@ -128,18 +137,18 @@ def test_field_linear_nonlinearity_single_mode():
     lin = NonlinearitySpec({1: 1.0})
     wave = np.cos(GRID.xi[2] * GRID.x)
     phi = make_free_solution(KG1, CauchyData(GRID, wave, np.zeros(GRID.M), 0.0))
-    v = lagrange_duhamel_V(0.0, phi, KG1, lin)
+    v = field_at(0.0, phi, KG1, lin)
     expect = green_apply(KG1, GRID, 0.0, wave)
-    np.testing.assert_allclose(v.chart_data.psi, expect.chart_data.psi, atol=1e-13)
-    np.testing.assert_allclose(v.chart_data.chi, expect.chart_data.chi, atol=1e-13)
+    np.testing.assert_allclose(v.psi, expect.chart_data.psi, atol=1e-13)
+    np.testing.assert_allclose(v.chi, expect.chart_data.chi, atol=1e-13)
 
 
 def test_field_cubic_constant_field():
     c = 0.3
     phi = make_free_solution(KG1, CauchyData(GRID, c * np.ones(GRID.M), np.zeros(GRID.M), 0.0))
-    v = lagrange_duhamel_V(0.0, phi, KG1, CUBIC)
-    np.testing.assert_allclose(v.chart_data.psi, 0.0, atol=1e-14)
-    np.testing.assert_allclose(v.chart_data.chi, c**3 * np.ones(GRID.M), atol=1e-14)
+    v = field_at(0.0, phi, KG1, CUBIC)
+    np.testing.assert_allclose(v.psi, 0.0, atol=1e-14)
+    np.testing.assert_allclose(v.chi, c**3 * np.ones(GRID.M), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +236,6 @@ def test_residual_free_dynamics_vanishes():
 def test_residual_free_trajectory_with_cubic_field_is_nonzero():
     # feeding an exact free solution as "trajectory" of the cubic equation:
     # the residual equals the norm of the integral term
-    from chrono_duhamel.dynamics import EvolutionState
     from chrono_duhamel.propagator import FreeSolution
 
     data = benchmark_data(GRID, amp=0.3)
@@ -271,8 +279,6 @@ def test_evolve_vs_strang_agreement():
 def test_strang_solution_satisfies_duhamel_identity():
     # push the independent solution onto free solutions; its Duhamel residual
     # must be at the Strang integrator's own accuracy
-    from chrono_duhamel.dynamics import EvolutionState
-
     data = benchmark_data(GRID)
     dt = 0.01
     states = strang_evolve(data, 0.0, 1.0, dt, KG1, CUBIC)
@@ -445,14 +451,11 @@ def test_evolve_matches_per_node_reference(disp, t1, t2, nonlin):
 
 @REFERENCE_CASES
 def test_batched_field_equals_lagrange_duhamel_V_node_by_node(disp, t1, t2, nonlin):
+    # each row of the batched field is the one-node kernel call on its node, bit for bit
     traj = evolve(reference_data(disp, t1), t1, t2, 0.05, disp, nonlin)
     _, _, v = dyn._field_samples(traj)
     for st, vi in zip(traj, v, strict=True):
-        single = lagrange_duhamel_V(st.time, st.current, disp, nonlin).chart_data
-        fields = _field(GRID, vi, disp.second_order)
-        np.testing.assert_array_equal(fields[0], single.psi)
-        if disp.second_order:
-            np.testing.assert_array_equal(fields[1], single.chi)
+        np.testing.assert_array_equal(vi, dyn._field_samples([st])[2][0])
 
 
 def chart_factors(disp, grid, t):

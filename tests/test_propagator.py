@@ -11,7 +11,6 @@ from chrono_duhamel.propagator import (
     _fft,
     _ifft,
     energy,
-    green_apply,
     load_snapshot,
     make_free_solution,
     propagate,
@@ -19,6 +18,8 @@ from chrono_duhamel.propagator import (
     cau_norm,
     save_snapshot,
 )
+
+from oracles import green_apply
 
 GRID = Grid(16, 2 * np.pi)
 KG1 = DispersionRelation("klein_gordon", 1.0)

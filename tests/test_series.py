@@ -17,11 +17,12 @@ from chrono_duhamel.series import (
     apply_majorant_operator,
     derivative,
     eval_series,
-    flow,
     flow_time,
     gamma_constant,
     guaranteed_time,
 )
+
+from oracles import flow
 
 
 # ---------------------------------------------------------------------------

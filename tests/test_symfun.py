@@ -19,9 +19,7 @@ from chrono_duhamel.symfun import (
     _rank_map,
     coefficient_l1,
     compose_first_slot,
-    contract_slot,
     eval_diagonal,
-    eval_homogeneous,
     eval_series,
     extend_table,
     load_tensor,
@@ -32,7 +30,7 @@ from chrono_duhamel.symfun import (
     save_tensor,
 )
 
-from oracles import canonical_indices, directional_derivative, polarize
+from oracles import canonical_indices, contract_slot, directional_derivative, eval_homogeneous, polarize
 
 
 def random_tensor(rng, d, p, codomain_dim=1, scale=1.0):
