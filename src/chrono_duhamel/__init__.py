@@ -4,8 +4,8 @@ The package is organised around five layers:
 
 ``series``
     One-variable majorant calculus: power series with nonnegative
-    coefficients, the flow times ``int dz/X(z)`` of their fields,
-    comparison constants and the guaranteed transport window.
+    coefficients, the flow times ``int dz/X(z)`` of their fields and the
+    radii those flows reach, and comparison constants.
 ``symfun``
     Symmetric multilinear algebra on a finite-dimensional state space:
     homogeneous polynomial maps, polarization, the coefficient-l1 tensor
@@ -19,8 +19,8 @@ The package is organised around five layers:
     integrator and Duhamel-residual diagnostics.
 ``chrono``
     The time-ordered exponential acting on functionals, its Feynman-tree
-    expansion, the invariance diagnostic and the certified convergence
-    window.
+    expansion, the invariance diagnostic, and the window certificate built
+    from the field ``X`` and the functional's majorant.
 """
 
 __version__ = "0.1.0"

@@ -70,8 +70,7 @@ from .propagator import (
 from .series import (
     DEFAULT_FLOOR,
     MajorantSeries,
-    _single_term,
-    _single_term_radius,
+    _flow_radius,
     eval_series as series_eval,
     flow_time,
 )
@@ -112,9 +111,6 @@ PICARD_MAX_SWEEPS = 40
 # floats (2 MB), and at least one node each, so a chunk's arrays stay within what a single
 # node needs when composed alone (3.2e6 floats for the cubic's degree-5 sweep at M=16)
 _CHUNK_FLOATS = 1 << 18
-
-# brentq tolerances in log r' for the certified radius (rtol at brentq's floor)
-_RADIUS_XTOL, _RADIUS_RTOL = 1e-14, 4 * np.finfo(float).eps
 
 # Gauss-Legendre nodes per simplex dimension of a tree's nested time integral
 _QUAD_ORDER = 8
@@ -769,8 +765,6 @@ def invariance_scan(
 
 @dataclass(frozen=True)
 class CertificationRecord:
-    radius_in: float
-    span: float
     certified_radius: float
     window_ok: bool
     f_majorant_at_R: float
@@ -823,45 +817,22 @@ def certify_window(
     The window holds when the backward flow from ``R`` stays above ``floor``
     over the span, that is when ``flow_time(X, floor, R) > |T|``; otherwise
     ``measured_window`` is that flow time (0 when ``floor >= R``).  The
-    certified radius ``r' = e^{-|T| X}(R)`` is taken in closed form when
-    ``X = c z^k`` has one nonzero coefficient; for any other ``X`` it solves
-    ``flow_time(X, r', R) = |T|`` by SciPy's ``brentq`` in ``log r'``,
-    imported on first use.  Either way ``r'`` lies below the exact
-    endpoint.  When a concretely transported functional's majorant is
-    supplied, additionally checks the norm contraction
-    ``[[U f]](r') <= [[f]](R)``.
+    certified radius ``r' = e^{-|T| X}(R)`` is ``series._flow_radius``: a
+    closed form for a one-term ``X``, a root of the flow time for any other,
+    and either way below the exact endpoint.  When a concretely transported
+    functional's majorant is supplied, additionally checks the norm
+    contraction ``[[U f]](r') <= [[f]](R)``.
     """
     T = abs(T)
     f_at_R = series_eval(f_majorant, R)
-    record = dict(radius_in=R, span=T, f_majorant_at_R=f_at_R)
     t_floor = flow_time(X, floor, R) if floor < R else 0.0
     if t_floor <= T:
-        return CertificationRecord(
-            **record, certified_radius=0.0, window_ok=False, measured_window=t_floor
-        )
-    if T == 0.0 or X.is_zero:
-        r_prime = R
-    elif (term := _single_term(X)) is not None:
-        r_prime = _single_term_radius(*term, R, T)
-    else:
-        from scipy.optimize import brentq
-
-        u = brentq(
-            lambda u: flow_time(X, min(math.exp(u), R), R) - T,
-            math.log(floor),
-            math.log(R),
-            xtol=_RADIUS_XTOL,
-            rtol=_RADIUS_RTOL,
-        )
-        # the root of the quadrature lies within xtol + rtol |u| of u; the
-        # lower end of that interval keeps r' at or below the exact flow
-        r_prime = math.exp(u - (_RADIUS_XTOL + _RADIUS_RTOL * abs(u)))
-    record.update(certified_radius=r_prime, window_ok=True)
-    if uf_majorant is not None:
-        uf_val = series_eval(uf_majorant, r_prime)
-        record["uf_majorant_at_radius"] = uf_val
-        record["transport_ok"] = bool(uf_val <= f_at_R * (1 + 1e-12))
-    return CertificationRecord(**record)
+        return CertificationRecord(0.0, False, f_at_R, measured_window=t_floor)
+    r_prime = _flow_radius(X, R, T, floor)
+    if uf_majorant is None:
+        return CertificationRecord(r_prime, True, f_at_R)
+    uf_val = series_eval(uf_majorant, r_prime)
+    return CertificationRecord(r_prime, True, f_at_R, None, uf_val, bool(uf_val <= f_at_R * (1 + 1e-12)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ the data pulled back to t = 0 that the certificate's radii bound; ``propagate.cs
 Two cells are non-finite by design: ``energy`` is ``nan`` on every row of ``propagate.csv`` and
 ``trajectory.csv`` for the Schrodinger kind, whose energy is defined for Klein-Gordon only, and
 ``certify.csv``'s ``guaranteed_time`` is ``inf`` for a zero nonlinearity, whose field never moves
-the radius.  Exit status: 0 success, 1 numerical failure, 2 configuration error (a bad command
-line or config, an unreadable input or unwritable output path); each prints one line.
+the radius.  A config has one window certificate, shared by ``invariance`` and ``certify``: its field
+is ``[tolerances] x_coeffs`` when given, else the transport majorant, and its flow floor is the fixed
+``series.DEFAULT_FLOOR``.  Exit status: 0 success, 1 numerical failure, 2 configuration error (a bad
+command line or config, an unreadable input or unwritable output path); each prints one line.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
     "tolerances": {
         "s": "0.0",
         "m_ref": "1.0",
-        "flow_floor": "1e-12",
         "certify_radius": "0.2",
         "certify_floor": "0.05",
         "x_coeffs": "",
@@ -210,6 +211,8 @@ class RunConfig:
                     )
             if (data.chi is None) == disp.second_order:
                 raise ConfigError(f"initial data file {path!r} has the wrong traces for {disp.kind}")
+            if not all(np.all(np.isfinite(trace)) for trace in (data.psi, data.chi) if trace is not None):
+                raise ConfigError(f"initial data file {path!r} has non-finite traces")
             return data
         amp = self._get("initial", "amplitude", float)
         if kind == "cosine":
@@ -320,14 +323,17 @@ def cmd_evolve(cfg: RunConfig, out: str) -> None:
         propagator.save_snapshot(last.disp, snap, os.path.join(out, "final_field.csv"))
 
 
-def _window_tolerances(cfg: RunConfig, command: str) -> tuple[float, float]:
-    """(certify_radius, flow_floor) of a command that certifies a window."""
-    R, floor = cfg.tol("certify_radius"), cfg.tol("flow_floor")
+def _window_tolerances(cfg: RunConfig, command: str) -> tuple[float, series.MajorantSeries | None]:
+    """(certify_radius, x_coeffs or None) of a command that certifies a window, checked up front."""
+    R = cfg.tol("certify_radius")
     if not R > 0:
         raise ConfigError(f"{command} needs [tolerances] certify_radius > 0")
-    if not floor > 0:
-        raise ConfigError(f"{command} needs [tolerances] flow_floor > 0")
-    return R, floor
+    if not cfg.raw["tolerances"]["x_coeffs"]:
+        return R, None
+    try:
+        return R, series.MajorantSeries(cfg._floats("tolerances", "x_coeffs"))
+    except ValueError as exc:
+        raise ConfigError(f"bad x_coeffs: {exc}") from exc
 
 
 def _chart(cfg: RunConfig) -> chrono.ChartMap:
@@ -336,9 +342,20 @@ def _chart(cfg: RunConfig) -> chrono.ChartMap:
     return chrono.ChartMap(cfg.grid, cfg.disp, *cfg.norm_weights)
 
 
+def _certificate(
+    cfg: RunConfig, R: float, X: series.MajorantSeries | None, chart: chrono.ChartMap, f: symfun.SymFunctional
+) -> tuple[float, series.MajorantSeries, chrono.CertificationRecord]:
+    """(R, X, record) of the window certificate of ``f`` over [t1, t2], from the checked
+    ``_window_tolerances``: ``X`` is x_coeffs when given, else the transport majorant."""
+    t1, t2, _ = cfg.times
+    if X is None:
+        X = chrono.transport_majorant(cfg.nonlin, chart, np.array([t1, t2]))
+    return R, X, chrono.certify_window(symfun.majorant_of(f), X, R, abs(t2 - t1))
+
+
 def cmd_invariance(cfg: RunConfig, out: str) -> None:
     t1, t2, steps = _time_grid(cfg, "invariance")
-    R, floor = _window_tolerances(cfg, "invariance")
+    window = _window_tolerances(cfg, "invariance")
     substeps = cfg.tol("substeps", int)
     if substeps < 1:
         raise ConfigError("invariance needs [tolerances] substeps >= 1")
@@ -347,12 +364,11 @@ def cmd_invariance(cfg: RunConfig, out: str) -> None:
     cap = cfg._get("caps", "degree_cap", int)
     if cap < f.max_degree:
         raise ConfigError(f"invariance needs [caps] degree_cap >= {f.max_degree}, the functional's degree")
+    _, _, rec = _certificate(cfg, *window, chart, f)
     traj = _trajectory(cfg, t1, t2, steps)
     times, values, drift, events = chrono.invariance_scan(
         f, traj, t1, t2, chart, substeps=substeps, cap=cap
     )
-    X = chrono.transport_majorant(cfg.nonlin, chart, np.array([t1, t2]))
-    rec = chrono.certify_window(symfun.majorant_of(f), X, R, abs(t2 - t1), floor=floor)
     _write_csv(
         os.path.join(out, "invariance.csv"),
         *chrono.invariance_csv(times, values, rec.certified_radius, events),
@@ -363,23 +379,15 @@ def cmd_invariance(cfg: RunConfig, out: str) -> None:
 
 def cmd_certify(cfg: RunConfig, out: str) -> None:
     t1, t2, _ = cfg.times
-    R, floor = _window_tolerances(cfg, "certify")
-    if not 0 < cfg.tol("certify_floor") < R:
+    window = _window_tolerances(cfg, "certify")
+    floor = cfg.tol("certify_floor")
+    if not 0 < floor < window[0]:
         raise ConfigError("certify needs 0 < [tolerances] certify_floor < certify_radius")
     chart = _chart(cfg)
-    f = cfg.functional(chart)
-    if cfg.raw["tolerances"]["x_coeffs"]:
-        try:
-            X = series.MajorantSeries(cfg._floats("tolerances", "x_coeffs"))
-        except ValueError as exc:
-            raise ConfigError(f"bad x_coeffs: {exc}") from exc
-    else:
-        X = chrono.transport_majorant(cfg.nonlin, chart, np.array([t1, t2]))
-    t_bar = series.guaranteed_time(X, R, cfg.tol("certify_floor"))
-    span = abs(t2 - t1)
-    rec = chrono.certify_window(symfun.majorant_of(f), X, R, span, floor=floor)
+    R, X, rec = _certificate(cfg, *window, chart, cfg.functional(chart))
+    t_bar = series.guaranteed_time(X, R, floor)
     lines = [
-        f"{R!r},{span!r},{rec.certified_radius!r},{int(rec.window_ok)},"
+        f"{R!r},{abs(t2 - t1)!r},{rec.certified_radius!r},{int(rec.window_ok)},"
         f"{float(rec.f_majorant_at_R)!r},{t_bar!r}"
     ]
     _write_csv(
@@ -519,7 +527,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (dynamics.DivergenceError, FloatingPointError, MemoryError, OverflowError) as exc:
+    except (FloatingPointError, MemoryError, OverflowError) as exc:
         # a MemoryError usually carries no message: name the exception instead
         detail = str(exc) or type(exc).__name__
         print(f"numerical failure in {command}: {detail}", file=sys.stderr)

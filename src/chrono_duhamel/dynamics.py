@@ -57,7 +57,6 @@ from .propagator import (
 __all__ = [
     "NonlinearitySpec",
     "EvolutionState",
-    "DivergenceError",
     "evolve",
     "duhamel_residual",
     "trajectory_csv",
@@ -66,10 +65,6 @@ __all__ = [
 
 # the complex 0.0 that starts the sum over the K rows of a chart block
 _ZERO = np.zeros((), complex)
-
-
-class DivergenceError(RuntimeError):
-    """Raised when field values overflow during time stepping."""
 
 
 def _power_by_products(u, bits, out):
@@ -283,7 +278,7 @@ def evolve(
     ``_source`` rounds where the computed ``kappa(0)`` is zero, else four.
     The loop allocates nothing; the states' rows are rows of one read-only
     array.  Node ``i`` sits at ``t1 + i h``; the loop stops at the first step
-    whose modes are not finite, and ``DivergenceError`` names the first step
+    whose modes are not finite, and ``FloatingPointError`` names the first step
     whose fields are not finite.
     """
     n, h = _steps(initial, t1, t2, dt)
@@ -294,7 +289,7 @@ def evolve(
         return out
     modes, real = _chart_modes(disp, [chart])
     c = modes[0]
-    # a huge span overflows the factors and nodes, which DivergenceError reports
+    # a huge span overflows the factors and nodes, which FloatingPointError reports
     with np.errstate(over="ignore", invalid="ignore"):
         fwd, back = _chart_factors(disp, grid, t1 + h / 2 * np.arange(2 * n + 1))
         # dc/dt = -Vbar_t(c): the sign and the RK4 weights ride on the factors of A_{-t}
@@ -338,7 +333,7 @@ def evolve(
     finite = np.all(np.isfinite(nodes), axis=(1, 2)) & np.all(np.isfinite(fields), axis=(1, 2))
     if not finite.all():
         step = int(np.argmin(finite)) + 1
-        raise DivergenceError(f"field values diverged at step {step} (t = {t1 + step * h})")
+        raise FloatingPointError(f"field values diverged at step {step} (t = {t1 + step * h})")
     fields.setflags(write=False)
     for step, f in enumerate(fields, 1):
         data = FreeSolution(CauchyData._frozen(grid, *f))
@@ -401,13 +396,13 @@ def _guarded_divide(a, b):
 
 
 def _prefix_simpson(times, v):
-    """``scipy.integrate.simpson(v[:n], x=times[:n], axis=0)`` for every ``n = 3 .. len(times)``, stacked.
+    """SciPy's ``simpson(v[:n], x=times[:n], axis=0)`` for every ``n = 3 .. len(times)``, stacked.
 
     SciPy's composite Simpson sum over ``n`` nodes adds one term per node
     pair ``(2j, 2j + 1, 2j + 2)`` that does not depend on ``n``; an even
     ``n`` stops one pair short and adds Cartwright's correction for its
     last interval.  The pair terms are formed once, term for term as
-    ``scipy.integrate._quadrature._basic_simpson`` forms them, and summed
+    SciPy's private ``_basic_simpson`` forms them, and summed
     cumulatively, so one pass gives every row with SciPy's bits.  The added
     ``0.0`` gives a zero sum SciPy's ``+0.0``.
     """

@@ -350,8 +350,7 @@ def load_snapshot(path: str) -> tuple[DispersionRelation, CauchyData]:
                 psi.append(complex(float(p), float(c)))
             else:
                 psi.append(float(p))
-                chi.append(float(c) if c else None)
+                chi.append(float(c))
     grid = Grid(header["M"], header["Lx"])
     disp = DispersionRelation(header["kind"], header["m"])
-    chi_arr = None if first_order or chi[0] is None else np.array(chi)
-    return disp, CauchyData(grid, np.array(psi), chi_arr, header["t"])
+    return disp, CauchyData(grid, np.array(psi), None if first_order else np.array(chi), header["t"])

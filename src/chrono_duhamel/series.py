@@ -13,11 +13,12 @@ series acts in two ways:
 
 On the positive axis ``X`` is positive, so the backward flow from ``R``
 reaches ``r`` after ``T(r) = int_r^R dz / X(z)``: ``flow_time`` turns ``X``
-into every flow time the certificate uses.  For a single power
+into every flow time the certificate uses, and ``_flow_radius`` into the
+radius the flow reaches over a given time.  For a single power
 ``X = c z^k`` (the cubic Klein-Gordon majorant, for one) ``T`` and its
 inverse have closed forms; any other ``X`` is integrated by SciPy's
-``quad``.  SciPy is imported only inside ``quad``, so a one-term majorant
-never loads it.
+``quad`` and inverted by its ``brentq``.  SciPy is imported only inside
+``quad`` and ``_flow_radius``, so a one-term majorant never loads it.
 
 All series here are treated as exact polynomials: every stored
 coefficient is meaningful and no tail is implied.
@@ -52,6 +53,9 @@ DEFAULT_FLOOR = 1e-12
 #: shipped fields was 9.5e-14 relative), and so must the rounding of the
 #: closed forms for a one-term field (under 1e-13 relative).
 FLOW_TIME_SLACK = 1e-12
+
+# brentq tolerances in log r for the radius of a many-term flow (rtol at brentq's floor)
+_RADIUS_XTOL, _RADIUS_RTOL = 1e-14, 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -176,28 +180,6 @@ def _single_term_time(k: int, c: float, r: float, R: float) -> float:
     return -math.expm1(p * log_ratio) * (R if k == 0 else r ** (1 - k)) / (p * c)
 
 
-def _single_term_radius(k: int, c: float, R: float, T: float) -> float:
-    """Radius the backward flow of ``X = c z^k`` reaches from ``R``, in closed form.
-
-    Like the root of ``flow_time(X, r', R) = T``, it is the exact endpoint of
-    the longer time ``t = T / (1 - FLOW_TIME_SLACK)``: ``R e^{-ct}`` for
-    ``k = 1``, else ``(R^(1-k) + (k-1) c t)^(1/(1-k))`` (``ct < R`` for
-    ``k = 0``).  The factor ``1 - FLOW_TIME_SLACK`` then keeps it below the
-    exact endpoint of ``T`` through rounding: the closed form is off by under
-    1e-13 relative, or for ``k = 0`` by a few ulp of ``R``, which the two
-    slacks together cover with ``FLOW_TIME_SLACK R``.
-    """
-    t = T / (1.0 - FLOW_TIME_SLACK)
-    try:
-        if k == 1:
-            radius = R * math.exp(-c * t)
-        else:
-            radius = (R ** (1 - k) + (k - 1) * c * t) ** (1 / (1 - k))
-    except OverflowError:
-        raise FloatingPointError(f"the flow of {c!r} z^{k} from {R!r} overflows over {T!r}") from None
-    return radius * (1.0 - FLOW_TIME_SLACK)
-
-
 def _underflow(r: float, R: float) -> FloatingPointError:
     return FloatingPointError(
         f"the field underflows to 0 between the floor {r!r} and {R!r}: no flow time to the floor"
@@ -253,6 +235,44 @@ def flow_time(X: MajorantSeries, r: float, R: float) -> float:
             f"flow time quadrature error {err:.3e} exceeds the slack on {value:.17g}"
         )
     return value * (1.0 - FLOW_TIME_SLACK)
+
+
+def _flow_radius(X: MajorantSeries, R: float, T: float, floor: float) -> float:
+    """Radius ``e^{-TX}(R)`` the backward flow reaches from ``R`` over ``T >= 0``, below the exact one.
+
+    The caller has checked ``flow_time(X, floor, R) > T``; a zero span or field gives ``R``.  For
+    ``X = c z^k`` it is the closed-form endpoint of the longer time ``t = T / (1 - FLOW_TIME_SLACK)``,
+    ``R e^{-ct}`` for ``k = 1``, else ``(R^(1-k) + (k-1) c t)^(1/(1-k))``, times ``1 - FLOW_TIME_SLACK``:
+    the two slacks cover the closed form's error, under 1e-13 relative or, for ``k = 0``, a few ulp
+    of ``R``.  Any other ``X`` solves ``flow_time(X, r, R) = T`` by SciPy's ``brentq`` in ``log r``,
+    imported on first use, and takes the lower end of the root's tolerance.
+    """
+    if T == 0.0 or X.is_zero:
+        return R
+    term = _single_term(X)
+    if term is not None:
+        k, c = term
+        t = T / (1.0 - FLOW_TIME_SLACK)
+        try:
+            if k == 1:
+                radius = R * math.exp(-c * t)
+            else:
+                radius = (R ** (1 - k) + (k - 1) * c * t) ** (1 / (1 - k))
+        except OverflowError:
+            raise FloatingPointError(f"the flow of {c!r} z^{k} from {R!r} overflows over {T!r}") from None
+        return radius * (1.0 - FLOW_TIME_SLACK)
+    from scipy.optimize import brentq
+
+    u = brentq(
+        lambda u: flow_time(X, min(math.exp(u), R), R) - T,
+        math.log(floor),
+        math.log(R),
+        xtol=_RADIUS_XTOL,
+        rtol=_RADIUS_RTOL,
+    )
+    # the root of the quadrature lies within xtol + rtol |u| of u; the
+    # lower end of that interval keeps the radius at or below the exact flow
+    return math.exp(u - (_RADIUS_XTOL + _RADIUS_RTOL * abs(u)))
 
 
 def guaranteed_time(X: MajorantSeries, R: float, floor: float) -> float:

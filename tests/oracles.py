@@ -22,7 +22,6 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from chrono_duhamel.chrono import DEFAULT_DEGREE_CAP
-from chrono_duhamel.dynamics import DivergenceError
 from chrono_duhamel.propagator import CauchyData, FreeSolution, make_free_solution, propagate, sample_at
 from chrono_duhamel.symfun import (
     SymFunctional,
@@ -70,7 +69,7 @@ def strang_evolve(initial, t1, t2, dt, disp, nonlin):
             data = CauchyData(data.grid, _kick_rk4(data.psi, h, nonlin), None, data.t)
         data = propagate(disp, data, t1 + (step + 1) * h)
         if not np.all(np.isfinite(data.psi)):
-            raise DivergenceError(f"field values diverged at step {step + 1}")
+            raise FloatingPointError(f"field values diverged at step {step + 1}")
         out.append(data)
     return out
 

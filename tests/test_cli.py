@@ -39,6 +39,9 @@ SNAPSHOTS = {
     "garbage.csv": "not a snapshot\n",
     "no_rows.csv": snapshot_text()[: snapshot_text().index("x,psi")],
     "no_chi.csv": snapshot_text().replace(",0.0\n", ",\n"),
+    "partial_chi.csv": snapshot_text().replace(",0.0\n", ",\n").replace(",\n", ",0.0\n", 1),
+    "nan.csv": snapshot_text().replace(",0.01,", ",nan,", 1),
+    "inf.csv": snapshot_text().replace(",0.0\n", ",inf\n", 1),
 }
 
 
@@ -70,6 +73,9 @@ steps = 10
 degree_cap = 3
 tree_order = 1
 """
+
+# t_point = 1e300 overflows the functional's sampling rows; a [tolerances] line follows
+OVERFLOWING_ROWS = "[grid]\nm = 4\nlx = 1e-110\n[functional]\nt_point = 1e300\n[tolerances]\n"
 
 
 def test_evolve_free_dynamics_constant_norms(tmp_path):
@@ -115,24 +121,22 @@ certify_floor = 0.5
     assert float(vals[5]) == pytest.approx(0.75, rel=1e-6)  # guaranteed window
 
 
-def test_certify_honours_flow_floor(tmp_path):
-    # the backward flow of X = 2 z^3 from R = 1 over T = 0.25 ends at 1/sqrt(2),
-    # below a flow floor of 0.8, so no radius is certified
-    cfg = write_config(
-        tmp_path / "c.ini",
-        SMALL
-        + """
-[tolerances]
-x_coeffs = 0,0,0,2
-certify_radius = 1.0
-flow_floor = 0.8
-""",
-    )
-    out = tmp_path / "out"
-    assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
-    rows = [l for l in (out / "certify.csv").read_text().splitlines() if not l.startswith("#")]
-    vals = rows[1].split(",")
-    assert float(vals[2]) == 0.0 and vals[3] == "0"
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+@pytest.mark.parametrize(
+    "config", ["benchmark.ini", None, "certify_cubic_preset.ini"], ids=["benchmark", "defaults", "preset"]
+)
+def test_invariance_and_certify_write_one_certified_radius(tmp_path, config):
+    # both commands build the one certificate of a config; the preset's x_coeffs = 0,0,0,2
+    # from R = 1 over T = 1/4 ends just below 1/sqrt(2) in both
+    argv = ["--out", str(tmp_path)] + (["--config", os.path.join(CONFIGS, config)] if config else [])
+    for command in ("invariance", "certify"):
+        assert main([command, *argv]) == 0
+    (certified,) = {row["certified_radius"] for row in _data_rows(tmp_path / "certify.csv")}
+    assert {row["certified_radius"] for row in _data_rows(tmp_path / "invariance.csv")} == {certified}
+    if config == "certify_cubic_preset.ini":
+        assert (1 - 1e-11) / math.sqrt(2) <= float(certified) <= 1 / math.sqrt(2)
 
 
 def test_certify_over_a_span_past_any_window_certifies_nothing(tmp_path, capsys):
@@ -271,6 +275,7 @@ def test_a_failed_selftest_check_exits_1_after_the_whole_ledger(tmp_path, capsys
         ("certify", SMALL + "\n[tolerances]\ncertify_radius = -1\n"),
         ("invariance", SMALL + "\n[tolerances]\ncertify_radius = -1\n"),
         ("certify", SMALL + "\n[tolerances]\ncertify_radius = inf\n"),
+        # the flow floor is fixed: a config that still names the old field is refused
         ("certify", SMALL + "\n[tolerances]\nflow_floor = 0\n"),
         ("invariance", SMALL + "\n[tolerances]\nflow_floor = -1e-12\n"),
         ("invariance", SMALL + "\n[tolerances]\nsubsteps = 0\n"),
@@ -319,6 +324,18 @@ def test_a_failed_selftest_check_exits_1_after_the_whole_ledger(tmp_path, capsys
         ("certify", SMALL + "\n[functional]\nkind = linear_weights\nweights = a,b\n"),
         ("propagate", SMALL + "\n[dispersion]\nkind = wave\n"),
         ("evolve", SMALL + from_file("no_chi.csv")),
+        ("evolve", SMALL + from_file("partial_chi.csv")),
+        ("propagate", SMALL + from_file("partial_chi.csv")),
+        ("invariance", SMALL + from_file("partial_chi.csv")),
+        ("trees", SMALL + from_file("partial_chi.csv")),
+        ("evolve", SMALL + from_file("nan.csv")),
+        ("invariance", SMALL + from_file("nan.csv")),
+        ("evolve", SMALL + from_file("inf.csv")),
+        ("propagate", SMALL + from_file("inf.csv")),
+        ("invariance", SMALL + "\n[tolerances]\nx_coeffs = 0,-1\n"),
+        # the window's fields are checked before the functional's sampling rows overflow
+        ("invariance", OVERFLOWING_ROWS + "certify_radius = -1\n"),
+        ("certify", OVERFLOWING_ROWS + "x_coeffs = 0,-1\n"),
         ("evolve", SMALL + "\n[initial]\nkind = sine\n"),
         ("certify", SMALL + "\n[functional]\nkind = foo\n"),
         ("certify", SMALL + "\n[tolerances]\nx_coeffs = 0,-1\n"),
@@ -404,6 +421,17 @@ def test_a_failed_selftest_check_exits_1_after_the_whole_ledger(tmp_path, capsys
         "certify-unparsable-weights",
         "propagate-unknown-dispersion-kind",
         "evolve-klein-gordon-snapshot-without-chi",
+        "evolve-snapshot-with-a-partly-empty-chi",
+        "propagate-snapshot-with-a-partly-empty-chi",
+        "invariance-snapshot-with-a-partly-empty-chi",
+        "trees-snapshot-with-a-partly-empty-chi",
+        "evolve-snapshot-with-a-nan-cell",
+        "invariance-snapshot-with-a-nan-cell",
+        "evolve-snapshot-with-an-inf-cell",
+        "propagate-snapshot-with-an-inf-cell",
+        "invariance-negative-x-coeffs",
+        "invariance-negative-radius-and-overflowing-rows",
+        "certify-negative-x-coeffs-and-overflowing-rows",
         "evolve-unknown-initial-kind",
         "certify-unknown-functional-kind",
         "certify-negative-x-coeffs",
@@ -832,18 +860,19 @@ def test_float_overflow_is_a_numerical_failure(tmp_path, capsys, command, body):
 
 
 @pytest.mark.parametrize(
-    "command, floor",
+    "command, section",
     [
-        ("certify", "certify_floor = 1e-110"),
-        ("certify", "flow_floor = 1e-200"),
-        ("invariance", "flow_floor = 1e-200"),
+        ("certify", "[tolerances]\ncertify_floor = 1e-110"),
+        ("certify", "[nonlinearity]\n3 = 1e-300"),
+        ("invariance", "[nonlinearity]\n3 = 1e-300"),
     ],
     ids=["certify-floor", "certify-flow-floor", "invariance-flow-floor"],
 )
-def test_a_floor_below_the_field_s_underflow_is_a_numerical_failure(tmp_path, capsys, command, floor):
-    # both floors pass the config checks, but the cubic field X(z) underflows to 0 above
-    # them, so the flow time down to the floor cannot be taken
-    cfg = write_config(tmp_path / "c.ini", SMALL + f"\n[tolerances]\n{floor}\n")
+def test_a_floor_below_the_field_s_underflow_is_a_numerical_failure(tmp_path, capsys, command, section):
+    # the config passes its checks, but the cubic field X(z) underflows to 0 above the
+    # certify floor 1e-110, or above the fixed flow floor 1e-12 once its coefficient is
+    # 1e-300, so the flow time down to that floor cannot be taken
+    cfg = write_config(tmp_path / "c.ini", SMALL + f"\n{section}\n")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"numerical failure in {command}:") and err.count("\n") == 1

@@ -26,7 +26,6 @@ PUBLIC = {
     "dynamics": {
         "NonlinearitySpec",
         "EvolutionState",
-        "DivergenceError",
         "evolve",
         "duhamel_residual",
         "trajectory_csv",
@@ -107,6 +106,17 @@ def test_the_cli_reads_no_private_name_of_another_layer():
 def test_the_oracles_read_no_private_name_of_the_package():
     # an oracle that shares a private kernel with the code it checks is not independent
     assert _private_reads(Path(__file__).with_name("oracles.py")) == []
+
+
+def test_only_series_loads_scipy_and_reads_its_one_term_helpers():
+    # series answers both questions of the backward flow, its time and its radius: no other
+    # module imports SciPy for them, or reads the closed forms of a one-term field
+    package = Path(importlib.import_module("chrono_duhamel").__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "series":
+            continue
+        assert "scipy" not in path.read_text(), path.name
+        assert [name for name in _private_reads(path) if "._single_term" in name] == [], path.name
 
 
 def _reads(tree, skip=None):

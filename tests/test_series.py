@@ -402,6 +402,21 @@ def test_one_term_closed_form_agrees_with_the_quadrature(monkeypatch, k, ratio):
             assert flow_time(one_term(k, c), r, R) == pytest.approx(closed, rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("c, R, T", [(2.0, 1.0, 0.25), (0.3, 0.2, 0.5), (1e3, 5.0, 1e-4)])
+def test_flow_radius_closed_form_agrees_with_brentq(c, R, T):
+    # c z^3 takes the closed form; a 1e-300 z^5 term changes the field by nothing a float
+    # holds at these radii but sends it to brentq: the two radii agree, and neither passes
+    # the exact endpoint (R^-2 + 2cT)^(-1/2), where the exact time down to it is T
+    floor = series.DEFAULT_FLOOR
+    closed = series._flow_radius(one_term(3, c), R, T, floor)
+    rooted = series._flow_radius(MajorantSeries([0, 0, 0, c, 0, 1e-300]), R, T, floor)
+    assert rooted == pytest.approx(closed, rel=1e-12, abs=0)
+    for radius in (closed, rooted):
+        assert exact_time(3, c, radius, R) >= Fraction(T)
+    assert series._flow_radius(one_term(3, c), R, 0.0, floor) == R
+    assert series._flow_radius(MajorantSeries([]), R, T, floor) == R
+
+
 def exact_two_term_time(r, R):
     """int_r^R dz / (z + z^3) = log(R/r) - log((1 + R^2) / (1 + r^2)) / 2 for the floats given, to 60 digits."""
     with localcontext() as ctx:
