@@ -38,8 +38,9 @@ its top-degree tensors.
 The rooted-tree expansion keeps the explicit simplex-quadrature semantics
 as an independent check of the same object: each tree is one Gauss-Legendre
 product rule over the nested time simplex, evaluated on all points at once.
-``evaluate_trees`` returns each tree's value and builds what the trees of one
-order share once for that order.
+``tree_expand`` enumerates the trees from the monomial nonlinearity alone;
+``evaluate_trees``, the one tree evaluator, returns each tree's value for a
+linear functional and builds what the trees of one order share once for it.
 """
 
 from __future__ import annotations
@@ -560,28 +561,14 @@ class FeynmanTree:
         return [self.vertex_degree - len(ch[a]) for a in range(1, self.order + 1)]
 
 
-def tree_expand(
-    f_linear: SymFunctional,
-    t1: float,
-    t2: float,
-    max_order: int,
-    disp: DispersionRelation,
-    nonlin: NonlinearitySpec,
-    chart: ChartMap,
-):
-    """Enumerate interaction trees up to ``max_order`` vertices + evaluator.
+def tree_expand(nonlin: NonlinearitySpec, max_order: int) -> list[FeynmanTree]:
+    """The interaction trees of the monomial ``lam u^k`` up to ``max_order`` vertices.
 
-    The nonlinearity must be a single monomial ``lam u^k``, the functional
-    linear and ``disp`` the chart's.  The returned evaluator maps a free
-    solution to the sum over trees of multiplicity x nested time integral,
-    each integral taken by Gauss-Legendre per simplex dimension.
+    Each vertex has ``k`` legs; ``evaluate_trees`` takes each tree's value.
     """
-    _check_disp(disp, chart)
     if len(nonlin.coeffs) != 1:
         raise ValueError("tree expansion requires a single-monomial nonlinearity")
-    if f_linear.degrees != (1,):
-        raise ValueError("tree expansion starts from a linear functional")
-    (k, lam), = nonlin.coeffs.items()
+    (k,) = nonlin.coeffs
     if k < 1:
         raise ValueError("the monomial degree must be >= 1")
 
@@ -601,14 +588,7 @@ def tree_expand(
                     new_frontier.append((parents + (v,), mult * free))
         frontier = new_frontier
         trees.extend(FeynmanTree(parents, mult, k) for parents, mult in frontier)
-
-    def evaluator(u: FreeSolution) -> float:
-        total = 0.0
-        for value in evaluate_trees(trees, f_linear, u, t1, t2, nonlin, chart):
-            total += value
-        return total
-
-    return trees, evaluator
+    return trees
 
 
 def evaluate_trees(
@@ -628,8 +608,10 @@ def evaluate_trees(
     is built once for that order: its ``8^j`` points, the traces of ``u`` there and
     their powers per (vertex, legs), the Green-shift factors per (vertex, child) and
     the root's ``b_t``.  The Green shifts are FFTs along the point axis, and the root
-    pairs ``f`` with ``b_t o (B_0 field)``.
+    pairs ``f`` with ``b_t o (B_0 field)``, so ``f`` must be linear.
     """
+    if f_linear.degrees != (1,):
+        raise ValueError("tree expansion starts from a linear functional")
     (lam,) = nonlin.coeffs.values()
     grid, M = chart.grid, chart.grid.M
     eps = chart.disp.eps(grid.xi)

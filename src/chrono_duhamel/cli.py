@@ -13,8 +13,9 @@ Two cells are non-finite by design: ``energy`` is ``nan`` on every row of ``prop
 ``certify.csv``'s ``guaranteed_time`` is ``inf`` for a zero nonlinearity, whose field never moves
 the radius.  A config has one window certificate, shared by ``invariance`` and ``certify``: its field
 is ``[tolerances] x_coeffs`` when given, else the transport majorant, and its flow floor is the fixed
-``series.DEFAULT_FLOOR``.  Exit status: 0 success, 1 numerical failure, 2 configuration error (a bad
-command line or config, an unreadable input or unwritable output path); each prints one line.
+``series.DEFAULT_FLOOR``.  A command checks every field it reads before it builds the chart or a
+trajectory.  Exit status: 0 success, 1 numerical failure, 2 configuration error (a bad command line
+or config, an unreadable input or unwritable output path); each prints one line.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import os
 import struct
 import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -228,36 +230,46 @@ class RunConfig:
             psi = psi.astype(complex)
         return propagator.CauchyData(grid, psi, chi, t1)
 
-    def functional(self, chart: chrono.ChartMap) -> symfun.SymFunctional:
-        kind = self.raw["functional"]["kind"]
+    def functional(self) -> tuple[int, Callable[[chrono.ChartMap], symfun.SymFunctional]]:
+        """(degree, form) of the [functional], its fields checked against the grid alone:
+        ``form(chart)`` builds the functional in chart coordinates and forms any sampling rows."""
+        kind, M = self.raw["functional"]["kind"], self.grid.M
         if kind == "tensor_file":
             path = self.raw["functional"]["tensor_file"]
             try:
                 tensor = symfun.load_tensor(path)
             except (ValueError, struct.error) as exc:
                 raise ConfigError(f"unreadable functional tensor file {path!r}: {exc}") from exc
-            if (tensor.dim, tensor.codomain_dim) != (chart.dim, 1):
-                raise ConfigError(f"functional tensor file {path!r} must be scalar over dim {chart.dim}")
+            if (tensor.dim, tensor.codomain_dim) != (2 * M, 1):
+                raise ConfigError(f"functional tensor file {path!r} must be scalar over dim {2 * M}")
             if not np.all(np.isfinite(tensor.coeffs)):
                 raise ConfigError(f"functional tensor file {path!r} has non-finite coefficients")
-            return symfun.SymFunctional([tensor])
+            return tensor.degree, lambda chart: symfun.SymFunctional([tensor])
         if kind == "point_eval":
             x_index = self._get("functional", "x_index", int)
-            if not 0 <= x_index < chart.grid.M:
-                raise ConfigError(f"[functional] x_index must lie in [0, {chart.grid.M})")
+            if not 0 <= x_index < M:
+                raise ConfigError(f"[functional] x_index must lie in [0, {M})")
         elif kind == "linear_weights":
             w = self._floats("functional", "weights")
-            if w.size != chart.grid.M:
+            if w.size != M:
                 raise ConfigError("functional weights length must equal the grid size")
         else:
             raise ConfigError(f"unknown functional kind {kind!r}")
         t_pt = self._get("functional", "t_point", float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = chart.rows_and_columns(t_pt)[0]
-        if not np.all(np.isfinite(rows)):
-            raise FloatingPointError(f"the sampling rows at [functional] t_point = {t_pt!r} overflow")
-        row = rows[x_index] if kind == "point_eval" else (w * chart.grid.dx) @ rows
-        return symfun.SymFunctional([symfun.SymTensor(1, chart.dim, row)])
+
+        def form(chart: chrono.ChartMap) -> symfun.SymFunctional:
+            # rows that overflow are non-finite everywhere, and so is any row built from them
+            with np.errstate(over="ignore", invalid="ignore"):
+                if kind == "point_eval":
+                    f = chrono.point_eval_functional(chart, t_pt, x_index)
+                else:
+                    row = (w * chart.grid.dx) @ chart.rows_and_columns(t_pt)[0]
+                    f = symfun.SymFunctional([symfun.SymTensor(1, chart.dim, row)])
+            if not np.all(np.isfinite(f.terms[0].coeffs)):
+                raise FloatingPointError(f"the sampling rows at [functional] t_point = {t_pt!r} overflow")
+            return f
+
+        return 1, form
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +318,11 @@ def cmd_propagate(cfg: RunConfig, out: str) -> None:
     _write_csv(os.path.join(out, "propagate.csv"), "t,cau_norm,energy", lines, cfg)
 
 
-def _trajectory(cfg: RunConfig, t1: float, t2: float, steps: int) -> list[dynamics.EvolutionState]:
-    """``evolve`` over [t1, t2] in ``steps`` equal steps."""
-    return dynamics.evolve(cfg.initial_data(), t1, t2, abs(t2 - t1) / steps, cfg.disp, cfg.nonlin)
-
-
 def cmd_evolve(cfg: RunConfig, out: str) -> None:
     t1, t2, steps = _time_grid(cfg, "evolve")
     s, m_ref = cfg.norm_weights
     snapshot = cfg.snapshots
-    traj = _trajectory(cfg, t1, t2, steps)
+    traj = dynamics.evolve(cfg.initial_data(), t1, t2, abs(t2 - t1) / steps, cfg.disp, cfg.nonlin)
     _write_csv(os.path.join(out, "trajectory.csv"), *dynamics.trajectory_csv(traj, s, m_ref), cfg)
     if snapshot:
         last = traj[-1]
@@ -323,13 +330,16 @@ def cmd_evolve(cfg: RunConfig, out: str) -> None:
         propagator.save_snapshot(last.disp, snap, os.path.join(out, "final_field.csv"))
 
 
-def _window_tolerances(cfg: RunConfig, command: str) -> tuple[float, series.MajorantSeries | None]:
-    """(certify_radius, x_coeffs or None) of a command that certifies a window, checked up front."""
+def _window_tolerances(
+    cfg: RunConfig, command: str
+) -> tuple[float, series.MajorantSeries | dynamics.NonlinearitySpec]:
+    """(certify_radius, field) of a command that certifies a window, checked up front: the field
+    is x_coeffs when given, else the nonlinearity whose transport majorant ``_certificate`` takes."""
     R = cfg.tol("certify_radius")
     if not R > 0:
         raise ConfigError(f"{command} needs [tolerances] certify_radius > 0")
     if not cfg.raw["tolerances"]["x_coeffs"]:
-        return R, None
+        return R, cfg.nonlin
     try:
         return R, series.MajorantSeries(cfg._floats("tolerances", "x_coeffs"))
     except ValueError as exc:
@@ -343,13 +353,17 @@ def _chart(cfg: RunConfig) -> chrono.ChartMap:
 
 
 def _certificate(
-    cfg: RunConfig, R: float, X: series.MajorantSeries | None, chart: chrono.ChartMap, f: symfun.SymFunctional
+    cfg: RunConfig,
+    R: float,
+    X: series.MajorantSeries | dynamics.NonlinearitySpec,
+    chart: chrono.ChartMap,
+    f: symfun.SymFunctional,
 ) -> tuple[float, series.MajorantSeries, chrono.CertificationRecord]:
     """(R, X, record) of the window certificate of ``f`` over [t1, t2], from the checked
     ``_window_tolerances``: ``X`` is x_coeffs when given, else the transport majorant."""
     t1, t2, _ = cfg.times
-    if X is None:
-        X = chrono.transport_majorant(cfg.nonlin, chart, np.array([t1, t2]))
+    if isinstance(X, dynamics.NonlinearitySpec):
+        X = chrono.transport_majorant(X, chart, np.array([t1, t2]))
     return R, X, chrono.certify_window(symfun.majorant_of(f), X, R, abs(t2 - t1))
 
 
@@ -359,21 +373,18 @@ def cmd_invariance(cfg: RunConfig, out: str) -> None:
     substeps = cfg.tol("substeps", int)
     if substeps < 1:
         raise ConfigError("invariance needs [tolerances] substeps >= 1")
-    chart = _chart(cfg)
-    f = cfg.functional(chart)
+    degree, functional = cfg.functional()
     cap = cfg._get("caps", "degree_cap", int)
-    if cap < f.max_degree:
-        raise ConfigError(f"invariance needs [caps] degree_cap >= {f.max_degree}, the functional's degree")
+    if cap < degree:
+        raise ConfigError(f"invariance needs [caps] degree_cap >= {degree}, the functional's degree")
+    data, nonlin = cfg.initial_data(), cfg.nonlin
+    chart = _chart(cfg)
+    f = functional(chart)
     _, _, rec = _certificate(cfg, *window, chart, f)
-    traj = _trajectory(cfg, t1, t2, steps)
-    times, values, drift, events = chrono.invariance_scan(
-        f, traj, t1, t2, chart, substeps=substeps, cap=cap
-    )
-    _write_csv(
-        os.path.join(out, "invariance.csv"),
-        *chrono.invariance_csv(times, values, rec.certified_radius, events),
-        cfg,
-    )
+    traj = dynamics.evolve(data, t1, t2, abs(t2 - t1) / steps, cfg.disp, nonlin)
+    times, values, drift, events = chrono.invariance_scan(f, traj, t1, t2, chart, substeps=substeps, cap=cap)
+    table = chrono.invariance_csv(times, values, rec.certified_radius, events)
+    _write_csv(os.path.join(out, "invariance.csv"), *table, cfg)
     print(f"invariance drift: {drift!r}")
 
 
@@ -383,34 +394,35 @@ def cmd_certify(cfg: RunConfig, out: str) -> None:
     floor = cfg.tol("certify_floor")
     if not 0 < floor < window[0]:
         raise ConfigError("certify needs 0 < [tolerances] certify_floor < certify_radius")
+    _, functional = cfg.functional()
     chart = _chart(cfg)
-    R, X, rec = _certificate(cfg, *window, chart, cfg.functional(chart))
+    R, X, rec = _certificate(cfg, *window, chart, functional(chart))
     t_bar = series.guaranteed_time(X, R, floor)
     lines = [
         f"{R!r},{abs(t2 - t1)!r},{rec.certified_radius!r},{int(rec.window_ok)},"
         f"{float(rec.f_majorant_at_R)!r},{t_bar!r}"
     ]
-    _write_csv(
-        os.path.join(out, "certify.csv"),
-        "radius_in,span,certified_radius,window_ok,f_majorant_at_R,guaranteed_time",
-        lines,
-        cfg,
-    )
+    header = "radius_in,span,certified_radius,window_ok,f_majorant_at_R,guaranteed_time"
+    _write_csv(os.path.join(out, "certify.csv"), header, lines, cfg)
 
 
 def cmd_trees(cfg: RunConfig, out: str) -> None:
     t1, t2, _ = cfg.times
     nonlin = cfg.nonlin
-    chart = _chart(cfg)
-    f = cfg.functional(chart)
     K = cfg._get("caps", "tree_order", int)
     if K < 0:
         raise ConfigError("trees needs [caps] tree_order >= 0")
     try:
-        trees, _ = chrono.tree_expand(f, t1, t2, K, cfg.disp, nonlin, chart)
+        trees = chrono.tree_expand(nonlin, K)
     except ValueError as exc:
         raise ConfigError(f"trees: {exc}") from exc
-    u = propagator.make_free_solution(cfg.disp, cfg.initial_data())
+    degree, functional = cfg.functional()
+    if degree != 1:
+        raise ConfigError("trees: tree expansion starts from a linear functional")
+    data = cfg.initial_data()
+    chart = _chart(cfg)
+    f = functional(chart)
+    u = propagator.make_free_solution(cfg.disp, data)
     lines, total = [], 0.0
     with np.errstate(all="ignore"):
         for tree, contrib in zip(trees, chrono.evaluate_trees(trees, f, u, t1, t2, nonlin, chart)):

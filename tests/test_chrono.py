@@ -249,10 +249,9 @@ def _mass2_trajectory():
     "transport",
     [
         lambda f: chrono_exp_evolve(f, 0.0, 0.5, 1, MASS2, CUBIC, CHART),
-        lambda f: tree_expand(f, 0.0, 0.5, 2, MASS2, CUBIC, CHART),
         lambda f: invariance_scan(f, _mass2_trajectory(), 0.0, 0.5, CHART),
     ],
-    ids=["chrono_exp_evolve", "tree_expand", "invariance_scan"],
+    ids=["chrono_exp_evolve", "invariance_scan"],
 )
 def test_a_second_dispersion_is_rejected(transport):
     # the chart's dispersion is the one the transport uses; another one is an error
@@ -671,8 +670,7 @@ def test_truncation_events_none_without_a_nonlinearity():
 
 
 def test_tree_catalogue_orders_0_1_2():
-    f = point_eval_functional(CHART, 0.0, 0)
-    trees, _ = tree_expand(f, 0.0, 0.25, 2, KG1, CUBIC, CHART)
+    trees = tree_expand(CUBIC, 2)
     by_order = {}
     for tr in trees:
         by_order.setdefault(tr.order, []).append(tr)
@@ -682,8 +680,7 @@ def test_tree_catalogue_orders_0_1_2():
 
 
 def test_tree_order3_catalogue():
-    f = point_eval_functional(CHART, 0.0, 0)
-    trees, _ = tree_expand(f, 0.0, 0.25, 3, KG1, CUBIC, CHART)
+    trees = tree_expand(CUBIC, 3)
     order3 = [tr for tr in trees if tr.order == 3]
     # chain (mult 3*3) and double-attachment (mult 3*2)
     assert sorted(tr.multiplicity for tr in order3) == [6, 9]
@@ -694,8 +691,8 @@ def test_tree_order3_catalogue():
 def test_tree_order0_is_plain_evaluation():
     f = point_eval_functional(CHART, 0.0, 0)
     u = bench_solution()
-    trees, evaluator = tree_expand(f, 0.0, 0.25, 0, KG1, CUBIC, CHART)
-    assert evaluator(u) == pytest.approx(eval_series(f, CHART.coords_of(u))[0], rel=1e-12)
+    trees = tree_expand(CUBIC, 0)
+    assert sum(evaluate_trees(trees, f, u, 0.0, 0.25, CUBIC, CHART)) == pytest.approx(eval_series(f, CHART.coords_of(u))[0], rel=1e-12)
 
 
 def test_tree_order1_matches_direct_quadrature():
@@ -706,7 +703,7 @@ def test_tree_order1_matches_direct_quadrature():
     f = point_eval_functional(CHART, 0.0, 0)
     u = bench_solution(amp=0.4)
     t1, t2 = 0.0, 0.3
-    trees, _ = tree_expand(f, t1, t2, 1, KG1, CUBIC, CHART)
+    trees = tree_expand(CUBIC, 1)
     first_order = [tr for tr in trees if tr.order == 1]
     (val,) = evaluate_trees(first_order, f, u, t1, t2, CUBIC, CHART)
     taus = np.linspace(t1, t2, 4001)
@@ -727,7 +724,7 @@ def test_tree_order1_backward_orientation_sign():
     f = point_eval_functional(CHART, 0.0, 0)
     u = bench_solution(amp=0.4)
     t1, t2 = 0.3, 0.0
-    trees, _ = tree_expand(f, t1, t2, 1, KG1, CUBIC, CHART)
+    trees = tree_expand(CUBIC, 1)
     first_order = [tr for tr in trees if tr.order == 1]
     (val,) = evaluate_trees(first_order, f, u, t1, t2, CUBIC, CHART)
     taus = np.linspace(t2, t1, 4001)
@@ -746,8 +743,8 @@ def test_tree_tensor_equivalence_order2():
     u = bench_solution(amp=0.3)
     c = CHART.coords_of(u)
     t1, t2 = 0.0, 0.25
-    trees, evaluator = tree_expand(f, t1, t2, 2, KG1, CUBIC, CHART)
-    tree_total = evaluator(u)
+    trees = tree_expand(CUBIC, 2)
+    tree_total = sum(evaluate_trees(trees, f, u, t1, t2, CUBIC, CHART))
     F, _ = chrono_exp_evolve(f, t1, t2, 40, KG1, CUBIC, CHART, cap=5)
     tensor_total = eval_series(F, c)[0]
     assert tree_total == pytest.approx(tensor_total, abs=1e-10, rel=1e-8)
@@ -758,9 +755,9 @@ def test_tree_tensor_equivalence_backward():
     u = bench_solution(amp=0.3)
     c = CHART.coords_of(u)
     t1, t2 = 0.25, 0.0
-    trees, evaluator = tree_expand(f, t1, t2, 2, KG1, CUBIC, CHART)
+    trees = tree_expand(CUBIC, 2)
     F, _ = chrono_exp_evolve(f, t1, t2, 40, KG1, CUBIC, CHART, cap=5)
-    assert evaluator(u) == pytest.approx(eval_series(F, c)[0], abs=1e-10, rel=1e-8)
+    assert sum(evaluate_trees(trees, f, u, t1, t2, CUBIC, CHART)) == pytest.approx(eval_series(F, c)[0], abs=1e-10, rel=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -772,7 +769,7 @@ def test_each_dyson_term_is_one_order_of_trees(amp, t1, t2):
     f = point_eval_functional(CHART, 0.0, 0)
     u = bench_solution(amp=amp)
     c = CHART.coords_of(u)
-    trees, _ = tree_expand(f, t1, t2, 3, KG1, CUBIC, CHART)
+    trees = tree_expand(CUBIC, 3)
     F, _ = chrono_exp_evolve(f, t1, t2, 1, KG1, CUBIC, CHART, cap=7)
     for order, degree in ((1, 3), (2, 5), (3, 7)):
         by_trees = sum(evaluate_trees([t for t in trees if t.order == order], f, u, t1, t2, CUBIC, CHART))
@@ -790,7 +787,7 @@ def test_product_rule_is_the_nested_rule_point_by_point(t1, t2):
     data = CauchyData(GRID, 0.3 * rng.standard_normal(GRID.M), 0.3 * rng.standard_normal(GRID.M), 0.0)
     u = make_free_solution(KG1, data)
     f = point_eval_functional(CHART, 0.1, 3)
-    trees, _ = tree_expand(f, t1, t2, 3, KG1, CUBIC, CHART)
+    trees = tree_expand(CUBIC, 3)
     for tree in trees:
         (batched,) = evaluate_trees([tree], f, u, t1, t2, CUBIC, CHART)
         reference = nested_trees_reference([tree], f, u, t1, t2, CUBIC, CHART)
@@ -799,17 +796,13 @@ def test_product_rule_is_the_nested_rule_point_by_point(t1, t2):
 
 @pytest.mark.parametrize("t1, t2", [(0.0, 0.25), (0.25, -0.05)], ids=["forward", "backward"])
 def test_one_rule_per_order_gives_each_tree_its_own_bits(t1, t2):
-    # the trees of one order share their points and traces; each value and the sum
-    # keep the bits of evaluating that tree alone and of adding in the trees' order
+    # the trees of one order share their points and traces; each value keeps the bits
+    # of evaluating that tree alone
     u = bench_solution(amp=0.3)
     f = point_eval_functional(CHART, 0.1, 3)
-    trees, evaluator = tree_expand(f, t1, t2, 3, KG1, CUBIC, CHART)
+    trees = tree_expand(CUBIC, 3)
     values = evaluate_trees(trees, f, u, t1, t2, CUBIC, CHART)
     assert values == [evaluate_trees([tree], f, u, t1, t2, CUBIC, CHART)[0] for tree in trees]
-    total = 0.0
-    for value in values:
-        total += value
-    assert evaluator(u) == total
 
 
 def test_each_order_builds_what_its_trees_share_once(monkeypatch):
@@ -817,7 +810,7 @@ def test_each_order_builds_what_its_trees_share_once(monkeypatch):
     # shift one, and the root's factors one _factors call, however many trees share them
     u = bench_solution(amp=0.3)
     f = point_eval_functional(CHART, 0.1, 3)
-    trees, _ = tree_expand(f, 0.0, 0.25, 4, KG1, CUBIC, CHART)
+    trees = tree_expand(CUBIC, 4)
     calls = {"wave": 0, "factors": 0}
     wave_factors, factors = chrono._wave_factors, ChartMap._factors
 
@@ -844,6 +837,16 @@ def test_each_order_builds_what_its_trees_share_once(monkeypatch):
     assert calls["factors"] == len(orders)
     # each _factors call takes its phases through one _wave_factors call of its own
     assert calls["wave"] - calls["factors"] <= len(orders) + len(pairs)
+
+
+@pytest.mark.parametrize("degrees", [(2,), (1, 2)], ids=["quadratic", "linear-plus-quadratic"])
+def test_tree_evaluation_needs_a_linear_functional(degrees):
+    # the root pairs the functional with one Green lift: a degree-2 term is refused,
+    # not failed on nor dropped
+    d = CHART.dim
+    f = SymFunctional([SymTensor(p, d, np.ones(num_canonical(d, p))) for p in degrees])
+    with pytest.raises(ValueError, match="linear functional"):
+        evaluate_trees(tree_expand(CUBIC, 1), f, bench_solution(), 0.0, 0.25, CUBIC, CHART)
 
 
 # ---------------------------------------------------------------------------
