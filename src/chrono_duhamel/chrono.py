@@ -24,7 +24,8 @@ Dyson series: ``T_0 = f``, ``T_j = int_{t1}^t V . T_{j-1}``, ``F = sum_j T_j``
 Chebyshev-Lobatto panel (Greengard, SIAM J. Numer. Anal. 28, 1991;
 Dutt-Greengard-Rokhlin, BIT 40, 2000), so each term is one call of the
 kernel with the panel's integration matrix as weights.  One cap rule,
-``_kept``, says which nonlinearity degrees a stored degree composes with.
+``_kept``, says which nonlinearity degrees a stored degree composes with;
+``_dropped`` lists once per transport the degree pairs it leaves out at every node.
 Under the degree cap the operator is graded nilpotent when every
 nonlinearity degree is at least 2: ``floor((cap - p_min) / (k_min - 1))``
 sweeps compose anything, the last one included, and that one count both
@@ -88,7 +89,6 @@ from .symfun import (
 __all__ = [
     "ChartMap",
     "FeynmanTree",
-    "TruncationEvent",
     "CertificationRecord",
     "point_eval_functional",
     "chrono_exp_evolve",
@@ -241,13 +241,6 @@ def point_eval_functional(chart: ChartMap, t_point: float = 0.0, x_index: int = 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TruncationEvent:
-    time: float
-    in_degree: int
-    out_degree: int
-
-
 def _check_disp(disp: DispersionRelation, chart: ChartMap) -> None:
     if disp != chart.disp:
         raise ValueError(f"dispersion {disp} differs from the chart's {chart.disp}")
@@ -272,8 +265,8 @@ def _applied(
 
     The operator ``V_t . G = delta G (V_t)`` collects, in output degree
     ``m``, ``p G^(p) o (V_t^(m-p+1) (x) id^(p-1))`` over the stored degrees
-    ``p`` and the nonlinearity degrees ``_kept`` under ``cap``;
-    ``_truncation_events`` records what the cap drops.  ``G`` maps each
+    ``p`` and the nonlinearity degrees ``_kept`` under ``cap``; ``_dropped``
+    lists the degree pairs the cap leaves out.  ``G`` maps each
     stored degree to its per-node coefficients ``(len(times), n_p)``; the
     result maps each output degree to ``(len(weights), n_m)`` coefficients.
     With ``A_t = A_0 diag(a_t)``, ``B_t = diag(b_t) B_0`` and
@@ -477,19 +470,13 @@ def _largest(G: dict[int, np.ndarray]) -> float:
     return np.max([np.max(np.abs(c)) for c in G.values()], initial=0.0)
 
 
-def _truncation_events(
-    times: np.ndarray, stored: Iterable[int], nonlin: NonlinearitySpec, cap: int
-) -> list[TruncationEvent]:
-    """What the cap drops: at each node, one event per nonlinearity degree ``k`` that ``_kept`` leaves
-    out of a degree ``p > 0`` of the stored sweep or of what the last sweep composes from it.
-    Nothing is composed for them."""
+def _dropped(stored: Iterable[int], nonlin: NonlinearitySpec, cap: int) -> list[tuple[int, int]]:
+    """What the cap drops at every node: the ``(p, p + k - 1)`` of each nonlinearity degree ``k`` that
+    ``_kept`` leaves out of a degree ``p > 0`` of the stored sweep or of what the last sweep composes."""
     degrees = set(stored)
     degrees |= {p + k - 1 for p in degrees for k in _kept(p, nonlin, cap)}
-    pairs = []
-    for p in sorted(degrees):
-        kept = _kept(p, nonlin, cap)
-        pairs += [(p, p + k - 1) for k in nonlin.degrees if p > 0 and k not in kept]
-    return [TruncationEvent(float(t), p, m) for t in times for p, m in pairs]
+    pairs = [(p, k) for p in sorted(degrees) for k in nonlin.degrees if p > 0]
+    return [(p, p + k - 1) for p, k in pairs if k not in _kept(p, nonlin, cap)]
 
 
 # an overflowing transport is reported by its finiteness checks, not by NumPy's warnings
@@ -503,14 +490,15 @@ def chrono_exp_evolve(
     nonlin: NonlinearitySpec,
     chart: ChartMap,
     cap: int = DEFAULT_DEGREE_CAP,
-) -> tuple[SymFunctional, list[TruncationEvent]]:
+) -> tuple[SymFunctional, list[tuple[int, int]]]:
     """Transport ``f`` from t1 to t2: dF/dt = V_t . F, F(t1) = f, by Chebyshev-Picard sweeps.
 
-    ``F = f + sum_l S[-1, l] V_{t_l} . G_l``: ``_picard``'s stored sweep
-    at density 1 under its last sweep, one batched composition with the
-    panel's last row of weights, so none of the last sweep's coefficients
-    is stored at any node.  ``steps`` must be at least 1 when ``t1 != t2``
-    but no longer sets the accuracy.  ``disp`` must be the chart's.
+    Returns ``(F, dropped)``.  ``F = f + sum_l S[-1, l] V_{t_l} . G_l``: ``_picard``'s stored
+    sweep at density 1 under its last sweep, one batched composition with the panel's last
+    row of weights, so none of the last sweep's coefficients is stored at any node.
+    ``dropped`` is ``_dropped``'s list of the degree pairs the cap leaves out, [] when
+    ``t1 == t2``.  ``steps`` must be at least 1 when ``t1 != t2`` but no longer sets the
+    accuracy.  ``disp`` must be the chart's.
     """
     _check_disp(disp, chart)
     if t1 == t2:
@@ -523,7 +511,7 @@ def chrono_exp_evolve(
         top[m] = top.get(m, 0.0) + c
     if not np.isfinite(_largest(top)):
         raise FloatingPointError(f"Picard sweep diverged on [{t1}, {t2}]")
-    return _sweep_at(top, -1, chart.dim), _truncation_events(times, G, nonlin, cap)
+    return _sweep_at(top, -1, chart.dim), _dropped(G, nonlin, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +666,9 @@ def invariance_scan(
     """Transported value ``(U_{t1}^{t} f)(Theta_t u)`` at each trajectory node.
 
     Under exact arithmetic the sequence is constant, equal to
-    ``f(Theta_{t1} u)``.  Returns (times, values, drift, events).
+    ``f(Theta_{t1} u)``.  Returns (times, values, drift, events): ``events[i]`` is the number
+    of ``_dropped`` degree pairs times the panel nodes before ``times[i + 1]`` in the
+    direction of travel, times all of them at the last row, and 0 when ``t1 == t2``.
 
     One Chebyshev-Picard panel over [t1, t2] (``_picard`` at node density
     ``substeps``, without its last sweep) carries ``f``; its values reach
@@ -714,7 +704,7 @@ def invariance_scan(
         return powers[degree]
 
     values = sum((monomials_of(t.degree) @ t.coeffs[0] for t in f.terms), np.zeros(len(nodes)))
-    events: list[TruncationEvent] = []
+    events = np.zeros(len(nodes), dtype=int)
     if t1 != t2:
         pn, S, G = _picard(f, t1, t2, nonlin, chart, substeps, cap)
         W = _interpolation_matrix(pn.size, 2 * (times - t1) / (t2 - t1) - 1) @ S
@@ -733,7 +723,9 @@ def invariance_scan(
                 grad = monomials_of(p - 1) @ G[p][sl][:, extend_table(d, p - 1)]
                 rate = np.einsum("lij,lij->li", grad, sum(fields[k] for k in ks))
                 values += p * np.einsum("il,li->i", W[:, sl], rate)
-        events = _truncation_events(pn, G, nonlin, cap)
+        sign = 1.0 if t2 > t1 else -1.0
+        before = np.searchsorted(sign * pn, sign * times[1:], side="left")
+        events = len(_dropped(G, nonlin, cap)) * np.append(before, pn.size)
     if not np.all(np.isfinite(values)):
         raise FloatingPointError(f"transported values diverged on [{t1}, {t2}]")
     drift = float(np.max(np.abs(values - values[0])))
@@ -826,19 +818,15 @@ def invariance_csv(
     times: np.ndarray,
     values: np.ndarray,
     certified_radius: float,
-    events: list[TruncationEvent],
+    events: np.ndarray,
 ) -> tuple[str, list[str]]:
-    """Header and rows of the scan dump.
+    """Header and rows of the scan dump, ``events`` being ``invariance_scan``'s counts.
 
     Columns: (t, functional_value, running_drift, certified_radius, truncation_events).
     """
     running = np.maximum.accumulate(np.abs(values - values[0]))
-    # an event counts from the row whose interval holds it, in the direction of travel
-    sign = -1.0 if times[-1] < times[0] else 1.0
-    pos = np.searchsorted(sign * times, sign * np.array([ev.time for ev in events]), side="right") - 1
-    ev_count = np.cumsum(np.bincount(np.maximum(pos, 0), minlength=len(times)))
     lines = [
         f"{float(t)!r},{float(v)!r},{float(r)!r},{certified_radius!r},{int(n)}"
-        for t, v, r, n in zip(times, values, running, ev_count)
+        for t, v, r, n in zip(times, values, running, events)
     ]
     return "t,functional_value,running_drift,certified_radius,truncation_events", lines

@@ -8,6 +8,9 @@ the first ``=`` or ``:`` into a lowercased key and a literal value; no section, 
 repeats.  Outputs are deterministic for a fixed config+seed, and every CSV carries the resolved
 config in its header.  The ``cau_norm`` of ``trajectory.csv`` is the chart norm, the Cauchy norm of
 the data pulled back to t = 0 that the certificate's radii bound; ``propagate.csv``'s is the norm at t.
+The ``truncation_events`` cell of ``invariance.csv`` counts the degree pairs that ``[caps] degree_cap``
+drops times the transport's panel nodes before the next row, so it moves with ``[tolerances] substeps``
+while the values do not.
 Two cells are non-finite by design: ``energy`` is ``nan`` on every row of ``propagate.csv`` and
 ``trajectory.csv`` for the Schrodinger kind, whose energy is defined for Klein-Gordon only, and
 ``certify.csv``'s ``guaranteed_time`` is ``inf`` for a zero nonlinearity, whose field never moves
@@ -195,12 +198,21 @@ class RunConfig:
     def resolved_json(self) -> str:
         return json.dumps(self.raw, sort_keys=True)
 
+    def _input_file(self, sec: str, key: str) -> str:
+        """The path of ``[sec] key``, which must name a file."""
+        path = self.raw[sec][key]
+        if not path:
+            raise ConfigError(f"[{sec}] {key} is empty")
+        if not os.path.isfile(path):
+            raise ConfigError(f"[{sec}] {key} = {path!r} is not a file")
+        return path
+
     def initial_data(self) -> propagator.CauchyData:
         grid, disp = self.grid, self.disp
         kind = self.raw["initial"]["kind"]
         t1 = self.times[0]
         if kind == "file":
-            path = self.raw["initial"]["file"]
+            path = self._input_file("initial", "file")
             try:
                 snap_disp, data = propagator.load_snapshot(path)
             except (ValueError, KeyError, IndexError, TypeError) as exc:
@@ -235,7 +247,7 @@ class RunConfig:
         ``form(chart)`` builds the functional in chart coordinates and forms any sampling rows."""
         kind, M = self.raw["functional"]["kind"], self.grid.M
         if kind == "tensor_file":
-            path = self.raw["functional"]["tensor_file"]
+            path = self._input_file("functional", "tensor_file")
             try:
                 tensor = symfun.load_tensor(path)
             except (ValueError, struct.error) as exc:
@@ -260,14 +272,13 @@ class RunConfig:
         def form(chart: chrono.ChartMap) -> symfun.SymFunctional:
             # rows that overflow are non-finite everywhere, and so is any row built from them
             with np.errstate(over="ignore", invalid="ignore"):
-                if kind == "point_eval":
-                    f = chrono.point_eval_functional(chart, t_pt, x_index)
-                else:
-                    row = (w * chart.grid.dx) @ chart.rows_and_columns(t_pt)[0]
-                    f = symfun.SymFunctional([symfun.SymTensor(1, chart.dim, row)])
-            if not np.all(np.isfinite(f.terms[0].coeffs)):
+                rows = chart.rows_and_columns(t_pt)[0]
+                row = rows[x_index] if kind == "point_eval" else (w * chart.grid.dx) @ rows
+            if not np.all(np.isfinite(rows)):
                 raise FloatingPointError(f"the sampling rows at [functional] t_point = {t_pt!r} overflow")
-            return f
+            if not np.all(np.isfinite(row)):
+                raise FloatingPointError("the sampling rows' sum weighted by [functional] weights overflows")
+            return symfun.SymFunctional([symfun.SymTensor(1, chart.dim, row)])
 
         return 1, form
 

@@ -8,7 +8,6 @@ import pytest
 from chrono_duhamel import chrono, symfun
 from chrono_duhamel.chrono import (
     ChartMap,
-    TruncationEvent,
     certify_window,
     chrono_exp_evolve,
     evaluate_trees,
@@ -134,8 +133,7 @@ def test_vdot_linear_gives_cubic_term():
 def test_vdot_truncation_recorded():
     f = SymFunctional([SymTensor(1, CHART.dim, np.ones(CHART.dim))])
     assert not vdot(0.0, f, CUBIC, CHART, cap=2).terms
-    events = chrono._truncation_events(np.array([0.0]), f.degrees, CUBIC, 2)
-    assert events == [TruncationEvent(0.0, 1, 3)]
+    assert chrono._dropped(f.degrees, CUBIC, 2) == [(1, 3)]
 
 
 @pytest.mark.parametrize(
@@ -614,45 +612,53 @@ def test_a_nilpotent_transport_keeps_its_small_terms_on_a_short_span():
     # times the degree-1 term, but a nilpotent operator stops on degrees alone, so
     # the transported functional keeps them and the cap drops only degree 6's
     f = point_eval_functional(CHART, 0.0, 0)
-    F, events = chrono_exp_evolve(f, 0.0, 1e-3, 1, KG1, NonlinearitySpec({2: 1.0}), CHART, cap=6)
+    F, dropped = chrono_exp_evolve(f, 0.0, 1e-3, 1, KG1, NonlinearitySpec({2: 1.0}), CHART, cap=6)
     assert F.degrees == (1, 2, 3, 4, 5, 6)
     assert np.max(np.abs(F.term(6).coeffs)) < chrono.PICARD_RTOL * np.max(np.abs(F.term(1).coeffs))
-    assert events and {(ev.in_degree, ev.out_degree) for ev in events} == {(6, 7)}
+    assert dropped == [(6, 7)]
 
 
 @pytest.mark.parametrize("cap", [3, 5])
 def test_truncation_events_mean_what_the_cap_drops(cap):
-    # one event per node: the top stored degree would leave the cap
+    # the top stored degree would leave the cap, at each of the panel's nodes
     data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.0)
     traj = evolve(data, 0.0, 0.5, 0.05, KG1, CUBIC)
     f = point_eval_functional(CHART, 0.0, 0)
-    nodes = _cubic_nodes(f, 2, cap)
+    _, dropped = chrono_exp_evolve(f, 0.0, 0.5, 1, KG1, CUBIC, CHART, cap=cap)
+    assert dropped == [(cap, cap + 2)]
     _, _, _, events = invariance_scan(f, traj, 0.0, 0.5, CHART, substeps=2, cap=cap)
-    assert [ev.time for ev in events] == list(nodes)
-    assert {(ev.in_degree, ev.out_degree) for ev in events} == {(cap, cap + 2)}
-    _, events = chrono_exp_evolve(f, 0.0, 0.5, 1, KG1, CUBIC, CHART, cap=cap)
-    assert len(events) == len(_cubic_nodes(f, 1, cap))
+    assert events[-1] == len(_cubic_nodes(f, 2, cap))
 
 
 def test_truncation_events_read_the_stored_degrees_once():
-    # a one-shot iterator of the stored degrees gives the events of the degrees themselves:
+    # a one-shot iterator of the stored degrees gives the pairs of the degrees themselves:
     # the cubic at cap 4 drops (3, 5) from the degree 3 that the last sweep composes from 1
-    times = np.array([0.0, 0.5])
-    events = chrono._truncation_events(times, iter([1]), CUBIC, 4)
-    assert events == chrono._truncation_events(times, [1], CUBIC, 4)
-    assert [(ev.time, ev.in_degree, ev.out_degree) for ev in events] == [(0.0, 3, 5), (0.5, 3, 5)]
+    assert chrono._dropped(iter([1]), CUBIC, 4) == chrono._dropped([1], CUBIC, 4) == [(3, 5)]
+
+
+def _assert_events_column(nonlin, t1, t2):
+    """Row i of the scan dump counts the dropped pairs times the panel nodes before the next
+    trajectory time, going from t1 to t2, and times every node at the last row."""
+    data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), t1)
+    traj = evolve(data, t1, t2, 0.05, KG1, nonlin)
+    f = point_eval_functional(CHART, 0.0, 0)
+    times, values, _, events = invariance_scan(f, traj, t1, t2, CHART, substeps=2)
+    _, lines = invariance_csv(times, values, 0.1, events)
+    column = [int(l.split(",")[4]) for l in lines]
+    _, dropped = chrono_exp_evolve(f, t1, t2, 1, KG1, nonlin, CHART)
+    nodes = chrono._picard_nodes(t1, t2, nonlin, CHART, 2, chrono._picard_sweeps(f, nonlin, 5))
+    before = [sum((t - nxt) * (t2 - t1) < 0 for t in nodes) for nxt in times[1:]] + [len(nodes)]
+    assert dropped and 0 < before[0] < len(nodes)
+    assert column == [len(dropped) * n for n in before]
 
 
 def test_truncation_events_column_follows_a_backward_span():
-    # row i counts the events met before the next trajectory time, going from t1 to t2
-    data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.5)
-    traj = evolve(data, 0.5, 0.0, 0.05, KG1, CUBIC)
-    f = point_eval_functional(CHART, 0.0, 0)
-    times, values, _, events = invariance_scan(f, traj, 0.5, 0.0, CHART, substeps=2)
-    _, lines = invariance_csv(times, values, 0.1, events)
-    column = [int(l.split(",")[4]) for l in lines]
-    expected = [sum(ev.time > t for ev in events) for t in times[1:]] + [len(events)]
-    assert column == expected
+    _assert_events_column(CUBIC, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("coeffs", [{2: 0.3, 3: 0.8}, {1: 0.3, 3: 0.8}], ids=["nilpotent", "not-nilpotent"])
+def test_truncation_events_column_counts_dropped_pairs_per_panel_node(coeffs):
+    _assert_events_column(NonlinearitySpec(coeffs), 0.0, 0.5)
 
 
 def test_truncation_events_none_without_a_nonlinearity():
@@ -660,7 +666,8 @@ def test_truncation_events_none_without_a_nonlinearity():
     zero = NonlinearitySpec.zero()
     traj = evolve(data, 0.0, 0.5, 0.05, KG1, zero)
     f = point_eval_functional(CHART, 0.0, 0)
-    assert invariance_scan(f, traj, 0.0, 0.5, CHART, substeps=2)[3] == []
+    events = invariance_scan(f, traj, 0.0, 0.5, CHART, substeps=2)[3]
+    assert events.shape == (len(traj),) and not events.any()
     assert chrono_exp_evolve(f, 0.0, 0.5, 1, KG1, zero, CHART)[1] == []
 
 

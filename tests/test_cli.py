@@ -325,6 +325,8 @@ CONFIG_ERRORS = [
     ("certify", SMALL + tensor_file("dim8.bin")),
     ("invariance", SMALL + tensor_file("dim8.bin")),
     ("certify", SMALL + tensor_file("nan.bin")),
+    ("certify", SMALL + "\n[functional]\nkind = tensor_file\n"),
+    ("evolve", SMALL + "\n[initial]\nkind = file\n"),
     ("certify", SMALL + "\n[functional]\nkind = linear_weights\nweights = 1,1,1,1,1,1,1,nan\n"),
     ("certify", SMALL + "\n[functional]\nkind = linear_weights\nweights = 1,0,0\n"),
     ("certify", SMALL + "\n[tolerances]\nx_coeffs = 0,0,0,inf\n"),
@@ -426,6 +428,8 @@ CONFIG_ERROR_IDS = [
     "certify-tensor-file-wrong-dim",
     "invariance-tensor-file-wrong-dim",
     "certify-tensor-file-nan",
+    "certify-tensor-file-empty",
+    "evolve-initial-file-empty",
     "certify-nan-weights",
     "certify-weights-of-the-wrong-length",
     "certify-infinite-x-coeffs",
@@ -689,6 +693,26 @@ def test_unusable_paths_are_a_config_error(tmp_path, capsys, row):
     assert len(err) == 1 and err[0].startswith("config error:")
 
 
+@pytest.mark.parametrize(
+    "command, section, key, path",
+    [
+        ("certify", "functional", "tensor_file", ""),
+        ("invariance", "functional", "tensor_file", "{tmp}"),
+        ("evolve", "initial", "file", ""),
+        ("trees", "initial", "file", "{tmp}"),
+    ],
+    ids=["empty-tensor-file", "tensor-file-is-a-dir", "empty-initial-file", "initial-file-is-a-dir"],
+)
+def test_an_input_path_that_is_not_a_file_names_its_field(tmp_path, capsys, command, section, key, path):
+    # each file kind is named after its path field
+    body = f"\n[{section}]\nkind = {key}\n{key} = {path.format(tmp=tmp_path)}\n"
+    cfg = write_config(tmp_path / "c.ini", SMALL + body)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [{section}] {key}") and err.count("\n") == 1
+    assert "Errno" not in err
+
+
 def test_module_entry_point_keeps_the_exit_code_contract(tmp_path):
     src = os.path.dirname(os.path.dirname(chrono_duhamel.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -913,6 +937,8 @@ def test_float_overflow_is_a_numerical_failure(tmp_path, capsys, command, body):
     assert "(34," not in err
     if command == "certify" and body in (HUGE_M_REF, HUGE_VERTEX):
         assert "X_3" in err
+    if body == HUGE_WEIGHTS:
+        assert "weighted by [functional] weights overflows" in err and "t_point" not in err
     assert not (tmp_path / "o" / "trajectory.csv").exists()
 
 

@@ -54,7 +54,6 @@ PUBLIC = {
     "chrono": {
         "ChartMap",
         "FeynmanTree",
-        "TruncationEvent",
         "CertificationRecord",
         "point_eval_functional",
         "chrono_exp_evolve",
