@@ -8,8 +8,8 @@ The package is organised around five layers:
     radii those flows reach, and comparison constants.
 ``symfun``
     Symmetric multilinear algebra on a finite-dimensional state space:
-    homogeneous polynomial maps, polarization, the coefficient-l1 tensor
-    norm, truncated formal series, the operator's composition kernel.
+    homogeneous polynomial maps, the coefficient-l1 tensor norm,
+    truncated formal series, the operator's composition kernel.
 ``propagator``
     Exact spectral solutions of the linear equation on a periodic 1-D
     grid: Cauchy data, free solutions, discrete Sobolev norms and

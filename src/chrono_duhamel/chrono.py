@@ -54,7 +54,7 @@ from typing import Iterable
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .dynamics import EvolutionState, NonlinearitySpec, _window
+from .dynamics import EvolutionState, NonlinearitySpec
 from .propagator import (
     KLEIN_GORDON,
     CauchyData,
@@ -657,15 +657,15 @@ def evaluate_trees(
 def invariance_scan(
     f: SymFunctional,
     traj: list[EvolutionState],
-    t1: float,
-    t2: float,
     chart: ChartMap,
+    *,
     substeps: int = 1,
     cap: int = DEFAULT_DEGREE_CAP,
 ):
-    """Transported value ``(U_{t1}^{t} f)(Theta_t u)`` at each trajectory node.
+    """Transported value ``(U_{t1}^{t} f)(Theta_t u)`` at each node of the whole trajectory.
 
-    Under exact arithmetic the sequence is constant, equal to
+    The transport runs over the trajectory's own span, ``t1 = traj[0].time`` to ``t2 =
+    traj[-1].time``.  Under exact arithmetic the sequence is constant, equal to
     ``f(Theta_{t1} u)``.  Returns (times, values, drift, events): ``events[i]`` is the number
     of ``_dropped`` degree pairs times the panel nodes before ``times[i + 1]`` in the
     direction of travel, times all of them at the last row, and 0 when ``t1 == t2``.
@@ -688,11 +688,10 @@ def invariance_scan(
     of at most ``_CHUNK_FLOATS`` floats.  No tensor of the last sweep's
     degrees is built.  The trajectory's dispersion must be the chart's.
     """
-    nodes = _window(traj, t1, t2)
-    _check_disp(nodes[0].disp, chart)
-    times = np.array([st.time for st in nodes])
-    nonlin = nodes[0].nonlin
-    data = [st.current.chart_data for st in nodes]
+    _check_disp(traj[0].disp, chart)
+    times = np.array([st.time for st in traj])
+    t1, t2, nonlin = traj[0].time, traj[-1].time, traj[0].nonlin
+    data = [st.current.chart_data for st in traj]
     psi, chi = np.array([x.psi.real for x in data]), np.array([x.chi.real for x in data])
     (A0, B0), M = chart._blocks, chart.grid.M
     coords = np.hstack([psi @ B0[:M].T, chi @ B0[M:].T])
@@ -703,8 +702,8 @@ def invariance_scan(
             powers[degree] = monomials(coords, degree)
         return powers[degree]
 
-    values = sum((monomials_of(t.degree) @ t.coeffs[0] for t in f.terms), np.zeros(len(nodes)))
-    events = np.zeros(len(nodes), dtype=int)
+    values = sum((monomials_of(t.degree) @ t.coeffs[0] for t in f.terms), np.zeros(len(traj)))
+    events = np.zeros(len(traj), dtype=int)
     if t1 != t2:
         pn, S, G = _picard(f, t1, t2, nonlin, chart, substeps, cap)
         W = _interpolation_matrix(pn.size, 2 * (times - t1) / (t2 - t1) - 1) @ S
@@ -712,7 +711,7 @@ def invariance_scan(
         pairs = {p: _kept(p, nonlin, cap) for p in G}
         pairs = {p: ks for p, ks in pairs.items() if ks}
         d = chart.dim
-        size = max([len(nodes) * d] + [num_canonical(d, p - 1) * d for p in pairs])
+        size = max([len(traj) * d] + [num_canonical(d, p - 1) * d for p in pairs])
         step = max(1, _CHUNK_FLOATS // size)
         for lo in range(0, pn.size, step):
             sl = slice(lo, lo + step)
@@ -795,10 +794,13 @@ def certify_window(
     closed form for a one-term ``X``, a root of the flow time for any other,
     and either way below the exact endpoint.  When a concretely transported
     functional's majorant is supplied, additionally checks the norm
-    contraction ``[[U f]](r') <= [[f]](R)``.
+    contraction ``[[U f]](r') <= [[f]](R)``.  ``FloatingPointError`` when ``[[f]](R)`` overflows.
     """
     T = abs(T)
-    f_at_R = series_eval(f_majorant, R)
+    with np.errstate(over="ignore"):
+        f_at_R = series_eval(f_majorant, R)
+    if not math.isfinite(f_at_R):
+        raise FloatingPointError(f"the functional's majorant overflows at R = {R!r}")
     t_floor = flow_time(X, floor, R) if floor < R else 0.0
     if t_floor <= T:
         return CertificationRecord(0.0, False, f_at_R, measured_window=t_floor)

@@ -369,13 +369,13 @@ def _certificate(
     X: series.MajorantSeries | dynamics.NonlinearitySpec,
     chart: chrono.ChartMap,
     f: symfun.SymFunctional,
-) -> tuple[float, series.MajorantSeries, chrono.CertificationRecord]:
-    """(R, X, record) of the window certificate of ``f`` over [t1, t2], from the checked
+) -> tuple[series.MajorantSeries, chrono.CertificationRecord]:
+    """(X, record) of the window certificate of ``f`` over [t1, t2], from the checked
     ``_window_tolerances``: ``X`` is x_coeffs when given, else the transport majorant."""
     t1, t2, _ = cfg.times
     if isinstance(X, dynamics.NonlinearitySpec):
         X = chrono.transport_majorant(X, chart, np.array([t1, t2]))
-    return R, X, chrono.certify_window(symfun.majorant_of(f), X, R, abs(t2 - t1))
+    return X, chrono.certify_window(symfun.majorant_of(f), X, R, abs(t2 - t1))
 
 
 def cmd_invariance(cfg: RunConfig, out: str) -> None:
@@ -391,9 +391,9 @@ def cmd_invariance(cfg: RunConfig, out: str) -> None:
     data, nonlin = cfg.initial_data(), cfg.nonlin
     chart = _chart(cfg)
     f = functional(chart)
-    _, _, rec = _certificate(cfg, *window, chart, f)
+    _, rec = _certificate(cfg, *window, chart, f)
     traj = dynamics.evolve(data, t1, t2, abs(t2 - t1) / steps, cfg.disp, nonlin)
-    times, values, drift, events = chrono.invariance_scan(f, traj, t1, t2, chart, substeps=substeps, cap=cap)
+    times, values, drift, events = chrono.invariance_scan(f, traj, chart, substeps=substeps, cap=cap)
     table = chrono.invariance_csv(times, values, rec.certified_radius, events)
     _write_csv(os.path.join(out, "invariance.csv"), *table, cfg)
     print(f"invariance drift: {drift!r}")
@@ -401,13 +401,13 @@ def cmd_invariance(cfg: RunConfig, out: str) -> None:
 
 def cmd_certify(cfg: RunConfig, out: str) -> None:
     t1, t2, _ = cfg.times
-    window = _window_tolerances(cfg, "certify")
+    R, X = _window_tolerances(cfg, "certify")
     floor = cfg.tol("certify_floor")
-    if not 0 < floor < window[0]:
+    if not 0 < floor < R:
         raise ConfigError("certify needs 0 < [tolerances] certify_floor < certify_radius")
     _, functional = cfg.functional()
     chart = _chart(cfg)
-    R, X, rec = _certificate(cfg, *window, chart, functional(chart))
+    X, rec = _certificate(cfg, R, X, chart, functional(chart))
     t_bar = series.guaranteed_time(X, R, floor)
     lines = [
         f"{R!r},{abs(t2 - t1)!r},{rec.certified_radius!r},{int(rec.window_ok)},"
@@ -479,13 +479,13 @@ def cmd_selftest(cfg: RunConfig, out: str) -> int:
     bench = propagator.CauchyData(
         grid, 0.05 * np.cos(2 * np.pi * grid.x / grid.Lx), np.zeros(grid.M), 0.0
     )
-    res_c, _ = dynamics.duhamel_residual(dynamics.evolve(bench, 0, 1, 0.1, disp, cubic), 0, 1)
-    res_f, _ = dynamics.duhamel_residual(dynamics.evolve(bench, 0, 1, 0.05, disp, cubic), 0, 1)
+    res_c, _ = dynamics.duhamel_residual(dynamics.evolve(bench, 0, 1, 0.1, disp, cubic))
+    res_f, _ = dynamics.duhamel_residual(dynamics.evolve(bench, 0, 1, 0.05, disp, cubic))
     checks.append(("duhamel_residual_order4", res_c / max(res_f, 1e-300) > 8.0))
 
     f = chrono.point_eval_functional(chart, 0.0, 0)
     traj = dynamics.evolve(bench, 0.0, 0.3, 0.025, disp, cubic)
-    _, values, drift, _ = chrono.invariance_scan(f, traj, 0.0, 0.3, chart)
+    _, values, drift, _ = chrono.invariance_scan(f, traj, chart)
     checks.append(("main_invariance_small_drift", drift < 1e-6))
 
     X = series.MajorantSeries([0, 0, 0, 2.0])

@@ -27,10 +27,10 @@ source rounds, stages (1, 3) and then (2, 4); Schrodinger's ``kappa(0) =
     c(t2) - c(t1) + integral_{t1}^{t2} Vbar_t(c(t)) dt = 0
 
 is used as a residual diagnostic: for an exact solution it vanishes, and
-for the RK4 trajectory it decreases at the integrator's order.  The
-running residual of a trajectory dump samples the vector field at every
-node with one batched kernel call and takes the composite Simpson sums of
-all prefixes in one cumulative pass over those samples.
+for the RK4 trajectory it decreases at the integrator's order.  A residual
+spans its whole trajectory, in steps ``h = times[1] - times[0]``; a dump
+samples the field at every node in one batched kernel call and takes SciPy's
+equal-step Simpson sums of all prefixes in one pass over those samples.
 """
 
 from __future__ import annotations
@@ -341,38 +341,26 @@ def evolve(
     return out
 
 
-def _window(traj: list[EvolutionState], t1: float, t2: float) -> list[EvolutionState]:
-    """The nodes of ``traj`` with times in ``[min(t1, t2), max(t1, t2)]``, give or take 1e-12."""
-    lo, hi = min(t1, t2) - 1e-12, max(t1, t2) + 1e-12
-    return [st for st in traj if lo <= st.time <= hi]
+def duhamel_residual(traj: list[EvolutionState], *, s: float = 0.0, m_ref: float = 1.0) -> tuple[float, float]:
+    """Cauchy norm of c(t_n) - c(t_0) + Quad(integral of Vbar) over the whole trajectory.
 
-
-def duhamel_residual(
-    traj: list[EvolutionState],
-    t1: float,
-    t2: float,
-    s: float = 0.0,
-    m_ref: float = 1.0,
-) -> tuple[float, float]:
-    """Cauchy norm of c(t2) - c(t1) + Quad(integral of Vbar) over the nodes.
-
-    Quad is composite Simpson, the last row of ``_prefix_simpson``; the
-    second return value is its own error estimate.  When the node count
-    allows a coarse (every-second-node) Simpson pass the estimate is the
-    Richardson difference / 15; otherwise the conservative
-    Simpson-vs-trapezoid gap is reported.
+    The span is the trajectory's own, at least 3 nodes in steps ``h = times[1] - times[0]``.
+    Quad is composite Simpson, the last row of ``_prefix_simpson``; the second return value
+    is its error estimate: the Richardson difference / 15 against a coarse Simpson pass on
+    every second node (step ``2h``) when the node count allows one, else the conservative
+    Simpson-vs-trapezoid gap.
     """
-    nodes = _window(traj, t1, t2)
-    if len(nodes) < 3:
-        raise ValueError("trajectory must cover [t1, t2] with at least 3 nodes")
-    disp, grid = nodes[0].disp, nodes[0].current.chart_data.grid
-    times, c, v = _field_samples(nodes)
-    fine = _prefix_simpson(times, v)[-1]
+    if len(traj) < 3:
+        raise ValueError("the Duhamel residual needs a trajectory of at least 3 nodes")
+    disp, grid = traj[0].disp, traj[0].current.chart_data.grid
+    times, c, v = _field_samples(traj)
+    h = times[1] - times[0]
+    fine = _prefix_simpson(h, v)[-1]
     res = c[-1] - c[0] + fine
     if (len(times) - 1) % 2 == 0 and len(times) >= 5:
-        err = (fine - _prefix_simpson(times[::2], v[::2])[-1]) / 15.0
+        err = (fine - _prefix_simpson(2 * h, v[::2])[-1]) / 15.0
     else:
-        err = fine - np.trapezoid(v, x=times, axis=0)
+        err = fine - np.trapezoid(v, dx=h, axis=0)
     norms = _cau_norms(disp, grid, np.array([res, err]), s, m_ref)
     return float(norms[0]), float(norms[1])
 
@@ -380,8 +368,7 @@ def duhamel_residual(
 def _field_samples(nodes: list[EvolutionState]):
     """Node times, chart modes and the chart field at every node, from one kernel call.
 
-    Returns ``(times, c, v)`` with ``c`` and ``v`` stacked ``(n, K, M)`` as
-    in ``_chart_field``.
+    Returns ``(times, c, v)``, ``c`` and ``v`` stacked ``(n, K, M)`` as in ``_chart_field``.
     """
     disp, nonlin = nodes[0].disp, nodes[0].nonlin
     grid = nodes[0].current.chart_data.grid
@@ -390,44 +377,24 @@ def _field_samples(nodes: list[EvolutionState]):
     return times, c, _chart_field(nonlin, *_chart_factors(disp, grid, times), c, real)
 
 
-def _guarded_divide(a, b):
-    """``a / b`` where ``b != 0`` and 0 elsewhere, as SciPy's Simpson weights divide."""
-    return np.true_divide(a, b, out=np.zeros_like(b), where=b != 0)
+def _prefix_simpson(h, v):
+    """SciPy's ``simpson(v[:n], dx=h, axis=0)`` for every ``n = 3 .. len(v)``, stacked.
 
-
-def _prefix_simpson(times, v):
-    """SciPy's ``simpson(v[:n], x=times[:n], axis=0)`` for every ``n = 3 .. len(times)``, stacked.
-
-    SciPy's composite Simpson sum over ``n`` nodes adds one term per node
-    pair ``(2j, 2j + 1, 2j + 2)`` that does not depend on ``n``; an even
-    ``n`` stops one pair short and adds Cartwright's correction for its
-    last interval.  The pair terms are formed once, term for term as
-    SciPy's private ``_basic_simpson`` forms them, and summed
-    cumulatively, so one pass gives every row with SciPy's bits.  The added
-    ``0.0`` gives a zero sum SciPy's ``+0.0``.
+    SciPy sums ``v[2j] + 4 v[2j + 1] + v[2j + 2]`` over the node pairs and scales by ``h / 3``;
+    an even ``n`` stops one pair short and adds ``0.0 +`` Cartwright's last-interval correction,
+    from two spacings both ``h``.  A cumulative sum gives every row with SciPy's bits.
     """
-    n = len(times)
-    h = np.diff(times)[:, None, None]
-    # pair j: spacings h0 = h[2j] and h1 = h[2j + 1]
+    n = len(v)
     e = 2 * ((n - 1) // 2)
-    h0, h1 = h[0:e:2], h[1:e:2]
-    hsum, hprod = h0 + h1, h0 * h1
-    h0divh1 = _guarded_divide(h0, h1)
-    pairs = hsum / 6.0 * (
-        v[0:e:2] * (2.0 - _guarded_divide(1.0, h0divh1))
-        + v[1:e:2] * (hsum * _guarded_divide(hsum, hprod))
-        + v[2 : e + 1 : 2] * (2.0 - h0divh1)
-    )
-    partial = np.cumsum(pairs, axis=0) + 0.0
+    pairs = v[0:e:2] + 4.0 * v[1:e:2] + v[2 : e + 1 : 2]
+    partial = np.cumsum(pairs, axis=0) * (h / 3.0)
     out = np.empty((n - 2, *v.shape[1:]), dtype=partial.dtype)
-    # odd n = 2j + 3: pairs 0..j
+    # odd n = 2j + 3: pairs 0..j; even n = 2j + 4: pairs 0..j, then nodes 2j + 1 .. 2j + 3
     out[0::2] = partial
-    # even n = 2j + 4: pairs 0..j, then the last interval with h0 = h[2j + 1], h1 = h[2j + 2]
     e = 2 * ((n - 2) // 2)
-    h0, h1 = h[1:e:2], h[2 : e + 1 : 2]
-    alpha = _guarded_divide(2 * h1**2 + 3 * h0 * h1, 6 * (h1 + h0))
-    beta = _guarded_divide(h1**2 + 3.0 * h0 * h1, 6 * h0)
-    eta = _guarded_divide(h1**3, 6 * h0 * (h0 + h1))
+    alpha = (2 * h**2 + 3 * h * h) / (6 * (h + h))
+    beta = (h**2 + 3.0 * h * h) / (6 * h)
+    eta = h**3 / (6 * h * (h + h))
     last = alpha * v[3 : e + 3 : 2] + beta * v[2 : e + 2 : 2] - eta * v[1 : e + 1 : 2]
     out[1::2] = partial[: e // 2] + last + 0.0
     return out
@@ -454,10 +421,10 @@ def trajectory_csv(
     t = 0 by the free flow, the norm the certificate's radii bound, where
     ``propagate.csv`` reports the norm of the data at t under that name.
 
-    The running residual of row i is ``duhamel_residual(traj[:i+1], t_0, t_i)``.
-    One batched kernel call samples the chart field at every node, one
-    cumulative pass (``_prefix_simpson``) gives the composite Simpson sums
-    of all prefixes, and norms and energies are taken on all rows at once.
+    The running residual of row i is ``duhamel_residual(traj[:i+1])``: one batched kernel
+    call samples the chart field at every node, one pass of ``_prefix_simpson`` on the step
+    ``times[1] - times[0]`` gives the Simpson sums of all prefixes, and norms and energies
+    are taken on all rows at once.
     ``FloatingPointError`` names the first row whose time, norm, running
     residual or (second-order kinds) energy is not finite; the Schrodinger
     energy column is nan by definition.
@@ -473,7 +440,8 @@ def trajectory_csv(
             energies = np.full(len(traj), np.nan)
         running = np.zeros(len(traj))
         if len(traj) > 2:
-            running[2:] = _cau_norms(disp, grid, c[2:] - c[0] + _prefix_simpson(times, v), s, m_ref)
+            prefixes = c[2:] - c[0] + _prefix_simpson(times[1] - times[0], v)
+            running[2:] = _cau_norms(disp, grid, prefixes, s, m_ref)
     checked = [times, norms, running] + ([energies] if disp.second_order else [])
     finite = np.isfinite(np.array(checked)).all(axis=0)
     if not finite.all():

@@ -114,7 +114,7 @@ def test_criterion_2_duhamel_residual_order4():
     residuals = []
     for dt in (1 / 8, 1 / 16, 1 / 32, 1 / 64):
         traj = evolve(data, 0.0, 1.0, dt, KG, CUBIC)
-        residuals.append(duhamel_residual(traj, 0.0, 1.0)[0])
+        residuals.append(duhamel_residual(traj)[0])
     ratios = [residuals[i] / residuals[i + 1] for i in range(3)]
     for ratio in ratios:
         assert 12.0 <= ratio <= 20.0, f"ratios observed: {ratios}"
@@ -149,7 +149,7 @@ def test_criterion_4_main_invariance():
     drifts = {}
     final = {}
     for cap in (3, 5):
-        _, values, drift, _ = invariance_scan(f, traj, 0.0, 0.5, chart, substeps=2, cap=cap)
+        _, values, drift, _ = invariance_scan(f, traj, chart, substeps=2, cap=cap)
         drifts[cap] = drift
         final[cap] = values[-1]
     assert drifts[5] <= 1e-6

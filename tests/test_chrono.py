@@ -247,7 +247,7 @@ def _mass2_trajectory():
     "transport",
     [
         lambda f: chrono_exp_evolve(f, 0.0, 0.5, 1, MASS2, CUBIC, CHART),
-        lambda f: invariance_scan(f, _mass2_trajectory(), 0.0, 0.5, CHART),
+        lambda f: invariance_scan(f, _mass2_trajectory(), CHART),
     ],
     ids=["chrono_exp_evolve", "invariance_scan"],
 )
@@ -328,7 +328,7 @@ def test_invariance_scan_interpolates_every_path_node():
     disp, chart, data = _cosine_problem(8)
     traj = evolve(data, 0.0, 0.5, 0.0125, disp, CUBIC)
     f = point_eval_functional(chart, 0.0, 0)
-    times, values, _, _ = invariance_scan(f, traj, 0.0, 0.5, chart, substeps=2)
+    times, values, _, _ = invariance_scan(f, traj, chart, substeps=2)
     path = rk4_transport(f, times, CUBIC, chart, substeps=4)
     expected = [eval_series(F, chart.coords_of(st.current))[0] for F, st in zip(path, traj)]
     assert len(values) == 41
@@ -389,7 +389,7 @@ def test_picard_applies_the_operator_once_per_node_and_sweep(cap, panel_sweeps, 
     composed.clear()
     data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.0)
     traj = evolve(data, 0.0, 0.5, 0.05, KG1, CUBIC)
-    invariance_scan(f, traj, 0.0, 0.5, CHART, substeps=1, cap=cap)
+    invariance_scan(f, traj, CHART, substeps=1, cap=cap)
     assert [times for times, _ in composed] == [nodes] * (len(pairs) - 1)
     assert [done for _, done in composed] == [dict.fromkeys(ps, len(nodes)) for ps in pairs[:-1]]
 
@@ -461,7 +461,7 @@ def test_matrix_free_last_sweep_matches_the_transported_functional(coeffs, t1, t
     data = CauchyData(grid, 0.3 * np.cos(grid.x), np.zeros(grid.M), t1)
     traj = evolve(data, t1, t2, 0.05, KG1, nonlin)
     f = point_eval_functional(chart, 0.0, 0)
-    _, values, _, _ = invariance_scan(f, traj, t1, t2, chart, substeps=1, cap=cap)
+    _, values, _, _ = invariance_scan(f, traj, chart, substeps=1, cap=cap)
     F, _ = chrono_exp_evolve(f, t1, t2, 1, KG1, nonlin, chart, cap=cap)
     expected = eval_series(F, chart.coords_of(traj[-1].current))[0]
     assert values[-1] == pytest.approx(expected, rel=1e-13)
@@ -474,7 +474,7 @@ def test_invariance_scan_builds_no_tensor_of_the_last_sweep(composed):
     data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.0)
     traj = evolve(data, 0.0, 0.5, 0.05, KG1, CUBIC)
     f = point_eval_functional(CHART, 0.0, 0)
-    invariance_scan(f, traj, 0.0, 0.5, CHART, substeps=2, cap=5)
+    invariance_scan(f, traj, CHART, substeps=2, cap=5)
     nodes = list(_cubic_nodes(f, 2, 5))
     assert composed == [(nodes, {(1, 3): len(nodes)})]
 
@@ -488,7 +488,7 @@ def test_stored_dyson_terms_compose_each_degree_once(composed):
     data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.0)
     traj = evolve(data, 0.0, 0.5, 0.05, KG1, mixed)
     f = point_eval_functional(CHART, 0.0, 0)
-    invariance_scan(f, traj, 0.0, 0.5, CHART, substeps=2, cap=5)
+    invariance_scan(f, traj, CHART, substeps=2, cap=5)
     sweeps = chrono._picard_sweeps(f, mixed, 5)
     nodes = list(chrono._picard_nodes(0.0, 0.5, mixed, CHART, 2, sweeps))
     pairs = [{(1, 2), (1, 3)}, {(2, 2), (2, 3), (3, 2)}, {(3, 2)}]
@@ -626,7 +626,7 @@ def test_truncation_events_mean_what_the_cap_drops(cap):
     f = point_eval_functional(CHART, 0.0, 0)
     _, dropped = chrono_exp_evolve(f, 0.0, 0.5, 1, KG1, CUBIC, CHART, cap=cap)
     assert dropped == [(cap, cap + 2)]
-    _, _, _, events = invariance_scan(f, traj, 0.0, 0.5, CHART, substeps=2, cap=cap)
+    _, _, _, events = invariance_scan(f, traj, CHART, substeps=2, cap=cap)
     assert events[-1] == len(_cubic_nodes(f, 2, cap))
 
 
@@ -642,7 +642,7 @@ def _assert_events_column(nonlin, t1, t2):
     data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), t1)
     traj = evolve(data, t1, t2, 0.05, KG1, nonlin)
     f = point_eval_functional(CHART, 0.0, 0)
-    times, values, _, events = invariance_scan(f, traj, t1, t2, CHART, substeps=2)
+    times, values, _, events = invariance_scan(f, traj, CHART, substeps=2)
     _, lines = invariance_csv(times, values, 0.1, events)
     column = [int(l.split(",")[4]) for l in lines]
     _, dropped = chrono_exp_evolve(f, t1, t2, 1, KG1, nonlin, CHART)
@@ -666,7 +666,7 @@ def test_truncation_events_none_without_a_nonlinearity():
     zero = NonlinearitySpec.zero()
     traj = evolve(data, 0.0, 0.5, 0.05, KG1, zero)
     f = point_eval_functional(CHART, 0.0, 0)
-    events = invariance_scan(f, traj, 0.0, 0.5, CHART, substeps=2)[3]
+    events = invariance_scan(f, traj, CHART, substeps=2)[3]
     assert events.shape == (len(traj),) and not events.any()
     assert chrono_exp_evolve(f, 0.0, 0.5, 1, KG1, zero, CHART)[1] == []
 
@@ -865,7 +865,7 @@ def test_invariance_free_dynamics():
     data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.0)
     traj = evolve(data, 0.0, 0.5, 0.05, KG1, NonlinearitySpec.zero())
     f = point_eval_functional(CHART, 0.0, 0)
-    _, values, drift, _ = invariance_scan(f, traj, 0.0, 0.5, CHART)
+    _, values, drift, _ = invariance_scan(f, traj, CHART)
     assert drift <= 1e-13
     assert values[0] == pytest.approx(data.psi[0], abs=1e-12)
 
@@ -874,7 +874,7 @@ def test_invariance_constant_functional():
     one = SymFunctional([SymTensor(0, CHART.dim, [[1.0]])])
     data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.0)
     traj = evolve(data, 0.0, 0.4, 0.05, KG1, CUBIC)
-    _, values, drift, _ = invariance_scan(one, traj, 0.0, 0.4, CHART)
+    _, values, drift, _ = invariance_scan(one, traj, CHART)
     np.testing.assert_allclose(values, 1.0, atol=1e-14)
     assert drift <= 1e-14
 
@@ -883,9 +883,41 @@ def test_invariance_cubic_small_amplitude():
     data = CauchyData(GRID, 0.05 * np.cos(2 * np.pi * GRID.x / GRID.Lx), np.zeros(GRID.M), 0.0)
     traj = evolve(data, 0.0, 0.5, 0.0125, KG1, CUBIC)
     f = point_eval_functional(CHART, 0.0, 0)
-    _, values, drift, _ = invariance_scan(f, traj, 0.0, 0.5, CHART, substeps=2, cap=5)
+    _, values, drift, _ = invariance_scan(f, traj, CHART, substeps=2, cap=5)
     assert drift <= 1e-7
     assert values[0] == pytest.approx(data.psi[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("t2, steps", [(-0.4, 21), (0.3, 0)], ids=["backward-21-steps", "one-node"])
+def test_invariance_scan_transports_over_the_trajectory_s_own_span(monkeypatch, t2, steps):
+    # the Picard panel spans the first to the last node time: 21 steps from 0.3 end at
+    # -0.39999999999999997, not at -0.4; a one-node trajectory scans to its own value
+    spans, picard = [], chrono._picard
+
+    def spied_picard(f, t1, t2, *args):
+        spans.append((t1, t2))
+        return picard(f, t1, t2, *args)
+
+    monkeypatch.setattr(chrono, "_picard", spied_picard)
+    data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.3)
+    traj = evolve(data, 0.3, t2, abs(t2 - 0.3) / steps if steps else 0.05, KG1, CUBIC)
+    f = point_eval_functional(CHART, 0.0, 0)
+    times, values, drift, events = invariance_scan(f, traj, CHART)
+    assert len(traj) == steps + 1 and times.tolist() == [st.time for st in traj]
+    if steps:
+        assert traj[-1].time != t2 and spans == [(0.3, traj[-1].time)]
+        assert drift <= 1e-7
+    else:
+        assert spans == [] and drift == 0.0 and events.tolist() == [0]
+        assert values.tolist() == [eval_series(f, CHART.coords_of(traj[0].current))[0]]
+
+
+def test_invariance_scan_takes_no_time_window():
+    # a call in the old (f, traj, t1, t2, chart) form is a TypeError, not a misread chart
+    data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.0)
+    traj = evolve(data, 0.0, 0.5, 0.05, KG1, CUBIC)
+    with pytest.raises(TypeError):
+        invariance_scan(point_eval_functional(CHART, 0.0, 0), traj, 0.0, 0.5, CHART)
 
 
 # ---------------------------------------------------------------------------

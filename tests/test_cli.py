@@ -1,13 +1,20 @@
 """CLI behaviour: determinism, exit codes, artifact shapes."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import chrono_duhamel
 from chrono_duhamel import chrono, series
@@ -863,6 +870,8 @@ HUGE_PHASE = "[grid]\nm = 4\nlx = 1e-110\n[times]\nt1 = -1e300\n[dispersion]\nma
 HUGE_T_POINT = "[grid]\nm = 4\nlx = 1e-110\n[functional]\nt_point = 1e300\n"
 # the sampling rows are finite, but the functional's weighted sum of them overflows
 HUGE_WEIGHTS = "[grid]\nm = 4\n[functional]\nkind = linear_weights\nweights = 1e308,1e308,1e308,1e308\n"
+# the functional's majorant, its sampling row's l1 norm times R, overflows at certify_radius
+HUGE_RADIUS = "[grid]\nm = 4\nlx = 1e-110\n[tolerances]\ncertify_radius = 1e300\n"
 
 
 @pytest.mark.parametrize(
@@ -894,6 +903,8 @@ HUGE_WEIGHTS = "[grid]\nm = 4\n[functional]\nkind = linear_weights\nweights = 1e
         ("certify", HUGE_WEIGHTS),
         ("invariance", HUGE_WEIGHTS),
         ("trees", HUGE_WEIGHTS),
+        ("certify", HUGE_RADIUS),
+        ("invariance", HUGE_RADIUS),
     ],
     ids=[
         "propagate-m-ref",
@@ -922,6 +933,8 @@ HUGE_WEIGHTS = "[grid]\nm = 4\n[functional]\nkind = linear_weights\nweights = 1e
         "certify-functional-weights",
         "invariance-functional-weights",
         "trees-functional-weights",
+        "certify-functional-majorant",
+        "invariance-functional-majorant",
     ],
 )
 def test_float_overflow_is_a_numerical_failure(tmp_path, capsys, command, body):
@@ -939,6 +952,8 @@ def test_float_overflow_is_a_numerical_failure(tmp_path, capsys, command, body):
         assert "X_3" in err
     if body == HUGE_WEIGHTS:
         assert "weighted by [functional] weights overflows" in err and "t_point" not in err
+    if body == HUGE_RADIUS:
+        assert "majorant overflows at R = 1e+300" in err
     assert not (tmp_path / "o" / "trajectory.csv").exists()
 
 
@@ -986,6 +1001,18 @@ def _data_rows(path):
     return [dict(zip(names, l.split(","))) for l in lines[1:]]
 
 
+def _assert_every_cell_parses(path):
+    """Every data cell is a float, but for the parents and the total row of ``trees.csv``."""
+    for row in _data_rows(path):
+        for name, cell in row.items():
+            if path.name == "trees.csv" and name == "parents":
+                assert cell == "" or all(p.isdigit() for p in cell.split("-"))
+            elif path.name == "trees.csv" and row["order"] == "total" and name != "value":
+                assert cell in ("total", "")
+            else:
+                float(cell)
+
+
 def test_every_csv_cell_parses_as_a_number(tmp_path):
     kg = write_config(tmp_path / "kg.ini", SMALL + "\n[output]\nsnapshots = 1\n")
     sch = write_config(
@@ -1001,14 +1028,7 @@ def test_every_csv_cell_parses_as_a_number(tmp_path):
         "propagate.csv", "trajectory.csv", "final_field.csv", "invariance.csv", "certify.csv", "trees.csv",
     }
     for path in csvs:
-        for row in _data_rows(path):
-            for name, cell in row.items():
-                if path.name == "trees.csv" and name == "parents":
-                    assert cell == "" or all(p.isdigit() for p in cell.split("-"))
-                elif path.name == "trees.csv" and row["order"] == "total" and name != "value":
-                    assert cell in ("total", "")
-                else:
-                    float(cell)
+        _assert_every_cell_parses(path)
     # a first-order snapshot splits psi into its real and imaginary parts
     for path in tmp_path.glob("*sch.ini/*.csv"):
         if path.name not in ("propagate.csv", "trajectory.csv"):
@@ -1050,3 +1070,72 @@ def test_evolve_restarts_from_its_own_final_field(tmp_path):
     whole_header, whole = run("whole", "[times]\nt1 = 0.0\nt2 = 1.0\nsteps = 100\n")
     assert header == whole_header and header["t"] == 1.0
     assert np.max(np.abs(restarted - whole)) <= 1e-13
+
+
+# the exit-code contract under fuzzed configs: boundary values and wrong kinds, 1-4 fields at a time
+CONTRACT_FIELDS = {
+    ("times", "steps"): ["0", "-1", "x", "3"],
+    ("times", "t2"): ["0.0", "-0.25", "1e300"],
+    ("grid", "lx"): ["1e-110", "inf", "0"],
+    ("dispersion", "kind"): ["schrodinger", "heat"],
+    ("dispersion", "mass"): ["0", "1e200"],
+    ("initial", "kind"): ["random", "bogus"],
+    ("initial", "amplitude"): ["1e300", "nan", "0"],
+    ("functional", "kind"): ["linear_weights", "bogus"],
+    ("functional", "t_point"): ["1e300"],
+    ("functional", "x_index"): ["{m}", "-1"],
+    ("caps", "degree_cap"): ["0", "1", "4"],
+    ("caps", "tree_order"): ["-1", "3"],
+    ("tolerances", "m_ref"): ["0", "1e-160", "1e300"],
+    ("tolerances", "certify_radius"): ["0", "1e300"],
+    ("tolerances", "certify_floor"): ["0", "1e-300"],
+    ("tolerances", "x_coeffs"): ["-1", "0,0,0,2"],
+    ("tolerances", "substeps"): ["0", "2"],
+    ("output", "snapshots"): ["2", "1"],
+}
+CONTRACT_NONLINEARITIES = [None, {2: 0.3, 3: 0.8}, {1: 0.3, 3: 0.8}, {3: 1e40}, {}]
+# Tier-1 draws 60 examples; `pytest --hypothesis-profile cli-contract-long` draws that profile's (conftest.py)
+LONG_PROFILE = "cli-contract-long"
+CONTRACT_EXAMPLES = settings.default.max_examples if settings.get_current_profile_name() == LONG_PROFILE else 60
+
+
+def _contract_config(m, fields, nonlinearity):
+    sections = {"grid": {"m": str(m)}, "times": {"t1": "0.0", "t2": "0.25", "steps": "10"}}
+    sections["caps"] = {"degree_cap": "3", "tree_order": "1"}
+    for (sec, key), value in fields:
+        sections.setdefault(sec, {})[key] = value.format(m=m)
+    if nonlinearity is not None:
+        sections["nonlinearity"] = {str(k): repr(v) for k, v in nonlinearity.items()}
+    return "".join(
+        f"[{sec}]\n" + "".join(f"{key} = {value}\n" for key, value in body.items()) for sec, body in sections.items()
+    )
+
+
+@settings(max_examples=CONTRACT_EXAMPLES, derandomize=True, deadline=None, database=None)
+@given(
+    command=st.sampled_from(["propagate", "evolve", "invariance", "certify", "trees"]),
+    m=st.sampled_from([4, 8]),
+    keys=st.permutations(list(CONTRACT_FIELDS)),
+    count=st.integers(1, 4),
+    nonlinearity=st.sampled_from(CONTRACT_NONLINEARITIES),
+    data=st.data(),
+)
+def test_fuzzed_configs_keep_the_exit_code_contract(command, m, keys, count, nonlinearity, data):
+    # exit 0, 1 or 2 with no exception and no warning; a failure prints one stderr line,
+    # and a success writes only cells that parse
+    fields = [(key, data.draw(st.sampled_from(CONTRACT_FIELDS[key]), label=str(key))) for key in keys[:count]]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(pathlib.Path(tmp) / "c.ini", _contract_config(m, fields, nonlinearity))
+        out, stdout, stderr = pathlib.Path(tmp) / "out", io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout):
+            warnings.simplefilter("always")
+            with contextlib.redirect_stderr(stderr):
+                code = main([command, "--config", cfg, "--out", str(out)])
+        assert code in (0, 1, 2)
+        event(f"{command} exits {code}")
+        assert [str(w.message) for w in caught] == []
+        if code:
+            assert len(stderr.getvalue().splitlines()) == 1
+        else:
+            for path in sorted(out.glob("*.csv")):
+                _assert_every_cell_parses(path)

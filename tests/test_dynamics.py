@@ -228,7 +228,7 @@ def test_evolve_reports_overflowing_free_phases_without_a_warning():
 def test_residual_free_dynamics_vanishes():
     rng = np.random.default_rng(5)
     traj = evolve(random_data(rng), 0.0, 1.0, 0.05, KG1, ZERO_N)
-    res, _ = duhamel_residual(traj, 0.0, 1.0)
+    res, _ = duhamel_residual(traj)
     assert res <= 1e-13
 
 
@@ -241,15 +241,28 @@ def test_residual_free_trajectory_with_cubic_field_is_nonzero():
     fs = make_free_solution(KG1, data)
     times = np.linspace(0.0, 1.0, 21)
     traj = [EvolutionState(fs, float(t), KG1, CUBIC) for t in times]
-    res, _ = duhamel_residual(traj, 0.0, 1.0)
+    res, _ = duhamel_residual(traj)
     assert res > 1e-4
 
 
 def test_residual_shrinks_with_step():
     data = benchmark_data(GRID)
-    r_coarse, _ = duhamel_residual(evolve(data, 0.0, 1.0, 0.1, KG1, CUBIC), 0.0, 1.0)
-    r_fine, _ = duhamel_residual(evolve(data, 0.0, 1.0, 0.05, KG1, CUBIC), 0.0, 1.0)
+    r_coarse, _ = duhamel_residual(evolve(data, 0.0, 1.0, 0.1, KG1, CUBIC))
+    r_fine, _ = duhamel_residual(evolve(data, 0.0, 1.0, 0.05, KG1, CUBIC))
     assert r_coarse / r_fine >= 8.0
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [(lambda traj: duhamel_residual(traj[:2]), ValueError), (lambda traj: duhamel_residual(traj, 0.0, 1.0), TypeError)],
+    ids=["two-nodes", "old-time-window"],
+)
+def test_residual_reads_a_whole_trajectory_of_at_least_three_nodes(call, error):
+    # the span is the trajectory's own; s and m_ref are keywords, so an old (traj, t1, t2)
+    # call cannot run as s = t1, m_ref = t2
+    traj = evolve(benchmark_data(GRID), 0.0, 0.5, 0.05, KG1, CUBIC)
+    with pytest.raises(error):
+        call(traj)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +295,7 @@ def test_strang_solution_satisfies_duhamel_identity():
     dt = 0.01
     states = strang_evolve(data, 0.0, 1.0, dt, KG1, CUBIC)
     traj = [EvolutionState(make_free_solution(KG1, d), d.t, KG1, CUBIC) for d in states]
-    res, _ = duhamel_residual(traj, 0.0, 1.0)
+    res, _ = duhamel_residual(traj)
     half = strang_evolve(data, 0.0, 1.0, dt / 2, KG1, CUBIC)[-1]
     err = self_estimate(states[-1], half, 2)
     assert res <= 10.0 * max(err, 1e-12)
@@ -340,7 +353,7 @@ def test_trajectory_csv_running_residual_matches_duhamel_residual(disp, t1, t2):
     cells = [row.split(",")[3] for row in trajectory_csv(traj)[1]]
     assert cells[:2] == ["0.0", "0.0"]
     for i in range(2, len(traj)):
-        assert cells[i] == repr(duhamel_residual(traj[: i + 1], t1, traj[i].time)[0])
+        assert cells[i] == repr(duhamel_residual(traj[: i + 1])[0])
 
 
 def test_trajectory_csv_one_batched_field_evaluation(kernel_calls):
@@ -372,18 +385,19 @@ def test_prefix_simpson_is_scipy_simpson_on_every_prefix(disp, t1, t2, steps, no
         data = CauchyData(grid, 0.3 * psi, None, t1)
     traj = evolve(data, t1, t2, abs(t2 - t1) / steps, disp, nonlin)
     times, _, v = dyn._field_samples(traj)
-    sums = dyn._prefix_simpson(times, v)
+    h = times[1] - times[0]
+    sums = dyn._prefix_simpson(h, v)
     assert len(sums) == len(traj) - 2
     # raw bytes, so that the sign of a zero counts
     for n, got in enumerate(sums, 3):
-        assert got.tobytes() == simpson(v[:n], x=times[:n], axis=0).tobytes()
-    # duhamel_residual's coarse (every-second-node) Simpson sum and its trapezoid sum
+        assert got.tobytes() == simpson(v[:n], dx=h, axis=0).tobytes()
+    # duhamel_residual's coarse (every-second-node, step 2h) Simpson sum and its trapezoid sum
     for n in range(2, len(times) + 1):
         if len(times[:n:2]) >= 3:
-            coarse = dyn._prefix_simpson(times[:n:2], v[:n:2])[-1]
-            assert coarse.tobytes() == simpson(v[:n:2], x=times[:n:2], axis=0).tobytes()
-        trap = np.trapezoid(v[:n], x=times[:n], axis=0)
-        assert trap.tobytes() == trapezoid(v[:n], x=times[:n], axis=0).tobytes()
+            coarse = dyn._prefix_simpson(2 * h, v[:n:2])[-1]
+            assert coarse.tobytes() == simpson(v[:n:2], dx=2 * h, axis=0).tobytes()
+        trap = np.trapezoid(v[:n], dx=h, axis=0)
+        assert trap.tobytes() == trapezoid(v[:n], dx=h, axis=0).tobytes()
 
 
 def test_dynamics_takes_nothing_from_scipy():
