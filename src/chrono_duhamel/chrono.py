@@ -80,8 +80,8 @@ from .symfun import (
     SymFunctional,
     SymTensor,
     _compose_factored,
+    _open_polarized,
     _products,
-    extend_table,
     monomials,
     num_canonical,
 )
@@ -97,7 +97,6 @@ __all__ = [
     "invariance_scan",
     "transport_majorant",
     "certify_window",
-    "invariance_csv",
 ]
 
 DEFAULT_DEGREE_CAP = 5
@@ -682,8 +681,8 @@ def invariance_scan(
 
     with ``V^(k)(c) = lam_k B (A c)^k`` from the sampling rows ``A`` and
     Green-lift columns ``B`` at ``t_l`` and ``grad G^(p)(c)`` the degree
-    ``p - 1`` monomials of ``c`` times ``G^(p)`` gathered through
-    ``extend_table``.  Every panel node is taken at once from the chart's
+    ``p - 1`` monomials of ``c`` times ``G^(p)`` with its first slot open
+    (``symfun._open_polarized``).  Every panel node is taken at once from the chart's
     factors, ``A c = A_0 (a_l o c)`` and ``B v = b_l o (B_0 v)``, in chunks
     of at most ``_CHUNK_FLOATS`` floats.  No tensor of the last sweep's
     degrees is built.  The trajectory's dispersion must be the chart's.
@@ -719,7 +718,7 @@ def invariance_scan(
             U = (coords * a[:, None, :]) @ A0.T  # (nodes, path, M): A_t c
             fields = {k: ((lam * U**k) @ B0.T) * b[:, None, :] for k, lam in nonlin.coeffs.items()}
             for p, ks in pairs.items():
-                grad = monomials_of(p - 1) @ G[p][sl][:, extend_table(d, p - 1)]
+                grad = monomials_of(p - 1) @ _open_polarized(G[p][sl], d, p)
                 rate = np.einsum("lij,lij->li", grad, sum(fields[k] for k in ks))
                 values += p * np.einsum("il,li->i", W[:, sl], rate)
         sign = 1.0 if t2 > t1 else -1.0
@@ -810,25 +809,3 @@ def certify_window(
     uf_val = series_eval(uf_majorant, r_prime)
     return CertificationRecord(r_prime, True, f_at_R, None, uf_val, bool(uf_val <= f_at_R * (1 + 1e-12)))
 
-
-# ---------------------------------------------------------------------------
-# scan dump
-# ---------------------------------------------------------------------------
-
-
-def invariance_csv(
-    times: np.ndarray,
-    values: np.ndarray,
-    certified_radius: float,
-    events: np.ndarray,
-) -> tuple[str, list[str]]:
-    """Header and rows of the scan dump, ``events`` being ``invariance_scan``'s counts.
-
-    Columns: (t, functional_value, running_drift, certified_radius, truncation_events).
-    """
-    running = np.maximum.accumulate(np.abs(values - values[0]))
-    lines = [
-        f"{float(t)!r},{float(v)!r},{float(r)!r},{certified_radius!r},{int(n)}"
-        for t, v, r, n in zip(times, values, running, events)
-    ]
-    return "t,functional_value,running_drift,certified_radius,truncation_events", lines

@@ -11,14 +11,17 @@ the data pulled back to t = 0 that the certificate's radii bound; ``propagate.cs
 The ``truncation_events`` cell of ``invariance.csv`` counts the degree pairs that ``[caps] degree_cap``
 drops times the transport's panel nodes before the next row, so it moves with ``[tolerances] substeps``
 while the values do not.
-Two cells are non-finite by design: ``energy`` is ``nan`` on every row of ``propagate.csv`` and
-``trajectory.csv`` for the Schrodinger kind, whose energy is defined for Klein-Gordon only, and
-``certify.csv``'s ``guaranteed_time`` is ``inf`` for a zero nonlinearity, whose field never moves
-the radius.  A config has one window certificate, shared by ``invariance`` and ``certify``: its field
-is ``[tolerances] x_coeffs`` when given, else the transport majorant, and its flow floor is the fixed
-``series.DEFAULT_FLOOR``.  A command checks every field it reads before it builds the chart or a
-trajectory.  Exit status: 0 success, 1 numerical failure, 2 configuration error (a bad command line
-or config, an unreadable input or unwritable output path); each prints one line.
+A command builds its table of numbers before it writes any file, and one writer, ``_write_csv``,
+formats and checks every cell: a non-finite float is a numerical failure naming the file, column and
+row, and the command leaves no file.  Two cells are non-finite by design and pass: ``energy`` is
+``nan`` on every row of ``propagate.csv`` and ``trajectory.csv`` for the Schrodinger kind, whose
+energy is defined for Klein-Gordon only, and ``certify.csv``'s ``guaranteed_time`` is ``inf`` for a
+zero field, which never moves the radius.  A config has one window certificate, shared by
+``invariance`` and ``certify``: its field is ``[tolerances] x_coeffs`` when given, else the transport
+majorant, and its flow floor is the fixed ``series.DEFAULT_FLOOR``.  A command checks every field it
+reads before it builds the chart or a trajectory.  Exit status: 0 success, 1 numerical failure, 2
+configuration error (a bad command line or config, an unreadable input or unwritable output path);
+each prints one line.
 """
 
 from __future__ import annotations
@@ -288,10 +291,31 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: str, header: str, lines: list[str], cfg: RunConfig) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# config {cfg.resolved_json()}\n")
-        fh.write(header + "\n")
+def _write_csv(
+    cfg: RunConfig, out: str, name: str, columns: list[str], rows: list, nonfinite: tuple[str, ...] = ()
+) -> None:
+    """Write ``out/name``: the resolved config, the ``columns``, then ``rows`` of Python numbers and
+    ``trees.csv``'s plain strings, a number by ``repr`` and a string as it is.  Before the file is
+    opened, ``FloatingPointError`` names the column and row of the first non-finite float outside
+    the columns ``nonfinite`` by design.  A column is checked in one ``map`` pass, with no Python
+    loop over its cells."""
+    table = list(zip(*rows))  # the cells column by column
+    text = []
+    for column, cells in zip(columns, table):
+        try:
+            finite = column in nonfinite or all(map(math.isfinite, cells))
+            text.append(map(repr, cells))
+        except TypeError:  # trees.csv's plain strings: only the floats among them can be non-finite
+            finite = all(map(math.isfinite, [c for c in cells if type(c) is float]))
+            text.append(map(str, cells))
+        if not finite:
+            i = [type(c) is float and not math.isfinite(c) for c in cells].index(True)
+            raise FloatingPointError(
+                f"{name} column {column} is {cells[i]!r} on data row {i + 1} ({columns[0]} = {rows[i][0]!r})"
+            )
+    lines = list(map(",".join, zip(*text)))
+    with open(os.path.join(out, name), "w") as fh:
+        fh.write(f"# config {cfg.resolved_json()}\n{','.join(columns)}\n")
         fh.write("\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -306,27 +330,32 @@ def _time_grid(cfg: RunConfig, command: str) -> tuple[float, float, int]:
 
 
 def cmd_propagate(cfg: RunConfig, out: str) -> None:
-    grid, disp = cfg.grid, cfg.disp
+    disp = cfg.disp
     t1, t2, steps = _time_grid(cfg, "propagate")
     data = cfg.initial_data()
     s, m_ref = cfg.norm_weights
-    taus = np.linspace(t1, t2, steps + 1)
+    taus = np.linspace(t1, t2, steps + 1).tolist()
     snapshots = [f"field_{tau:.6f}.csv" for tau in taus] if cfg.snapshots else []
     if len(set(snapshots)) < len(snapshots):
         raise ConfigError("propagate snapshot times closer than 1e-6 would share a file name")
-    lines = []
-    for i, tau in enumerate(taus):
+    if any(len(name) > 255 for name in snapshots):  # the longest file name of common file systems
+        raise ConfigError(
+            "propagate snapshot names field_<t>.csv over [times] exceed 255 characters: "
+            "shorten the times or set [output] snapshots = 0"
+        )
+    rows = []
+    with np.errstate(all="ignore"):
+        for tau in taus:
+            snap = propagator.propagate(disp, data, tau)
+            en = propagator.energy(disp, snap) if disp.second_order else math.nan
+            rows.append((tau, propagator.cau_norm(disp, snap, s, m_ref), en))
+    nonfinite = () if disp.second_order else ("energy",)
+    _write_csv(cfg, out, "propagate.csv", ["t", "cau_norm", "energy"], rows, nonfinite)
+    # each snapshot is propagated again, and only once the table has passed: a failing run leaves no file
+    for name, tau in zip(snapshots, taus):
         with np.errstate(all="ignore"):
-            snap = propagator.propagate(disp, data, float(tau))
-            nrm = propagator.cau_norm(disp, snap, s, m_ref)
-            en = propagator.energy(disp, snap) if disp.second_order else float("nan")
-        # the Schrodinger energy column is nan by definition
-        if not (math.isfinite(nrm) and (math.isfinite(en) or not disp.second_order)):
-            raise FloatingPointError(f"cau_norm {nrm!r} or energy {en!r} at t = {float(tau)!r}")
-        lines.append(f"{float(tau)!r},{nrm!r},{en!r}")
-        if snapshots:
-            propagator.save_snapshot(disp, snap, os.path.join(out, snapshots[i]))
-    _write_csv(os.path.join(out, "propagate.csv"), "t,cau_norm,energy", lines, cfg)
+            snap = propagator.propagate(disp, data, tau)
+        propagator.save_snapshot(disp, snap, os.path.join(out, name))
 
 
 def cmd_evolve(cfg: RunConfig, out: str) -> None:
@@ -334,7 +363,8 @@ def cmd_evolve(cfg: RunConfig, out: str) -> None:
     s, m_ref = cfg.norm_weights
     snapshot = cfg.snapshots
     traj = dynamics.evolve(cfg.initial_data(), t1, t2, abs(t2 - t1) / steps, cfg.disp, cfg.nonlin)
-    _write_csv(os.path.join(out, "trajectory.csv"), *dynamics.trajectory_csv(traj, s, m_ref), cfg)
+    nonfinite = () if traj[0].disp.second_order else ("energy",)
+    _write_csv(cfg, out, "trajectory.csv", *dynamics.trajectory_csv(traj, s, m_ref), nonfinite)
     if snapshot:
         last = traj[-1]
         snap = propagator.sample_at(last.disp, last.current, last.time)
@@ -394,8 +424,11 @@ def cmd_invariance(cfg: RunConfig, out: str) -> None:
     _, rec = _certificate(cfg, *window, chart, f)
     traj = dynamics.evolve(data, t1, t2, abs(t2 - t1) / steps, cfg.disp, nonlin)
     times, values, drift, events = chrono.invariance_scan(f, traj, chart, substeps=substeps, cap=cap)
-    table = chrono.invariance_csv(times, values, rec.certified_radius, events)
-    _write_csv(os.path.join(out, "invariance.csv"), *table, cfg)
+    running = np.maximum.accumulate(np.abs(values - values[0]))
+    radius = [rec.certified_radius] * len(traj)
+    rows = list(zip(times.tolist(), values.tolist(), running.tolist(), radius, events.tolist()))
+    columns = ["t", "functional_value", "running_drift", "certified_radius", "truncation_events"]
+    _write_csv(cfg, out, "invariance.csv", columns, rows)
     print(f"invariance drift: {drift!r}")
 
 
@@ -409,12 +442,10 @@ def cmd_certify(cfg: RunConfig, out: str) -> None:
     chart = _chart(cfg)
     X, rec = _certificate(cfg, R, X, chart, functional(chart))
     t_bar = series.guaranteed_time(X, R, floor)
-    lines = [
-        f"{R!r},{abs(t2 - t1)!r},{rec.certified_radius!r},{int(rec.window_ok)},"
-        f"{float(rec.f_majorant_at_R)!r},{t_bar!r}"
-    ]
-    header = "radius_in,span,certified_radius,window_ok,f_majorant_at_R,guaranteed_time"
-    _write_csv(os.path.join(out, "certify.csv"), header, lines, cfg)
+    row = (R, abs(t2 - t1), rec.certified_radius, int(rec.window_ok), float(rec.f_majorant_at_R), t_bar)
+    columns = ["radius_in", "span", "certified_radius", "window_ok", "f_majorant_at_R", "guaranteed_time"]
+    nonfinite = ("guaranteed_time",) if X.is_zero else ()
+    _write_csv(cfg, out, "certify.csv", columns, [row], nonfinite)
 
 
 def cmd_trees(cfg: RunConfig, out: str) -> None:
@@ -434,18 +465,14 @@ def cmd_trees(cfg: RunConfig, out: str) -> None:
     chart = _chart(cfg)
     f = functional(chart)
     u = propagator.make_free_solution(cfg.disp, data)
-    lines, total = [], 0.0
     with np.errstate(all="ignore"):
-        for tree, contrib in zip(trees, chrono.evaluate_trees(trees, f, u, t1, t2, nonlin, chart)):
-            parents = "-".join(map(str, tree.parents))
-            total += contrib
-            if not math.isfinite(total):
-                raise FloatingPointError(
-                    f"order-{tree.order} tree ({parents}) contributes {contrib!r}, total {total!r}"
-                )
-            lines.append(f"{tree.order},{parents},{tree.multiplicity},{contrib!r}")
-    lines.append(f"total,,,{total!r}")
-    _write_csv(os.path.join(out, "trees.csv"), "order,parents,multiplicity,value", lines, cfg)
+        values = chrono.evaluate_trees(trees, f, u, t1, t2, nonlin, chart)
+    rows, total = [], 0.0
+    for tree, value in zip(trees, values):
+        rows.append((tree.order, "-".join(map(str, tree.parents)), tree.multiplicity, value))
+        total += value  # left to right, where Python 3.12's sum() would compensate
+    rows.append(("total", "", "", total))
+    _write_csv(cfg, out, "trees.csv", ["order", "parents", "multiplicity", "value"], rows)
 
 
 def cmd_selftest(cfg: RunConfig, out: str) -> int:

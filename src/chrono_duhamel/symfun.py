@@ -319,11 +319,15 @@ def majorant_of(f: SymFunctional) -> MajorantSeries:
     return MajorantSeries(coeffs)
 
 
+def _open_polarized(coeffs: np.ndarray, d: int, p: int) -> np.ndarray:
+    """``(..., n_{p-1}, d)``: each row of the degree-p ``coeffs`` with the first slot open, the
+    polarized coefficient of ``sorted(K + (j,))`` at ``[K, j]``."""
+    return coeffs[..., extend_table(d, p - 1)]
+
+
 def _open(coeffs: np.ndarray, d: int, p: int) -> np.ndarray:
-    """``(..., n_{p-1}, d)``: each row of the degree-p ``coeffs`` as monomial coefficients with
-    the first slot open."""
-    ext = extend_table(d, p - 1)  # (n_{p-1}, d) -> rank in degree p
-    return coeffs[..., ext] * multiplicities(d, p - 1)[:, None]
+    """``_open_polarized`` as monomial coefficients: row ``K`` times ``multiplicities(K)``."""
+    return _open_polarized(coeffs, d, p) * multiplicities(d, p - 1)[:, None]
 
 
 # rank maps kept by _rank_map; each is as large as one node's product of its degrees

@@ -11,7 +11,6 @@ from chrono_duhamel.chrono import (
     certify_window,
     chrono_exp_evolve,
     evaluate_trees,
-    invariance_csv,
     invariance_scan,
     point_eval_functional,
     transport_majorant,
@@ -637,14 +636,13 @@ def test_truncation_events_read_the_stored_degrees_once():
 
 
 def _assert_events_column(nonlin, t1, t2):
-    """Row i of the scan dump counts the dropped pairs times the panel nodes before the next
+    """Event i of the scan counts the dropped pairs times the panel nodes before the next
     trajectory time, going from t1 to t2, and times every node at the last row."""
     data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), t1)
     traj = evolve(data, t1, t2, 0.05, KG1, nonlin)
     f = point_eval_functional(CHART, 0.0, 0)
     times, values, _, events = invariance_scan(f, traj, CHART, substeps=2)
-    _, lines = invariance_csv(times, values, 0.1, events)
-    column = [int(l.split(",")[4]) for l in lines]
+    column = events.tolist()
     _, dropped = chrono_exp_evolve(f, t1, t2, 1, KG1, nonlin, CHART)
     nodes = chrono._picard_nodes(t1, t2, nonlin, CHART, 2, chrono._picard_sweeps(f, nonlin, 5))
     before = [sum((t - nxt) * (t2 - t1) < 0 for t in nodes) for nxt in times[1:]] + [len(nodes)]

@@ -669,6 +669,18 @@ def test_propagate_snapshot_names_must_differ(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
+def test_propagate_snapshot_names_longer_than_a_file_name_are_a_config_error(tmp_path, capsys):
+    # field_<t>.csv at t = 5e249 has 267 characters; no file is written, not even field_0.000000.csv
+    body = "[grid]\nm = 4\n[times]\nt2 = 1e250\nsteps = 2\n[output]\nsnapshots = 1\n"
+    cfg = write_config(tmp_path / "c.ini", body)
+    out = tmp_path / "o"
+    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1 and len(err) < 200
+    assert "[times]" in err and "[output] snapshots" in err
+    assert os.listdir(out) == []
+
+
 # (command, --config, --out) of paths that cannot be read or written; {tmp} is
 # the directory that _unusable_paths fills
 UNUSABLE_PATHS = {
@@ -1033,6 +1045,69 @@ def test_every_csv_cell_parses_as_a_number(tmp_path):
     for path in tmp_path.glob("*sch.ini/*.csv"):
         if path.name not in ("propagate.csv", "trajectory.csv"):
             assert path.read_text().splitlines()[1] == "x,psi_re,psi_im"
+
+
+SCHRODINGER = SMALL + "\n[dispersion]\nkind = schrodinger\n"
+
+
+@pytest.mark.parametrize(
+    "command, body, name, column, cell",
+    [
+        ("propagate", SCHRODINGER, "propagate.csv", "energy", "nan"),
+        ("evolve", SCHRODINGER, "trajectory.csv", "energy", "nan"),
+        ("certify", SMALL + "\n[nonlinearity]\n3 = 0.0\n", "certify.csv", "guaranteed_time", "inf"),
+        ("certify", SMALL + "\n[tolerances]\nx_coeffs = 0,0,0\n", "certify.csv", "guaranteed_time", "inf"),
+    ],
+    ids=["schrodinger-propagate-energy", "schrodinger-trajectory-energy", "zero-nonlinearity", "zero-x-coeffs"],
+)
+def test_the_cells_non_finite_by_design_are_written(tmp_path, command, body, name, column, cell):
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path / "c.ini", body), "--out", str(out)]) == 0
+    assert {row[column] for row in _data_rows(out / name)} == {cell}
+
+
+# field_<t>.csv names of at most 255 characters, but the norm at t = 5e157 is nan
+TINY_LX = "[grid]\nm = 4\nlx = 1e-150\n[times]\nt2 = 1e158\nsteps = 2\n[output]\nsnapshots = 1\n"
+
+
+def _returning_inf(function):
+    return lambda *args: math.inf
+
+
+def _nan_last_value(scan):
+    def scanned(*args, **kwargs):
+        times, values, drift, events = scan(*args, **kwargs)
+        return times, np.append(values[:-1], np.nan), drift, events
+
+    return scanned
+
+
+@pytest.mark.parametrize(
+    "command, body, patch, name, column",
+    [
+        ("propagate", TINY_LX, None, "propagate.csv", "cau_norm"),
+        ("propagate", SMALL + "\n[initial]\namplitude = 1e300\n", None, "propagate.csv", "energy"),
+        ("evolve", HUGE_SPAN + "[output]\nsnapshots = 1\n", None, "trajectory.csv", "duhamel_residual_running"),
+        ("trees", SMALL + "\n[initial]\namplitude = 1e300\n", None, "trees.csv", "value"),
+        ("certify", SMALL, (series, "guaranteed_time", _returning_inf), "certify.csv", "guaranteed_time"),
+        ("invariance", SMALL, (chrono, "invariance_scan", _nan_last_value), "invariance.csv", "functional_value"),
+    ],
+    ids=["propagate-tiny-lx", "propagate-energy", "evolve", "trees", "certify-nonzero-field", "invariance"],
+)
+def test_a_non_finite_cell_fails_its_table_and_writes_no_file(
+    tmp_path, capsys, monkeypatch, command, body, patch, name, column
+):
+    # the writer checks every cell before it opens the file, and the snapshots of propagate and
+    # evolve come after their tables, so a failing run leaves its output directory empty
+    if patch:
+        module, attr, wrap = patch
+        monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path / "c.ini", body), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure in {command}: {name} column {column} is ")
+    assert err.count("\n") == 1
+    assert os.listdir(out) == []
 
 
 def test_a_first_order_final_field_restarts_a_run(tmp_path):

@@ -2,6 +2,7 @@
 
 import re
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -330,10 +331,11 @@ def test_schrodinger_evolve_vs_strang():
 
 def test_trajectory_csv_header_and_rows():
     traj = evolve(benchmark_data(GRID), 0.0, 0.2, 0.05, KG1, CUBIC)
-    header, lines = trajectory_csv(traj)
-    assert header == "t,cau_norm,energy,duhamel_residual_running"
-    assert len(lines) == len(traj)
-    assert [float(l.split(",")[0]) for l in lines] == [st.time for st in traj]
+    columns, rows = trajectory_csv(traj)
+    assert columns == ["t", "cau_norm", "energy", "duhamel_residual_running"]
+    assert len(rows) == len(traj)
+    assert [row[0] for row in rows] == [st.time for st in traj]
+    assert all(len(row) == 4 and all(type(cell) is float for cell in row) for row in rows)
 
 
 @pytest.mark.parametrize(
@@ -350,10 +352,22 @@ def test_trajectory_csv_running_residual_matches_duhamel_residual(disp, t1, t2):
         psi = rng.standard_normal(GRID.M) + 1j * rng.standard_normal(GRID.M)
         data = CauchyData(GRID, 0.3 * psi, None, t1)
     traj = evolve(data, t1, t2, 0.05, disp, nonlin)
-    cells = [row.split(",")[3] for row in trajectory_csv(traj)[1]]
+    cells = [repr(row[3]) for row in trajectory_csv(traj)[1]]
     assert cells[:2] == ["0.0", "0.0"]
     for i in range(2, len(traj)):
         assert cells[i] == repr(duhamel_residual(traj[: i + 1])[0])
+
+
+def test_trajectory_csv_returns_non_finite_numbers_without_raising():
+    # the CLI's writer checks the cells; the layer returns what it computed and warns of nothing:
+    # over a span of 1e300 the Simpson sums of the running residual overflow
+    traj = evolve(benchmark_data(Grid(4, 2 * np.pi), amp=1e-300), 0.0, 1e300, 2.5e299, KG1, CUBIC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = trajectory_csv(traj)[1]
+    assert [row[0] for row in rows] == [st.time for st in traj]
+    assert np.isfinite([row[:3] for row in rows]).all()
+    assert not np.isfinite([row[3] for row in rows[2:]]).all()
 
 
 def test_trajectory_csv_one_batched_field_evaluation(kernel_calls):

@@ -62,7 +62,6 @@ PUBLIC = {
         "invariance_scan",
         "transport_majorant",
         "certify_window",
-        "invariance_csv",
     },
 }
 
@@ -206,3 +205,45 @@ def test_every_public_name_is_read_in_src():
             if not read:
                 unread.append((layer, name))
     assert [pair for pair in unread if pair not in UNREAD_BUT_SETTLED] == []
+
+
+# The functions of the package that open a file: the config reader, the CLI's one table writer,
+# and the readers and writers of the snapshot and tensor dump formats.  A new output goes
+# through the table writer, which checks every cell.
+FILE_OPENERS = {
+    "cli.RunConfig.load",
+    "cli._write_csv",
+    "propagator.save_snapshot",
+    "propagator.load_snapshot",
+    "symfun.save_tensor",
+    "symfun.load_tensor",
+}
+
+
+def _openers(tree, module):
+    """The qualified names of the functions in ``tree`` that call ``open``, ``x.open``, or a
+    ``Path`` reader or writer; a call outside every function counts as the module's."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("open", "read_text", "read_bytes", "write_text", "write_bytes"):
+                    found.add(scope)
+            visit(child, scope)
+
+    visit(tree, module)
+    return found
+
+
+def test_only_the_table_writer_and_the_dump_formats_open_files():
+    package = Path(importlib.import_module("chrono_duhamel").__file__).parent
+    openers = set()
+    for path in sorted(package.glob("*.py")):
+        openers |= _openers(ast.parse(path.read_text()), path.stem)
+    assert openers == FILE_OPENERS
