@@ -177,8 +177,22 @@ class ChartMap:
         return CauchyData(self.grid, A0[:, :M] @ vec[:M], A0[:, M:] @ vec[M:], 0.0)
 
     def coords_of(self, phi: FreeSolution) -> np.ndarray:
-        M, B0, data = self.grid.M, self._blocks[1], phi.chart_data
-        return np.concatenate([B0[:M] @ data.psi.real, B0[M:] @ data.chi.real])
+        (psi,), (chi,) = self._traces([phi])
+        M, B0 = self.grid.M, self._blocks[1]
+        return np.concatenate([B0[:M] @ psi, B0[M:] @ chi])
+
+    def _traces(self, solutions: list[FreeSolution]) -> tuple[np.ndarray, np.ndarray]:
+        """The field and velocity traces of the chart data of ``solutions``, ``(n, M)`` real arrays each.
+
+        The chart is real: ``ValueError`` is raised on a trace with a non-zero imaginary part.
+        """
+        psi = np.array([phi.chart_data.psi for phi in solutions])
+        chi = np.array([phi.chart_data.chi for phi in solutions])
+        if np.iscomplexobj(psi) or np.iscomplexobj(chi):
+            if np.any(psi.imag) or np.any(chi.imag):
+                raise ValueError("the chart takes real Klein-Gordon data, not a trace with an imaginary part")
+            psi, chi = psi.real.copy(), chi.real.copy()
+        return psi, chi
 
     # -- per-time linear blocks ----------------------------------------------
 
@@ -526,7 +540,8 @@ class FeynmanTree:
     is the parent of vertex ``a`` (0 denotes the root pairing with the
     linear functional).  Time variables increase along root-to-leaf paths,
     matching the nested integration domain.  ``multiplicity`` counts the
-    leg-choice sequences realising this shape.
+    leg-choice sequences realising this shape.  ``trees.csv`` writes
+    ``parents[a-1]`` as ``parent_a``, and -1 for ``a > order``.
     """
 
     parents: tuple[int, ...]
@@ -602,7 +617,8 @@ def evaluate_trees(
     (lam,) = nonlin.coeffs.values()
     grid, M = chart.grid, chart.grid.M
     eps = chart.disp.eps(grid.xi)
-    ph, ch = _modes(grid, u.chart_data.psi), _modes(grid, u.chart_data.chi)
+    (psi,), (chi,) = chart._traces([u])
+    ph, ch = _modes(grid, psi), _modes(grid, chi)
     f_row = f_linear.term(1).coeffs[0]
     B0 = chart._blocks[1]
     nodes, weights = np.polynomial.legendre.leggauss(_QUAD_ORDER)
@@ -690,8 +706,7 @@ def invariance_scan(
     _check_disp(traj[0].disp, chart)
     times = np.array([st.time for st in traj])
     t1, t2, nonlin = traj[0].time, traj[-1].time, traj[0].nonlin
-    data = [st.current.chart_data for st in traj]
-    psi, chi = np.array([x.psi.real for x in data]), np.array([x.chi.real for x in data])
+    psi, chi = chart._traces([st.current for st in traj])
     (A0, B0), M = chart._blocks, chart.grid.M
     coords = np.hstack([psi @ B0[:M].T, chi @ B0[M:].T])
     powers: dict[int, np.ndarray] = {}

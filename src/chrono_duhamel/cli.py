@@ -11,21 +11,25 @@ the data pulled back to t = 0 that the certificate's radii bound; ``propagate.cs
 The ``truncation_events`` cell of ``invariance.csv`` counts the degree pairs that ``[caps] degree_cap``
 drops times the transport's panel nodes before the next row, so it moves with ``[tolerances] substeps``
 while the values do not.
-A command builds its table of numbers before it writes any file, and one writer, ``_write_csv``,
-formats and checks every cell: a non-finite float is a numerical failure naming the file, column and
-row, and the command leaves no file.  Two cells are non-finite by design and pass: ``energy`` is
-``nan`` on every row of ``propagate.csv`` and ``trajectory.csv`` for the Schrodinger kind, whose
-energy is defined for Klein-Gordon only, and ``certify.csv``'s ``guaranteed_time`` is ``inf`` for a
-zero field, which never moves the radius.  A config has one window certificate, shared by
-``invariance`` and ``certify``: its field is ``[tolerances] x_coeffs`` when given, else the transport
-majorant, and its flow floor is the fixed ``series.DEFAULT_FLOOR``.  A command checks every field it
-reads before it builds the chart or a trajectory.  Exit status: 0 success, 1 numerical failure, 2
-configuration error (a bad command line or config, an unreadable input or unwritable output path);
-each prints one line.
+``trees.csv`` has one row per interaction tree, in ``chrono.tree_expand``'s order: ``order``,
+``multiplicity``, ``value``, the ``running_total`` of the values added left to right (its last cell is
+the series' sum), then ``parent_1`` to ``parent_K``, K = ``[caps] tree_order``, the tree's parents
+padded with -1.  Every cell of every CSV is a number: a command builds its table of Python ints and
+floats before it writes any file, and one writer, ``_write_csv``, formats and checks every cell: a
+non-finite cell is a numerical failure naming the file, column and row, and the command leaves no
+file.  Two cells are non-finite by design and pass: ``energy`` is ``nan`` on every row of
+``propagate.csv`` and ``trajectory.csv`` for the Schrodinger kind, whose energy is defined for
+Klein-Gordon only, and ``certify.csv``'s ``guaranteed_time`` is ``inf`` for a zero field, which never
+moves the radius.  A config has one window certificate, shared by ``invariance`` and ``certify``: its
+field is ``[tolerances] x_coeffs`` when given, else the transport majorant, and its flow floor is the
+fixed ``series.DEFAULT_FLOOR``.  A command checks every field it reads before it builds the chart or
+a trajectory.  Exit status: 0 success, 1 numerical failure, 2 configuration error (a bad command line
+or config, an unreadable input or unwritable output path); each prints one line.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -294,26 +298,17 @@ class RunConfig:
 def _write_csv(
     cfg: RunConfig, out: str, name: str, columns: list[str], rows: list, nonfinite: tuple[str, ...] = ()
 ) -> None:
-    """Write ``out/name``: the resolved config, the ``columns``, then ``rows`` of Python numbers and
-    ``trees.csv``'s plain strings, a number by ``repr`` and a string as it is.  Before the file is
-    opened, ``FloatingPointError`` names the column and row of the first non-finite float outside
-    the columns ``nonfinite`` by design.  A column is checked in one ``map`` pass, with no Python
-    loop over its cells."""
-    table = list(zip(*rows))  # the cells column by column
-    text = []
-    for column, cells in zip(columns, table):
-        try:
-            finite = column in nonfinite or all(map(math.isfinite, cells))
-            text.append(map(repr, cells))
-        except TypeError:  # trees.csv's plain strings: only the floats among them can be non-finite
-            finite = all(map(math.isfinite, [c for c in cells if type(c) is float]))
-            text.append(map(str, cells))
-        if not finite:
-            i = [type(c) is float and not math.isfinite(c) for c in cells].index(True)
+    """Write ``out/name``: the resolved config, the ``columns``, then ``rows`` of Python ints and
+    floats, each cell by ``repr``.  Before the file is opened, ``FloatingPointError`` names the column
+    and row of the first non-finite cell outside the columns ``nonfinite`` by design.  A column is
+    checked in one ``map`` pass, with no Python loop over its cells."""
+    for column, cells in zip(columns, zip(*rows)):
+        if column not in nonfinite and not all(map(math.isfinite, cells)):
+            i = list(map(math.isfinite, cells)).index(False)
             raise FloatingPointError(
                 f"{name} column {column} is {cells[i]!r} on data row {i + 1} ({columns[0]} = {rows[i][0]!r})"
             )
-    lines = list(map(",".join, zip(*text)))
+    lines = [",".join(map(repr, row)) for row in rows]
     with open(os.path.join(out, name), "w") as fh:
         fh.write(f"# config {cfg.resolved_json()}\n{','.join(columns)}\n")
         fh.write("\n".join(lines) + ("\n" if lines else ""))
@@ -467,12 +462,14 @@ def cmd_trees(cfg: RunConfig, out: str) -> None:
     u = propagator.make_free_solution(cfg.disp, data)
     with np.errstate(all="ignore"):
         values = chrono.evaluate_trees(trees, f, u, t1, t2, nonlin, chart)
-    rows, total = [], 0.0
-    for tree, value in zip(trees, values):
-        rows.append((tree.order, "-".join(map(str, tree.parents)), tree.multiplicity, value))
-        total += value  # left to right, where Python 3.12's sum() would compensate
-    rows.append(("total", "", "", total))
-    _write_csv(cfg, out, "trees.csv", ["order", "parents", "multiplicity", "value"], rows)
+    # the running totals add the values left to right, where Python 3.12's sum() would compensate
+    totals = list(itertools.accumulate(values, initial=0.0))[1:]
+    rows = [
+        (tree.order, tree.multiplicity, value, total, *tree.parents, *[-1] * (K - tree.order))
+        for tree, value, total in zip(trees, values, totals)
+    ]
+    columns = ["order", "multiplicity", "value", "running_total"] + [f"parent_{a}" for a in range(1, K + 1)]
+    _write_csv(cfg, out, "trees.csv", columns, rows)
 
 
 def cmd_selftest(cfg: RunConfig, out: str) -> int:

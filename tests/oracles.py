@@ -9,7 +9,8 @@ No command runs them, and none imports a private name of the package:
 * ``green_apply`` and ``chart_field``: the Green lift of a source on one time
   slice, and the chart field one node at a time (sample, ``N``, Green lift);
 * ``contract_slot`` and ``eval_homogeneous``: polarized evaluation of a
-  symmetric tensor one slot at a time;
+  symmetric tensor one slot at a time, its indices ranked through
+  ``canonical_indices``, not through the kernel's index tables;
 * the RK4 transports, the vertex tensors, the nested tree quadrature and the
   real DFT built row by row.
 """
@@ -17,6 +18,7 @@ No command runs them, and none imports a private name of the package:
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -28,7 +30,6 @@ from chrono_duhamel.symfun import (
     SymTensor,
     compose_first_slot,
     eval_diagonal,
-    extend_table,
 )
 
 # ``flow``: absolute step tolerance, blow-up magnitude and step budget.
@@ -199,8 +200,15 @@ def contract_slot(f, vec):
     if f.degree == 0:
         raise ValueError("cannot contract a degree-0 tensor")
     vec = np.asarray(vec, dtype=float)
-    ext = extend_table(f.dim, f.degree - 1)  # (n_{p-1}, d) ranks into degree p
-    return SymTensor(f.degree - 1, f.dim, f.coeffs[:, ext] @ vec)
+    return SymTensor(f.degree - 1, f.dim, f.coeffs[:, _extended_ranks(f.dim, f.degree - 1)] @ vec)
+
+
+@lru_cache(maxsize=None)
+def _extended_ranks(d, p):
+    """``(n_p, d)``: the degree-(p+1) rank of ``sorted(K + (j,))``, ranked through ``canonical_indices``."""
+    rank = {K: r for r, K in enumerate(map(tuple, canonical_indices(d, p + 1).tolist()))}
+    rows = [[rank[tuple(sorted(K + [j]))] for j in range(d)] for K in canonical_indices(d, p).tolist()]
+    return np.array(rows, dtype=np.int64)
 
 
 def eval_homogeneous(f, args):

@@ -102,6 +102,39 @@ def test_point_eval_functional_samples_the_field():
         assert eval_series(f, CHART.coords_of(fs))[0] == pytest.approx(expected, rel=1e-11)
 
 
+def _complex_data(imag):
+    """Random complex-dtype Klein-Gordon data at t = 0 whose field trace has imaginary part ``imag`` times noise."""
+    rng = np.random.default_rng(5)
+    psi = 0.05 * rng.standard_normal(GRID.M) + 0.05j * imag * rng.standard_normal(GRID.M)
+    return CauchyData(GRID, psi.astype(complex), np.zeros(GRID.M, dtype=complex), 0.0)
+
+
+# the three readers of chart data, each returning an array of what it computes
+CHART_READERS = {
+    "coords_of": lambda data: CHART.coords_of(FreeSolution(data)),
+    "invariance_scan": lambda data: invariance_scan(
+        point_eval_functional(CHART), evolve(data, 0.0, 0.5, 0.0125, KG1, CUBIC), CHART
+    )[1],
+    "evaluate_trees": lambda data: np.array(
+        evaluate_trees(tree_expand(CUBIC, 2), point_eval_functional(CHART), FreeSolution(data), 0.0, 0.5, CUBIC, CHART)
+    ),
+}
+
+
+@pytest.mark.parametrize("read", CHART_READERS.values(), ids=CHART_READERS)
+def test_the_chart_refuses_data_with_an_imaginary_part(read):
+    # the chart is real: reading only the real part would give the numbers of other data
+    with pytest.raises(ValueError, match="imaginary part"):
+        read(_complex_data(1.0))
+
+
+@pytest.mark.parametrize("read", CHART_READERS.values(), ids=CHART_READERS)
+def test_complex_data_with_a_zero_imaginary_part_read_as_real_data(read):
+    data = _complex_data(0.0)
+    real = CauchyData(GRID, data.psi.real.copy(), data.chi.real.copy(), 0.0)
+    assert read(data).tobytes() == read(real).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the first-order operator
 # ---------------------------------------------------------------------------

@@ -177,26 +177,29 @@ def test_csv_headers_embed_config(tmp_path):
 
 
 def test_trees_command(tmp_path):
-    cfg = write_config(tmp_path / "c.ini", SMALL)
-    out = tmp_path / "out"
-    assert main(["trees", "--config", cfg, "--out", str(out)]) == 0
-    rows = [l for l in (out / "trees.csv").read_text().splitlines() if not l.startswith("#")]
-    assert rows[0] == "order,parents,multiplicity,value"
-    assert rows[-1].startswith("total")
+    # one row per tree of tree_expand, every cell a number: the parents padded with -1 up to tree_order
+    shipped = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.ini")
+    assert main(["trees", "--config", shipped, "--out", str(tmp_path)]) == 0
+    assert _data_lines(tmp_path / "trees.csv") == [
+        "order,multiplicity,value,running_total,parent_1,parent_2",
+        "0,1,0.05,0.05,-1,-1",
+        "1,1,-1.0050977643501357e-05,0.049989949022356504,0,-1",
+        "2,3,1.2444556569336148e-09,0.04998995026681216,0,1",
+    ]
 
 
 def test_trees_total_is_the_left_to_right_sum_of_its_values(tmp_path):
-    # the total cell adds the value cells with += in the order of the rows; on these cells
-    # math.fsum and the reversed order each give other bits
+    # each running_total cell adds the value cells with += in the order of the rows; on these
+    # cells math.fsum and the reversed order each give other bits for the last one
     body = SMALL.replace("tree_order = 1", "tree_order = 4") + "\n[initial]\namplitude = 0.3\n"
     cfg = write_config(tmp_path / "c.ini", body)
     out = tmp_path / "out"
     assert main(["trees", "--config", cfg, "--out", str(out)]) == 0
     rows = [line.split(",") for line in (out / "trees.csv").read_text().splitlines()[2:]]
     total = 0.0
-    for row in rows[:-1]:
-        total += float(row[3])
-    assert rows[-1][0] == "total" and float(rows[-1][3]) == total
+    for row in rows:
+        total += float(row[2])
+        assert float(row[3]) == total
 
 
 def test_config_error_exit_code(tmp_path):
@@ -1013,16 +1016,19 @@ def _data_rows(path):
     return [dict(zip(names, l.split(","))) for l in lines[1:]]
 
 
+# the cells non-finite by design: the Schrodinger energy, and a zero field's guaranteed time
+NON_FINITE_BY_DESIGN = {
+    ("propagate.csv", "energy"): "nan",
+    ("trajectory.csv", "energy"): "nan",
+    ("certify.csv", "guaranteed_time"): "inf",
+}
+
+
 def _assert_every_cell_parses(path):
-    """Every data cell is a float, but for the parents and the total row of ``trees.csv``."""
+    """Every data cell is a float, and a finite one outside the columns non-finite by design."""
     for row in _data_rows(path):
         for name, cell in row.items():
-            if path.name == "trees.csv" and name == "parents":
-                assert cell == "" or all(p.isdigit() for p in cell.split("-"))
-            elif path.name == "trees.csv" and row["order"] == "total" and name != "value":
-                assert cell in ("total", "")
-            else:
-                float(cell)
+            assert math.isfinite(float(cell)) or NON_FINITE_BY_DESIGN.get((path.name, name)) == cell, (path, name)
 
 
 def test_every_csv_cell_parses_as_a_number(tmp_path):
@@ -1167,18 +1173,25 @@ CONTRACT_FIELDS = {
     ("tolerances", "x_coeffs"): ["-1", "0,0,0,2"],
     ("tolerances", "substeps"): ["0", "2"],
     ("output", "snapshots"): ["2", "1"],
+    ("initial", "file"): ["", "{tmp}/missing.csv", "{tmp}"],
+    ("functional", "tensor_file"): ["", "{tmp}/missing.symt", "{tmp}"],
 }
+# a drawn input path is read: its section's kind names it, and a command that reads the section exits 2
+INPUT_PATHS = {("initial", "file"), ("functional", "tensor_file")}
+READS = {"initial": ("propagate", "evolve", "invariance", "trees"), "functional": ("invariance", "certify", "trees")}
 CONTRACT_NONLINEARITIES = [None, {2: 0.3, 3: 0.8}, {1: 0.3, 3: 0.8}, {3: 1e40}, {}]
 # Tier-1 draws 60 examples; `pytest --hypothesis-profile cli-contract-long` draws that profile's (conftest.py)
 LONG_PROFILE = "cli-contract-long"
 CONTRACT_EXAMPLES = settings.default.max_examples if settings.get_current_profile_name() == LONG_PROFILE else 60
 
 
-def _contract_config(m, fields, nonlinearity):
+def _contract_config(m, fields, nonlinearity, tmp):
     sections = {"grid": {"m": str(m)}, "times": {"t1": "0.0", "t2": "0.25", "steps": "10"}}
     sections["caps"] = {"degree_cap": "3", "tree_order": "1"}
     for (sec, key), value in fields:
-        sections.setdefault(sec, {})[key] = value.format(m=m)
+        sections.setdefault(sec, {})[key] = value.format(m=m, tmp=tmp)
+    for sec, key in INPUT_PATHS & {field for field, _ in fields}:
+        sections[sec]["kind"] = key
     if nonlinearity is not None:
         sections["nonlinearity"] = {str(k): repr(v) for k, v in nonlinearity.items()}
     return "".join(
@@ -1196,11 +1209,12 @@ def _contract_config(m, fields, nonlinearity):
     data=st.data(),
 )
 def test_fuzzed_configs_keep_the_exit_code_contract(command, m, keys, count, nonlinearity, data):
-    # exit 0, 1 or 2 with no exception and no warning; a failure prints one stderr line,
-    # and a success writes only cells that parse
+    # exit 0, 1 or 2 with no exception and no warning, and 2 when the command reads a drawn
+    # input path; a failure prints one stderr line, and a success writes only finite cells
+    # but for those non-finite by design
     fields = [(key, data.draw(st.sampled_from(CONTRACT_FIELDS[key]), label=str(key))) for key in keys[:count]]
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = write_config(pathlib.Path(tmp) / "c.ini", _contract_config(m, fields, nonlinearity))
+        cfg = write_config(pathlib.Path(tmp) / "c.ini", _contract_config(m, fields, nonlinearity, tmp))
         out, stdout, stderr = pathlib.Path(tmp) / "out", io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout):
             warnings.simplefilter("always")
@@ -1209,6 +1223,8 @@ def test_fuzzed_configs_keep_the_exit_code_contract(command, m, keys, count, non
         assert code in (0, 1, 2)
         event(f"{command} exits {code}")
         assert [str(w.message) for w in caught] == []
+        if any(command in READS[sec] for (sec, key), _ in fields if (sec, key) in INPUT_PATHS):
+            assert code == 2, stderr.getvalue()
         if code:
             assert len(stderr.getvalue().splitlines()) == 1
         else:
