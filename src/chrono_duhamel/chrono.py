@@ -796,14 +796,14 @@ def certify_window(
     X: MajorantSeries,
     R: float,
     T: float,
-    floor: float = DEFAULT_FLOOR,
     uf_majorant: MajorantSeries | None = None,
 ) -> CertificationRecord:
     """Transport-window certificate: radii before/after the backward flow.
 
-    The window holds when the backward flow from ``R`` stays above ``floor``
-    over the span, that is when ``flow_time(X, floor, R) > |T|``; otherwise
-    ``measured_window`` is that flow time (0 when ``floor >= R``).  The
+    The window holds when the backward flow from ``R`` stays above the fixed
+    floor ``series.DEFAULT_FLOOR = 1e-12`` over the span, that is when
+    ``flow_time(X, DEFAULT_FLOOR, R) > |T|``; otherwise ``measured_window``
+    is that flow time (0 when ``R <= DEFAULT_FLOOR``).  The
     certified radius ``r' = e^{-|T| X}(R)`` is ``series._flow_radius``: a
     closed form for a one-term ``X``, a root of the flow time for any other,
     and either way below the exact endpoint.  When a concretely transported
@@ -815,10 +815,10 @@ def certify_window(
         f_at_R = series_eval(f_majorant, R)
     if not math.isfinite(f_at_R):
         raise FloatingPointError(f"the functional's majorant overflows at R = {R!r}")
-    t_floor = flow_time(X, floor, R) if floor < R else 0.0
+    t_floor = flow_time(X, DEFAULT_FLOOR, R) if DEFAULT_FLOOR < R else 0.0
     if t_floor <= T:
         return CertificationRecord(0.0, False, f_at_R, measured_window=t_floor)
-    r_prime = _flow_radius(X, R, T, floor)
+    r_prime = _flow_radius(X, R, T, DEFAULT_FLOOR)
     if uf_majorant is None:
         return CertificationRecord(r_prime, True, f_at_R)
     uf_val = series_eval(uf_majorant, r_prime)

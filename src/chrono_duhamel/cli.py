@@ -23,8 +23,10 @@ Klein-Gordon only, and ``certify.csv``'s ``guaranteed_time`` is ``inf`` for a ze
 moves the radius.  A config has one window certificate, shared by ``invariance`` and ``certify``: its
 field is ``[tolerances] x_coeffs`` when given, else the transport majorant, and its flow floor is the
 fixed ``series.DEFAULT_FLOOR``.  A command checks every field it reads before it builds the chart or
-a trajectory.  Exit status: 0 success, 1 numerical failure, 2 configuration error (a bad command line
-or config, an unreadable input or unwritable output path); each prints one line.
+a trajectory.  Every command needs a finite ``[times]`` span ``t2 - t1``; ``propagate``, ``evolve`` and
+``invariance`` step over it in ``steps >= 1`` equal steps of at least ``sys.float_info.min``.  Exit
+status: 0 success, 1 numerical failure, 2 configuration error (a bad command line or config, an
+unreadable input or unwritable output path); each prints one line.
 """
 
 from __future__ import annotations
@@ -167,11 +169,11 @@ class RunConfig:
 
     @property
     def times(self) -> tuple[float, float, int]:
-        return (
-            self._get("times", "t1", float),
-            self._get("times", "t2", float),
-            self._get("times", "steps", int),
-        )
+        """(t1, t2, steps), with a span ``t2 - t1`` that is finite."""
+        t1, t2 = self._get("times", "t1", float), self._get("times", "t2", float)
+        if not math.isfinite(t2 - t1):
+            raise ConfigError(f"[times] span t2 - t1 overflows for t1 = {t1!r}, t2 = {t2!r}")
+        return t1, t2, self._get("times", "steps", int)
 
     @property
     def norm_weights(self) -> tuple[float, float]:
@@ -315,12 +317,18 @@ def _write_csv(
 
 
 def _time_grid(cfg: RunConfig, command: str) -> tuple[float, float, int]:
-    """(t1, t2, steps) of a command that steps from t1 to t2 in equal intervals."""
+    """(t1, t2, steps) of a command that steps from t1 to t2 in equal intervals, each one a normal
+    float: a subnormal step loses the digits that give the step count back."""
     t1, t2, steps = cfg.times
     if steps < 1:
         raise ConfigError(f"{command} needs [times] steps >= 1")
     if t2 == t1:
         raise ConfigError(f"{command} needs [times] t2 != t1")
+    step = abs(t2 - t1) / steps
+    if step < sys.float_info.min:
+        raise ConfigError(
+            f"{command} needs a [times] step |t2 - t1| / steps of at least {sys.float_info.min!r}, not {step!r}"
+        )
     return t1, t2, steps
 
 
@@ -362,7 +370,7 @@ def cmd_evolve(cfg: RunConfig, out: str) -> None:
     _write_csv(cfg, out, "trajectory.csv", *dynamics.trajectory_csv(traj, s, m_ref), nonfinite)
     if snapshot:
         last = traj[-1]
-        snap = propagator.sample_at(last.disp, last.current, last.time)
+        snap = propagator.propagate(last.disp, last.current.chart_data, last.time)
         propagator.save_snapshot(last.disp, snap, os.path.join(out, "final_field.csv"))
 
 
@@ -477,7 +485,7 @@ def cmd_selftest(cfg: RunConfig, out: str) -> int:
     rng = np.random.default_rng(cfg.seed)
     grid = propagator.Grid(8, 2 * math.pi)
     disp = propagator.DispersionRelation("klein_gordon", 1.0)
-    cubic = dynamics.NonlinearitySpec.cubic(1.0)
+    cubic = dynamics.NonlinearitySpec({3: 1.0})
     chart = chrono.ChartMap(grid, disp)
     checks: list[tuple[str, bool]] = []
 
@@ -493,7 +501,7 @@ def cmd_selftest(cfg: RunConfig, out: str) -> int:
     e1 = propagator.energy(disp, propagator.propagate(disp, d, 2.1))
     checks.append(("energy_conservation", abs(e1 - e0) <= 1e-12 * max(e0, 1.0)))
 
-    traj = dynamics.evolve(data(), 0.0, 0.5, 0.05, disp, dynamics.NonlinearitySpec.zero())
+    traj = dynamics.evolve(data(), 0.0, 0.5, 0.05, disp, dynamics.NonlinearitySpec({}))
     fixed = all(
         np.allclose(st.current.chart_data.psi, traj[0].current.chart_data.psi, atol=1e-13)
         for st in traj

@@ -147,14 +147,6 @@ class NonlinearitySpec:
             np.add(out if i else zero, t, out=out)
         return out
 
-    @staticmethod
-    def cubic(lam: float = 1.0) -> "NonlinearitySpec":
-        return NonlinearitySpec({3: lam})
-
-    @staticmethod
-    def zero() -> "NonlinearitySpec":
-        return NonlinearitySpec({})
-
 
 @dataclass(frozen=True)
 class EvolutionState:
@@ -341,8 +333,9 @@ def evolve(
     return out
 
 
-def duhamel_residual(traj: list[EvolutionState], *, s: float = 0.0, m_ref: float = 1.0) -> tuple[float, float]:
-    """Cauchy norm of c(t_n) - c(t_0) + Quad(integral of Vbar) over the whole trajectory.
+def duhamel_residual(traj: list[EvolutionState]) -> tuple[float, float]:
+    """Cauchy norm at ``s = 0``, ``m_ref = 1`` of c(t_n) - c(t_0) + Quad(integral of Vbar) over the
+    whole trajectory.
 
     The span is the trajectory's own, at least 3 nodes in steps ``h = times[1] - times[0]``.
     Quad is composite Simpson, the last row of ``_prefix_simpson``; the second return value
@@ -361,7 +354,7 @@ def duhamel_residual(traj: list[EvolutionState], *, s: float = 0.0, m_ref: float
         err = (fine - _prefix_simpson(2 * h, v[::2])[-1]) / 15.0
     else:
         err = fine - np.trapezoid(v, dx=h, axis=0)
-    norms = _cau_norms(disp, grid, np.array([res, err]), s, m_ref)
+    norms = _cau_norms(disp, grid, np.array([res, err]), 0.0, 1.0)
     return float(norms[0]), float(norms[1])
 
 
@@ -421,12 +414,14 @@ def trajectory_csv(
     t = 0 by the free flow, the norm the certificate's radii bound, where
     ``propagate.csv`` reports the norm of the data at t under that name.
 
-    The running residual of row i is ``duhamel_residual(traj[:i+1])``: one batched kernel
-    call samples the chart field at every node, one pass of ``_prefix_simpson`` on the step
-    ``times[1] - times[0]`` gives the Simpson sums of all prefixes, and norms and energies
-    are taken on all rows at once.  The numbers are returned as computed, without a warning
-    and without raising: a cell may be non-finite, and the energy is nan on every row for a
-    first-order kind, whose energy is not defined.
+    The running residual of row i is the Duhamel residual of ``traj[:i+1]`` in the Cauchy norm
+    at ``(s, m_ref)``: at ``s = 0, m_ref = 1`` it equals ``duhamel_residual(traj[:i+1])``, and
+    the last row gives the whole residual in any other norm.  One batched kernel call samples
+    the chart field at every node, one pass of ``_prefix_simpson`` on the step ``times[1] -
+    times[0]`` gives the Simpson sums of all prefixes, and norms and energies are taken on all
+    rows at once.  The numbers are returned as computed, without a warning and without raising:
+    a cell may be non-finite, and the energy is nan on every row for a first-order kind, whose
+    energy is not defined.
     """
     disp = traj[0].disp
     grid = traj[0].current.chart_data.grid

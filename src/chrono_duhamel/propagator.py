@@ -39,7 +39,6 @@ __all__ = [
     "FreeSolution",
     "propagate",
     "make_free_solution",
-    "sample_at",
     "cau_norm",
     "energy",
     "save_snapshot",
@@ -238,10 +237,6 @@ def propagate(disp: DispersionRelation, data: CauchyData, tau: float) -> CauchyD
 def make_free_solution(disp: DispersionRelation, data: CauchyData) -> FreeSolution:
     """The unique linear solution matching ``data`` at its anchor time."""
     return FreeSolution(propagate(disp, data, 0.0))
-
-
-def sample_at(disp: DispersionRelation, phi: FreeSolution, tau: float) -> CauchyData:
-    return propagate(disp, phi.chart_data, tau)
 
 
 def _bracket(xi: np.ndarray, m_ref: float) -> np.ndarray:

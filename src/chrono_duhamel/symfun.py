@@ -178,7 +178,9 @@ class SymTensor:
 
     ``coeffs[i, K]`` is the value of the polarized form on the basis
     vectors of the K-th canonical multi-index, output component ``i``.
-    Symmetry is structural: only canonical indices are stored.
+    Symmetry is structural: only canonical indices are stored.  A tensor is a
+    value with no arithmetic: a caller scales or adds ``coeffs`` and builds a
+    new tensor from them.
     """
 
     degree: int
@@ -203,14 +205,6 @@ class SymTensor:
     @property
     def codomain_dim(self) -> int:
         return self.coeffs.shape[0]
-
-    def scaled(self, a: float) -> "SymTensor":
-        return SymTensor(self.degree, self.dim, a * self.coeffs)
-
-    def __add__(self, other: "SymTensor") -> "SymTensor":
-        if (self.degree, self.dim, self.codomain_dim) != (other.degree, other.dim, other.codomain_dim):
-            raise ValueError("tensor shape mismatch")
-        return SymTensor(self.degree, self.dim, self.coeffs + other.coeffs)
 
 
 def monomials(X: np.ndarray, degree: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from chrono_duhamel.chrono import DEFAULT_DEGREE_CAP
-from chrono_duhamel.propagator import CauchyData, FreeSolution, make_free_solution, propagate, sample_at
+from chrono_duhamel.propagator import CauchyData, FreeSolution, make_free_solution, propagate
 from chrono_duhamel.symfun import (
     SymFunctional,
     SymTensor,
@@ -182,11 +182,11 @@ def chart_field(t, phi, disp, nonlin):
     """The Lagrange-Duhamel field ``Vbar_t`` at the free solution ``phi``, as a ``FreeSolution``.
 
     Samples ``phi`` at ``t``, applies ``N`` to the trace and Green-lifts the
-    result from the slice ``t`` (``sample_at`` -> ``N`` -> ``green_apply``);
+    result from the slice ``t`` (``propagate`` -> ``N`` -> ``green_apply``);
     the Schrodinger source carries the kernel's ``(gamma^0)^{-1} = -i``.
     """
     source = 1.0 if disp.second_order else -1.0j
-    trace = sample_at(disp, phi, t)
+    trace = propagate(disp, phi.chart_data, t)
     return green_apply(disp, trace.grid, t, source * nonlin.apply(trace.psi))
 
 
@@ -287,19 +287,19 @@ def vdot_reference(t, f, nonlin, chart, cap):
         for k in nonlin.coeffs:
             if p < 1 or p + k - 1 > cap:
                 continue
-            comp = compose_first_slot(term, V[k]).scaled(float(p))
+            comp = float(p) * compose_first_slot(term, V[k]).coeffs
             out[p + k - 1] = comp if p + k - 1 not in out else out[p + k - 1] + comp
-    return SymFunctional(out.values())
+    return SymFunctional(SymTensor(m, chart.dim, c) for m, c in out.items())
 
 
 def functional_add(f, g, scale=1.0):
     """f + scale * g, aligning degrees."""
     by_deg = {t.degree: t for t in f.terms}
     for t in g.terms:
+        c = scale * t.coeffs
         if t.degree in by_deg:
-            by_deg[t.degree] = by_deg[t.degree] + t.scaled(scale)
-        else:
-            by_deg[t.degree] = t.scaled(scale)
+            c = by_deg[t.degree].coeffs + c
+        by_deg[t.degree] = SymTensor(t.degree, t.dim, c)
     return SymFunctional(by_deg.values())
 
 
@@ -380,7 +380,7 @@ def nested_trees_reference(trees, f_linear, u, t1, t2, nonlin, chart, order=8):
     def integrand(tree, taus):
         children, legs, fields = tree.children(), tree.legs(), {}
         for a in range(tree.order, 0, -1):
-            F = sample_at(chart.disp, u, taus[a - 1]).psi ** legs[a - 1]
+            F = propagate(chart.disp, u.chart_data, taus[a - 1]).psi ** legs[a - 1]
             for c in children[a]:
                 dt = taus[a - 1] - taus[c - 1]
                 F = F * np.fft.ifft(dt * np.sinc(eps * dt / np.pi) * np.fft.fft(fields.pop(c))).real

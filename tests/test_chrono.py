@@ -24,8 +24,9 @@ from chrono_duhamel.propagator import (
     Grid,
     cau_norm,
     make_free_solution,
+    propagate,
 )
-from chrono_duhamel.series import MajorantSeries, eval_series as series_eval
+from chrono_duhamel.series import DEFAULT_FLOOR, MajorantSeries, eval_series as series_eval
 from chrono_duhamel.symfun import (
     SymFunctional,
     SymTensor,
@@ -48,7 +49,7 @@ from oracles import (
 
 GRID = Grid(8, 2 * np.pi)
 KG1 = DispersionRelation("klein_gordon", 1.0)
-CUBIC = NonlinearitySpec.cubic(1.0)
+CUBIC = NonlinearitySpec({3: 1.0})
 CHART = ChartMap(GRID, KG1, s=0.0, m_ref=1.0)
 
 
@@ -96,9 +97,7 @@ def test_point_eval_functional_samples_the_field():
     fs = make_free_solution(KG1, data)
     for t_pt, x_idx in [(0.0, 0), (0.45, 3), (-1.2, 5)]:
         f = point_eval_functional(CHART, t_pt, x_idx)
-        from chrono_duhamel.propagator import sample_at
-
-        expected = sample_at(KG1, fs, t_pt).psi[x_idx]
+        expected = propagate(KG1, fs.chart_data, t_pt).psi[x_idx]
         assert eval_series(f, CHART.coords_of(fs))[0] == pytest.approx(expected, rel=1e-11)
 
 
@@ -154,7 +153,7 @@ def test_vdot_of_constant_vanishes():
 
 def test_vdot_zero_nonlinearity():
     f = point_eval_functional(CHART, 0.0, 0)
-    assert not vdot(0.2, f, NonlinearitySpec.zero(), CHART).terms
+    assert not vdot(0.2, f, NonlinearitySpec({}), CHART).terms
 
 
 def test_vdot_linear_gives_cubic_term():
@@ -220,9 +219,10 @@ def test_newformula_coefficient_domination_small():
 
         by_m = {}
         for term in f.terms:
-            comp = compose_first_slot(term, V).scaled(term.degree)
-            by_m[comp.degree] = comp if comp.degree not in by_m else by_m[comp.degree] + comp
-        for m, out in by_m.items():
+            comp = compose_first_slot(term, V)
+            by_m[comp.degree] = by_m.get(comp.degree, 0.0) + term.degree * comp.coeffs
+        for m, coeffs in by_m.items():
+            out = SymTensor(m, d, coeffs)
             bound = 0.0
             for term in f.terms:
                 if term.degree + q - 1 == m:
@@ -244,7 +244,7 @@ def test_transport_identity_at_equal_times():
 
 def test_transport_trivial_for_zero_field():
     f = point_eval_functional(CHART, 0.0, 0)
-    out, _ = chrono_exp_evolve(f, 0.0, 0.8, 16, KG1, NonlinearitySpec.zero(), CHART)
+    out, _ = chrono_exp_evolve(f, 0.0, 0.8, 16, KG1, NonlinearitySpec({}), CHART)
     np.testing.assert_allclose(out.term(1).coeffs, f.term(1).coeffs)
     assert out.degrees == (1,)
 
@@ -349,7 +349,7 @@ def test_non_finite_coefficients_of_a_higher_degree_are_a_numerical_failure():
     # degrees 1 and 3 stay finite; the last sweep's degree 5 overflows to inf and nan,
     # which the transport reports itself, with no NumPy warning
     f = point_eval_functional(CHART, 0.0, 0)
-    f = SymFunctional([f.term(1).scaled(1e10)])
+    f = SymFunctional([SymTensor(1, CHART.dim, 1e10 * f.term(1).coeffs)])
     with pytest.raises(FloatingPointError):
         chrono_exp_evolve(f, 0.0, 0.5, 1, KG1, NonlinearitySpec({3: 1e150}), CHART)
 
@@ -694,7 +694,7 @@ def test_truncation_events_column_counts_dropped_pairs_per_panel_node(coeffs):
 
 def test_truncation_events_none_without_a_nonlinearity():
     data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.0)
-    zero = NonlinearitySpec.zero()
+    zero = NonlinearitySpec({})
     traj = evolve(data, 0.0, 0.5, 0.05, KG1, zero)
     f = point_eval_functional(CHART, 0.0, 0)
     events = invariance_scan(f, traj, CHART, substeps=2)[3]
@@ -736,8 +736,6 @@ def test_tree_order0_is_plain_evaluation():
 def test_tree_order1_matches_direct_quadrature():
     # single-vertex tree: - the integral of the Green-paired cube; oracle by
     # dense trapezoid quadrature of the explicitly assembled integrand
-    from chrono_duhamel.propagator import sample_at
-
     f = point_eval_functional(CHART, 0.0, 0)
     u = bench_solution(amp=0.4)
     t1, t2 = 0.0, 0.3
@@ -748,7 +746,7 @@ def test_tree_order1_matches_direct_quadrature():
     row = f.term(1).coeffs[0]
     samples = []
     for tau in taus:
-        lift = CHART.rows_and_columns(float(tau))[1] @ sample_at(KG1, u, float(tau)).psi ** 3
+        lift = CHART.rows_and_columns(float(tau))[1] @ propagate(KG1, u.chart_data, float(tau)).psi ** 3
         samples.append(row @ lift)
     oracle = np.trapezoid(samples, taus)
     assert val == pytest.approx(oracle, rel=1e-8)
@@ -757,8 +755,6 @@ def test_tree_order1_matches_direct_quadrature():
 def test_tree_order1_backward_orientation_sign():
     # transporting backward (t2 < t1) flips the first correction's sign:
     # the order-1 term equals  - integral_{t2}^{t1} of the Green-paired cube
-    from chrono_duhamel.propagator import sample_at
-
     f = point_eval_functional(CHART, 0.0, 0)
     u = bench_solution(amp=0.4)
     t1, t2 = 0.3, 0.0
@@ -768,7 +764,7 @@ def test_tree_order1_backward_orientation_sign():
     taus = np.linspace(t2, t1, 4001)
     row = f.term(1).coeffs[0]
     samples = [
-        row @ (CHART.rows_and_columns(float(tau))[1] @ sample_at(KG1, u, float(tau)).psi ** 3)
+        row @ (CHART.rows_and_columns(float(tau))[1] @ propagate(KG1, u.chart_data, float(tau)).psi ** 3)
         for tau in taus
     ]
     oracle = -np.trapezoid(samples, taus)
@@ -894,7 +890,7 @@ def test_tree_evaluation_needs_a_linear_functional(degrees):
 
 def test_invariance_free_dynamics():
     data = CauchyData(GRID, 0.05 * np.cos(GRID.x), np.zeros(GRID.M), 0.0)
-    traj = evolve(data, 0.0, 0.5, 0.05, KG1, NonlinearitySpec.zero())
+    traj = evolve(data, 0.0, 0.5, 0.05, KG1, NonlinearitySpec({}))
     f = point_eval_functional(CHART, 0.0, 0)
     _, values, drift, _ = invariance_scan(f, traj, CHART)
     assert drift <= 1e-13
@@ -968,7 +964,7 @@ CHART_IDS = ["rotation", "massless", "mref2-s0.5", "mass0.5-s-0.5"]
 
 
 def test_transport_majorant_zero_nonlinearity():
-    assert transport_majorant(NonlinearitySpec.zero(), CHART, WINDOW).is_zero
+    assert transport_majorant(NonlinearitySpec({}), CHART, WINDOW).is_zero
 
 
 @pytest.mark.parametrize("chart", MAJORANT_CHARTS, ids=CHART_IDS)
@@ -1042,11 +1038,11 @@ def test_certify_cubic_closed_form():
 
 def test_certify_window_exceeded():
     X = MajorantSeries([1.0])
-    rec = certify_window(MajorantSeries([0, 1.0]), X, 0.5, 2.0, floor=0.01)
+    rec = certify_window(MajorantSeries([0, 1.0]), X, 0.49, 2.0)
     assert not rec.window_ok
     assert rec.measured_window == pytest.approx(0.49, abs=1e-6)
-    # a floor at or above the radius leaves no window at all
-    rec = certify_window(MajorantSeries([0, 1.0]), X, 0.5, 2.0, floor=0.5)
+    # a radius at or below the fixed floor leaves no window at all
+    rec = certify_window(MajorantSeries([0, 1.0]), X, DEFAULT_FLOOR, 2.0)
     assert not rec.window_ok and rec.certified_radius == 0.0 and rec.measured_window == 0.0
 
 
@@ -1066,7 +1062,6 @@ def test_certified_transport_contraction():
         X,
         R,
         t2 - t1,
-        floor=1e-6,
         uf_majorant=majorant_of(F),
     )
     assert rec.window_ok

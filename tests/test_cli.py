@@ -972,6 +972,54 @@ def test_float_overflow_is_a_numerical_failure(tmp_path, capsys, command, body):
     assert not (tmp_path / "o" / "trajectory.csv").exists()
 
 
+# t2 - t1 overflows to -inf: NumPy's linspace warned, and the step count was int(nan)
+OVERFLOWING_SPAN = "[grid]\nm = 4\n[times]\nt1 = 1e308\nt2 = -1e308\nsteps = 4\n"
+# the step |t2 - t1| / steps rounds to 0
+ZERO_STEP = "[grid]\nm = 4\n[times]\nt1 = 0.0\nt2 = 5e-324\nsteps = 3\n"
+# the step rounds to one subnormal ulp, from which the step count comes back as 10, not 7
+SUBNORMAL_STEP = "[grid]\nm = 4\n[times]\nt1 = 0.0\nt2 = 5e-323\nsteps = 7\n[nonlinearity]\n3 = 0.0\n"
+
+
+@pytest.mark.parametrize(
+    "command, body",
+    [
+        ("propagate", OVERFLOWING_SPAN),
+        ("evolve", OVERFLOWING_SPAN),
+        ("invariance", OVERFLOWING_SPAN),
+        ("certify", OVERFLOWING_SPAN),
+        ("trees", OVERFLOWING_SPAN),
+        ("propagate", ZERO_STEP),
+        ("evolve", ZERO_STEP),
+        ("invariance", ZERO_STEP),
+        ("propagate", SUBNORMAL_STEP),
+        ("evolve", SUBNORMAL_STEP),
+        ("invariance", SUBNORMAL_STEP),
+    ],
+    ids=[
+        "propagate-overflowing-span",
+        "evolve-overflowing-span",
+        "invariance-overflowing-span",
+        "certify-overflowing-span",
+        "trees-overflowing-span",
+        "propagate-zero-step",
+        "evolve-zero-step",
+        "invariance-zero-step",
+        "propagate-subnormal-step",
+        "evolve-subnormal-step",
+        "invariance-subnormal-step",
+    ],
+)
+def test_a_span_or_step_out_of_float_range_is_a_config_error(tmp_path, capsys, command, body):
+    # a span t2 - t1 that overflows, or a step |t2 - t1| / steps below the normal floats, is
+    # refused with one line that names [times], before any time grid is formed
+    cfg = write_config(tmp_path / "c.ini", body)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "[times]" in err and "Traceback" not in err
+    assert not list((tmp_path / "o").glob("*.csv"))
+
+
 @pytest.mark.parametrize(
     "command, section",
     [
@@ -1156,7 +1204,8 @@ def test_evolve_restarts_from_its_own_final_field(tmp_path):
 # the exit-code contract under fuzzed configs: boundary values and wrong kinds, 1-4 fields at a time
 CONTRACT_FIELDS = {
     ("times", "steps"): ["0", "-1", "x", "3"],
-    ("times", "t2"): ["0.0", "-0.25", "1e300"],
+    ("times", "t1"): ["1.7e308"],
+    ("times", "t2"): ["0.0", "-0.25", "1e300", "-1.7e308", "5e-324"],
     ("grid", "lx"): ["1e-110", "inf", "0"],
     ("dispersion", "kind"): ["schrodinger", "heat"],
     ("dispersion", "mass"): ["0", "1e200"],

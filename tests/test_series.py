@@ -321,7 +321,7 @@ def test_flow_times_match_the_ode_flow_oracle():
         t_bar = guaranteed_time(X, R, floor)
         assert flow(X, -t_bar, R, rtol=1e-12).value == pytest.approx(floor, rel=1e-9)
         T = rng.uniform(0.1, 0.9) * t_bar
-        rec = certify_window(MajorantSeries([0, 1.0]), X, R, T, floor=floor)
+        rec = certify_window(MajorantSeries([0, 1.0]), X, R, T)
         assert rec.window_ok
         assert rec.certified_radius == pytest.approx(flow(X, -T, R, rtol=1e-12).value, rel=1e-9)
 
@@ -383,10 +383,13 @@ def test_one_term_flow_time_below_the_normal_range(r):
 @pytest.mark.parametrize("ratio", RATIOS)
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
 def test_one_term_certified_radius_stays_below_the_exact_flow(k, ratio):
+    # the certificate's floor is DEFAULT_FLOOR: a case scaled up until r is at least twice that
+    # floor keeps the window open over T = flow_time(X, r, R)
     for c, R, r in one_term_cases(k, ratio):
-        X = one_term(k, c)
+        scale = max(1.0, 2 * series.DEFAULT_FLOOR / r)
+        X, R, r = one_term(k, c), R * scale, r * scale
         for T in (flow_time(X, r, R), 0.37 * flow_time(X, r, R)):
-            rec = certify_window(MajorantSeries([]), X, R, T, floor=r / 2)
+            rec = certify_window(MajorantSeries([]), X, R, T)
             assert rec.window_ok
             # the exact flow time down to r' is at least T: r' is at or below e^{-TX}(R)
             assert exact_time(k, c, rec.certified_radius, R) >= Fraction(T)
