@@ -649,6 +649,8 @@ def evaluate_trees(
             for a in range(order, 0, -1):
                 key = (a, legs[a - 1])
                 if key not in powers:
+                    # ``**`` (np.power), not the N program's products: the quadrature is an
+                    # independent check of the transport, and shares no power rule with it
                     powers[key] = traces[:, a - 1] ** legs[a - 1]
                 F = powers[key]
                 for child in children[a]:
@@ -700,7 +702,9 @@ def invariance_scan(
     ``p - 1`` monomials of ``c`` times ``G^(p)`` with its first slot open
     (``symfun._open_polarized``).  Every panel node is taken at once from the chart's
     factors, ``A c = A_0 (a_l o c)`` and ``B v = b_l o (B_0 v)``, in chunks
-    of at most ``_CHUNK_FLOATS`` floats.  No tensor of the last sweep's
+    of at most ``_CHUNK_FLOATS`` floats.  ``lam_k (A c)^k`` is the N program's
+    term of degree k, ``NonlinearitySpec({k: lam_k}).apply``, whose float
+    powers are products, not ``np.power``.  No tensor of the last sweep's
     degrees is built.  The trajectory's dispersion must be the chart's.
     """
     _check_disp(traj[0].disp, chart)
@@ -724,6 +728,7 @@ def invariance_scan(
         # the nonlinearity degrees the operator composes with each stored degree
         pairs = {p: _kept(p, nonlin, cap) for p in G}
         pairs = {p: ks for p, ks in pairs.items() if ks}
+        terms = {k: NonlinearitySpec({k: lam}) for k, lam in nonlin.coeffs.items()}
         d = chart.dim
         size = max([len(traj) * d] + [num_canonical(d, p - 1) * d for p in pairs])
         step = max(1, _CHUNK_FLOATS // size)
@@ -731,7 +736,7 @@ def invariance_scan(
             sl = slice(lo, lo + step)
             a, b = chart._factors(pn[sl])
             U = (coords * a[:, None, :]) @ A0.T  # (nodes, path, M): A_t c
-            fields = {k: ((lam * U**k) @ B0.T) * b[:, None, :] for k, lam in nonlin.coeffs.items()}
+            fields = {k: (term.apply(U) @ B0.T) * b[:, None, :] for k, term in terms.items()}
             for p, ks in pairs.items():
                 grad = monomials_of(p - 1) @ _open_polarized(G[p][sl], d, p)
                 rate = np.einsum("lij,lij->li", grad, sum(fields[k] for k in ks))

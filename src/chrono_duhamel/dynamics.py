@@ -12,9 +12,10 @@ picture).  ``A_t`` is diagonal per Fourier mode, so the chart state is
 kept as its modes ``c_k = fft(field) / M``.  A chart field is rank one
 over the K rows: ``Vbar_t(c) = back_t * g``, ``g = fft(N(ifft(sigma)))``
 the source of the trace ``sigma = sum_K fwd_t * c``, with ``fwd_t`` and
-``back_t`` the per-mode factors of ``A_t`` and ``A_{-t}``.  One private
-kernel, ``_source``, applies ``N`` in mode space through the propagator's
-``_ifft`` and ``_fft``, which skip ``numpy.fft``'s argument handling.
+``back_t`` the per-mode factors of ``A_t`` and ``A_{-t}``.  At these grid
+sizes a kernel costs calls, not arithmetic, so kernels are lists of
+``(ufunc, args)`` calls bound to fixed arrays, with the propagator's
+pocketfft gufuncs called directly, and ``evolve`` binds its step once.
 ``evolve`` integrates this chart ODE by classical RK4 in trace form: by
 linearity the trace of a stage input ``c + a back_s * g`` is ``T_t + a
 kappa(t - s) * g``, with ``T_t = sum_K fwd_t * c`` and the lag kernel
@@ -38,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .propagator import (
     CauchyData,
@@ -45,9 +47,9 @@ from .propagator import (
     FreeSolution,
     Grid,
     _energies,
-    _fft,
+    _fft_gufunc,
     _field,
-    _ifft,
+    _ifft_gufunc,
     _modes,
     _sobolev_norms,
     _wave_factors,
@@ -67,15 +69,29 @@ __all__ = [
 _ZERO = np.zeros((), complex)
 
 
-def _power_by_products(u, bits, out):
-    """``u**k`` into ``out``: per digit of ``k`` after its leading 1 (``bits``) a square, then ``* u`` if 1."""
-    np.multiply(u, u, out=out)
-    for i, bit in enumerate(bits):
-        if i:
-            np.multiply(out, out, out=out)
+def _power_calls(u, k, out):
+    """``(ufunc, args)`` calls that write ``u**k`` into ``out``: the package's one power rule.
+
+    ``np.square`` for k = 2 (for complex ``u`` not ``np.power(u, 2)``'s
+    bits); for float ``u`` and k >= 3, per digit of ``k`` after its leading 1
+    a square (the first is ``u * u``), then ``* u`` if it is 1; else ``np.power``.
+    """
+    if k == 2:
+        return [(np.square, (u, out))]
+    if k < 3 or u.dtype.kind != "f":
+        return [(np.power, (u, np.array(k, u.dtype), out))]
+    calls, p = [], u
+    for bit in bin(k)[3:]:
+        calls.append((np.multiply, (p, p, out)))
+        p = out
         if bit == "1":
-            np.multiply(out, u, out=out)
-    return out
+            calls.append((np.multiply, (out, u, out)))
+    return calls
+
+
+def _run(calls):
+    for f, args in calls:
+        f(*args)
 
 
 @dataclass(frozen=True)
@@ -89,7 +105,6 @@ class NonlinearitySpec:
         if any(k < 0 for k in clean):
             raise ValueError("degrees must be nonnegative")
         object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "_operands_by_dtype", {})
 
     @property
     def is_zero(self) -> bool:
@@ -99,52 +114,36 @@ class NonlinearitySpec:
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self.coeffs))
 
-    def _operands(self, dtype: np.dtype):
-        """The 0-d ``0.0`` that starts the sum and ``((power, args), N_k)`` per term, in ``dtype``.
+    def _program(self, u, out, term):
+        """The N program: ``(ufunc, args)`` calls that write ``N(u)`` into ``out``.
 
-        Built once per dtype.  ``u**k`` is ``np.square`` for k = 2 (for
-        complex ``u`` not ``np.power(u, 2)``'s bits), products for float
-        ``u`` and k >= 3, ``np.power`` otherwise.
+        ``term`` holds each term after the first.  The bits are those of
+        ``0.0 + N_k u**k + ...`` in the order of ``coeffs``, with Python
+        scalars' bits from 0-d operands of ``u``'s dtype; the ``0.0 +`` turns a
+        ``-0.0`` term into ``+0.0``.
         """
-        ops = self._operands_by_dtype.get(dtype)
-        if ops is None:
-
-            def power(k):
-                if k == 2:
-                    return np.square, ()
-                if k > 2 and dtype.kind == "f":
-                    return _power_by_products, (bin(k)[3:],)
-                return np.power, (np.array(k, dtype),)
-
-            terms = [(power(k), np.array(v, dtype)) for k, v in self.coeffs.items()]
-            ops = self._operands_by_dtype[dtype] = (np.zeros((), dtype), terms)
-        return ops
+        if not self.coeffs:
+            return [(out.fill, (0,))]
+        zero, calls = np.zeros((), u.dtype), []
+        for i, (k, v) in enumerate(self.coeffs.items()):
+            t = term if i else out
+            calls += _power_calls(u, k, t)
+            calls += [(np.multiply, (np.array(v, u.dtype), t, t)), (np.add, (out if i else zero, t, out))]
+        return calls
 
     def apply(
         self, u: np.ndarray, out: np.ndarray | None = None, term: np.ndarray | None = None
     ) -> np.ndarray:
         """``N(u)`` of float or complex ``u``, written into ``out`` and returned.
 
-        ``out`` and ``term`` are arrays of ``u``'s shape and dtype, new ones
-        when None; ``term`` holds each term after the first.  The bits are
-        those of ``0.0 + N_k u**k + ...`` in the order of ``coeffs``: every
-        operand is a 0-d array of ``u``'s dtype, which gives a Python
-        scalar's bits without its conversion on every call.  The sum starts
-        from ``0.0``, so a ``-0.0`` term comes out ``+0.0``.
+        Runs the N program once; ``out`` and ``term`` are arrays of ``u``'s
+        shape and dtype, new ones when None.
         """
-        zero, terms = self._operands(u.dtype)
         if out is None:
             out = np.empty(u.shape, u.dtype)
-        if not terms:
-            out.fill(0)
-            return out
-        if term is None and len(terms) > 1:
+        if term is None and len(self.coeffs) > 1:
             term = np.empty(u.shape, u.dtype)
-        for i, ((power, args), v) in enumerate(terms):
-            t = term if i else out
-            power(u, *args, out=t)
-            np.multiply(v, t, out=t)
-            np.add(out if i else zero, t, out=out)
+        _run(self._program(u, out, term))
         return out
 
 
@@ -182,34 +181,50 @@ def _chart_factors(disp: DispersionRelation, grid: Grid, times) -> tuple[np.ndar
     return phase[:, None, :], (-1j * phase.conj() / M)[:, None, :]
 
 
-def _trace(fwd, c, real, prod=None, out=None):
-    """Mode-space traces ``sum_K fwd * c`` of chart modes ``(..., K, M)``, into ``prod`` and ``out``.
+def _row_sum_calls(prod, real, out):
+    """Calls that write the traces ``sum_K prod`` of row products ``(..., K, M)`` into ``out``.
 
     The rows are summed from +0 as NumPy's sum forms it, (0 + psi row) +
     chi row: the 0 + turns a -0 into +0, a sign that cpow (a complex power
     of degree >= 100) reads.  A real trace skips it: the inverse FFT passes
     the sign of a zero on only to zeros, and N(-0) has the bits of N(+0).
     """
-    prod = np.multiply(fwd, c, out=prod)
-    if real:
-        return np.add(prod[..., 0, :], prod[..., 1, :], out=out)
-    out = np.add(_ZERO, prod[..., 0, :], out=out)
-    if prod.shape[-2] == 2:
-        np.add(out, prod[..., 1, :], out=out)
+    rows = ([] if real else [_ZERO]) + [prod[..., i, :] for i in range(prod.shape[-2])]
+    return [(np.add, (rows[0], rows[1], out))] + [(np.add, (out, row, out)) for row in rows[2:]]
+
+
+def _trace(fwd, c, real):
+    """Mode-space traces ``sum_K fwd * c`` of chart modes ``(..., K, M)``, by ``_row_sum_calls``."""
+    prod = fwd * c
+    out = np.empty(prod[..., 0, :].shape, complex)
+    _run(_row_sum_calls(prod, real, out))
     return out
 
 
-def _source(nonlin, trace, real, out=None, scratch=(None, None, None)):
-    """Modes ``fft(N(ifft(trace)))`` of mode-space traces ``(..., M)``, into ``out`` if given.
+def _source_calls(nonlin, trace, real, out, scratch):
+    """Calls that write the modes ``fft(N(ifft(trace)))`` of mode-space traces ``(..., M)`` into ``out``.
 
     The inverse FFT is unscaled (the trace carries the chart modes' ``1/M``);
     ``real`` takes the field's real part, as the propagator does for real
-    Klein-Gordon data.  ``scratch = (u, n_out, n_term)`` holds the field and
-    ``N.apply``'s ``out`` and ``term``, new where None.
+    Klein-Gordon data.  ``scratch = (u, n_out, n_term)``, C-contiguous arrays
+    of the trace's shape, holds the field and the N program's ``out`` and
+    ``term``; N runs on flat views, where a strided real part costs no iterator.
     """
-    u, n_out, n_term = scratch
-    u = _ifft(trace, 1.0, out=u)
-    return _fft(nonlin.apply(u.real if real else u, n_out, n_term), out=out)
+    u, n_out, _ = scratch
+    field, n_flat, term = (a.reshape(-1) for a in scratch)
+    return [
+        (_ifft_gufunc, (trace, 1.0, u)),
+        *nonlin._program(field.real if real else field, n_flat, term),
+        (_fft_gufunc, (n_out, 1.0, out)),
+    ]
+
+
+def _source(nonlin, trace, real):
+    """Modes ``fft(N(ifft(trace)))`` of mode-space traces ``(..., M)``, by ``_source_calls``."""
+    out, u = np.empty((2, *trace.shape), complex)
+    scratch = (u, *np.empty((2, *trace.shape), float if real else complex))
+    _run(_source_calls(nonlin, trace, real, out, scratch))
+    return out
 
 
 def _chart_field(nonlin, fwd, back, c, real):
@@ -266,9 +281,12 @@ def evolve(
     ``sigma_1 = T_0``, ``sigma_2 = T_1 + h/2 kappa(h/2) g_1``, ``sigma_3 = T_1
     + h/2 kappa(0) g_2``, ``sigma_4 = T_2 + h kappa(h/2) g_3``, and the step
     adds ``(B_j g_1 + B_{j+1} (g_2 + g_3)) + B_{j+2} g_4``, ``B = -back`` times
-    ``h/6`` at nodes and ``h/3`` at midpoints.  A step is two batched
-    ``_source`` rounds where the computed ``kappa(0)`` is zero, else four.
-    The loop allocates nothing; the states' rows are rows of one read-only
+    ``h/6`` at nodes and ``h/3`` at midpoints.  A step is two batched source
+    rounds where the computed ``kappa(0)`` is zero, else four, from one rounds
+    table.  It runs the factor product on a read-only view of its three
+    factor rows, one flat tuple of calls bound once (traces, rounds, ``g_2 +
+    g_3``) and the update: about 20 NumPy calls for cubic Klein-Gordon.  The
+    loop allocates nothing; the states' rows are rows of one read-only
     array.  Node ``i`` sits at ``t1 + i h``; the loop stops at the first step
     whose modes are not finite, and ``FloatingPointError`` names the first step
     whose fields are not finite.
@@ -290,7 +308,7 @@ def evolve(
         lag_fwd, lag_back = _chart_factors(disp, grid, [0.0, h / 2])
         kappa0, kappa1 = -np.sum(lag_fwd * lag_back[0], axis=-2)
         # sources in rows (g1, g3, g2, -, g4): g[0::2] is (g1, g2 + g3, g4) once
-        # g3 is added to g2; a round's trace is formed in _source's scratch u
+        # g3 is added to g2
         prods = np.empty((3, *c.shape), complex)
         traces = np.empty((3, grid.M), complex)
         g = np.empty((5, grid.M), complex)
@@ -305,20 +323,29 @@ def evolve(
         width = len(rounds[0][0])
         u = np.empty((width, grid.M), complex)
         scratch = (u, *np.empty((2, width, grid.M), float if real else complex))
+        # a step's calls after the factor product; a stage trace is formed in the field u
+        calls = _row_sum_calls(prods, real, traces)
+        for trace, a, prev, dest in rounds:
+            if a is not None:
+                calls += [(np.multiply, (a, prev, u)), (np.add, (trace, u, u))]
+                trace = u
+            calls += _source_calls(nonlin, trace, real, dest, scratch)
+        calls = tuple(calls + [(np.add, (g[2], g[1], g[2]))])
+        # each step's rows (j, j + 1, j + 2) of the factors, j = 2 step, as read-only views
+        fwds, backs = (np.moveaxis(sliding_window_view(x, 3, axis=0)[::2], -1, 1) for x in (fwd, back))
+        multiply, add, isfinite = np.multiply, np.add, np.isfinite
+        add_reduce, all_of = np.add.reduce, np.logical_and.reduce
+        sources = g[0::2, None, :]
         is_finite = np.empty(c.shape, bool)
         nodes = np.empty((n, *c.shape), complex)
-        for step in range(n):
-            j = 2 * step
-            _trace(fwd[j : j + 3], c, real, prods, traces)
-            for trace, a, prev, dest in rounds:
-                if a is not None:
-                    trace = np.add(trace, np.multiply(a, prev, out=u), out=u)
-                _source(nonlin, trace, real, dest, scratch)
-            # g2 + g3, then B_j g1 + B_{j+1} (g2 + g3) + B_{j+2} g4
-            np.add(g[2], g[1], out=g[2])
-            np.multiply(back[j : j + 3], g[0::2, None, :], out=slopes)
-            c = np.add(c, np.add.reduce(slopes, axis=0, out=nodes[step]), out=nodes[step])
-            if not np.isfinite(c, out=is_finite).all():
+        for step, (fw, bk, node) in enumerate(zip(fwds, backs, nodes)):
+            multiply(fw, c, prods)
+            for f, args in calls:
+                f(*args)
+            # B_j g1 + B_{j+1} (g2 + g3) + B_{j+2} g4
+            multiply(bk, sources, slopes)
+            c = add(c, add_reduce(slopes, 0, None, node), node)
+            if not all_of(isfinite(c, is_finite), None):
                 nodes = nodes[: step + 1]
                 break
         fields = np.ascontiguousarray(_field(grid, nodes, real))

@@ -8,10 +8,12 @@ forward unnormalised, inverse ``1/M``; the mode amplitudes used below are
 exactly at the nodes, and the discrete Parseval identity reads
 ``sum_j |f_j|^2 dx = Lx sum_k |c_k|^2``.
 
-Every transform of the package goes through one private pair, ``_fft`` and
-``_ifft``, which call NumPy's pocketfft gufuncs directly and give the bits
-of ``numpy.fft.fft`` and ``numpy.fft.ifft``: at these grid sizes the
-argument handling of ``numpy.fft`` costs more than the transform.
+Every transform of the package calls NumPy's pocketfft gufuncs, which only
+this module imports, as ``_fft_gufunc`` and ``_ifft_gufunc``: they give the
+bits of ``numpy.fft.fft`` and ``numpy.fft.ifft``, and at these grid sizes the
+argument handling of ``numpy.fft`` costs more than the transform.  The
+private pair ``_fft`` and ``_ifft`` wrap them for this module and ``chrono``;
+the dynamics layer binds them into its RK4 step.
 
 Dispersion kinds:
 
@@ -166,6 +168,9 @@ class FreeSolution:
             raise ValueError("chart data must be anchored at the reference time 0")
 
 
+_fft_gufunc, _ifft_gufunc = _pocketfft_umath.fft, _pocketfft_umath.ifft
+
+
 def _fft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Unscaled forward DFT of float64 or complex128 ``a`` along its last axis.
 
@@ -176,7 +181,7 @@ def _fft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """
     if out is None:
         out = np.empty(a.shape, complex)
-    return _pocketfft_umath.fft(a, 1.0, out=out)
+    return _fft_gufunc(a, 1.0, out=out)
 
 
 def _ifft(a: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -188,7 +193,7 @@ def _ifft(a: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndar
     """
     if out is None:
         out = np.empty(a.shape, complex)
-    return _pocketfft_umath.ifft(a, scale, out=out)
+    return _ifft_gufunc(a, scale, out=out)
 
 
 def _modes(grid: Grid, field: np.ndarray) -> np.ndarray:

@@ -11,8 +11,8 @@ No command runs them, and none imports a private name of the package:
 * ``contract_slot`` and ``eval_homogeneous``: polarized evaluation of a
   symmetric tensor one slot at a time, its indices ranked through
   ``canonical_indices``, not through the kernel's index tables;
-* the RK4 transports, the vertex tensors, the nested tree quadrature and the
-  real DFT built row by row.
+* the RK4 transports, the vertex tensors, the nested tree quadrature, the
+  real DFT built row by row and ``u**k`` by binary powering.
 """
 
 import math
@@ -419,3 +419,13 @@ def real_dft_reference(M):
     rows.append(np.cos(np.pi * j) / math.sqrt(M))
     freqs.append(M // 2)
     return np.vstack(rows), np.asarray(freqs)
+
+
+def power_by_products(u, k):
+    """``u**k``, ``k >= 2``, by binary powering: per digit of ``k`` after the first a square, then ``* u`` if it is 1."""
+    p = u
+    for bit in bin(k)[3:]:
+        p = p * p
+        if bit == "1":
+            p = p * u
+    return p

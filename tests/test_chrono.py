@@ -41,6 +41,7 @@ from oracles import (
     directional_derivative,
     eval_homogeneous,
     nested_trees_reference,
+    power_by_products,
     real_dft_reference,
     rk4_transport,
     vdot_reference,
@@ -913,6 +914,32 @@ def test_invariance_cubic_small_amplitude():
     _, values, drift, _ = invariance_scan(f, traj, CHART, substeps=2, cap=5)
     assert drift <= 1e-7
     assert values[0] == pytest.approx(data.psi[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("coeffs", [{3: 1.0}, {2: 0.3, 3: 0.8}, {4: 0.7}], ids=["benchmark", "2-3", "quartic"])
+def test_vertex_powers_follow_the_nonlinearity_s_power_rule(monkeypatch, coeffs):
+    # the benchmark.ini problem: every vertex field's lam (A c)^k is the N program's term, with
+    # the bits of 0.0 + lam * u**k from products for k >= 3, and the transported values stay
+    # within 1e-15 relative of those of the np.power formula lam * U**k
+    data = CauchyData(GRID, 0.05 * np.cos(2 * np.pi * GRID.x / GRID.Lx), np.zeros(GRID.M), 0.0)
+    traj = evolve(data, 0.0, 0.5, 0.0125, KG1, NonlinearitySpec(coeffs))
+    f = point_eval_functional(CHART, 0.0, 0)
+    seen, apply = [], NonlinearitySpec.apply
+
+    def spied(self, u):
+        seen.append((self.coeffs, u, apply(self, u)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(NonlinearitySpec, "apply", spied)
+    values = invariance_scan(f, traj, CHART, substeps=2, cap=5)[1]
+    assert sorted({k for term, _, _ in seen for k in term}) == sorted(coeffs)
+    for term, u, field in seen:
+        ((k, lam),) = term.items()
+        assert lam == coeffs[k] and u.dtype == float
+        assert field.tobytes() == (0.0 + lam * (power_by_products(u, k) if k >= 3 else u**k)).tobytes()
+    monkeypatch.setattr(NonlinearitySpec, "apply", lambda self, u: sum(v * u**k for k, v in self.coeffs.items()))
+    reference = invariance_scan(f, traj, CHART, substeps=2, cap=5)[1]
+    assert np.all(np.abs(values - reference) <= 1e-15 * np.abs(reference))
 
 
 @pytest.mark.parametrize("t2, steps", [(-0.4, 21), (0.3, 0)], ids=["backward-21-steps", "one-node"])

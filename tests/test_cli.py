@@ -1229,6 +1229,13 @@ CONTRACT_FIELDS = {
 INPUT_PATHS = {("initial", "file"), ("functional", "tensor_file")}
 READS = {"initial": ("propagate", "evolve", "invariance", "trees"), "functional": ("invariance", "certify", "trees")}
 CONTRACT_NONLINEARITIES = [None, {2: 0.3, 3: 0.8}, {1: 0.3, 3: 0.8}, {3: 1e40}, {}]
+# every draw also holds one float that overflows what a command computes; a drawn field
+# overrides it.  A config error must then still exit 2, not 1: a command checks every field
+# before its numbers can overflow
+CONTRACT_OVERFLOWS = [
+    [(("tolerances", "m_ref"), "1e300")],
+    [(("functional", "t_point"), "1e300"), (("grid", "lx"), "1e-110")],
+]
 # Tier-1 draws 60 examples; `pytest --hypothesis-profile cli-contract-long` draws that profile's (conftest.py)
 LONG_PROFILE = "cli-contract-long"
 CONTRACT_EXAMPLES = settings.default.max_examples if settings.get_current_profile_name() == LONG_PROFILE else 60
@@ -1248,20 +1255,8 @@ def _contract_config(m, fields, nonlinearity, tmp):
     )
 
 
-@settings(max_examples=CONTRACT_EXAMPLES, derandomize=True, deadline=None, database=None)
-@given(
-    command=st.sampled_from(["propagate", "evolve", "invariance", "certify", "trees"]),
-    m=st.sampled_from([4, 8]),
-    keys=st.permutations(list(CONTRACT_FIELDS)),
-    count=st.integers(1, 4),
-    nonlinearity=st.sampled_from(CONTRACT_NONLINEARITIES),
-    data=st.data(),
-)
-def test_fuzzed_configs_keep_the_exit_code_contract(command, m, keys, count, nonlinearity, data):
-    # exit 0, 1 or 2 with no exception and no warning, and 2 when the command reads a drawn
-    # input path; a failure prints one stderr line, and a success writes only finite cells
-    # but for those non-finite by design
-    fields = [(key, data.draw(st.sampled_from(CONTRACT_FIELDS[key]), label=str(key))) for key in keys[:count]]
+def _run_contract(command, m, fields, nonlinearity):
+    """(exit code, stderr, warning messages) of one command on a fuzzed config; every CSV of a success is checked."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(pathlib.Path(tmp) / "c.ini", _contract_config(m, fields, nonlinearity, tmp))
         out, stdout, stderr = pathlib.Path(tmp) / "out", io.StringIO(), io.StringIO()
@@ -1269,13 +1264,44 @@ def test_fuzzed_configs_keep_the_exit_code_contract(command, m, keys, count, non
             warnings.simplefilter("always")
             with contextlib.redirect_stderr(stderr):
                 code = main([command, "--config", cfg, "--out", str(out)])
-        assert code in (0, 1, 2)
-        event(f"{command} exits {code}")
-        assert [str(w.message) for w in caught] == []
-        if any(command in READS[sec] for (sec, key), _ in fields if (sec, key) in INPUT_PATHS):
-            assert code == 2, stderr.getvalue()
-        if code:
-            assert len(stderr.getvalue().splitlines()) == 1
-        else:
+        if code == 0:
             for path in sorted(out.glob("*.csv")):
                 _assert_every_cell_parses(path)
+    return code, stderr.getvalue(), [str(w.message) for w in caught]
+
+
+def _assert_contract(command, drawn, result):
+    """Exit 0, 1 or 2 with no exception and no warning, and 2 when the command reads a drawn
+    input path; a failure prints one stderr line (a success's cells are checked by the run)."""
+    code, stderr, caught = result
+    assert code in (0, 1, 2)
+    assert caught == []
+    if any(command in READS[sec] for (sec, key), _ in drawn if (sec, key) in INPUT_PATHS):
+        assert code == 2, stderr
+    if code:
+        assert len(stderr.splitlines()) == 1, stderr
+
+
+@settings(max_examples=CONTRACT_EXAMPLES, derandomize=True, deadline=None, database=None)
+@given(
+    command=st.sampled_from(["propagate", "evolve", "invariance", "certify", "trees"]),
+    m=st.sampled_from([4, 8]),
+    keys=st.permutations(list(CONTRACT_FIELDS)),
+    count=st.integers(1, 4),
+    nonlinearity=st.sampled_from(CONTRACT_NONLINEARITIES),
+    overflow=st.sampled_from(CONTRACT_OVERFLOWS),
+    data=st.data(),
+)
+def test_fuzzed_configs_keep_the_exit_code_contract(command, m, keys, count, nonlinearity, overflow, data):
+    # the config as drawn and the config with the overflowing float added both keep the
+    # contract; a numerical failure with the float added must not be a config error as
+    # drawn, which would mean the command computed before it checked
+    drawn = [(key, data.draw(st.sampled_from(CONTRACT_FIELDS[key]), label=str(key))) for key in keys[:count]]
+    code, stderr, _ = overflowed = _run_contract(command, m, overflow + drawn, nonlinearity)
+    _assert_contract(command, drawn, overflowed)
+    event(f"{command} exits {code}")
+    alone = _run_contract(command, m, drawn, nonlinearity)
+    _assert_contract(command, drawn, alone)
+    event(f"{command} exits {alone[0]} as drawn")
+    if code == 1:
+        assert alone[0] != 2, f"{stderr} before {alone[1]}"

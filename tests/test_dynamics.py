@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import green_apply, rk4_chart_evolve, strang_evolve
+from oracles import green_apply, power_by_products, rk4_chart_evolve, strang_evolve
 from scipy.integrate import simpson, trapezoid
 
 import chrono_duhamel.dynamics as dyn
@@ -45,26 +45,43 @@ def random_data(rng, grid=GRID, t=0.0, scale=0.1):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """``(len(trace), out, scratch)`` of every ``_source`` call, in call order."""
+    """``len(trace)`` of every ``_source`` call, in call order."""
     calls = []
     kernel = dyn._source
 
-    def counted(nonlin, trace, real, out=None, scratch=(None, None, None)):
-        calls.append((len(trace), out, scratch))
-        return kernel(nonlin, trace, real, out, scratch)
+    def counted(nonlin, trace, real):
+        calls.append(len(trace))
+        return kernel(nonlin, trace, real)
 
     monkeypatch.setattr(dyn, "_source", counted)
     return calls
 
 
-def power_by_products(u, k):
-    """``u**k``, ``k >= 2``, by binary powering: per digit of ``k`` after the first a square, then ``* u`` if it is 1."""
-    p = u
-    for bit in bin(k)[3:]:
-        p = p * p
-        if bit == "1":
-            p = p * u
-    return p
+@pytest.fixture
+def transforms(monkeypatch):
+    """``(name, a, out)`` of every pocketfft call of the dynamics layer, and ``("N", u, out, term)``
+    of every N program it builds, in call order."""
+    calls = []
+
+    def counted(name):
+        kernel = getattr(dyn, f"_{name}_gufunc")
+
+        def call(a, fct, out):
+            calls.append((name, a, out))
+            return kernel(a, fct, out)
+
+        return call
+
+    program = NonlinearitySpec._program
+
+    def built(self, u, out, term):
+        calls.append(("N", u, out, term))
+        return program(self, u, out, term)
+
+    monkeypatch.setattr(dyn, "_fft_gufunc", counted("fft"))
+    monkeypatch.setattr(dyn, "_ifft_gufunc", counted("ifft"))
+    monkeypatch.setattr(NonlinearitySpec, "_program", built)
+    return calls
 
 
 def power(u, k):
@@ -193,7 +210,7 @@ def test_evolve_requires_a_velocity_trace_for_klein_gordon():
         evolve(CauchyData(GRID, np.ones(GRID.M)), 0.0, 1.0, 0.1, KG1, CUBIC)
 
 
-def test_evolve_divergence_reported(kernel_calls):
+def test_evolve_divergence_reported(transforms):
     # focusing blow-up: huge amplitude with N(u) = -u^3 explodes quickly
     data = CauchyData(GRID, 60.0 * np.ones(GRID.M), np.zeros(GRID.M), 0.0)
     focusing = NonlinearitySpec({3: -1.0})
@@ -201,15 +218,16 @@ def test_evolve_divergence_reported(kernel_calls):
         evolve(data, 0.0, 4.0, 0.5, KG1, focusing)
 
     # 10^5 steps resolve the blow-up near t = sqrt(2)/60; the loop stops at
-    # the first step that is not finite, two source rounds per step
-    kernel_calls.clear()
+    # the first step that is not finite, two source rounds (one forward
+    # transform each) per step
+    transforms.clear()
     h = 4.0 / 10**5
     with pytest.raises(FloatingPointError) as err:
         evolve(data, 0.0, 4.0, h, KG1, focusing)
     step = int(re.search(r"at step (\d+) ", str(err.value)).group(1))
     assert str(err.value).endswith(f"step {step} (t = {step * h})")
     assert 0 < step < 1000
-    assert len(kernel_calls) == 2 * step
+    assert [call[0] for call in transforms].count("fft") == 2 * step
 
 
 def test_evolve_reports_overflowing_free_phases_without_a_warning():
@@ -374,7 +392,7 @@ def test_trajectory_csv_one_batched_field_evaluation(kernel_calls):
     traj = evolve(benchmark_data(GRID), 0.0, 0.5, 0.05, KG1, CUBIC)
     kernel_calls.clear()
     trajectory_csv(traj)
-    assert [(width, out) for width, out, _ in kernel_calls] == [(len(traj), None)]
+    assert kernel_calls == [len(traj)]
 
 
 @pytest.mark.parametrize(
@@ -662,34 +680,47 @@ def test_chart_field_into_buffers_is_the_reduce_formula_bit_for_bit(kind, nonlin
     with np.errstate(all="ignore"):
         want = reduce_kernel(nonlin, fwd, back, c, real)
         assert dyn._chart_field(nonlin, fwd, back, c, real).tobytes() == want.tobytes()
-        # the loop's path: the trace and the source into given arrays, two times at a time
+        # the loop's calls: the row sums and a source round into given arrays, two times at a time
         prod, trace, g = np.empty((2, K, M), complex), np.empty((2, M), complex), np.empty((2, M), complex)
         scratch = (np.empty((2, M), complex), *np.empty((2, 2, M), float if real else complex))
         for i in range(0, T, 2):
-            assert dyn._trace(fwd[i : i + 2], c[i : i + 2], real, prod, trace) is trace
-            assert dyn._source(nonlin, trace, real, g, scratch) is g
+            np.multiply(fwd[i : i + 2], c[i : i + 2], out=prod)
+            dyn._run(dyn._row_sum_calls(prod, real, trace))
+            dyn._run(dyn._source_calls(nonlin, trace, real, g, scratch))
             assert (back[i : i + 2] * g[:, None, :]).tobytes() == want[i : i + 2].tobytes()
 
 
 @pytest.mark.parametrize("disp", [KG1, SCH], ids=["klein_gordon", "schrodinger"])
-def test_evolve_stages_write_into_arrays_allocated_once(kernel_calls, disp):
+def test_evolve_stages_write_into_arrays_allocated_once(transforms, disp):
     # Klein-Gordon: kappa(0) = 0, two source rounds of two stages per step
-    # (1 and 3, then 2 and 4); Schrodinger: four rounds of one.  Each round
-    # writes into fixed rows of one source array with one set of scratch
-    # arrays, and the arrays and their sizes are the same for 5 steps and for 40
+    # (1 and 3, then 2 and 4); Schrodinger: four rounds of one.  A round is
+    # one inverse transform into the field buffer, the N program and one
+    # forward transform of its output into fixed rows of one source array.
+    # Each round's N program is built before the first step, on the field
+    # and two scratch buffers that all rounds share, and the arrays and their
+    # sizes are the same for 5 steps and for 40
     rounds = 2 if disp.second_order else 4
     data = reference_data(disp, 0.0)
     footprints = []
     for n in (5, 40):
-        kernel_calls.clear()
+        transforms.clear()
         evolve(data, 0.0, 0.5, 0.5 / n, disp, MIXED)
-        assert len(kernel_calls) == rounds * n
-        assert [width for width, _, _ in kernel_calls] == [4 // rounds] * (rounds * n)
-        dests = [out for _, out, _ in kernel_calls]
+        programs = [call[1:] for call in transforms if call[0] == "N"]
+        assert len(programs) == rounds and [call[0] for call in transforms[:rounds]] == ["N"] * rounds
+        u, n_out, n_term = programs[0]
+        for other in programs[1:]:
+            assert all(np.shares_memory(a, b) and a.shape == b.shape for a, b in zip(programs[0], other))
+        calls = transforms[rounds:]
+        assert [name for name, _, _ in calls] == ["ifft", "fft"] * (rounds * n)
+        iffts, ffts = calls[0::2], calls[1::2]
+        assert [len(a) for _, a, _ in ffts] == [4 // rounds] * (rounds * n)
+        dests = [out for _, _, out in ffts]
         assert [id(d) for d in dests[:rounds]] * n == [id(d) for d in dests]
         assert len({id(d) for d in dests}) == rounds and len({id(d.base) for d in dests}) == 1
-        assert len({tuple(map(id, scratch)) for _, _, scratch in kernel_calls}) == 1
-        footprints.append([d.base.nbytes for d in dests[:1]] + [a.nbytes for a in kernel_calls[0][2]])
+        fields = [out for _, _, out in iffts]
+        assert len({id(f) for f in fields}) == 1 and np.shares_memory(u, fields[0])
+        assert len({id(a) for _, a, _ in ffts}) == 1 and np.shares_memory(n_out, ffts[0][1])
+        footprints.append([dests[0].base.nbytes, fields[0].nbytes, n_out.nbytes, n_term.nbytes])
     assert footprints[0] == footprints[1]
 
 
