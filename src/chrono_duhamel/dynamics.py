@@ -14,8 +14,10 @@ over the K rows: ``Vbar_t(c) = back_t * g``, ``g = fft(N(ifft(sigma)))``
 the source of the trace ``sigma = sum_K fwd_t * c``, with ``fwd_t`` and
 ``back_t`` the per-mode factors of ``A_t`` and ``A_{-t}``.  At these grid
 sizes a kernel costs calls, not arithmetic, so kernels are lists of
-``(ufunc, args)`` calls bound to fixed arrays, with the propagator's
-pocketfft gufuncs called directly, and ``evolve`` binds its step once.
+``(ufunc, args)`` calls bound to fixed arrays, and ``evolve`` binds its step
+once.  A real field on at most 32 points is transformed by one real matmul
+each way with the propagator's DFT matrices, any other by its pocketfft
+gufuncs, called directly.
 ``evolve`` integrates this chart ODE by classical RK4 in trace form: by
 linearity the trace of a stage input ``c + a back_s * g`` is ``T_t + a
 kappa(t - s) * g``, with ``T_t = sum_K fwd_t * c`` and the lag kernel
@@ -46,6 +48,8 @@ from .propagator import (
     DispersionRelation,
     FreeSolution,
     Grid,
+    _DENSE_DFT_MAX_M,
+    _dft_matrices,
     _energies,
     _fft_gufunc,
     _field,
@@ -120,7 +124,7 @@ class NonlinearitySpec:
         ``term`` holds each term after the first.  The bits are those of
         ``0.0 + N_k u**k + ...`` in the order of ``coeffs``, with Python
         scalars' bits from 0-d operands of ``u``'s dtype; the ``0.0 +`` turns a
-        ``-0.0`` term into ``+0.0``.
+        ``-0.0`` term into ``+0.0``.  A float term skips a coefficient 1.0.
         """
         if not self.coeffs:
             return [(out.fill, (0,))]
@@ -128,7 +132,10 @@ class NonlinearitySpec:
         for i, (k, v) in enumerate(self.coeffs.items()):
             t = term if i else out
             calls += _power_calls(u, k, t)
-            calls += [(np.multiply, (np.array(v, u.dtype), t, t)), (np.add, (out if i else zero, t, out))]
+            # x * 1.0 is x for every float x, but (1 + 0j) * (inf + 0j) is inf + nan j
+            if v != 1.0 or u.dtype.kind != "f":
+                calls.append((np.multiply, (np.array(v, u.dtype), t, t)))
+            calls.append((np.add, (out if i else zero, t, out)))
         return calls
 
     def apply(
@@ -201,17 +208,38 @@ def _trace(fwd, c, real):
     return out
 
 
+def _scratch(shape, real):
+    """Buffers ``(u, n_out, n_term)`` of ``_source_calls`` for traces of ``shape``.
+
+    The field ``u`` is float for a real field on at most ``_DENSE_DFT_MAX_M``
+    points, which selects the dense transforms, else complex; the N
+    program's ``out`` and ``term`` are float for a real field.
+    """
+    dense = real and shape[-1] <= _DENSE_DFT_MAX_M
+    return np.empty(shape, float if dense else complex), *np.empty((2, *shape), float if real else complex)
+
+
 def _source_calls(nonlin, trace, real, out, scratch):
-    """Calls that write the modes ``fft(N(ifft(trace)))`` of mode-space traces ``(..., M)`` into ``out``.
+    """Calls that write the modes ``fft(N(ifft(trace)))`` of mode-space traces ``(w, M)`` into ``out``.
 
     The inverse FFT is unscaled (the trace carries the chart modes' ``1/M``);
     ``real`` takes the field's real part, as the propagator does for real
-    Klein-Gordon data.  ``scratch = (u, n_out, n_term)``, C-contiguous arrays
-    of the trace's shape, holds the field and the N program's ``out`` and
-    ``term``; N runs on flat views, where a strided real part costs no iterator.
+    Klein-Gordon data.  ``scratch`` of ``_scratch`` holds the field and the N
+    program's ``out`` and ``term``; N runs on flat views, where a strided real
+    part costs no iterator.  A float field is transformed by one matmul each
+    way with the propagator's ``_dft_matrices``, on the (re, im) float views
+    of ``trace`` and ``out``; ``w >= 2`` keeps it on gemm, whose rows do not
+    depend on the others.  A complex field calls the pocketfft gufuncs.
     """
     u, n_out, _ = scratch
     field, n_flat, term = (a.reshape(-1) for a in scratch)
+    if u.dtype.kind == "f":
+        inv, fwd = _dft_matrices(u.shape[-1])
+        return [
+            (np.matmul, (trace.view(float), inv, u)),
+            *nonlin._program(field, n_flat, term),
+            (np.matmul, (n_out, fwd, out.view(float))),
+        ]
     return [
         (_ifft_gufunc, (trace, 1.0, u)),
         *nonlin._program(field.real if real else field, n_flat, term),
@@ -220,11 +248,18 @@ def _source_calls(nonlin, trace, real, out, scratch):
 
 
 def _source(nonlin, trace, real):
-    """Modes ``fft(N(ifft(trace)))`` of mode-space traces ``(..., M)``, by ``_source_calls``."""
-    out, u = np.empty((2, *trace.shape), complex)
-    scratch = (u, *np.empty((2, *trace.shape), float if real else complex))
-    _run(_source_calls(nonlin, trace, real, out, scratch))
-    return out
+    """Modes ``fft(N(ifft(trace)))`` of mode-space traces ``(n, M)``, by ``_source_calls``.
+
+    One trace runs twice over: NumPy sends a one-row matmul to gemv, which
+    rounds unlike gemm, and a node's bits must not depend on the nodes
+    sampled with it.
+    """
+    n = len(trace)
+    if n == 1:
+        trace = np.concatenate([trace, trace])
+    out = np.empty(trace.shape, complex)
+    _run(_source_calls(nonlin, trace, real, out, _scratch(trace.shape, real)))
+    return out[:n]
 
 
 def _chart_field(nonlin, fwd, back, c, real):
@@ -285,10 +320,11 @@ def evolve(
     rounds where the computed ``kappa(0)`` is zero, else four, from one rounds
     table.  It runs the factor product on a read-only view of its three
     factor rows, one flat tuple of calls bound once (traces, rounds, ``g_2 +
-    g_3``) and the update: about 20 NumPy calls for cubic Klein-Gordon.  The
-    loop allocates nothing; the states' rows are rows of one read-only
-    array.  Node ``i`` sits at ``t1 + i h``; the loop stops at the first step
-    whose modes are not finite, and ``FloatingPointError`` names the first step
+    g_3``) and the update: 20 NumPy calls for cubic Klein-Gordon, whose
+    real field on at most 32 points is transformed by matmul.  The loop
+    allocates nothing; the states' rows are rows of one read-only array.
+    Node ``i`` sits at ``t1 + i h``; the loop stops at the first step whose
+    modes are not finite, and ``FloatingPointError`` names the first step
     whose fields are not finite.
     """
     n, h = _steps(initial, t1, t2, dt)
@@ -320,15 +356,14 @@ def evolve(
         else:
             rounds = [(traces[0:1], None, None, g[0:1]), (traces[1:2], coef[0:1], g[0:1], g[2:3])]
             rounds += [(traces[1:2], coef[2:3], g[2:3], g[1:2]), (traces[2:3], coef[1:2], g[1:2], g[4:5])]
-        width = len(rounds[0][0])
-        u = np.empty((width, grid.M), complex)
-        scratch = (u, *np.empty((2, width, grid.M), float if real else complex))
-        # a step's calls after the factor product; a stage trace is formed in the field u
+        stage = np.empty((len(rounds[0][0]), grid.M), complex)
+        scratch = _scratch(stage.shape, real)
+        # a step's calls after the factor product
         calls = _row_sum_calls(prods, real, traces)
         for trace, a, prev, dest in rounds:
             if a is not None:
-                calls += [(np.multiply, (a, prev, u)), (np.add, (trace, u, u))]
-                trace = u
+                calls += [(np.multiply, (a, prev, stage)), (np.add, (trace, stage, stage))]
+                trace = stage
             calls += _source_calls(nonlin, trace, real, dest, scratch)
         calls = tuple(calls + [(np.add, (g[2], g[1], g[2]))])
         # each step's rows (j, j + 1, j + 2) of the factors, j = 2 step, as read-only views
@@ -354,9 +389,12 @@ def evolve(
         step = int(np.argmin(finite)) + 1
         raise FloatingPointError(f"field values diverged at step {step} (t = {t1 + step * h})")
     fields.setflags(write=False)
+    # frozen states built as CauchyData._frozen builds its data, with no check
     for step, f in enumerate(fields, 1):
-        data = FreeSolution(CauchyData._frozen(grid, *f))
-        out.append(EvolutionState(data, t1 + step * h, disp, nonlin))
+        data, state = object.__new__(FreeSolution), object.__new__(EvolutionState)
+        data.__dict__["chart_data"] = CauchyData._frozen(grid, *f)
+        state.__dict__.update(current=data, time=t1 + step * h, disp=disp, nonlin=nonlin)
+        out.append(state)
     return out
 
 

@@ -1,5 +1,6 @@
 """Nonlinear-layer tests: the chart ODE, its oracle, and the trajectory dump."""
 
+import dataclasses
 import re
 import types
 import warnings
@@ -20,8 +21,10 @@ from chrono_duhamel.dynamics import (
 from chrono_duhamel.propagator import (
     CauchyData,
     DispersionRelation,
+    FreeSolution,
     Grid,
     cau_norm,
+    _dft_matrices,
     _field,
     _wave_factors,
     make_free_solution,
@@ -59,18 +62,26 @@ def kernel_calls(monkeypatch):
 
 @pytest.fixture
 def transforms(monkeypatch):
-    """``(name, a, out)`` of every pocketfft call of the dynamics layer, and ``("N", u, out, term)``
-    of every N program it builds, in call order."""
+    """``(name, a, out, kernel)`` of every transform of the dynamics layer, ``name`` "fft" or "ifft"
+    and ``kernel`` "pocketfft" or "matmul", and ``("N", u, out, term)`` of every N program it
+    builds, in call order."""
     calls = []
 
     def counted(name):
         kernel = getattr(dyn, f"_{name}_gufunc")
 
         def call(a, fct, out):
-            calls.append((name, a, out))
+            calls.append((name, a, out, "pocketfft"))
             return kernel(a, fct, out)
 
         return call
+
+    matmul = np.matmul
+
+    def dense(a, b, out):
+        # the inverse DFT matrix is (2M, M), the forward one (M, 2M)
+        calls.append(("ifft" if len(b) > b.shape[1] else "fft", a, out, "matmul"))
+        return matmul(a, b, out)
 
     program = NonlinearitySpec._program
 
@@ -80,6 +91,7 @@ def transforms(monkeypatch):
 
     monkeypatch.setattr(dyn, "_fft_gufunc", counted("fft"))
     monkeypatch.setattr(dyn, "_ifft_gufunc", counted("ifft"))
+    monkeypatch.setattr(np, "matmul", dense)
     monkeypatch.setattr(NonlinearitySpec, "_program", built)
     return calls
 
@@ -559,6 +571,11 @@ def textbook_rk4(data, t1, t2, steps, disp, nonlin):
     return [fields, *(out.real if real else out)]
 
 
+def dense_dft(M, real):
+    """The package's DFT matrices ``(inv, fwd)`` where it transforms by matmul, else None."""
+    return _dft_matrices(M) if real and M <= 32 else None
+
+
 def trace_form_rk4(data, t1, t2, steps, disp, nonlin):
     """Chart fields at the nodes of the same RK4 in trace form, one stage at a time.
 
@@ -566,7 +583,9 @@ def trace_form_rk4(data, t1, t2, steps, disp, nonlin):
     kernel ``-(fwd_tau back_0).sum(axis=-2)`` at ``tau = 0, h/2`` and ``B``
     the factors ``-back`` times ``h/6`` at the nodes and ``h/3`` at the
     midpoints.  Where ``kappa(0)`` is zero, stage 3's trace is ``T[1]``, so
-    stages 1 and 3 come first and then 2 and 4, as in two batched rounds.
+    stages 1 and 3 come first and then 2 and 4, as in two batched rounds.  A
+    real field on at most 32 points is transformed with the package's DFT
+    matrices, by a matmul of the trace stacked twice so that it runs on gemm.
     """
     M = data.grid.M
     fields, real, c = chart_start(data, disp)
@@ -576,8 +595,12 @@ def trace_form_rk4(data, t1, t2, steps, disp, nonlin):
     lag_fwd, lag_back = chart_factors(disp, data.grid, [0.0, h / 2])
     kappa0, kappa1 = -(lag_fwd * lag_back[0]).sum(axis=-2)
     N = N_of(nonlin)
+    dense = dense_dft(M, real)
 
     def source(sigma):
+        if dense:
+            u = np.stack([sigma, sigma]).view(float) @ dense[0]
+            return (N(u) @ dense[1]).view(complex)[0]
         u = np.fft.ifft(M * sigma)
         return np.fft.fft(N(u.real if real else u))
 
@@ -651,13 +674,22 @@ def test_evolve_is_textbook_rk4_bit_for_bit(disp, M, t1, t2, nonlin):
 
 
 def reduce_kernel(nonlin, fwd, back, c, real):
-    """The chart field with ``np.add.reduce`` over the rows and ``N`` on Python scalars."""
-    u = np.fft.ifft(np.add.reduce(fwd * c, axis=-2), norm="forward")
-    u = u.real if real else u
+    """The chart field with ``np.add.reduce`` over the rows and ``N`` on Python scalars.
+
+    A real field on at most 32 points is transformed with the package's DFT matrices.
+    """
+    trace = np.add.reduce(fwd * c, axis=-2)
+    dense = dense_dft(trace.shape[-1], real)
+    if dense:
+        u = trace.view(float) @ dense[0]
+    else:
+        u = np.fft.ifft(trace, norm="forward")
+        u = u.real if real else u
     g = 0.0
     for k, v in nonlin.coeffs.items():
         g = g + v * power(u, k)
-    return back * np.fft.fft(g)[..., None, :]
+    g = (g @ dense[1]).view(complex) if dense else np.fft.fft(g)
+    return back * g[..., None, :]
 
 
 @pytest.mark.parametrize(
@@ -682,7 +714,7 @@ def test_chart_field_into_buffers_is_the_reduce_formula_bit_for_bit(kind, nonlin
         assert dyn._chart_field(nonlin, fwd, back, c, real).tobytes() == want.tobytes()
         # the loop's calls: the row sums and a source round into given arrays, two times at a time
         prod, trace, g = np.empty((2, K, M), complex), np.empty((2, M), complex), np.empty((2, M), complex)
-        scratch = (np.empty((2, M), complex), *np.empty((2, 2, M), float if real else complex))
+        scratch = dyn._scratch((2, M), real)
         for i in range(0, T, 2):
             np.multiply(fwd[i : i + 2], c[i : i + 2], out=prod)
             dyn._run(dyn._row_sum_calls(prod, real, trace))
@@ -711,17 +743,85 @@ def test_evolve_stages_write_into_arrays_allocated_once(transforms, disp):
         for other in programs[1:]:
             assert all(np.shares_memory(a, b) and a.shape == b.shape for a, b in zip(programs[0], other))
         calls = transforms[rounds:]
-        assert [name for name, _, _ in calls] == ["ifft", "fft"] * (rounds * n)
+        assert [name for name, *_ in calls] == ["ifft", "fft"] * (rounds * n)
         iffts, ffts = calls[0::2], calls[1::2]
-        assert [len(a) for _, a, _ in ffts] == [4 // rounds] * (rounds * n)
-        dests = [out for _, _, out in ffts]
+        assert [len(a) for _, a, *_ in ffts] == [4 // rounds] * (rounds * n)
+        dests = [out for _, _, out, _ in ffts]
         assert [id(d) for d in dests[:rounds]] * n == [id(d) for d in dests]
         assert len({id(d) for d in dests}) == rounds and len({id(d.base) for d in dests}) == 1
-        fields = [out for _, _, out in iffts]
+        fields = [out for _, _, out, _ in iffts]
         assert len({id(f) for f in fields}) == 1 and np.shares_memory(u, fields[0])
-        assert len({id(a) for _, a, _ in ffts}) == 1 and np.shares_memory(n_out, ffts[0][1])
+        assert len({id(a) for _, a, *_ in ffts}) == 1 and np.shares_memory(n_out, ffts[0][1])
         footprints.append([dests[0].base.nbytes, fields[0].nbytes, n_out.nbytes, n_term.nbytes])
     assert footprints[0] == footprints[1]
+
+
+@pytest.mark.parametrize(
+    "kind, M, kernel",
+    [
+        ("real", 32, "matmul"),
+        ("real", 64, "pocketfft"),
+        ("complex", 32, "pocketfft"),
+        ("schrodinger", 32, "pocketfft"),
+    ],
+)
+def test_real_fields_on_at_most_32_points_are_transformed_by_matmul(transforms, kind, M, kernel):
+    # the step and the dump transform a real field on at most 32 points by one matmul each
+    # way, reading and writing (re, im) float views; any other field by the pocketfft
+    # gufuncs, complex trace to complex field and real or complex N(u) to complex modes
+    grid = Grid(M, 2 * np.pi)
+    rng = np.random.default_rng(M)
+    disp = SCH if kind == "schrodinger" else KG1
+    if kind == "real":
+        data = random_data(rng, grid=grid)
+    else:
+        psi, chi = 0.1 * (rng.standard_normal((2, M)) + 1j * rng.standard_normal((2, M)))
+        data = CauchyData(grid, psi, chi if disp.second_order else None)
+    rounds = 2 if disp.second_order else 4
+    transforms.clear()
+    traj = evolve(data, 0.0, 0.5, 0.05, disp, CUBIC)
+    calls = [call for call in transforms if call[0] != "N"]
+    assert [(name, k) for name, _, _, k in calls] == [("ifft", kernel), ("fft", kernel)] * (rounds * 10)
+    transforms.clear()
+    trajectory_csv(traj)
+    calls += [call for call in transforms if call[0] != "N"]
+    assert [(name, k) for name, _, _, k in calls[-2:]] == [("ifft", kernel), ("fft", kernel)]
+    views = float if kernel == "matmul" else complex
+    for name, a, out, _ in calls:
+        if name == "ifft":
+            assert a.dtype == out.dtype == views
+        else:
+            assert out.dtype == views and a.dtype == (float if kind == "real" else complex)
+
+
+def test_dense_dft_matrices_are_cached_for_the_four_small_grids_only():
+    for M in (4, 8, 16, 32, 64, 128, 256):
+        grid = Grid(M, 2 * np.pi)
+        trajectory_csv(evolve(random_data(np.random.default_rng(M), grid=grid), 0.0, 0.1, 0.05, KG1, CUBIC))
+        if M <= 32:
+            pair = _dft_matrices(M)
+            assert _dft_matrices(M) is pair and not any(a.flags.writeable for a in pair)
+        else:
+            with pytest.raises(ValueError, match="dense DFT limit"):
+                _dft_matrices(M)
+    assert _dft_matrices.cache_info().currsize == 4
+
+
+def test_trajectory_states_are_the_public_constructors_states_and_frozen():
+    data = random_data(np.random.default_rng(3))
+    traj = evolve(data, 0.0, 0.5, 0.05, KG1, CUBIC)
+    for st in traj:
+        chart = st.current.chart_data
+        want = EvolutionState(FreeSolution(CauchyData(GRID, chart.psi, chart.chi)), st.time, KG1, CUBIC)
+        assert type(st) is EvolutionState and type(st.current) is FreeSolution
+        assert vars(st).keys() == vars(want).keys() and vars(st.current).keys() == vars(want.current).keys()
+        assert (st.time, st.disp, st.nonlin) == (want.time, want.disp, want.nonlin)
+        got, ref = st.current.chart_data, want.current.chart_data
+        assert (got.grid, got.t) == (ref.grid, ref.t)
+        assert got.psi.tobytes() == ref.psi.tobytes() and got.chi.tobytes() == ref.chi.tobytes()
+        for obj, field in ((st, "time"), (st.current, "chart_data"), (chart, "t")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field, None)
 
 
 @pytest.mark.parametrize("disp", [KG1, SCH], ids=["klein_gordon", "schrodinger"])
@@ -744,8 +844,23 @@ def test_evolve_nodes_are_read_only_rows_of_one_array(disp):
 def test_real_powers_are_products_in_binary_powering_order(k):
     rng = np.random.default_rng(k)
     u = rng.uniform(-1.5, 1.5, 64)
-    spec = NonlinearitySpec({k: 0.7})
-    assert spec.apply(u).tobytes() == (0.0 + 0.7 * power_by_products(u, k)).tobytes()
-    # complex traces keep np.power
     z = u + 1j * rng.uniform(-1.5, 1.5, 64)
-    assert spec.apply(z).tobytes() == (0.0 + 0.7 * np.power(z, k)).tobytes()
+    for v in (0.7, 1.0):
+        spec = NonlinearitySpec({k: v})
+        assert spec.apply(u).tobytes() == (0.0 + v * power_by_products(u, k)).tobytes()
+        # complex traces keep np.power
+        assert spec.apply(z).tobytes() == (0.0 + v * np.power(z, k)).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_coefficient_one_skips_its_multiply_for_float_fields_only(k):
+    # x * 1.0 is x for every float x, while (1 + 0j) * (inf + 0j) is inf + nan j
+    u = np.array([-0.0, 0.0, -1.5, 0.3, np.inf, -np.inf, np.nan, 5e-324])
+    z = u.astype(complex)
+    with np.errstate(all="ignore"):
+        assert NonlinearitySpec({k: 1.0}).apply(u).tobytes() == (0.0 + power(u, k)).tobytes()
+        assert NonlinearitySpec({k: 1.0}).apply(z).tobytes() == (0.0 + 1.0 * power(z, k)).tobytes()
+    for a, fewer in ((u, 1), (z, 0)):
+        out, term = np.empty_like(a), np.empty_like(a)
+        one, other = (NonlinearitySpec({k: v, 0: 0.5})._program(a, out, term) for v in (1.0, 0.7))
+        assert len(one) == len(other) - fewer

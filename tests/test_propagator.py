@@ -8,6 +8,7 @@ from chrono_duhamel.propagator import (
     DispersionRelation,
     FreeSolution,
     Grid,
+    _dft_matrices,
     _fft,
     _ifft,
     energy,
@@ -62,7 +63,7 @@ def test_dft_pair_is_numpy_fft_bit_for_bit(M, shape, dtype):
     same(_fft(a), np.fft.fft(a))
     same(_ifft(a, 1 / M), np.fft.ifft(a))
     same(_ifft(a, 1.0), np.fft.ifft(a, norm="forward"))
-    # in place, as the chart kernel runs its inverse transform
+    # in place, with the bits of out of place
     for transform, reference in (
         (lambda b: _fft(b, out=b), np.fft.fft(a)),
         (lambda b: _ifft(b, 1 / M, out=b), np.fft.ifft(a)),
@@ -71,6 +72,29 @@ def test_dft_pair_is_numpy_fft_bit_for_bit(M, shape, dtype):
         b = a.astype(complex)
         assert transform(b) is b
         same(b, reference)
+
+
+@pytest.mark.parametrize("M", [4, 8, 16, 32])
+def test_dense_dft_matrices_are_numpy_fft_within_M_ulp(M):
+    # x.view(float) @ inv is ifft(x, norm="forward").real and (f @ fwd).view(complex) is fft(f),
+    # within M ulp of each row's largest value, as a sum of M terms is: over 50 seeds the
+    # largest errors were 2, 3, 6 and 7 ulp at M = 4, 8, 16 and 32
+    inv, fwd = _dft_matrices(M)
+    assert inv.shape == (2 * M, M) and fwd.shape == (M, 2 * M)
+    assert not inv.flags.writeable and not fwd.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        fwd[0, 0] = 0.0
+    rng = np.random.default_rng(M)
+    fields = rng.standard_normal((20, M))
+    # mode rows of real fields are Hermitian; the inverse also takes any complex row
+    other = rng.standard_normal((5, M)) + 1j * rng.standard_normal((5, M))
+    modes = np.concatenate([np.fft.fft(fields) / M, other])
+    for got, want in (
+        ((fields @ fwd).view(complex), np.fft.fft(fields)),
+        (modes.view(float) @ inv, np.fft.ifft(modes, norm="forward").real),
+    ):
+        ulp = np.spacing(np.max(np.abs(want), axis=-1, keepdims=True))
+        assert np.all(np.abs(got - want) <= M * ulp)
 
 
 # ---------------------------------------------------------------------------
